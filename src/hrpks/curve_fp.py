@@ -2,6 +2,15 @@
 the long-Weierstrass group law, multi-scalar multiplication, and exact
 point-order computation via baby-step giant-step over the Hasse interval.
 
+Points cross every API boundary as affine `ModPoint`s. `add_fp` and the
+step walks of BSGS and the assumption lab use the affine law, one
+inversion per addition. `msm` and `scalar_mul_fp` share one engine that
+works in long-Weierstrass Jacobian coordinates (x = X/Z^2, y = Y/Z^3) with
+a1..a6 kept, so it serves every p, 2 and 3 included: a windowed Straus
+interleave over per-call tables of small multiples, with one inversion to
+normalise the tables and one to return the result to affine form. Every
+inversion is a `pow(v, -1, p)` call in this module.
+
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
 """
@@ -154,51 +163,159 @@ def add_fp(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
 
 
 def scalar_mul_fp(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
-    """n*P by double-and-add; 0*P = infinity, negative n via negation."""
+    """n*P; 0*P = infinity, negative n via negation. Runs the `msm`
+    engine on one term."""
     _require_on_curve(curve, P)
     return _scalar_unchecked(curve, n, P)
 
 
 def _scalar_unchecked(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
-    if n < 0:
-        n, P = -n, neg_fp(curve, P)
-    acc = INF
-    base = P
-    while n:
-        if n & 1:
-            acc = _add_unchecked(curve, acc, base)
-        n >>= 1
-        if n:
-            base = _add_unchecked(curve, base, base)
-    return acc
+    return _straus(curve, [(n, P)])
 
 
 def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint]) -> ModPoint:
-    """Sum of scalars[i] * points[i], interleaved double-and-add.
+    """Sum of scalars[i] * points[i] by windowed Straus interleaving in
+    Jacobian coordinates.
 
-    r stays small here (2..29), so a shared doubling chain over the joint
-    bit length is all the optimization we need.
+    Every term shares one doubling chain over the joint bit length; per
+    window of w bits each term adds one precomputed multiple of its point.
+    At most two inversions happen per call: one normalises every term's
+    table to affine, one converts the result back to an affine `ModPoint`.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
                          f"{len(points)} points")
-    pairs = []
-    for n, P in zip(scalars, points):
+    for P in points:
         _require_on_curve(curve, P)
+    return _straus(curve, zip(scalars, points))
+
+
+# -- Jacobian engine --------------------------------------------------------
+#
+# (X, Y, Z) with Z != 0 stands for the affine point (X/Z^2, Y/Z^3); Z == 0
+# is infinity. The formulas are the affine long-Weierstrass law above with
+# x1, x2, y1, y2 substituted and the denominators cleared, so a1..a6 stay
+# general and no division by 2 or 3 appears: one path serves every p.
+
+_JAC_INF = (1, 1, 0)
+
+
+def _window_width(nbits: int) -> int:
+    """Straus window width for scalars of `nbits` bits. Wider windows cost
+    2^w - 2 table additions per term and save additions in the main loop;
+    these thresholds were fastest, within timing noise, for 1, 9 and 29
+    terms mod 2^127 - 1."""
+    if nbits < 64:
+        return 2
+    if nbits < 192:
+        return 3
+    return 4
+
+
+def _jac_double(curve: CurveFp, P):
+    X, Y, Z = P
+    if not Z:
+        return P
+    p, a1, a2, a3, a4 = curve.p, curve.a1, curve.a2, curve.a3, curve.a4
+    ZZ = Z * Z % p
+    # lambda = N / (Z * D) with D = Z^3 * (2y + a1 x + a3); D = 0 on
+    # 2-torsion, where Z3 = 0 makes the result infinity
+    D = (2 * Y + (a1 * X + a3 * ZZ) * Z) % p
+    N = (3 * X * X + (2 * a2 * X + a4 * ZZ) * ZZ - a1 * Y * Z) % p
+    Z3 = Z * D % p
+    DD = D * D % p
+    XDD = X * DD % p
+    X3 = (N * (N + a1 * Z3) - a2 * Z3 * Z3 - 2 * XDD) % p
+    Y3 = (N * (XDD - X3) - a1 * X3 * Z3 - Y * DD * D - a3 * Z3 * Z3 * Z3) % p
+    return X3, Y3, Z3
+
+
+def _jac_add_affine(curve: CurveFp, P, x2: int, y2: int):
+    """P + (x2, y2) for Jacobian P and a finite affine point."""
+    X1, Y1, Z1 = P
+    if not Z1:
+        return x2, y2, 1
+    p, a1, a2, a3 = curve.p, curve.a1, curve.a2, curve.a3
+    ZZ = Z1 * Z1 % p
+    U2 = x2 * ZZ % p
+    S2 = y2 * ZZ * Z1 % p
+    H = (U2 - X1) % p
+    R = (S2 - Y1) % p
+    if not H and not R:
+        return _jac_double(curve, P)
+    # lambda = R / Z3; opposite points have H = 0, so Z3 = 0 is infinity
+    Z3 = Z1 * H % p
+    HH = H * H % p
+    X1HH = X1 * HH % p
+    X3 = (R * (R + a1 * Z3) - a2 * Z3 * Z3 - X1HH - U2 * HH) % p
+    Y3 = (R * (X1HH - X3) - a1 * X3 * Z3 - Y1 * HH * H - a3 * Z3 * Z3 * Z3) % p
+    return X3, Y3, Z3
+
+
+def _normalize(curve: CurveFp, jpoints):
+    """Affine (x, y) for each Jacobian point, or None for infinity, with
+    one inversion for the whole batch (Montgomery's trick)."""
+    p = curve.p
+    prefix = []
+    acc = 1
+    for _, _, Z in jpoints:
+        if Z:
+            acc = acc * Z % p
+        prefix.append(acc)
+    inv = pow(acc, -1, p)
+    out = [None] * len(jpoints)
+    for i in range(len(jpoints) - 1, -1, -1):
+        X, Y, Z = jpoints[i]
+        if not Z:
+            continue
+        zi = inv * prefix[i - 1] % p if i else inv
+        inv = inv * Z % p
+        zi2 = zi * zi % p
+        out[i] = (X * zi2 % p, Y * zi2 * zi % p)
+    return out
+
+
+def _straus(curve: CurveFp, terms) -> ModPoint:
+    """Sum of n * P over (n, P) terms; points are already known on the
+    curve. Fixed-window Straus: a table of 1*P .. (2^w - 1)*P per term,
+    batch-normalised, then mixed additions onto one Jacobian accumulator."""
+    pairs = []
+    for n, P in terms:
         if n < 0:
             n, P = -n, neg_fp(curve, P)
         if n and not P.is_infinity:
             pairs.append((n, P))
     if not pairs:
         return INF
-    nbits = max(n.bit_length() for n, _ in pairs)
-    acc = INF
-    for bit in range(nbits - 1, -1, -1):
-        acc = _add_unchecked(curve, acc, acc)
-        for n, P in pairs:
-            if (n >> bit) & 1:
-                acc = _add_unchecked(curve, acc, P)
-    return acc
+    nbits = max(n for n, _ in pairs).bit_length()
+    w = _window_width(nbits)
+    mask = (1 << w) - 1
+    jtable = []
+    for _, P in pairs:
+        entry = (P.x, P.y, 1)
+        jtable.append(entry)
+        for _ in range(mask - 1):
+            entry = _jac_add_affine(curve, entry, P.x, P.y)
+            jtable.append(entry)
+    flat = _normalize(curve, jtable)
+    rows = [(n, [None] + flat[i * mask:(i + 1) * mask])
+            for i, (n, _) in enumerate(pairs)]
+
+    acc = _JAC_INF
+    for shift in range((nbits - 1) // w * w, -1, -w):
+        for _ in range(w):
+            acc = _jac_double(curve, acc)
+        for n, row in rows:
+            entry = row[(n >> shift) & mask]
+            if entry is not None:
+                acc = _jac_add_affine(curve, acc, *entry)
+    X, Y, Z = acc
+    if not Z:
+        return INF
+    p = curve.p
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return ModPoint(X * zi2 % p, Y * zi2 * zi % p)
 
 
 def hasse_interval(p: int) -> Tuple[int, int]:

@@ -74,10 +74,6 @@ class CurveQ:
             if not on_curve_q(self, g):
                 raise InvariantError(f"listed generator {g} is not on the curve")
 
-    def equation_str(self) -> str:
-        return (f"y^2 + {self.a1}xy + {self.a3}y = "
-                f"x^3 + {self.a2}x^2 + {self.a4}x + {self.a6}")
-
 
 def discriminant_q(curve: CurveQ) -> Fraction:
     return discriminant_coeffs(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)

@@ -81,7 +81,12 @@ def _pk_doc(pk: PublicKey):
 
 
 def _parse_pk(doc) -> PublicKey:
-    cert = bytes.fromhex(doc["cert"]) if doc.get("cert") else None
+    cert = None
+    if doc.get("cert"):
+        try:
+            cert = bytes.fromhex(doc["cert"])
+        except ValueError:
+            raise ParseError("public key cert is not hex") from None
     return PublicKey(point=_parse_point(doc["point"]),
                      member_id=doc["member_id"], dept=doc["dept"], cert=cert)
 
@@ -365,10 +370,6 @@ def _check_points(curve: Optional[CurveFp], points, what: str):
     for pt in points:
         if not on_curve_fp(curve, pt):
             raise InvariantError(f"{what} point {pt} fails the curve equation")
-
-
-def params_digest_hex(params: SystemParams) -> str:
-    return params.digest().hex()
 
 
 def load_artifact(path, curve: Optional[CurveFp] = None):

@@ -26,7 +26,7 @@ Nothing here is constant-time.
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .curve_fp import ModPoint, add_fp, msm, on_curve_fp, scalar_mul_fp
+from .curve_fp import ModPoint, msm, on_curve_fp
 from .encoding import hash_to_challenge
 from .errors import InvariantError, RetryExhausted, SignerRevoked
 from .hierarchy import Hyperplane, PublicKey, SecretKey, SystemParams
@@ -296,8 +296,7 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
         return VerifyResult.reject(MALFORMED)
 
     c = sig.challenge
-    big_r = add_fp(curve, msm(curve, sig.s, params.gens),
-                   scalar_mul_fp(curve, -c, pk.point))
+    big_r = msm(curve, sig.s + (-c,), params.gens + (pk.point,))
 
     rlh = rl_hash(rl)
     announcements = []

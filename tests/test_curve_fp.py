@@ -366,3 +366,136 @@ def test_long_form_law_mod_p():
         assert scalar_mul_fp(c, n, pt) == acc
         assert on_curve_fp(c, acc)
         acc = add_fp(c, acc, pt)
+
+
+# -- equivalence with the affine reference ----------------------------------
+
+MERSENNE_127 = (1 << 127) - 1
+
+
+def _reference_msm(curve, scalars, points):
+    """The affine double-and-add MSM the Jacobian engine replaced: one
+    shared doubling chain over the joint bit length, bit by bit."""
+    pairs = []
+    for n, pt in zip(scalars, points):
+        if n < 0:
+            n, pt = -n, neg_fp(curve, pt)
+        if n and not pt.is_infinity:
+            pairs.append((n, pt))
+    acc = ModPoint.infinity()
+    nbits = max((n.bit_length() for n, _ in pairs), default=0)
+    for bit in range(nbits - 1, -1, -1):
+        acc = add_fp(curve, acc, acc)
+        for n, pt in pairs:
+            if (n >> bit) & 1:
+                acc = add_fp(curve, acc, pt)
+    return acc
+
+
+def _assert_matches_reference(curve, scalars, points):
+    assert msm(curve, scalars, points) == \
+        _reference_msm(curve, scalars, points), (scalars, points)
+    for n, pt in zip(scalars, points):
+        assert scalar_mul_fp(curve, n, pt) == \
+            _reference_msm(curve, [n], [pt]), (n, pt)
+
+
+def _random_points(curve, count, rng):
+    pts = []
+    while len(pts) < count:
+        pt = _point_from_x(curve, rng.randrange(curve.p))
+        if pt is not None:
+            pts.append(pt)
+    return pts
+
+
+def test_msm_reference_edge_scalars_and_points():
+    c, g1, g2 = gens_mod()
+    order = point_order(c, g1)
+    inf = ModPoint.infinity()
+    neg = neg_fp(c, g1)
+    cases = [
+        ([0], [g1]),
+        ([0, 0, 0], [g1, g2, inf]),
+        ([-1], [g1]),
+        ([-(1 << 70) - 3, 5], [g1, g2]),
+        ([order], [g1]),
+        ([order + 1, -order - 2], [g1, g2]),
+        ([3 * order + 12345, 1 << 200], [g1, g2]),
+        ([7, 7, 7], [g1, g1, g1]),
+        ([11, 11], [g1, neg]),
+        ([11, 12], [g1, neg]),
+        ([(1 << 100) + 1, (1 << 100) + 1], [g2, neg_fp(c, g2)]),
+        ([5, 9, 1 << 64], [inf, g2, inf]),
+    ]
+    for scalars, points in cases:
+        _assert_matches_reference(c, scalars, points)
+    assert msm(c, [order], [g1]).is_infinity
+    assert msm(c, [11, 11], [g1, neg]).is_infinity
+
+
+def test_msm_reference_small_order_points():
+    # toy17 mod 5: (2, 0) is 2-torsion, and every point has order dividing
+    # the 6-element group, so window tables of 3, 7 or 15 multiples keep
+    # landing on infinity at every window width
+    c5 = reduce_curve(catalog("toy17"), 5)
+    group = _enumerate_group(c5)
+    assert len(group) == 6 and ModPoint(2, 0) in group
+    rng = random.Random(55)
+    for bits in (1, 5, 63, 64, 191, 192, 260):
+        for _ in range(6):
+            k = rng.randrange(1, 5)
+            points = [rng.choice(group) for _ in range(k)]
+            scalars = [rng.getrandbits(bits) * rng.choice((1, -1))
+                       for _ in range(k)]
+            _assert_matches_reference(c5, scalars, points)
+    _assert_matches_reference(c5, [1 << 200, 3], [ModPoint(2, 0)] * 2)
+
+
+def test_msm_reference_tiny_characteristic():
+    from hrpks.curve_q import CurveQ
+
+    cq = CurveQ(a1=0, a2=0, a3=1, a4=1, a6=0, curve_id="test-91")
+    rng = random.Random(23)
+    for p in (2, 3):
+        c = reduce_curve(cq, p)
+        group = _enumerate_group(c)
+        for pt in group:
+            for n in range(-6, 7):
+                _assert_matches_reference(c, [n], [pt])
+        for bits in (3, 70, 200):
+            for _ in range(8):
+                k = rng.randrange(1, 4)
+                points = [rng.choice(group) for _ in range(k)]
+                scalars = [rng.getrandbits(bits) - (1 << (bits - 1))
+                           for _ in range(k)]
+                _assert_matches_reference(c, scalars, points)
+
+
+@pytest.mark.parametrize("p", [97, 10007, TOY_P])
+def test_msm_reference_toy17(p):
+    c = reduce_curve(catalog("toy17"), p)
+    rng = random.Random(p)
+    pool = _random_points(c, 6, rng)
+    for bits in (8, 40, 100, 250):
+        for _ in range(4):
+            k = rng.randrange(1, 6)
+            points = [rng.choice(pool) for _ in range(k)]
+            scalars = [rng.getrandbits(bits) * rng.choice((1, -1))
+                       for _ in range(k)]
+            _assert_matches_reference(c, scalars, points)
+
+
+@pytest.mark.parametrize("bits", [31, 89, 241, 317])
+def test_msm_reference_rank28_long_form(bits):
+    # a1 = a3 = 1; the bit lengths put every window width in play
+    c = reduce_curve(catalog("rank28"), MERSENNE_127)
+    assert c.a1 == c.a3 == 1
+    rng = random.Random(bits)
+    gens = _random_points(c, 8, rng)
+    for k in (1, 2, 8):
+        scalars = [rng.getrandbits(bits) for _ in range(k)]
+        scalars[0] |= 1 << (bits - 1)
+        _assert_matches_reference(c, scalars, gens[:k])
+    _assert_matches_reference(c, [-(1 << (bits - 1)), 1 << (bits - 1)],
+                              [gens[0], gens[0]])

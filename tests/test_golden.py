@@ -1,0 +1,139 @@
+"""Golden seeded artifacts: SHA-256 pins of three deterministic runs.
+
+The digests were captured with the affine double-and-add group law, before
+E(F_p) arithmetic moved to Jacobian coordinates and windowed Straus. Any
+change to curve arithmetic, encoding or serialization that alters a single
+output byte under a fixed seed fails here.
+"""
+
+import hashlib
+import random
+import warnings
+
+from hrpks import curve_q, hierarchy, modmath, revocation, serial, sigma
+from hrpks.curve_fp import ModPoint, msm, reduce_curve
+from hrpks.cli import main
+
+TOY = ["--curve", "toy17", "--p", "3123456773", "--q", "3123456773"]
+MERSENNE_127 = (1 << 127) - 1
+MERSENNE_89 = (1 << 89) - 1
+
+GOLDEN = {
+    "cli_toy17":
+        "b5c882c0dd6eec2f78e21293d3a0da6ac18b2c233cbe0e184487fe5c7354da28",
+    "rank28_empty_rl":
+        "bcb05552d24e6bd94c79217fe0cb6e0a79a81a24f84262f0faa65c43e14158dd",
+    "rank28_revoked_dept":
+        "1d5e429995e2a328e1cb650def0ee2bc7ab97b4a8118b719afba9790125722f4",
+}
+
+
+def _digest(named_blobs):
+    h = hashlib.sha256()
+    for name, blob in named_blobs:
+        h.update(name.encode() + b"\0" + blob + b"\0")
+    return h.hexdigest()
+
+
+def _cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 0, err
+
+
+def test_golden_cli_toy17_walkthrough(tmp_path, capsys):
+    d = tmp_path
+    params, gm_key, tree = d / "gm.params", d / "gm.key", d / "org.tree"
+    key, pub, rl = d / "alice.key", d / "alice.pub", d / "list.rl"
+    msg, sig = d / "msg.txt", d / "msg.sig"
+    _cli(capsys, "setup", *TOY, "--seed", 1, "--params-out", params,
+         "--gm-key-out", gm_key)
+    for seed, name in ((2, "financial"), (3, "hr"), (4, "engineering")):
+        _cli(capsys, "dept", "add", "--params", params, "--tree", tree,
+             "--parent", "/", "--name", name, "--seed", seed)
+    _cli(capsys, "member", "join", "--params", params, "--tree", tree,
+         "--gm-key", gm_key, "--dept", "/financial", "--id", "alice",
+         "--key-out", key, "--pub-out", pub, "--seed", 5)
+    serial.save_artifact(rl, "rl", revocation.empty_rl())
+    msg.write_bytes(b"wire transfer #42\n")
+    _cli(capsys, "sign", "--params", params, "--key", key, "--rl", rl,
+         "--msg-file", msg, "--out", sig, "--seed", 6)
+    _cli(capsys, "verify", "--params", params, "--pub", pub, "--rl", rl,
+         "--msg-file", msg, "--sig", sig)
+    files = (params, gm_key, tree, key, pub, sig)
+    assert _digest((f.name, f.read_bytes()) for f in files) \
+        == GOLDEN["cli_toy17"]
+
+
+def _rank28_points(curve, count, rng):
+    """`count` seeded random affine points of E(F_p) from the long form:
+    y solves y^2 + (a1 x + a3) y = f(x) through one square root."""
+    p = curve.p
+    points = []
+    while len(points) < count:
+        x = rng.randrange(p)
+        b = (curve.a1 * x + curve.a3) % p
+        f = (x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
+        root = modmath.sqrt_mod((b * b + 4 * f) % p, p)
+        if root is not None:
+            points.append(ModPoint(x, (root - b) * pow(2, -1, p) % p))
+    return tuple(points)
+
+
+def _rank28_world(seed):
+    """rank28 (a1 = a3 = 1) mod 2^127-1 with r = 4, two sibling
+    departments and one member in each.
+
+    The catalog publishes no rank-28 generators, so the four generators
+    are seeded random points of the reduced curve, and the parameters are
+    assembled around the auxiliary group `setup` builds for the same q.
+    """
+    rng = random.Random(seed)
+    curve = reduce_curve(curve_q.catalog("rank28"), MERSENNE_127)
+    gens = _rank28_points(curve, 4, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        donor, _ = hierarchy.setup("toy17", MERSENNE_127, MERSENNE_89, rng)
+    gm_x = tuple(rng.randrange(MERSENNE_89) for _ in gens)
+    gm_pub = hierarchy.PublicKey(point=msm(curve, gm_x, gens),
+                                 member_id="gm", dept="")
+    params = hierarchy.SystemParams(
+        curve_id="rank28", curve=curve, r=len(gens), p=MERSENNE_127,
+        q=MERSENNE_89, gens=gens, aux=donor.aux, l_c=donor.l_c,
+        l_s=donor.l_s, gm_pub=gm_pub)
+    gm_sk = hierarchy.SecretKey(x=gm_x, member_id="gm", dept="")
+    root = hierarchy.new_root()
+    fin = hierarchy.add_department(params, root, rng, name="financial")
+    hr = hierarchy.add_department(params, root, rng, name="hr")
+    alice = hierarchy.join(params, gm_sk, fin, "alice", rng)
+    carol = hierarchy.join(params, gm_sk, hr, "carol", rng)
+    return params, fin, alice, carol, rng
+
+
+def _library_blobs(params, keypair, rl, sig):
+    sk, pk = keypair
+    return [("params", serial.serialize_artifact("params", params).encode()),
+            ("key", serial.serialize_artifact("keypair", (sk, pk)).encode()),
+            ("pub", serial.serialize_artifact("cert", pk).encode()),
+            ("rl", serial.serialize_artifact("rl", rl).encode()),
+            ("sig", serial.serialize_artifact("signature", sig).encode())]
+
+
+def test_golden_rank28_join_sign():
+    params, _, alice, _, rng = _rank28_world(2024)
+    rl = revocation.empty_rl()
+    sig = sigma.sign(params, *alice, rl, b"quarterly report", rng)
+    assert sigma.verify(params, alice[1], rl, b"quarterly report",
+                        sig).accepted
+    assert _digest(_library_blobs(params, alice, rl, sig)) \
+        == GOLDEN["rank28_empty_rl"]
+
+
+def test_golden_rank28_sign_past_revoked_department():
+    params, fin, _, carol, rng = _rank28_world(2025)
+    rl = revocation.revoke_group(revocation.empty_rl(), fin)
+    sig = sigma.sign(params, *carol, rl, b"payroll run", rng)
+    assert sig.nonzero_proofs
+    assert sigma.verify(params, carol[1], rl, b"payroll run", sig).accepted
+    assert _digest(_library_blobs(params, carol, rl, sig)) \
+        == GOLDEN["rank28_revoked_dept"]

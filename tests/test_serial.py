@@ -203,6 +203,15 @@ def test_parse_errors():
         serial.deserialize_artifact('{"kind":"rl","version":"1"}')
 
 
+def test_non_hex_cert_is_parse_error():
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    for kind, value in (("cert", pk), ("keypair", (sk, pk))):
+        doc = json.loads(serial.serialize_artifact(kind, value))
+        (doc if kind == "cert" else doc["pk"])["cert"] = "zz"
+        with pytest.raises(ParseError):
+            serial.deserialize_artifact(json.dumps(doc))
+
+
 def test_unknown_kind_serialize():
     with pytest.raises(ValueError):
         serial.serialize_artifact("blob", b"x")
