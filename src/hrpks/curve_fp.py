@@ -11,11 +11,26 @@ interleave over per-call tables of small multiples, with one inversion to
 normalise the tables and one to return the result to affine form. Every
 inversion is a `pow(v, -1, p)` call in this module.
 
+Long-lived bases, such as a system's generators, can instead run on a
+fixed-base comb (Lim and Lee, "More Flexible Exponentiation with
+Precomputation", CRYPTO 1994). For scalars below 2^nbits, cut into t
+blocks of d = ceil(nbits / t) bits, each base G keeps the 2^t - 1 subset
+sums of its teeth {2^(d*i) * G : i < t}; bit j of every block together
+picks one table entry, so a call costs d doublings and at most one mixed
+addition per base and doubling instead of a doubling per scalar bit. The
+tables are built with the same Jacobian formulas, batch-normalised to
+affine, and kept in a small LRU keyed by the content (curve, bases,
+nbits), so freshly loaded copies of the same parameters share them.
+`msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as such
+bases; their scalars outside [0, 2^nbits) and every other term join the
+Straus interleave on the same doubling chain.
+
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -61,13 +76,17 @@ class CurveFp:
     source: str = ""
 
     def __post_init__(self):
-        if not modmath.is_probable_prime(self.p, PRIMALITY_ROUNDS):
-            raise ValueError(f"p = {self.p} is not prime")
+        _require_prime(self.p)
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, getattr(self, name) % self.p)
         if discriminant_fp(self) == 0:
             raise InvariantError(
                 f"bad reduction: discriminant vanishes mod {self.p}")
+
+
+def _require_prime(p: int):
+    if not modmath.is_probable_prime(p, PRIMALITY_ROUNDS):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def discriminant_fp(curve: CurveFp) -> int:
@@ -82,15 +101,20 @@ def discriminant_fp(curve: CurveFp) -> int:
 
 
 def reduce_curve(curve: CurveQ, p: int) -> CurveFp:
-    """Reduce a rational curve mod p. Errors if p is not prime, divides a
-    coefficient denominator, or the reduction is singular."""
-    if not modmath.is_probable_prime(p, PRIMALITY_ROUNDS):
-        raise ValueError(f"p = {p} is not prime")
+    """Reduce a rational curve mod p. Errors if p is not prime (checked
+    once, by `CurveFp`), divides a coefficient denominator, or the
+    reduction is singular."""
     coeffs = []
     for frac in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6):
-        if frac.denominator % p == 0:
-            raise ValueError(f"p = {p} divides a coefficient denominator")
-        coeffs.append(frac.numerator * pow(frac.denominator, -1, p) % p)
+        try:
+            inv = pow(frac.denominator, -1, p)
+        except ValueError:
+            # the denominator shares a factor with p: p divides it, or p
+            # is not prime (or not a valid modulus)
+            _require_prime(p)
+            raise ValueError(
+                f"p = {p} divides a coefficient denominator") from None
+        coeffs.append(frac.numerator * inv % p)
     return CurveFp(p, *coeffs, source=curve.curve_id)
 
 
@@ -173,7 +197,8 @@ def _scalar_unchecked(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
     return _straus(curve, [(n, P)])
 
 
-def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint]) -> ModPoint:
+def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
+        *, fixed: int = 0, fixed_bits: int = 0) -> ModPoint:
     """Sum of scalars[i] * points[i] by windowed Straus interleaving in
     Jacobian coordinates.
 
@@ -181,13 +206,31 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint]) -> M
     window of w bits each term adds one precomputed multiple of its point.
     At most two inversions happen per call: one normalises every term's
     table to affine, one converts the result back to an affine `ModPoint`.
+
+    The first `fixed` points are long-lived bases: their scalars in
+    [0, 2^fixed_bits) run on the cached comb table of those bases, and join
+    the chain for its last d = ceil(fixed_bits / t) doublings. Building a
+    missing table costs two more inversions. The result is the same for
+    every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
                          f"{len(points)} points")
-    for P in points:
+    if not 0 <= fixed <= len(points) or (fixed and fixed_bits < 1):
+        raise ValueError("need 0 <= fixed <= len(points) and fixed_bits >= 1")
+    for P in points[fixed:]:
         _require_on_curve(curve, P)
-    return _straus(curve, zip(scalars, points))
+    if not fixed:
+        return _straus(curve, zip(scalars, points))
+    comb = _comb_table(curve, tuple(points[:fixed]), fixed_bits)
+    terms = list(zip(scalars[fixed:], points[fixed:]))
+    combed = []
+    for n, P, row in zip(scalars, points, comb.rows):
+        if not 0 <= n < 1 << fixed_bits:
+            terms.append((n, P))
+        elif n:
+            combed.append((row, comb.columns(n)))
+    return _straus(curve, terms, combed, comb.d)
 
 
 # -- Jacobian engine --------------------------------------------------------
@@ -198,6 +241,12 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint]) -> M
 # general and no division by 2 or 3 appears: one path serves every p.
 
 _JAC_INF = (1, 1, 0)
+
+# Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
+# doublings per call), and how many base sets the LRU of tables holds.
+COMB_TEETH = 6
+COMB_CACHE_SIZE = 8
+_COMBS = OrderedDict()  # (curve, bases, nbits) -> _Comb, least recent first
 
 
 def _window_width(nbits: int) -> int:
@@ -275,40 +324,107 @@ def _normalize(curve: CurveFp, jpoints):
     return out
 
 
-def _straus(curve: CurveFp, terms) -> ModPoint:
+class _Comb:
+    """Comb tables of a tuple of bases for scalars below 2^nbits: rows[i][m]
+    is the affine sum of the teeth 2^(d*k) * bases[i] over the set bits k
+    of m, or None for infinity. Two batch inversions build the whole set:
+    one normalises the teeth, one the subset sums."""
+
+    def __init__(self, curve: CurveFp, bases: Tuple[ModPoint, ...], nbits: int):
+        t = COMB_TEETH
+        d = self.d = -(-nbits // t)
+        self.digits = f"0{d * t}b"
+        teeth = []
+        for P in bases:
+            tooth = _JAC_INF if P.is_infinity else (P.x, P.y, 1)
+            teeth.append(tooth)
+            for _ in range(t - 1):
+                for _ in range(d):
+                    tooth = _jac_double(curve, tooth)
+                teeth.append(tooth)
+        teeth = _normalize(curve, teeth)
+        sums = []
+        for i in range(len(bases)):
+            row = [_JAC_INF]
+            # entries 2^k .. 2^(k+1) - 1 add tooth k to entries 0 .. 2^k - 1
+            for tooth in teeth[i * t:(i + 1) * t]:
+                row += [entry if tooth is None
+                        else _jac_add_affine(curve, entry, *tooth)
+                        for entry in row]
+            sums += row[1:]
+        flat = _normalize(curve, sums)
+        size = (1 << t) - 1
+        self.rows = [[None] + flat[i * size:(i + 1) * size]
+                     for i in range(len(bases))]
+
+    def columns(self, n: int):
+        """Row index per comb column of 0 <= n < 2^(d*t), top column first:
+        column j gathers bit d*k + j of n into bit k."""
+        bits, d = format(n, self.digits), self.d
+        return [int(bits[k::d], 2) for k in range(d)]
+
+
+def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...],
+                nbits: int) -> _Comb:
+    """The cached comb of (curve, bases, nbits), built on a miss; the bases
+    are checked on the curve when their table is built."""
+    key = (curve, bases, nbits)
+    comb = _COMBS.get(key)
+    if comb is not None:
+        _COMBS.move_to_end(key)
+        return comb
+    for P in bases:
+        _require_on_curve(curve, P)
+    comb = _COMBS[key] = _Comb(curve, bases, nbits)
+    if len(_COMBS) > COMB_CACHE_SIZE:
+        _COMBS.popitem(last=False)
+    return comb
+
+
+def _straus(curve: CurveFp, terms, combed=(), d: int = 0) -> ModPoint:
     """Sum of n * P over (n, P) terms; points are already known on the
     curve. Fixed-window Straus: a table of 1*P .. (2^w - 1)*P per term,
-    batch-normalised, then mixed additions onto one Jacobian accumulator."""
+    batch-normalised, then mixed additions onto one Jacobian accumulator.
+    Each (comb row, `_Comb.columns`) pair in `combed` adds one row entry
+    on each of the chain's last d doublings."""
     pairs = []
     for n, P in terms:
         if n < 0:
             n, P = -n, neg_fp(curve, P)
         if n and not P.is_infinity:
             pairs.append((n, P))
-    if not pairs:
+    if not pairs and not combed:
         return INF
-    nbits = max(n for n, _ in pairs).bit_length()
+    nbits = max((n for n, _ in pairs), default=0).bit_length()
     w = _window_width(nbits)
     mask = (1 << w) - 1
-    jtable = []
-    for _, P in pairs:
-        entry = (P.x, P.y, 1)
-        jtable.append(entry)
-        for _ in range(mask - 1):
-            entry = _jac_add_affine(curve, entry, P.x, P.y)
+    rows = []
+    if pairs:
+        jtable = []
+        for _, P in pairs:
+            entry = (P.x, P.y, 1)
             jtable.append(entry)
-    flat = _normalize(curve, jtable)
-    rows = [(n, [None] + flat[i * mask:(i + 1) * mask])
-            for i, (n, _) in enumerate(pairs)]
+            for _ in range(mask - 1):
+                entry = _jac_add_affine(curve, entry, P.x, P.y)
+                jtable.append(entry)
+        flat = _normalize(curve, jtable)
+        rows = [(n, [None] + flat[i * mask:(i + 1) * mask])
+                for i, (n, _) in enumerate(pairs)]
 
     acc = _JAC_INF
-    for shift in range((nbits - 1) // w * w, -1, -w):
-        for _ in range(w):
-            acc = _jac_double(curve, acc)
-        for n, row in rows:
-            entry = row[(n >> shift) & mask]
-            if entry is not None:
-                acc = _jac_add_affine(curve, acc, *entry)
+    for bit in range(max(nbits, d) - 1, -1, -1):
+        acc = _jac_double(curve, acc)
+        if bit < d:
+            column = d - 1 - bit
+            for row, cols in combed:
+                entry = row[cols[column]]
+                if entry is not None:
+                    acc = _jac_add_affine(curve, acc, *entry)
+        if bit % w == 0:
+            for n, row in rows:
+                entry = row[(n >> bit) & mask]
+                if entry is not None:
+                    acc = _jac_add_affine(curve, acc, *entry)
     X, Y, Z = acc
     if not Z:
         return INF

@@ -8,7 +8,9 @@ from the department's solution space mod q.
 """
 
 import hashlib
+import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +29,8 @@ DEFAULT_STAT_GAP_BITS = 64
 class AuxGroup:
     """Order-q subgroup of (Z/rho)*: the commitment group.
 
-    h is derived from g by hashing, so nobody holds log_g(h).
+    h is derived from g by hashing, so nobody holds log_g(h). q must be
+    prime; `setup` and the params loader check it.
     """
 
     rho: int
@@ -43,6 +46,17 @@ class AuxGroup:
                 raise InvariantError(f"aux generator {name} out of range")
             if pow(el, self.q, self.rho) != 1:
                 raise InvariantError(f"aux generator {name} not of order q")
+        if not self._rho_is_prime():
+            raise InvariantError("aux modulus rho is not prime")
+
+    def _rho_is_prime(self) -> bool:
+        """When (q + 1)^2 > rho, as for every rho `setup` finds, one gcd
+        decides (Pocklington's criterion): if gcd(g - 1, rho) = 1, g has
+        order q modulo every prime factor l of rho, so l >= q + 1 >
+        sqrt(rho), which no composite rho allows. Otherwise Miller-Rabin."""
+        if (self.q + 1) ** 2 > self.rho:
+            return math.gcd(self.g - 1, self.rho) == 1
+        return modmath.is_probable_prime(self.rho, curve_fp.PRIMALITY_ROUNDS)
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,9 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SystemParams:
+    """Public parameters. CurveFp checks that p is prime; `setup` and the
+    params loader check q, each once."""
+
     curve_id: str
     curve: CurveFp
     r: int
@@ -161,8 +178,6 @@ class SystemParams:
                 raise InvariantError("a generator reduced to infinity")
             if not curve_fp.on_curve_fp(self.curve, g):
                 raise InvariantError(f"generator {g} not on the curve")
-        if not modmath.is_probable_prime(self.q, curve_fp.PRIMALITY_ROUNDS):
-            raise InvariantError("q is not prime")
         if not 8 <= self.l_c or (1 << self.l_c) >= self.q:
             raise InvariantError("need 8 <= l_c and 2^l_c < q")
         if self.l_s < 1:
@@ -189,6 +204,30 @@ class SystemParams:
     @property
     def mask_bits(self) -> int:
         return self.q.bit_length() + self.l_c + self.l_s
+
+    def gens_msm(self, scalars: Sequence[int]) -> ModPoint:
+        """sum scalars[i] * gens[i], on the generators' cached comb table
+        for scalars in [0, 2^mask_bits)."""
+        return msm(self.curve, scalars, self.gens, fixed=self.r,
+                   fixed_bits=self.mask_bits)
+
+
+# SecretKey -> (curve, gens, point) it was last found to represent, by
+# `join` or `require_key_pair`. Weak keys: an entry lives only as long as
+# the caller keeps the key.
+_KEY_MATCHES = weakref.WeakKeyDictionary()
+
+
+def require_key_pair(params: SystemParams, sk: SecretKey, pk: PublicKey):
+    """Raise ValueError unless sk.x represents pk.point over params.gens.
+    A match is remembered per secret key, so repeated signs by one key pay
+    one MSM, and keys fresh from `join` pay none."""
+    match = (params.curve, params.gens, pk.point)
+    if _KEY_MATCHES.get(sk) == match:
+        return
+    if params.gens_msm(sk.x) != pk.point:
+        raise ValueError("secret key does not match the public key")
+    _KEY_MATCHES[sk] = match
 
 
 def _build_aux_group(q: int) -> AuxGroup:
@@ -235,12 +274,9 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     for g in gens_q:
         if not curve_q.on_curve_q(curve, g):
             raise ValueError(f"supplied generator {g} is not on {curve_id}")
-    if not modmath.is_probable_prime(p, curve_fp.PRIMALITY_ROUNDS):
-        raise ValueError(f"p = {p} is not prime")
+    reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
     if not modmath.is_probable_prime(q, curve_fp.PRIMALITY_ROUNDS):
         raise ValueError(f"q = {q} is not prime")
-
-    reduced = reduce_curve(curve, p)
     gens = []
     for g in gens_q:
         m = reduce_point(reduced, g)
@@ -350,8 +386,9 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
         if hp.evaluate(x, params.q) != 0:
             raise InvariantError("solved key misses a constraint; "
                                  "department state is corrupt")
-    point = msm(params.curve, x, params.gens)
+    point = params.gens_msm(x)
     sk = SecretKey(x=x, member_id=member_id, dept=dept.path)
+    _KEY_MATCHES[sk] = (params.curve, params.gens, point)
     bare = PublicKey(point=point, member_id=member_id, dept=dept.path)
     cert = gm_certify(params, gm_sk, bare, rng)
     pk = PublicKey(point=point, member_id=member_id, dept=dept.path, cert=cert)
@@ -364,11 +401,11 @@ def _cert_message(pk: PublicKey) -> bytes:
 
 def gm_certify(params: SystemParams, gm_sk: SecretKey, pk: PublicKey,
                rng) -> bytes:
-    """GM signature over (point, member id, dept path), as canonical bytes."""
+    """GM signature over (point, member id, dept path), as canonical bytes.
+    Raises ValueError, through `sigma.sign`, when gm_sk does not match
+    params.gm_pub."""
     from . import revocation, serial, sigma  # deferred: layered above us
 
-    if msm(params.curve, gm_sk.x, params.gens) != params.gm_pub.point:
-        raise ValueError("gm_sk does not match params.gm_pub")
     sig = sigma.sign(params, gm_sk, params.gm_pub, revocation.empty_rl(),
                      _cert_message(pk), rng)
     return serial.serialize_artifact("signature", sig).encode("utf-8")

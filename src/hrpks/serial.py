@@ -14,10 +14,11 @@ import json
 from typing import Optional
 
 from .assumption_lab import OrderReport, RelationReport
-from .curve_fp import CurveFp, ModPoint, on_curve_fp
+from .curve_fp import PRIMALITY_ROUNDS, CurveFp, ModPoint, on_curve_fp
 from .errors import InvariantError, ParseError
 from .hierarchy import (AuxGroup, DeptNode, Hyperplane, PublicKey, SecretKey,
                         SystemParams, new_root)
+from .modmath import is_probable_prime
 from .revocation import ConstraintSet, RevocationList, RevokedMember
 from .sigma import NonzeroProof, Signature
 
@@ -121,12 +122,16 @@ def _parse_params(doc) -> SystemParams:
                    q=_parse_int(doc["q"]),
                    g=_parse_int(doc["aux"]["g"]),
                    h=_parse_int(doc["aux"]["h"]))
-    return SystemParams(
+    params = SystemParams(
         curve_id=doc["curve_id"], curve=curve, r=_parse_int(doc["r"]),
         p=p, q=_parse_int(doc["q"]),
         gens=tuple(_parse_point(g) for g in doc["gens"]),
         aux=aux, l_c=_parse_int(doc["l_c"]), l_s=_parse_int(doc["l_s"]),
         gm_pub=_parse_pk(doc["gm_pub"]))
+    # `setup` checks q for the parameters it builds; CurveFp checks p
+    if not is_probable_prime(params.q, PRIMALITY_ROUNDS):
+        raise InvariantError("q is not prime")
+    return params
 
 
 def _keypair_doc(value):

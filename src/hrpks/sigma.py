@@ -29,7 +29,8 @@ from typing import Optional, Sequence, Tuple
 from .curve_fp import ModPoint, msm, on_curve_fp
 from .encoding import hash_to_challenge
 from .errors import InvariantError, RetryExhausted, SignerRevoked
-from .hierarchy import Hyperplane, PublicKey, SecretKey, SystemParams
+from .hierarchy import (Hyperplane, PublicKey, SecretKey, SystemParams,
+                        require_key_pair)
 from .revocation import RevocationList, is_member_revoked, rl_hash
 
 CHALLENGE_TAG = b"HRPKS-v1/chal"
@@ -161,11 +162,10 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     the hash-derived collapse keeps landing on zero, which honest setups
     never hit in practice.
     """
-    q, aux, curve = params.q, params.aux, params.curve
+    q, aux = params.q, params.aux
     if len(sk.x) != params.r:
         raise ValueError("secret key dimension disagrees with params")
-    if msm(curve, sk.x, params.gens) != pk.point:
-        raise ValueError("secret key does not match the public key")
+    require_key_pair(params, sk, pk)
     if is_member_revoked(rl, pk):
         raise SignerRevoked("public key is on the revocation list")
     for entry in rl.groups:
@@ -178,7 +178,7 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     # below the verifier's 2^(bitlen(q)+l_c+l_s) range bound.
     mask_top = (1 << params.mask_bits) - (1 << (params.q.bit_length() + params.l_c))
     ks = [rng.randrange(mask_top) for _ in range(params.r)]
-    big_r = msm(curve, ks, params.gens)
+    big_r = params.gens_msm(ks)
 
     rlh = rl_hash(rl)
     commitments: list = []
@@ -296,7 +296,8 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
         return VerifyResult.reject(MALFORMED)
 
     c = sig.challenge
-    big_r = msm(curve, sig.s + (-c,), params.gens + (pk.point,))
+    big_r = msm(curve, sig.s + (-c,), params.gens + (pk.point,),
+                fixed=params.r, fixed_bits=params.mask_bits)
 
     rlh = rl_hash(rl)
     announcements = []

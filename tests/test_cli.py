@@ -230,3 +230,12 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "all values match" in proc.stdout
+
+
+def test_setup_rank28_lists_no_generators(tmp_path, capsys):
+    # only toy17 publishes generators in the catalog
+    code, _, err = run(capsys, "setup", "--curve", "rank28",
+                       "--p", str((1 << 127) - 1), "--q", str((1 << 89) - 1),
+                       "--params-out", str(tmp_path / "x.params"),
+                       "--gm-key-out", str(tmp_path / "x.key"))
+    assert code == 2 and "lists no generators" in err

@@ -499,3 +499,129 @@ def test_msm_reference_rank28_long_form(bits):
         _assert_matches_reference(c, scalars, gens[:k])
     _assert_matches_reference(c, [-(1 << (bits - 1)), 1 << (bits - 1)],
                               [gens[0], gens[0]])
+
+
+# -- fixed-base comb against the affine reference ---------------------------
+
+
+def _comb_cases(curve, bases, nbits, rng):
+    """Scalar vectors for `bases` under the bound 2^nbits: the edges, random
+    in-range draws, and vectors with out-of-range entries (the fallback)."""
+    k = len(bases)
+    top = (1 << nbits) - 1
+    yield [0] * k
+    yield [1] * k
+    yield [top] * k
+    yield [top, 1] + [0] * (k - 2)
+    for _ in range(3):
+        yield [rng.randrange(1 << nbits) for _ in range(k)]
+        yield [rng.getrandbits(rng.randrange(1, nbits + 1)) for _ in range(k)]
+    yield [-1] + [top] * (k - 1)
+    yield [1 << nbits] + [rng.randrange(1 << nbits) for _ in range(k - 1)]
+    yield [-(1 << (nbits + 5)) - 3, (1 << (nbits + 3)) + 7] + [top] * (k - 2)
+
+
+def _assert_comb_matches_reference(curve, bases, nbits, rng):
+    for scalars in _comb_cases(curve, bases, nbits, rng):
+        want = _reference_msm(curve, scalars, bases)
+        assert msm(curve, scalars, bases, fixed=len(bases),
+                   fixed_bits=nbits) == want, (scalars, bases)
+        # fixed bases followed by variable terms, as verify's -c * pk
+        extra = rng.choice(bases)
+        c = rng.randrange(1, 1 << (nbits + 2))
+        assert msm(curve, scalars + [-c], bases + [extra], fixed=len(bases),
+                   fixed_bits=nbits) == \
+            _reference_msm(curve, scalars + [-c], bases + [extra])
+
+
+def test_comb_reference_tiny_characteristic():
+    from hrpks.curve_q import CurveQ
+
+    cq = CurveQ(a1=0, a2=0, a3=1, a4=1, a6=0, curve_id="test-91")
+    rng = random.Random(91)
+    for p in (2, 3):
+        c = reduce_curve(cq, p)
+        group = _enumerate_group(c)
+        assert len(group) >= 2
+        # every point, infinity and repeats included, as a base
+        for nbits in (1, 5, 8, 9, 23):
+            _assert_comb_matches_reference(c, group + group[1:2], nbits, rng)
+        for pt in group:
+            for n in range(-4, 1 << 5):
+                assert msm(c, [n], [pt], fixed=1, fixed_bits=5) == \
+                    _reference_msm(c, [n], [pt])
+
+
+def test_comb_reference_toy17():
+    c, g1, g2 = gens_mod()
+    rng = random.Random(17)
+    for nbits in (8, 31, 127):
+        _assert_comb_matches_reference(c, [g1, g2], nbits, rng)
+    # small-order bases: toy17 mod 5 is a 6-element group
+    c5 = reduce_curve(catalog("toy17"), 5)
+    group = _enumerate_group(c5)
+    _assert_comb_matches_reference(c5, group, 20, rng)
+
+
+@pytest.mark.parametrize("p, nbits", [(10007, 31), (MERSENNE_127, 241)])
+def test_comb_reference_rank28_long_form(p, nbits):
+    c = reduce_curve(catalog("rank28"), p)
+    assert c.a1 == c.a3 == 1
+    rng = random.Random(nbits)
+    _assert_comb_matches_reference(c, _random_points(c, 8, rng), nbits, rng)
+
+
+def test_comb_sums_to_infinity():
+    c, g1, g2 = gens_mod()
+    order = point_order(c, g1)
+    neg = neg_fp(c, g1)
+    nbits = order.bit_length() + 1
+    for scalars, bases in (([order], [g1]),
+                           ([5, 5], [g1, neg]),
+                           ([order - 3, 3], [g1, g1]),
+                           ([7, 0, 7], [g2, g1, neg_fp(c, g2)])):
+        assert msm(c, scalars, bases, fixed=len(bases),
+                   fixed_bits=nbits).is_infinity
+        assert _reference_msm(c, scalars, bases).is_infinity
+    # the comb part cancels the variable part
+    assert msm(c, [9, 9], [g2, neg_fp(c, g2)], fixed=1,
+               fixed_bits=8).is_infinity
+
+
+def test_comb_cache_keyed_by_content_and_bounded():
+    from hrpks import curve_fp
+
+    c, g1, g2 = gens_mod()
+    curve_fp._COMBS.clear()
+    msm(c, [3, 4], (g1, g2), fixed=2, fixed_bits=40)
+    table = curve_fp._COMBS[c, (g1, g2), 40]
+    # equal content from fresh objects reuses the table
+    twin = reduce_curve(catalog("toy17"), TOY_P)
+    copies = (ModPoint(g1.x, g1.y), ModPoint(g2.x, g2.y))
+    msm(twin, [5, 6], copies, fixed=2, fixed_bits=40)
+    assert len(curve_fp._COMBS) == 1
+    assert curve_fp._COMBS[twin, copies, 40] is table
+    # distinct bit bounds are distinct tables; the least recent goes first
+    for nbits in range(1, curve_fp.COMB_CACHE_SIZE + 4):
+        msm(c, [1], (g1,), fixed=1, fixed_bits=nbits)
+        msm(c, [1, 1], (g1, g2), fixed=2, fixed_bits=40)  # keep it recent
+        assert len(curve_fp._COMBS) <= curve_fp.COMB_CACHE_SIZE
+    assert len(curve_fp._COMBS) == curve_fp.COMB_CACHE_SIZE
+    assert curve_fp._COMBS[c, (g1, g2), 40] is table
+    assert (c, (g1,), 1) not in curve_fp._COMBS
+
+
+def test_comb_rejects_bad_bases_and_arguments():
+    from hrpks import curve_fp
+
+    c, g1, g2 = gens_mod()
+    off = ModPoint(g1.x, (g1.y + 1) % c.p)
+    curve_fp._COMBS.clear()
+    with pytest.raises(ValueError, match="not on the curve"):
+        msm(c, [1, 1], [g1, off], fixed=2, fixed_bits=8)
+    with pytest.raises(ValueError, match="not on the curve"):
+        msm(c, [1, 1], [g1, off], fixed=1, fixed_bits=8)
+    assert not curve_fp._COMBS
+    for fixed, nbits in ((3, 8), (-1, 8), (1, 0)):
+        with pytest.raises(ValueError, match="fixed"):
+            msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits)

@@ -257,3 +257,64 @@ def test_hyperplane_invariants():
     assert hp.evaluate((1, 1), 7) == 6
     with pytest.raises(ValueError):
         hp.evaluate((1, 1, 1), 7)
+
+
+def test_setup_checks_each_prime_once(monkeypatch):
+    tested = []
+    real = modmath.is_probable_prime
+
+    def counting(n, rounds=64):
+        tested.append(n)
+        return real(n, rounds)
+    monkeypatch.setattr(modmath, "is_probable_prime", counting)
+    p, q = 10007, 1009
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params, _gm = hierarchy.setup("toy17", p, q, random.Random(4))
+    assert (tested.count(p), tested.count(q)) == (1, 1)
+    # the rest are the search for rho = k * q + 1, which ends on rho
+    assert tested[-1] == params.aux.rho
+    assert all((n - 1) % q == 0 for n in tested if n not in (p, q))
+
+
+def test_setup_prime_errors_keep_their_messages():
+    rng = random.Random(3)
+    for p, q, want in ((4, TOY_Q, "p = 4 is not prime"),
+                       (4, 10, "p = 4 is not prime"),
+                       (TOY_P, 10, "q = 10 is not prime"),
+                       (1, TOY_Q, "p = 1 is not prime")):
+        with pytest.raises(ValueError, match=want):
+            hierarchy.setup("toy17", p, q, rng)
+
+
+def test_reduce_curve_prime_and_denominator_errors():
+    from hrpks.curve_fp import reduce_curve
+    from hrpks.curve_q import CurveQ
+
+    cq = CurveQ(a1=0, a2=0, a3=0, a4=0, a6="17/6", curve_id="sixths")
+    with pytest.raises(ValueError, match="p = 3 divides"):
+        reduce_curve(cq, 3)
+    # a composite p sharing a factor with the denominator, or dividing it
+    for p in (9, 6, 0, -4):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            reduce_curve(cq, p)
+
+
+def test_join_checks_the_gm_key_once(monkeypatch):
+    params, gm = make_toy_params()
+    rng = random.Random(29)
+    root = hierarchy.new_root()
+    fin = add_department(params, root, rng, name="financial",
+                         constraint=FINANCIAL)
+    join(params, gm, fin, "first", rng)
+    calls = []
+    real = hierarchy.msm
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("fixed", 0))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(hierarchy, "msm", counting)
+    join(params, gm, fin, "second", rng)
+    # the member's point and the certificate's commitment, both on the
+    # generators' comb; the GM key check was cached by the first join
+    assert calls == [params.r, params.r]

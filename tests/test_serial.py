@@ -233,3 +233,67 @@ def test_tree_round_trip_preserves_structure():
     assert got_a1.constraints == a1.constraints
     assert find_dept(back, "/b").constraints == b.constraints
     assert serial.serialize_artifact("tree", back) == text
+
+
+def _order_q_element(modulus, q):
+    """An element of order q mod the prime `modulus` (q | modulus - 1)."""
+    z = 2
+    while pow(z, (modulus - 1) // q, modulus) == 1:
+        z += 1
+    return pow(z, (modulus - 1) // q, modulus)
+
+
+def test_composite_aux_modulus_rejected_on_load():
+    from hrpks import modmath
+
+    params, _gm = make_toy_params()
+    q = params.q
+    # rho = rho1 * rho2 with both factors 1 mod q, so q | rho - 1, and g, h
+    # of order q modulo each factor glued by CRT: every other aux check holds
+    factors = [k * q + 1 for k in range(2, 200, 2)
+               if modmath.is_probable_prime(k * q + 1)][:2]
+    rho1, rho2 = factors
+    rho = rho1 * rho2
+
+    def crt(a1, a2):
+        return (a1 + rho1 * ((a2 - a1) * pow(rho1, -1, rho2) % rho2)) % rho
+
+    g = crt(_order_q_element(rho1, q), _order_q_element(rho2, q))
+    h = pow(g, 12345, rho)
+    assert (rho - 1) % q == 0 and (q + 1) ** 2 < rho
+    for el in (g, h):
+        assert 1 < el < rho and pow(el, q, rho) == 1
+    doc = json.loads(serial.serialize_artifact("params", params))
+    doc["aux"] = {"rho": str(rho), "g": str(g), "h": str(h)}
+    with pytest.raises(InvariantError, match="rho is not prime"):
+        serial.deserialize_artifact(json.dumps(doc))
+    # the parameters `setup` makes load, their rho proven by Pocklington's
+    # criterion without a Miller-Rabin test
+    assert (q + 1) ** 2 > params.aux.rho
+    text = serial.serialize_artifact("params", params)
+    assert serial.deserialize_artifact(text) == params
+
+
+def test_params_load_checks_each_prime_once(monkeypatch):
+    from hrpks import modmath
+
+    params, _gm = make_r3_params()
+    assert params.p != params.q
+    tested = []
+    real = modmath.is_probable_prime
+
+    def counting(n, rounds=64):
+        tested.append(n)
+        return real(n, rounds)
+    monkeypatch.setattr(modmath, "is_probable_prime", counting)
+    monkeypatch.setattr(serial, "is_probable_prime", counting)
+    back = serial.deserialize_artifact(
+        serial.serialize_artifact("params", params))
+    assert back == params
+    assert sorted(tested) == sorted([params.p, params.q])
+
+    # q = rho - 1 passes every aux check but is composite
+    doc = json.loads(serial.serialize_artifact("params", params))
+    doc["q"] = str(params.aux.rho - 1)
+    with pytest.raises(InvariantError, match="q is not prime"):
+        serial.deserialize_artifact(json.dumps(doc))

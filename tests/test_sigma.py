@@ -479,3 +479,45 @@ def test_forged_random_transcripts_rejected():
                 sw=rng.randrange(q), su=rng.randrange(q)),),
             retry=0, rl_version=rl.version)
         assert not verify(params, pk, rl, b"forged", forged).accepted
+
+
+def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
+    import gc
+
+    from hrpks import hierarchy
+
+    params, gm, rng, root, fin, hr, _eng = _toy_world(seed=131)
+    joined, pk = join(params, gm, fin, "a", rng)
+    sk2, pk2 = join(params, gm, hr, "b", rng)
+    calls = []
+    real = hierarchy.msm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(hierarchy, "msm", counting)
+    sign(params, joined, pk, empty_rl(), b"zero", rng)
+    assert len(calls) == 1  # join recorded the match: commitment only
+    # an equal key from elsewhere (a file, say) is checked once
+    sk = hierarchy.SecretKey(x=joined.x, member_id="a", dept=fin.path)
+    del joined
+    gc.collect()
+    sign(params, sk, pk, empty_rl(), b"one", rng)
+    assert len(calls) == 3  # key check and commitment
+    sign(params, sk, pk, empty_rl(), b"two", rng)
+    assert len(calls) == 4  # commitment only
+    # a cached match never vouches for another pair
+    with pytest.raises(ValueError, match="does not match"):
+        sign(params, sk, pk2, empty_rl(), b"x", rng)
+    with pytest.raises(ValueError, match="does not match"):
+        sign(params, sk2, pk, empty_rl(), b"x", rng)
+    other, _ = make_small_params()  # r = 2, other generators
+    with pytest.raises(ValueError, match="does not match"):
+        sign(other, sk, pk, empty_rl(), b"x", rng)
+    sign(params, sk, pk, empty_rl(), b"three", rng)
+    # the cache holds secret keys weakly
+    assert sk in hierarchy._KEY_MATCHES
+    before = len(hierarchy._KEY_MATCHES)
+    del sk
+    gc.collect()
+    assert len(hierarchy._KEY_MATCHES) == before - 1
