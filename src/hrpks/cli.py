@@ -35,45 +35,26 @@ def _rng(seed):
     return random.Random(seed)
 
 
-def _load_params(path):
-    params = serial.load_artifact(path)
-    if not isinstance(params, hierarchy.SystemParams):
-        raise ParseError(f"{path} does not hold system parameters")
-    return params
+# artifact kind -> (type the loaded value must have, what the kind holds)
+_EXPECTED = {
+    "params": (hierarchy.SystemParams, "system parameters"),
+    "tree": (hierarchy.DeptNode, "a department tree"),
+    "rl": (revocation.RevocationList, "a revocation list"),
+    "keypair": (tuple, "a keypair"),
+    "cert": (hierarchy.PublicKey, "a public key"),
+    "signature": (sigma.Signature, "a signature"),
+}
 
 
-def _load_tree(path, create=False):
-    try:
-        root = serial.load_artifact(path)
-    except FileNotFoundError:
-        if not create:
-            raise
-        return new_root()
-    if not isinstance(root, hierarchy.DeptNode):
-        raise ParseError(f"{path} does not hold a department tree")
-    return root
-
-
-def _load_rl(path, params):
-    rl = serial.load_artifact(path, curve=params.curve)
-    if not isinstance(rl, revocation.RevocationList):
-        raise ParseError(f"{path} does not hold a revocation list")
-    return rl
-
-
-def _load_keypair(path, params):
-    pair = serial.load_artifact(path, curve=params.curve)
-    if not (isinstance(pair, tuple) and len(pair) == 2
-            and isinstance(pair[0], hierarchy.SecretKey)):
-        raise ParseError(f"{path} does not hold a keypair")
-    return pair
-
-
-def _load_pub(path, params):
-    pk = serial.load_artifact(path, curve=params.curve)
-    if not isinstance(pk, hierarchy.PublicKey):
-        raise ParseError(f"{path} does not hold a public key")
-    return pk
+def _load(path, kind, params=None):
+    """The artifact of the given kind at `path`; points are checked against
+    the curve of `params` when given."""
+    value = serial.load_artifact(path,
+                                 curve=params and params.curve)
+    cls, what = _EXPECTED[kind]
+    if not isinstance(value, cls):
+        raise ParseError(f"{path} does not hold {what}")
+    return value
 
 
 def cmd_setup(args):
@@ -92,8 +73,11 @@ def cmd_setup(args):
 
 
 def cmd_dept_add(args):
-    params = _load_params(args.params)
-    root = _load_tree(args.tree, create=True)
+    params = _load(args.params, "params")
+    try:
+        root = _load(args.tree, "tree")
+    except FileNotFoundError:
+        root = new_root()
     parent = find_dept(root, args.parent)
     rng = _rng(args.seed)
     node = hierarchy.add_department(params, parent, rng, name=args.name)
@@ -103,10 +87,10 @@ def cmd_dept_add(args):
 
 
 def cmd_member_join(args):
-    params = _load_params(args.params)
-    root = _load_tree(args.tree)
+    params = _load(args.params, "params")
+    root = _load(args.tree, "tree")
     dept = find_dept(root, args.dept)
-    gm_sk, _gm_pub = _load_keypair(args.gm_key, params)
+    gm_sk, _gm_pub = _load(args.gm_key, "keypair", params)
     rng = _rng(args.seed)
     sk, pk = hierarchy.join(params, gm_sk, dept, args.id, rng)
     serial.save_artifact(args.key_out, "keypair", (sk, pk))
@@ -117,9 +101,9 @@ def cmd_member_join(args):
 
 
 def cmd_sign(args):
-    params = _load_params(args.params)
-    sk, pk = _load_keypair(args.key, params)
-    rl = _load_rl(args.rl, params)
+    params = _load(args.params, "params")
+    sk, pk = _load(args.key, "keypair", params)
+    rl = _load(args.rl, "rl", params)
     with open(args.msg_file, "rb") as fh:
         message = fh.read()
     rng = _rng(args.seed)
@@ -131,12 +115,10 @@ def cmd_sign(args):
 
 
 def cmd_verify(args):
-    params = _load_params(args.params)
-    pk = _load_pub(args.pub, params)
-    rl = _load_rl(args.rl, params)
-    sig = serial.load_artifact(args.sig)
-    if not isinstance(sig, sigma.Signature):
-        raise ParseError(f"{args.sig} does not hold a signature")
+    params = _load(args.params, "params")
+    pk = _load(args.pub, "cert", params)
+    rl = _load(args.rl, "rl", params)
+    sig = _load(args.sig, "signature")
     with open(args.msg_file, "rb") as fh:
         message = fh.read()
     result = sigma.verify(params, pk, rl, message, sig)
@@ -151,9 +133,9 @@ def cmd_verify(args):
 
 
 def cmd_revoke_member(args):
-    params = _load_params(args.params)
-    pk = _load_pub(args.pub, params)
-    rl = _load_rl(args.rl, params)
+    params = _load(args.params, "params")
+    pk = _load(args.pub, "cert", params)
+    rl = _load(args.rl, "rl", params)
     rl = revocation.revoke_member(rl, pk)
     out = args.out or args.rl
     serial.save_artifact(out, "rl", rl)
@@ -162,10 +144,10 @@ def cmd_revoke_member(args):
 
 
 def cmd_revoke_group(args):
-    params = _load_params(args.params)
-    root = _load_tree(args.tree)
+    params = _load(args.params, "params")
+    root = _load(args.tree, "tree")
     dept = find_dept(root, args.dept)
-    rl = _load_rl(args.rl, params)
+    rl = _load(args.rl, "rl", params)
     rl = revocation.revoke_group(rl, dept)
     out = args.out or args.rl
     serial.save_artifact(out, "rl", rl)
@@ -174,9 +156,9 @@ def cmd_revoke_group(args):
 
 
 def cmd_rl_coalesce(args):
-    params = _load_params(args.params)
-    root = _load_tree(args.tree)
-    rl = _load_rl(args.rl, params)
+    params = _load(args.params, "params")
+    root = _load(args.tree, "tree")
+    rl = _load(args.rl, "rl", params)
     before = rl.version
     rl = revocation.coalesce(rl, root)
     out = args.out or args.rl
@@ -191,7 +173,7 @@ def cmd_rl_coalesce(args):
 
 
 def cmd_lab_relations(args):
-    params = _load_params(args.params)
+    params = _load(args.params, "params")
     if args.method == "mitm":
         report = assumption_lab.relation_search_mitm(params, args.bound)
     else:
@@ -205,7 +187,7 @@ def cmd_lab_relations(args):
 
 
 def cmd_lab_orders(args):
-    params = _load_params(args.params)
+    params = _load(args.params, "params")
     report = assumption_lab.order_report(params)
     serial.save_artifact(args.out, "report", report)
     print(f"orders {list(report.orders)} in Hasse interval "

@@ -38,8 +38,6 @@ from . import modmath
 from .curve_q import CurveQ, RationalPoint
 from .errors import InvariantError
 
-PRIMALITY_ROUNDS = 64
-
 
 @dataclass(frozen=True)
 class ModPoint:
@@ -85,7 +83,7 @@ class CurveFp:
 
 
 def _require_prime(p: int):
-    if not modmath.is_probable_prime(p, PRIMALITY_ROUNDS):
+    if not modmath.is_probable_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 

@@ -17,12 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import curve_fp, curve_q, modmath
 from .curve_fp import CurveFp, ModPoint, msm, reduce_curve, reduce_point
 from .curve_q import RationalPoint
-from .encoding import encode, hash_to_challenge
-from .errors import InvariantError
+from .encoding import MAX_CHALLENGE_BITS, encode, hash_to_challenge
+from .errors import InvariantError, ParseError
 
 H_DERIVE_TAG = b"HRPKS-v1/h"
 AUX_K_LIMIT = 10 ** 6
 DEFAULT_STAT_GAP_BITS = 64
+MAX_STAT_GAP_BITS = 4 * DEFAULT_STAT_GAP_BITS
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class AuxGroup:
         sqrt(rho), which no composite rho allows. Otherwise Miller-Rabin."""
         if (self.q + 1) ** 2 > self.rho:
             return math.gcd(self.g - 1, self.rho) == 1
-        return modmath.is_probable_prime(self.rho, curve_fp.PRIMALITY_ROUNDS)
+        return modmath.is_probable_prime(self.rho)
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,16 @@ class SystemParams:
                 raise InvariantError("a generator reduced to infinity")
             if not curve_fp.on_curve_fp(self.curve, g):
                 raise InvariantError(f"generator {g} not on the curve")
-        if not 8 <= self.l_c or (1 << self.l_c) >= self.q:
+        # for q not a power of two (an odd prime, here) 2^l_c < q is
+        # l_c < bitlen(q); comparing bit lengths shifts no untrusted count
+        if not 8 <= self.l_c < self.q.bit_length():
             raise InvariantError("need 8 <= l_c and 2^l_c < q")
-        if self.l_s < 1:
-            raise InvariantError("l_s must be positive")
+        if self.q.bit_length() - 1 > MAX_CHALLENGE_BITS:
+            # collapse gammas are hashed to bitlen(q) - 1 bits
+            raise InvariantError(f"q must be below 2^{MAX_CHALLENGE_BITS + 1}")
+        if not 1 <= self.l_s <= MAX_STAT_GAP_BITS:
+            # sign and verify build 2^mask_bits bounds and comb tables
+            raise InvariantError(f"need 1 <= l_s <= {MAX_STAT_GAP_BITS}")
         if self.aux.q != self.q:
             raise InvariantError("aux group order disagrees with q")
         if not curve_fp.on_curve_fp(self.curve, self.gm_pub.point):
@@ -235,7 +242,7 @@ def _build_aux_group(q: int) -> AuxGroup:
     rho = None
     while k <= AUX_K_LIMIT:
         cand = k * q + 1
-        if modmath.is_probable_prime(cand, curve_fp.PRIMALITY_ROUNDS):
+        if modmath.is_probable_prime(cand):
             rho = cand
             break
         k += 1
@@ -275,7 +282,7 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
         if not curve_q.on_curve_q(curve, g):
             raise ValueError(f"supplied generator {g} is not on {curve_id}")
     reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
-    if not modmath.is_probable_prime(q, curve_fp.PRIMALITY_ROUNDS):
+    if not modmath.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
     gens = []
     for g in gens_q:
@@ -288,7 +295,7 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
 
     if l_c is None:
         l_c = min(128, q.bit_length() - 1)
-    if l_c < 8 or (1 << l_c) >= q:
+    if not 8 <= l_c < q.bit_length():
         raise ValueError("need 8 <= l_c and 2^l_c < q (so q >= 257)")
 
     hasse_lo, _ = curve_fp.hasse_interval(p)
@@ -419,7 +426,7 @@ def verify_cert(params: SystemParams, pk: PublicKey) -> bool:
         return False
     try:
         sig = serial.deserialize_artifact(pk.cert.decode("utf-8"))
-    except Exception:
+    except (UnicodeDecodeError, ParseError, InvariantError):
         return False
     if not isinstance(sig, sigma.Signature):
         return False

@@ -6,15 +6,31 @@ value), and explicit "kind"/"version" fields. Equal values serialize to
 identical bytes, which is what revocation-list hashing and certificates
 sign.
 
+One table, `_ARTIFACTS`, maps each kind to a codec that drives both
+directions. A codec is a (dump, load) pair built from a few field codecs:
+`_INT` (canonical decimal string), `_STR`, `_FLOAT` (repr), `_HEX` (bytes,
+"" for none), `_POINT` ("inf" or [x, y]), `_list(codec)` and
+`_record(build, fields)`, a JSON object with exactly the named fields,
+read from the value's attributes on dump and passed to `build` as keyword
+arguments on load. Every type check lives in the load half of these
+codecs, so loading raises only ParseError (the text is not a document of
+the expected shape) or InvariantError (a well-shaped value breaks an
+invariant of the type it builds, or a point is off the supplied curve).
+Glue remains only where wire fields do not map one to one onto
+attributes: params (p and q feed `CurveFp` and `AuxGroup`), the tree
+(paths from nested names) and the relation report (zipped relations and
+trivial flags).
+
 Kinds: params, keypair, cert, rl, signature, tree, report.
 File extensions by convention: .params .key .pub/.cert .rl .sig .tree .report
 """
 
 import json
-from typing import Optional
+from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .assumption_lab import OrderReport, RelationReport
-from .curve_fp import PRIMALITY_ROUNDS, CurveFp, ModPoint, on_curve_fp
+from .curve_fp import INF, CurveFp, ModPoint, on_curve_fp
 from .errors import InvariantError, ParseError
 from .hierarchy import (AuxGroup, DeptNode, Hyperplane, PublicKey, SecretKey,
                         SystemParams, new_root)
@@ -35,351 +51,315 @@ EXTENSIONS = {
 }
 
 
-def _s(v: int) -> str:
-    return str(int(v))
+class _Codec(NamedTuple):
+    dump: Callable  # value -> JSON document
+    load: Callable  # JSON document -> value, or ParseError / InvariantError
 
 
-def _parse_int(v) -> int:
-    if not isinstance(v, str):
-        raise ParseError(f"integer fields must be decimal strings, got {v!r}")
-    try:
-        return int(v, 10)
-    except ValueError:
-        raise ParseError(f"bad decimal string {v!r}") from None
+def _shape_error(expected: str, doc):
+    got = repr(doc[:40]) if type(doc) is str else type(doc).__name__
+    return ParseError(f"expected {expected}, got {got}")
 
 
-def _point_doc(pt: ModPoint):
-    if pt.is_infinity:
-        return "inf"
-    return [_s(pt.x), _s(pt.y)]
+def _text(convert: Callable, expected: str) -> Callable:
+    """Load half of a codec for a JSON string read by `convert`, which
+    raises ValueError for text it does not accept."""
+    def load(doc):
+        if type(doc) is str:
+            try:
+                return convert(doc)
+            except ValueError:
+                pass
+        raise _shape_error(expected, doc)
+    return load
 
 
-def _parse_point(doc) -> ModPoint:
+def _canonical_int(text: str) -> int:
+    value = int(text, 10)
+    if str(value) != text:  # "+5", "007", " 5", "1_0", "-0"
+        raise ValueError(text)
+    return value
+
+
+def _utf8(text: str) -> str:
+    text.encode("utf-8")  # UnicodeEncodeError on a lone surrogate (\ud800)
+    return text
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
+_load_int = _text(_canonical_int, "a canonical decimal string")
+
+
+def _load_point(doc) -> ModPoint:
     if doc == "inf":
-        return ModPoint.infinity()
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise ParseError(f"bad point document {doc!r}")
-    return ModPoint(_parse_int(doc[0]), _parse_int(doc[1]))
+        return INF
+    if type(doc) is list and len(doc) == 2:
+        return ModPoint(_load_int(doc[0]), _load_int(doc[1]))
+    raise _shape_error('"inf" or an [x, y] pair', doc)
 
 
-def _hyperplane_doc(hp: Hyperplane):
-    return [_s(c) for c in hp.coeffs]
+_INT = _Codec(lambda v: str(int(v)), _load_int)
+_STR = _Codec(lambda v: v, _text(_utf8, "a UTF-8 string"))
+_FLOAT = _Codec(repr, _text(float, "a float string"))
+_HEX = _Codec(lambda v: v.hex() if v else "",
+              _text(lambda t: bytes.fromhex(t) if t else None, "a hex string"))
+_POINT = _Codec(lambda v: "inf" if v.is_infinity else [str(v.x), str(v.y)],
+                _load_point)
+_FLAG = _Codec(lambda v: "1" if v else "0", _text(_flag, '"0" or "1"'))
 
 
-def _parse_hyperplane(doc) -> Hyperplane:
-    if not isinstance(doc, list):
-        raise ParseError("hyperplane must be a coefficient list")
-    return Hyperplane(tuple(_parse_int(c) for c in doc))
+def _list(item: _Codec) -> _Codec:
+    dump, load = item
+
+    def load_list(doc):
+        if type(doc) is not list:
+            raise _shape_error("a list", doc)
+        return tuple([load(v) for v in doc])
+
+    return _Codec(lambda values: [dump(v) for v in values], load_list)
 
 
-def _pk_doc(pk: PublicKey):
-    return {
-        "point": _point_doc(pk.point),
-        "member_id": pk.member_id,
-        "dept": pk.dept,
-        "cert": pk.cert.hex() if pk.cert else "",
-    }
+def _record(build: Callable, *fields) -> _Codec:
+    """A JSON object with exactly the given fields, each (wire name, codec)
+    or (wire name, codec, source). The source is the attribute the value is
+    read from and the keyword `build` receives (default: the wire name), or
+    a getter function, in which case `build` receives the wire name."""
+    dumps, loads = [], []
+    for wire, (dump, load), *source in fields:
+        source = source[0] if source else wire
+        if isinstance(source, str):
+            dumps.append((wire, attrgetter(source), dump))
+            loads.append((wire, source, load))
+        else:
+            dumps.append((wire, source, dump))
+            loads.append((wire, wire, load))
+    wires = frozenset(wire for wire, *_ in fields)
+
+    # plain loops: cheaper than comprehensions here, and `rl_hash` dumps a
+    # record per revoked member on every sign and verify
+    def dump_record(value):
+        doc = {}
+        for wire, get, dump in dumps:
+            doc[wire] = dump(get(value))
+        return doc
+
+    def load_record(doc):
+        if type(doc) is not dict or doc.keys() != wires:
+            raise _shape_error(f"an object with fields {sorted(wires)}", doc)
+        kwargs = {}
+        for wire, kw, load in loads:
+            kwargs[kw] = load(doc[wire])
+        return build(**kwargs)
+
+    return _Codec(dump_record, load_record)
 
 
-def _parse_pk(doc) -> PublicKey:
-    cert = None
-    if doc.get("cert"):
-        try:
-            cert = bytes.fromhex(doc["cert"])
-        except ValueError:
-            raise ParseError("public key cert is not hex") from None
-    return PublicKey(point=_parse_point(doc["point"]),
-                     member_id=doc["member_id"], dept=doc["dept"], cert=cert)
+_INTS = _list(_INT)
+_HYPERPLANE = _Codec(lambda hp: _INTS.dump(hp.coeffs),
+                     lambda doc: Hyperplane(_INTS.load(doc)))
+
+_PUBLIC_KEY = _record(PublicKey, ("point", _POINT), ("member_id", _STR),
+                      ("dept", _STR), ("cert", _HEX))
+
+_KEYPAIR = _record(
+    lambda sk, pk: (sk, pk),
+    ("sk", _record(SecretKey, ("x", _INTS), ("member_id", _STR),
+                   ("dept", _STR)), itemgetter(0)),
+    ("pk", _PUBLIC_KEY, itemgetter(1)))
 
 
-def _params_doc(params: SystemParams):
-    c = params.curve
-    return {
-        "kind": "params",
-        "version": FORMAT_VERSION,
-        "curve_id": params.curve_id,
-        "p": _s(params.p),
-        "curve": {"a1": _s(c.a1), "a2": _s(c.a2), "a3": _s(c.a3),
-                  "a4": _s(c.a4), "a6": _s(c.a6)},
-        "q": _s(params.q),
-        "r": _s(params.r),
-        "gens": [_point_doc(g) for g in params.gens],
-        "aux": {"rho": _s(params.aux.rho), "g": _s(params.aux.g),
-                "h": _s(params.aux.h)},
-        "l_c": _s(params.l_c),
-        "l_s": _s(params.l_s),
-        "gm_pub": _pk_doc(params.gm_pub),
-    }
-
-
-def _parse_params(doc) -> SystemParams:
-    p = _parse_int(doc["p"])
-    cd = doc["curve"]
-    curve = CurveFp(p, _parse_int(cd["a1"]), _parse_int(cd["a2"]),
-                    _parse_int(cd["a3"]), _parse_int(cd["a4"]),
-                    _parse_int(cd["a6"]), source=doc["curve_id"])
-    aux = AuxGroup(rho=_parse_int(doc["aux"]["rho"]),
-                   q=_parse_int(doc["q"]),
-                   g=_parse_int(doc["aux"]["g"]),
-                   h=_parse_int(doc["aux"]["h"]))
-    params = SystemParams(
-        curve_id=doc["curve_id"], curve=curve, r=_parse_int(doc["r"]),
-        p=p, q=_parse_int(doc["q"]),
-        gens=tuple(_parse_point(g) for g in doc["gens"]),
-        aux=aux, l_c=_parse_int(doc["l_c"]), l_s=_parse_int(doc["l_s"]),
-        gm_pub=_parse_pk(doc["gm_pub"]))
+def _build_params(curve_id, p, q, curve, aux, **fields) -> SystemParams:
+    try:
+        curve = CurveFp(p, source=curve_id, **curve)
+    except ValueError as e:  # p is not prime
+        raise InvariantError(str(e)) from None
     # `setup` checks q for the parameters it builds; CurveFp checks p
-    if not is_probable_prime(params.q, PRIMALITY_ROUNDS):
+    if not is_probable_prime(q):
         raise InvariantError("q is not prime")
-    return params
+    return SystemParams(curve_id=curve_id, curve=curve, p=p, q=q,
+                        aux=AuxGroup(q=q, **aux), **fields)
 
 
-def _keypair_doc(value):
-    sk, pk = value
-    return {
-        "kind": "keypair",
-        "version": FORMAT_VERSION,
-        "sk": {"x": [_s(v) for v in sk.x], "member_id": sk.member_id,
-               "dept": sk.dept},
-        "pk": _pk_doc(pk),
-    }
+_PARAMS = _record(
+    _build_params, ("curve_id", _STR), ("p", _INT),
+    ("curve", _record(dict, *((a, _INT)
+                              for a in ("a1", "a2", "a3", "a4", "a6")))),
+    ("q", _INT), ("r", _INT), ("gens", _list(_POINT)),
+    ("aux", _record(dict, ("rho", _INT), ("g", _INT), ("h", _INT))),
+    ("l_c", _INT), ("l_s", _INT), ("gm_pub", _PUBLIC_KEY))
+
+_RL = _record(
+    RevocationList, ("rl_version", _INT, "version"),
+    ("members", _list(_record(RevokedMember, ("point", _POINT),
+                              ("member_id", _STR)))),
+    ("groups", _list(_record(ConstraintSet, ("path", _STR),
+                             ("constraints", _list(_HYPERPLANE))))))
+
+_SIGNATURE = _record(
+    Signature, ("c", _INT, "challenge"), ("s", _INTS),
+    ("commitments", _INTS), ("commitment_responses", _INTS),
+    ("nonzero_proofs", _list(_record(
+        NonzeroProof, ("gamma_seed_index", _INT), ("d", _INT), ("sw", _INT),
+        ("su", _INT)))),
+    ("retry", _INT), ("rl_version", _INT))
 
 
-def _parse_keypair(doc):
-    skd = doc["sk"]
-    sk = SecretKey(x=tuple(_parse_int(v) for v in skd["x"]),
-                   member_id=skd["member_id"], dept=skd["dept"])
-    return sk, _parse_pk(doc["pk"])
-
-
-def _cert_doc(pk: PublicKey):
-    doc = _pk_doc(pk)
-    doc["kind"] = "cert"
-    doc["version"] = FORMAT_VERSION
-    return doc
-
-
-def _rl_doc(rl: RevocationList):
-    return {
-        "kind": "rl",
-        "version": FORMAT_VERSION,
-        "rl_version": _s(rl.version),
-        "members": [{"point": _point_doc(m.point), "member_id": m.member_id}
-                    for m in rl.members],
-        "groups": [{"path": g.path,
-                    "constraints": [_hyperplane_doc(hp)
-                                    for hp in g.constraints]}
-                   for g in rl.groups],
-    }
-
-
-def _parse_rl(doc) -> RevocationList:
-    members = tuple(
-        RevokedMember(point=_parse_point(m["point"]),
-                      member_id=m["member_id"])
-        for m in doc["members"])
-    groups = tuple(
-        ConstraintSet(path=g["path"],
-                      constraints=tuple(_parse_hyperplane(hp)
-                                        for hp in g["constraints"]))
-        for g in doc["groups"])
-    return RevocationList(members=members, groups=groups,
-                          version=_parse_int(doc["rl_version"]))
-
-
-def _signature_doc(sig: Signature):
-    return {
-        "kind": "signature",
-        "version": FORMAT_VERSION,
-        "c": _s(sig.challenge),
-        "s": [_s(v) for v in sig.s],
-        "commitments": [_s(v) for v in sig.commitments],
-        "commitment_responses": [_s(v) for v in sig.commitment_responses],
-        "nonzero_proofs": [{"gamma_seed_index": _s(p.gamma_seed_index),
-                            "d": _s(p.d), "sw": _s(p.sw), "su": _s(p.su)}
-                           for p in sig.nonzero_proofs],
-        "retry": _s(sig.retry),
-        "rl_version": _s(sig.rl_version),
-    }
-
-
-def _parse_signature(doc) -> Signature:
-    proofs = tuple(
-        NonzeroProof(gamma_seed_index=_parse_int(p["gamma_seed_index"]),
-                     d=_parse_int(p["d"]), sw=_parse_int(p["sw"]),
-                     su=_parse_int(p["su"]))
-        for p in doc["nonzero_proofs"])
-    return Signature(
-        challenge=_parse_int(doc["c"]),
-        s=tuple(_parse_int(v) for v in doc["s"]),
-        commitments=tuple(_parse_int(v) for v in doc["commitments"]),
-        commitment_responses=tuple(_parse_int(v)
-                                   for v in doc["commitment_responses"]),
-        nonzero_proofs=proofs, retry=_parse_int(doc["retry"]),
-        rl_version=_parse_int(doc["rl_version"]))
-
-
-def _tree_node_doc(node: DeptNode):
-    doc = {"name": node.path.rsplit("/", 1)[-1] if node.path else "",
-           "children": [_tree_node_doc(c)
-                        for c in sorted(node.children,
-                                        key=lambda n: n.path)]}
+def _dump_node(node: DeptNode):
+    doc = {"name": node.path.rsplit("/", 1)[-1],
+           "children": [_dump_node(c)
+                        for c in sorted(node.children, key=lambda n: n.path)]}
     if node.level >= 1:
-        doc["hyperplane"] = _hyperplane_doc(node.constraints[-1])
+        doc["hyperplane"] = _HYPERPLANE.dump(node.constraints[-1])
     return doc
 
 
-def _tree_doc(root: DeptNode):
+def _dump_root(root: DeptNode):
     if root.level != 0:
         raise ValueError("tree serialization starts at the root")
-    return {"kind": "tree", "version": FORMAT_VERSION,
-            "root": _tree_node_doc(root)}
+    return _dump_node(root)
 
 
-def _parse_tree_node(doc, parent: Optional[DeptNode]) -> DeptNode:
+_ROOT_FIELDS = frozenset(("name", "children"))
+_NODE_FIELDS = _ROOT_FIELDS | {"hyperplane"}
+
+
+def _load_node(doc, parent: Optional[DeptNode] = None) -> DeptNode:
+    fields = _ROOT_FIELDS if parent is None else _NODE_FIELDS
+    if type(doc) is not dict or doc.keys() != fields:
+        raise _shape_error(f"a tree node with fields {sorted(fields)}", doc)
+    name = _STR.load(doc["name"])
     if parent is None:
+        if name:
+            raise InvariantError("the tree root must have an empty name")
         node = new_root()
     else:
-        hp = _parse_hyperplane(doc["hyperplane"])
-        node = DeptNode(path=f"{parent.path}/{doc['name']}",
-                        level=parent.level + 1,
-                        constraints=parent.constraints + (hp,))
-    names = [child["name"] for child in doc.get("children", [])]
+        # the rule `add_department` keeps, so `find_dept` reaches every node
+        if not name or "/" in name:
+            raise InvariantError(f"department name {name!r} is empty or "
+                                 "holds a slash")
+        node = DeptNode(path=f"{parent.path}/{name}", level=parent.level + 1,
+                        constraints=parent.constraints
+                        + (_HYPERPLANE.load(doc["hyperplane"]),))
+    children = doc["children"]
+    if type(children) is not list:
+        raise _shape_error("a list of child nodes", children)
+    for child in children:
+        node.children.append(_load_node(child, node))
+    names = [child.path for child in node.children]
     if len(set(names)) != len(names):
         raise InvariantError(f"duplicate child names under {node.path or '/'}")
-    for child in doc.get("children", []):
-        node.children.append(_parse_tree_node(child, node))
     return node
 
 
-def _report_doc(report):
-    if isinstance(report, RelationReport):
-        return {
-            "kind": "report", "version": FORMAT_VERSION,
-            "report_type": "relations",
-            "params_digest": report.params_digest,
-            "method": report.method,
-            "bound": _s(report.bound),
-            "relations": [{"x": [_s(v) for v in vec],
-                           "trivial": "1" if triv else "0"}
-                          for vec, triv in zip(report.relations,
-                                               report.trivial_flags)],
-            "orders": [_s(v) for v in report.orders],
-            "q_over_min_order": repr(report.q_over_min_order),
-            "wall_time": repr(report.wall_time),
-        }
-    if isinstance(report, OrderReport):
-        return {
-            "kind": "report", "version": FORMAT_VERSION,
-            "report_type": "orders",
-            "params_digest": report.params_digest,
-            "orders": [_s(v) for v in report.orders],
-            "hasse_lo": _s(report.hasse_lo),
-            "hasse_hi": _s(report.hasse_hi),
-            "q_over_min_order": repr(report.q_over_min_order),
-            "wall_time": repr(report.wall_time),
-        }
+_TREE = _record(lambda root: root,
+               ("root", _Codec(_dump_root, _load_node), lambda root: root))
+
+
+def _relation_report(relations, **fields) -> RelationReport:
+    return RelationReport(relations=tuple(x for x, _ in relations),
+                          trivial_flags=tuple(t for _, t in relations),
+                          **fields)
+
+
+_REPORTS = {
+    "relations": (RelationReport, _record(
+        _relation_report, ("params_digest", _STR), ("method", _STR),
+        ("bound", _INT),
+        ("relations", _list(_record(lambda x, trivial: (x, trivial),
+                                    ("x", _INTS, itemgetter(0)),
+                                    ("trivial", _FLAG, itemgetter(1)))),
+         lambda r: zip(r.relations, r.trivial_flags)),
+        ("orders", _INTS), ("q_over_min_order", _FLOAT),
+        ("wall_time", _FLOAT))),
+    "orders": (OrderReport, _record(
+        OrderReport, ("params_digest", _STR), ("orders", _INTS),
+        ("hasse_lo", _INT), ("hasse_hi", _INT), ("q_over_min_order", _FLOAT),
+        ("wall_time", _FLOAT))),
+}
+
+
+def _dump_report(report):
+    for report_type, (cls, codec) in _REPORTS.items():
+        if isinstance(report, cls):
+            return {"report_type": report_type, **codec.dump(report)}
     raise TypeError(f"not a report: {type(report).__name__}")
 
 
-def _parse_report(doc):
-    rtype = doc.get("report_type")
-    if rtype == "relations":
-        relations = tuple(tuple(_parse_int(v) for v in rel["x"])
-                          for rel in doc["relations"])
-        flags = tuple(rel["trivial"] == "1" for rel in doc["relations"])
-        return RelationReport(
-            params_digest=doc["params_digest"], method=doc["method"],
-            bound=_parse_int(doc["bound"]), relations=relations,
-            trivial_flags=flags,
-            orders=tuple(_parse_int(v) for v in doc["orders"]),
-            q_over_min_order=float(doc["q_over_min_order"]),
-            wall_time=float(doc["wall_time"]))
-    if rtype == "orders":
-        return OrderReport(
-            params_digest=doc["params_digest"],
-            orders=tuple(_parse_int(v) for v in doc["orders"]),
-            hasse_lo=_parse_int(doc["hasse_lo"]),
-            hasse_hi=_parse_int(doc["hasse_hi"]),
-            q_over_min_order=float(doc["q_over_min_order"]),
-            wall_time=float(doc["wall_time"]))
-    raise ParseError(f"unknown report_type {rtype!r}")
+def _load_report(doc):
+    report_type = doc.pop("report_type", None)
+    if type(report_type) is not str or report_type not in _REPORTS:
+        raise ParseError(f"unknown report_type {report_type!r:.40}")
+    return _REPORTS[report_type][1].load(doc)
 
 
-_SERIALIZERS = {
-    "params": _params_doc,
-    "keypair": _keypair_doc,
-    "cert": _cert_doc,
-    "rl": _rl_doc,
-    "signature": _signature_doc,
-    "tree": _tree_doc,
-    "report": _report_doc,
+# kind -> (codec, the points a `curve` argument checks, what they are)
+_ARTIFACTS = {
+    "params": (_PARAMS, None, ""),
+    "keypair": (_KEYPAIR, lambda pair: [pair[1].point], "public key"),
+    "cert": (_PUBLIC_KEY, lambda pk: [pk.point], "public key"),
+    "rl": (_RL, lambda rl: [m.point for m in rl.members], "revoked member"),
+    "signature": (_SIGNATURE, None, ""),
+    "tree": (_TREE, None, ""),
+    "report": (_Codec(_dump_report, _load_report), None, ""),
 }
 
 
 def serialize_artifact(kind: str, value) -> str:
     """Canonical text for a value of the given kind (byte-stable)."""
     try:
-        builder = _SERIALIZERS[kind]
+        codec = _ARTIFACTS[kind][0]
     except KeyError:
         raise ValueError(f"unknown artifact kind {kind!r}") from None
-    return json.dumps(builder(value), sort_keys=True, separators=(",", ":"))
+    doc = codec.dump(value)
+    doc["kind"] = kind
+    doc["version"] = FORMAT_VERSION
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
     """Parse a canonical document back into its value.
 
-    When `curve` is supplied, any points the document carries are checked
-    against the curve equation; a failed check raises InvariantError.
-    Structurally broken documents raise ParseError.
+    Raises ParseError for text that is not a well-formed document of its
+    kind, and InvariantError for values that break an invariant, including,
+    when `curve` is supplied, any point the document carries that fails the
+    curve equation. Nothing else escapes.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"not valid artifact text: {e}") from None
-    if not isinstance(doc, dict) or "kind" not in doc:
+    if type(doc) is not dict or "kind" not in doc:
         raise ParseError("artifact documents need a 'kind' field")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {doc.get('version')!r}")
-    kind = doc["kind"]
+    kind, version = doc.pop("kind"), doc.pop("version", None)
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format version {version!r:.40}")
+    if type(kind) is not str or kind not in _ARTIFACTS:
+        raise ParseError(f"unknown artifact kind {kind!r:.40}")
+    codec, points, what = _ARTIFACTS[kind]
     try:
-        if kind == "params":
-            return _parse_params(doc)
-        if kind == "keypair":
-            sk, pk = _parse_keypair(doc)
-            _check_points(curve, [pk.point], "public key")
-            return sk, pk
-        if kind == "cert":
-            pk = _parse_pk(doc)
-            _check_points(curve, [pk.point], "public key")
-            return pk
-        if kind == "rl":
-            rl = _parse_rl(doc)
-            _check_points(curve, [m.point for m in rl.members],
-                          "revoked member")
-            return rl
-        if kind == "signature":
-            return _parse_signature(doc)
-        if kind == "tree":
-            return _parse_tree_node(doc["root"], None)
-        if kind == "report":
-            return _parse_report(doc)
-    except (KeyError, IndexError, TypeError) as e:
-        raise ParseError(f"malformed {kind} document: {e}") from None
-    raise ParseError(f"unknown artifact kind {kind!r}")
-
-
-def _check_points(curve: Optional[CurveFp], points, what: str):
-    if curve is None:
-        return
-    for pt in points:
-        if not on_curve_fp(curve, pt):
-            raise InvariantError(f"{what} point {pt} fails the curve equation")
+        value = codec.load(doc)
+    except RecursionError:
+        raise ParseError(f"{kind} document nests too deeply") from None
+    if curve is not None and points is not None:
+        for pt in points(value):
+            if not on_curve_fp(curve, pt):
+                raise InvariantError(
+                    f"{what} point {pt} fails the curve equation")
+    return value
 
 
 def load_artifact(path, curve: Optional[CurveFp] = None):
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize_artifact(fh.read(), curve=curve)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e}") from None
+    return deserialize_artifact(text, curve=curve)
 
 
 def save_artifact(path, kind: str, value) -> None:
