@@ -11,8 +11,21 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
+# psi_13: the least strong pseudoprime to every one of the first 13 prime
+# bases 2..41 (Sorenson and Webster, Math. Comp. 2017). Below it those
+# bases decide primality exactly.
+_PSI_13 = 3317044064679887385961981
+_PSI_13_BASES = _SMALL_PRIMES[:13]
+
+
 def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with `rounds` random bases (deterministic per n)."""
+    """Miller-Rabin primality test.
+
+    Exact below psi_13 = 3 317 044 064 679 887 385 961 981 (about 2^81.5),
+    where it tests the 13 fixed bases 2..41 and ignores `rounds`. From
+    psi_13 up it is probabilistic: `rounds` random bases from a generator
+    seeded by n, so repeated calls agree.
+    """
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -23,10 +36,12 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # base choice seeded by n so repeated calls agree
-    rng = random.Random(n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
+    if n < _PSI_13:
+        bases = _PSI_13_BASES
+    else:
+        rng = random.Random(n)
+        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

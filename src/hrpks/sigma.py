@@ -13,6 +13,9 @@ One transcript, one challenge c:
                    exhibits g in base (D_j, h), which is impossible when
                    v_j = 0.
 
+Every auxiliary-group product (C_i, A_i, D_j, B_j) is one Straus
+multi-exponentiation over window tables built once per sign or verify call.
+
 Responses on the curve side stay integers (never reduced): the group order
 of E(F_p) is deliberately not assumed known, so a statistical-gap slack of
 l_s bits hides the secret instead of a modular reduction. The linkage
@@ -29,13 +32,18 @@ from typing import Optional, Sequence, Tuple
 from .curve_fp import ModPoint, msm, on_curve_fp
 from .encoding import hash_to_challenge
 from .errors import InvariantError, RetryExhausted, SignerRevoked
-from .hierarchy import (Hyperplane, PublicKey, SecretKey, SystemParams,
-                        require_key_pair)
+from .hierarchy import (AuxGroup, Hyperplane, PublicKey, SecretKey,
+                        SystemParams, require_key_pair)
 from .revocation import RevocationList, is_member_revoked, rl_hash
 
 CHALLENGE_TAG = b"HRPKS-v1/chal"
 GAMMA_TAG = b"HRPKS-v1/gamma"
 MAX_COLLAPSE_ATTEMPTS = 64
+# Window width of `_aux_product`, by measurement (min of 60 interleaved
+# runs, Python 3.11, 2-vCPU VM): the aux products of one verify took 3.6,
+# 3.4 and 3.3 ms at w = 4, 5, 6 for q = 2^127 - 1, r = 8 and 14 revoked
+# sets, and 0.15, 0.16 and 0.20 ms for the 32-bit toy q, r = 2 and 3 sets.
+_AUX_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -88,12 +96,58 @@ MALFORMED = "MALFORMED"
 BAD_CHALLENGE = "BAD_CHALLENGE"
 
 
-def pedersen_commit(params: SystemParams, value: int, randomness: int) -> int:
-    """g^value * h^randomness in the auxiliary group."""
+def _aux_table(aux: AuxGroup, base: int):
+    """base^0, base^1, ..., base^(2^w - 1) mod rho: one base's window table
+    for `_aux_product`."""
+    table = [1, base % aux.rho]
+    for _ in range(2, 1 << _AUX_WINDOW):
+        table.append(table[-1] * base % aux.rho)
+    return table
+
+
+def _aux_product(aux: AuxGroup, terms) -> int:
+    """prod base^e mod rho over (window table of base, e) terms.
+
+    One Straus chain: w squarings per window, shared by every term, and one
+    table multiply per nonzero digit. Each e is reduced mod q first, so it
+    may be negative or exceed q; that is valid only because every base has
+    order dividing q. g and h do (`AuxGroup` checks them), the C_i do once
+    `_structural_ok` has checked C_i^q = 1, which verify runs before any
+    product, and each D_j is built from those. On any other base the result
+    is wrong.
+    """
+    q, rho = aux.q, aux.rho
+    terms = [(table, e % q) for table, e in terms]
+    terms = [(table, e) for table, e in terms if e]
+    if not terms:
+        return 1
+    top = max(e.bit_length() for _, e in terms)
+    mask = (1 << _AUX_WINDOW) - 1
+    acc = 1
+    for shift in range((top - 1) // _AUX_WINDOW * _AUX_WINDOW, -1,
+                       -_AUX_WINDOW):
+        if acc != 1:  # no squarings before the first nonzero digit
+            for _ in range(_AUX_WINDOW):
+                acc = acc * acc % rho
+        for table, e in terms:
+            digit = (e >> shift) & mask
+            if digit:
+                acc = acc * table[digit] % rho
+    return acc
+
+
+def _commit(params: SystemParams, g_table, h_table, value: int,
+            randomness: int) -> int:
     if not 0 <= value < params.q or not 0 <= randomness < params.q:
         raise ValueError("commitment inputs must lie in [0, q)")
+    return _aux_product(params.aux, ((g_table, value), (h_table, randomness)))
+
+
+def pedersen_commit(params: SystemParams, value: int, randomness: int) -> int:
+    """g^value * h^randomness in the auxiliary group."""
     aux = params.aux
-    return pow(aux.g, value, aux.rho) * pow(aux.h, randomness, aux.rho) % aux.rho
+    return _commit(params, _aux_table(aux, aux.g), _aux_table(aux, aux.h),
+                   value, randomness)
 
 
 def collapse_constraints(constraints: Sequence[Hyperplane],
@@ -141,15 +195,12 @@ def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
     return hash_to_challenge(CHALLENGE_TAG, parts, params.l_c)
 
 
-def _collapsed_commitment(params: SystemParams, collapsed: Hyperplane,
-                          commitments) -> int:
+def _collapsed_commitment(aux: AuxGroup, g_table, c_tables,
+                          collapsed: Hyperplane) -> int:
     """D = g^a0 * prod C_i^a_i for the collapsed coefficients; equals
     g^f(x) h^tau when each C_i commits to x_i."""
-    aux = params.aux
-    d = pow(aux.g, collapsed.a0, aux.rho)
-    for a, c in zip(collapsed.linear, commitments):
-        d = d * pow(c, a, aux.rho) % aux.rho
-    return d
+    return _aux_product(aux, [(g_table, collapsed.a0),
+                              *zip(c_tables, collapsed.linear)])
 
 
 def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
@@ -189,14 +240,16 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     ds, bs = [], []
     ws, ubars, kws, kus = [], [], [], []
     if rl.groups:
+        g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
         for xi, ki in zip(sk.x, ks):
             ti = rng.randrange(q)
             ui = rng.randrange(q)
             ts.append(ti)
             us.append(ui)
-            commitments.append(pedersen_commit(params, xi, ti))
+            commitments.append(_commit(params, g_table, h_table, xi, ti))
             announcements.append(
-                pow(aux.g, ki, aux.rho) * pow(aux.h, ui, aux.rho) % aux.rho)
+                _aux_product(aux, ((g_table, ki), (h_table, ui))))
+        c_tables = [_aux_table(aux, c) for c in commitments]
 
         while True:
             if retry >= MAX_COLLAPSE_ATTEMPTS:
@@ -217,12 +270,12 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 
         for collapsed, v in zip(collapsed_list, vs):
             tau = sum(a * t for a, t in zip(collapsed.linear, ts)) % q
-            d = _collapsed_commitment(params, collapsed, commitments)
+            d = _collapsed_commitment(aux, g_table, c_tables, collapsed)
             w = pow(v, -1, q)
             ubar = -tau * w % q
             kw = rng.randrange(q)
             ku = rng.randrange(q)
-            b = pow(d, kw, aux.rho) * pow(aux.h, ku, aux.rho) % aux.rho
+            b = _aux_product(aux, ((_aux_table(aux, d), kw), (h_table, ku)))
             ds.append(d)
             bs.append(b)
             ws.append(w)
@@ -303,11 +356,14 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
     announcements = []
     ds, bs = [], []
     if rl.groups:
-        for s_i, st_i, c_i in zip(sig.s, sig.commitment_responses,
-                                  sig.commitments):
-            a = (pow(aux.g, s_i, aux.rho) * pow(aux.h, st_i, aux.rho)
-                 * pow(c_i, -c, aux.rho) % aux.rho)
-            announcements.append(a)
+        # _structural_ok has put every C_i in the order-q subgroup, as
+        # _aux_product requires of its bases.
+        g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
+        c_tables = [_aux_table(aux, c_i) for c_i in sig.commitments]
+        for s_i, st_i, c_table in zip(sig.s, sig.commitment_responses,
+                                      c_tables):
+            announcements.append(_aux_product(
+                aux, ((g_table, s_i), (h_table, st_i), (c_table, -c))))
         for j, (entry, proof) in enumerate(zip(rl.groups, sig.nonzero_proofs)):
             if any(len(hp.coeffs) != params.r + 1
                    for hp in entry.constraints):
@@ -318,11 +374,11 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
                 collapsed = collapse_constraints(entry.constraints, gammas, q)
             except (InvariantError, ValueError):
                 return VerifyResult.reject(MALFORMED)
-            d = _collapsed_commitment(params, collapsed, sig.commitments)
+            d = _collapsed_commitment(aux, g_table, c_tables, collapsed)
             if d != proof.d:
                 return VerifyResult.reject(MALFORMED)
-            b = (pow(d, proof.sw, aux.rho) * pow(aux.h, proof.su, aux.rho)
-                 * pow(aux.g, -c, aux.rho) % aux.rho)
+            b = _aux_product(aux, ((_aux_table(aux, d), proof.sw),
+                                   (h_table, proof.su), (g_table, -c)))
             ds.append(d)
             bs.append(b)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hrpks import revocation, serial, sigma
+from hrpks import hierarchy, revocation, serial, sigma
 from hrpks.curve_fp import ModPoint
 from hrpks.errors import RetryExhausted, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
@@ -172,6 +172,99 @@ def test_commit_range_check():
         pedersen_commit(params, params.q, 0)
     with pytest.raises(ValueError):
         pedersen_commit(params, 0, -1)
+
+
+# --- aux-group multi-exponentiation -----------------------------------------
+
+def _reference_aux_product(aux, bases, exps):
+    """Plain `pow` per term, exponents unreduced (negative ones invert)."""
+    acc = 1
+    for b, e in zip(bases, exps):
+        acc = acc * pow(b, e, aux.rho) % aux.rho
+    return acc
+
+
+def _assert_aux_product_matches(aux, bases, exps):
+    terms = [(sigma._aux_table(aux, b), e) for b, e in zip(bases, exps)]
+    assert sigma._aux_product(aux, terms) == \
+        _reference_aux_product(aux, bases, exps), (bases, exps)
+
+
+def _aux_product_cases(aux, rng):
+    q, w = aux.q, sigma._AUX_WINDOW
+    elements = [aux.g, aux.h] + [pow(aux.g, rng.randrange(1, q), aux.rho)
+                                 for _ in range(3)]
+    edges = [0, 1, 2, q - 1, q, q + 1, 2 * q + 5, (1 << w) - 1, 1 << w,
+             (1 << (3 * w)) - 1, rng.getrandbits(317), -1,
+             -rng.getrandbits(64), -(3 * q) - 2]
+    for e in edges:
+        for b in elements[:3]:
+            yield [b], [e]
+    for e1 in edges:
+        for e2 in edges:
+            yield elements[:2], [e1, e2]
+    yield [], []
+    yield [1], [rng.getrandbits(317)]
+    yield [1, aux.g], [q - 1, -7]
+    yield [aux.g, aux.g], [q - 1, 1]             # repeat that cancels
+    yield [aux.h, aux.h, aux.h], [5, 2 * q + 5, -10]
+    yield elements, [0] * len(elements)
+    for _ in range(30):
+        bases = [rng.choice(elements) for _ in range(rng.randrange(1, 10))]
+        yield bases, [rng.choice(edges + [rng.randrange(q)]) for _ in bases]
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_aux_product_matches_plain_pow(make_aux):
+    aux = make_aux()
+    rng = random.Random(aux.q.bit_length())
+    for bases, exps in _aux_product_cases(aux, rng):
+        _assert_aux_product_matches(aux, bases, exps)
+
+
+def test_aux_table_holds_every_window_digit():
+    params, _ = make_toy_params()
+    aux = params.aux
+    table = sigma._aux_table(aux, aux.h)
+    assert table == [pow(aux.h, k, aux.rho)
+                     for k in range(1 << sigma._AUX_WINDOW)]
+
+
+def test_verify_rejects_commitment_of_order_2q():
+    # rho = k*q + 1 with k even, so -C_1 has order 2q. Its exponents may
+    # not be reduced mod q: the subgroup check has to reject it before any
+    # aux product is taken.
+    params, gm, rng, root, fin, hr, _eng = _toy_world(seed=61)
+    q, rho = params.q, params.aux.rho
+    assert (rho - 1) // q % 2 == 0
+    sk, pk = join(params, gm, fin, "alice", rng)
+    rl = revoke_group(empty_rl(), hr)
+    sig = sign(params, sk, pk, rl, b"m", rng)
+    assert verify(params, pk, rl, b"m", sig).accepted
+    flipped = rho - sig.commitments[0]
+    assert pow(flipped, q, rho) == rho - 1
+    c = sig.challenge
+    assert pow(flipped, -c % q, rho) != pow(flipped, -c, rho)
+    forged = Signature(
+        challenge=c, s=sig.s,
+        commitments=(flipped,) + sig.commitments[1:],
+        commitment_responses=sig.commitment_responses,
+        nonzero_proofs=sig.nonzero_proofs, retry=sig.retry,
+        rl_version=sig.rl_version)
+    assert verify(params, pk, rl, b"m", forged).reason == "MALFORMED"
+    # the same for a collapsed commitment: -D_j differs from D_j
+    p0 = sig.nonzero_proofs[0]
+    negated = sigma.NonzeroProof(gamma_seed_index=p0.gamma_seed_index,
+                                 d=rho - p0.d, sw=p0.sw, su=p0.su)
+    forged_d = Signature(
+        challenge=c, s=sig.s, commitments=sig.commitments,
+        commitment_responses=sig.commitment_responses,
+        nonzero_proofs=(negated,), retry=sig.retry,
+        rl_version=sig.rl_version)
+    assert verify(params, pk, rl, b"m", forged_d).reason == "MALFORMED"
 
 
 # --- constraint collapse ----------------------------------------------------
