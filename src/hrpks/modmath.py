@@ -16,15 +16,17 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 # bases decide primality exactly.
 _PSI_13 = 3317044064679887385961981
 _PSI_13_BASES = _SMALL_PRIMES[:13]
+# random Miller-Rabin bases from psi_13 up
+_RANDOM_ROUNDS = 64
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Exact below psi_13 = 3 317 044 064 679 887 385 961 981 (about 2^81.5),
-    where it tests the 13 fixed bases 2..41 and ignores `rounds`. From
-    psi_13 up it is probabilistic: `rounds` random bases from a generator
-    seeded by n, so repeated calls agree.
+    where it tests the 13 fixed bases 2..41. From psi_13 up it is
+    probabilistic: 64 random bases from a generator seeded by n, so
+    repeated calls agree.
     """
     if n < 2:
         return False
@@ -40,7 +42,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
         bases = _PSI_13_BASES
     else:
         rng = random.Random(n)
-        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = (rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS))
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -149,31 +151,34 @@ def sqrt_mod(a: int, p: int):
     return r
 
 
+def _row_reduce(mat, ncols: int, q: int):
+    """Gauss-Jordan elimination mod prime q, in place: brings the rows of
+    `mat` (residues mod q) to reduced row echelon form over their first
+    `ncols` columns. Returns the pivot column of each nonzero row, in row
+    order; the rows below those are zero in the first `ncols` columns."""
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(mat):
+            break
+        pivot = next((i for i in range(row, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = pow(mat[row][col], -1, q)
+        mat[row] = [v * inv % q for v in mat[row]]
+        for i in range(len(mat)):
+            if i != row and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[row])]
+        pivots.append(col)
+    return pivots
+
+
 def rank_mod(rows, q: int) -> int:
     """Row rank of an integer matrix mod prime q (Gaussian elimination)."""
     mat = [[v % q for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, q)
-        mat[rank] = [v * inv % q for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_row_reduce(mat, len(mat[0]) if mat else 0, q))
 
 
 def solve_affine_mod(rows, rhs, q: int, fill, pinned=None):
@@ -201,29 +206,10 @@ def solve_affine_mod(rows, rhs, q: int, fill, pinned=None):
         aug.append([rows[i][j] % q for j in free_cols] + [b])
 
     m = len(free_cols)
-    pivots = {}  # column index (into free_cols) -> row
-    row = 0
-    for col in range(m):
-        pivot = None
-        for i in range(row, k):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = pow(aug[row][col], -1, q)
-        aug[row] = [v * inv % q for v in aug[row]]
-        for i in range(k):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[row])]
-        pivots[col] = row
-        row += 1
-        if row == k:
-            break
+    # pivot column (an index into free_cols) -> its row
+    pivots = {col: row for row, col in enumerate(_row_reduce(aug, m, q))}
     # zero rows must have zero rhs
-    for i in range(row, k):
+    for i in range(len(pivots), k):
         if aug[i][m] != 0:
             raise ValueError("inconsistent linear system mod q")
 

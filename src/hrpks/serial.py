@@ -38,7 +38,7 @@ from .modmath import is_probable_prime
 from .revocation import ConstraintSet, RevocationList, RevokedMember
 from .sigma import NonzeroProof, Signature
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 EXTENSIONS = {
     "params": ".params",
@@ -203,9 +203,8 @@ _RL = _record(
 _SIGNATURE = _record(
     Signature, ("c", _INT, "challenge"), ("s", _INTS),
     ("commitments", _INTS), ("commitment_responses", _INTS),
-    ("nonzero_proofs", _list(_record(
-        NonzeroProof, ("gamma_seed_index", _INT), ("d", _INT), ("sw", _INT),
-        ("su", _INT)))),
+    ("nonzero_proofs", _list(_record(NonzeroProof, ("sw", _INT),
+                                     ("su", _INT)))),
     ("retry", _INT), ("rl_version", _INT))
 
 

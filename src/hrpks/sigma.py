@@ -11,10 +11,15 @@ One transcript, one challenge c:
                    hash-derived gammas, D_j = g^f_j(0) prod C_i^f_j[i]
                    = g^v_j h^tau_j with v_j = f_j(x); knowing w_j = 1/v_j
                    exhibits g in base (D_j, h), which is impossible when
-                   v_j = 0.
+                   v_j = 0. B_j = D_j^kw_j h^ku_j, sw_j = kw_j + c * w_j,
+                   su_j = ku_j + c * (-tau_j * w_j)  (mod q).
 
-Every auxiliary-group product (C_i, A_i, D_j, B_j) is one Straus
-multi-exponentiation over window tables built once per sign or verify call.
+D_j is neither sent nor hashed: it is a function of the C_i, the revocation
+list and the retry counter, and the challenge hashes all of those, so the
+transcript still fixes every statement the extractor needs. Expanding D_j
+makes each B_j one product over the bases g, h and C_1..C_r. Every
+auxiliary-group product (C_i, A_i, B_j) is one Straus multi-exponentiation
+over window tables built once per sign or verify call.
 
 Responses on the curve side stay integers (never reduced): the group order
 of E(F_p) is deliberately not assumed known, so a statistical-gap slack of
@@ -48,11 +53,10 @@ _AUX_WINDOW = 5
 
 @dataclass(frozen=True)
 class NonzeroProof:
-    """Per revoked constraint set: the collapsed commitment D and the
-    response pair proving its committed value has an inverse."""
+    """Per revoked constraint set: the response pair proving that the
+    collapsed commitment D_j, which the verifier rebuilds from the C_i, the
+    list and `Signature.retry`, commits to a value with an inverse."""
 
-    gamma_seed_index: int
-    d: int
     sw: int
     su: int
 
@@ -111,10 +115,9 @@ def _aux_product(aux: AuxGroup, terms) -> int:
     One Straus chain: w squarings per window, shared by every term, and one
     table multiply per nonzero digit. Each e is reduced mod q first, so it
     may be negative or exceed q; that is valid only because every base has
-    order dividing q. g and h do (`AuxGroup` checks them), the C_i do once
-    `_structural_ok` has checked C_i^q = 1, which verify runs before any
-    product, and each D_j is built from those. On any other base the result
-    is wrong.
+    order dividing q. g and h do (`AuxGroup` checks them), and the C_i do
+    once `_structural_ok` has checked C_i^q = 1, which verify runs before
+    any product. On any other base the result is wrong.
     """
     q, rho = aux.q, aux.rho
     terms = [(table, e % q) for table, e in terms]
@@ -187,20 +190,21 @@ def _pk_parts(pk: PublicKey):
 
 
 def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
-               big_r: ModPoint, commitments, announcements, ds, bs,
+               big_r: ModPoint, commitments, announcements, bs,
                message: bytes) -> int:
     parts = [params.digest(), _pk_parts(pk), rlh, retry, big_r,
-             list(commitments), list(announcements), list(ds), list(bs),
-             message]
+             list(commitments), list(announcements), list(bs), message]
     return hash_to_challenge(CHALLENGE_TAG, parts, params.l_c)
 
 
-def _collapsed_commitment(aux: AuxGroup, g_table, c_tables,
-                          collapsed: Hyperplane) -> int:
-    """D = g^a0 * prod C_i^a_i for the collapsed coefficients; equals
-    g^f(x) h^tau when each C_i commits to x_i."""
-    return _aux_product(aux, [(g_table, collapsed.a0),
-                              *zip(c_tables, collapsed.linear)])
+def _nonzero_b(aux: AuxGroup, g_table, h_table, c_tables,
+               collapsed: Hyperplane, e: int, f: int, x: int = 0) -> int:
+    """D^e h^f g^x as one product g^(a0 e + x) h^f prod C_i^(a_i e), where
+    D = g^a0 prod C_i^a_i is the collapsed commitment for the collapsed
+    coefficients (g^f(x) h^tau when each C_i commits to x_i)."""
+    return _aux_product(aux, [(g_table, collapsed.a0 * e + x), (h_table, f),
+                              *((c_table, a * e) for c_table, a
+                                in zip(c_tables, collapsed.linear))])
 
 
 def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
@@ -237,8 +241,8 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     ts: list = []
     us: list = []
     retry = 0
-    ds, bs = [], []
-    ws, ubars, kws, kus = [], [], [], []
+    bs = []
+    openings = []  # (w, ubar, kw, ku) per revoked set
     if rl.groups:
         g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
         for xi, ki in zip(sk.x, ks):
@@ -270,28 +274,22 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 
         for collapsed, v in zip(collapsed_list, vs):
             tau = sum(a * t for a, t in zip(collapsed.linear, ts)) % q
-            d = _collapsed_commitment(aux, g_table, c_tables, collapsed)
             w = pow(v, -1, q)
             ubar = -tau * w % q
             kw = rng.randrange(q)
             ku = rng.randrange(q)
-            b = _aux_product(aux, ((_aux_table(aux, d), kw), (h_table, ku)))
-            ds.append(d)
-            bs.append(b)
-            ws.append(w)
-            ubars.append(ubar)
-            kws.append(kw)
-            kus.append(ku)
+            bs.append(_nonzero_b(aux, g_table, h_table, c_tables, collapsed,
+                                 kw, ku))
+            openings.append((w, ubar, kw, ku))
 
     c = _challenge(params, pk, rlh, retry, big_r, commitments, announcements,
-                   ds, bs, message)
+                   bs, message)
 
     s = tuple(k + c * x for k, x in zip(ks, sk.x))
     st = tuple((u + c * t) % q for u, t in zip(us, ts))
     proofs = tuple(
-        NonzeroProof(gamma_seed_index=retry, d=d,
-                     sw=(kw + c * w) % q, su=(ku + c * ubar) % q)
-        for d, w, ubar, kw, ku in zip(ds, ws, ubars, kws, kus))
+        NonzeroProof(sw=(kw + c * w) % q, su=(ku + c * ubar) % q)
+        for w, ubar, kw, ku in openings)
     return Signature(challenge=c, s=s, commitments=tuple(commitments),
                      commitment_responses=st, nonzero_proofs=proofs,
                      retry=retry, rl_version=rl.version)
@@ -319,10 +317,6 @@ def _structural_ok(params: SystemParams, rl: RevocationList,
         if any(not 0 <= v < q for v in sig.commitment_responses):
             return False
         for proof in sig.nonzero_proofs:
-            if proof.gamma_seed_index != sig.retry:
-                return False
-            if not 1 <= proof.d < aux.rho:
-                return False
             if not 0 <= proof.sw < q or not 0 <= proof.su < q:
                 return False
     else:
@@ -354,7 +348,7 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
 
     rlh = rl_hash(rl)
     announcements = []
-    ds, bs = [], []
+    bs = []
     if rl.groups:
         # _structural_ok has put every C_i in the order-q subgroup, as
         # _aux_product requires of its bases.
@@ -374,16 +368,11 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
                 collapsed = collapse_constraints(entry.constraints, gammas, q)
             except (InvariantError, ValueError):
                 return VerifyResult.reject(MALFORMED)
-            d = _collapsed_commitment(aux, g_table, c_tables, collapsed)
-            if d != proof.d:
-                return VerifyResult.reject(MALFORMED)
-            b = _aux_product(aux, ((_aux_table(aux, d), proof.sw),
-                                   (h_table, proof.su), (g_table, -c)))
-            ds.append(d)
-            bs.append(b)
+            bs.append(_nonzero_b(aux, g_table, h_table, c_tables, collapsed,
+                                 proof.sw, proof.su, -c))
 
     expected = _challenge(params, pk, rlh, sig.retry, big_r, sig.commitments,
-                          announcements, ds, bs, message)
+                          announcements, bs, message)
     if expected != c:
         return VerifyResult.reject(BAD_CHALLENGE)
     return VerifyResult.accept()

@@ -227,9 +227,7 @@ def test_criterion_6_forgery_resistance():
                 commitment_responses=tuple(rng.randrange(q)
                                            for _ in range(params.r)),
                 nonzero_proofs=tuple(
-                    sigma.NonzeroProof(gamma_seed_index=0,
-                                       d=rng.randrange(1, rho),
-                                       sw=rng.randrange(q),
+                    sigma.NonzeroProof(sw=rng.randrange(q),
                                        su=rng.randrange(q))
                     for _ in range(2)),
                 retry=0, rl_version=rl.version)

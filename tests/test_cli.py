@@ -1,11 +1,24 @@
+import dataclasses
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import hrpks
 from hrpks import serial
 from hrpks.cli import main
+from hrpks.hierarchy import verify_cert
 
 TOY = ["--curve", "toy17", "--p", "3123456773", "--q", "3123456773"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Format-1 documents as the previous release wrote them from the README
+# seeds (setup 1, departments 2..4, alice joins /financial with seed 5),
+# with /hr revoked in list.rl and msg.sig signed over "wire transfer #42\n"
+# with seed 6, so it carries one nonzero proof.
+FORMAT_V1 = Path(__file__).resolve().parent / "data" / "format_v1"
 
 
 def run(capsys, *argv):
@@ -239,3 +252,111 @@ def test_setup_rank28_lists_no_generators(tmp_path, capsys):
                        "--params-out", str(tmp_path / "x.params"),
                        "--gm-key-out", str(tmp_path / "x.key"))
     assert code == 2 and "lists no generators" in err
+
+
+def _format_v1_world_in_v2(capsys, d):
+    """The world of the FORMAT_V1 files, rebuilt as format-2 files in d."""
+    params, gm_key = _setup(capsys, d, seed="1")
+    tree, pub, rl, msg, sig = (d / name for name in (
+        "org.tree", "alice.pub", "list.rl", "msg.txt", "msg.sig"))
+    steps = [["dept", "add", "--params", params, "--tree", tree, "--parent",
+              "/", "--name", name, "--seed", seed]
+             for seed, name in (("2", "financial"), ("3", "hr"),
+                                ("4", "engineering"))]
+    steps.append(["member", "join", "--params", params, "--tree", tree,
+                  "--gm-key", gm_key, "--dept", "/financial", "--id",
+                  "alice", "--key-out", d / "alice.key", "--pub-out", pub,
+                  "--seed", "5"])
+    _write_empty_rl(d, params)
+    steps.append(["revoke", "group", "--params", params, "--rl", rl,
+                  "--tree", tree, "--dept", "/hr"])
+    msg.write_bytes(b"wire transfer #42\n")
+    steps.append(["sign", "--params", params, "--key", d / "alice.key",
+                  "--rl", rl, "--msg-file", msg, "--out", sig, "--seed", "6"])
+    for argv in steps:
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 0, err
+    return {"params": params, "pub": pub, "rl": rl, "sig": sig}, msg
+
+
+def test_format_v1_files_exit_2(tmp_path, capsys):
+    v2, msg = _format_v1_world_in_v2(capsys, tmp_path)
+    v1 = {"params": FORMAT_V1 / "gm.params", "pub": FORMAT_V1 / "alice.pub",
+          "rl": FORMAT_V1 / "list.rl", "sig": FORMAT_V1 / "msg.sig"}
+    assert '"version":"1"' in v1["sig"].read_text()
+    assert '"gamma_seed_index"' in v1["sig"].read_text()
+
+    def verify_with(files):
+        return run(capsys, "verify", "--params", str(files["params"]),
+                   "--pub", str(files["pub"]), "--rl", str(files["rl"]),
+                   "--msg-file", str(msg), "--sig", str(files["sig"]))
+
+    code, out, _ = verify_with(v2)
+    assert code == 0 and out.strip() == "Accept"
+    for name, path in v1.items():
+        code, _, err = verify_with({**v2, name: path})
+        assert code == 2, name
+        assert "unsupported format version '1'" in err, name
+
+
+def test_verify_cert_refuses_a_format_v1_certificate(tmp_path, capsys):
+    v2, _msg = _format_v1_world_in_v2(capsys, tmp_path)
+    params = serial.load_artifact(v2["params"])
+    pk = serial.load_artifact(v2["pub"], curve=params.curve)
+    assert verify_cert(params, pk)
+    # the same key from the same seeds; only the certificate is format 1
+    v1_doc = json.loads((FORMAT_V1 / "alice.pub").read_text())
+    assert v1_doc["point"] == [str(pk.point.x), str(pk.point.y)]
+    v1_cert = bytes.fromhex(v1_doc["cert"])
+    assert b'"version":"1"' in v1_cert
+    assert verify_cert(params, dataclasses.replace(pk, cert=v1_cert)) is False
+    # relabeling it does not help: format 2 hashes another transcript
+    relabeled = v1_cert.replace(b'"version":"1"', b'"version":"2"')
+    assert verify_cert(params, dataclasses.replace(pk, cert=relabeled)) \
+        is False
+
+
+def _readme_walkthrough():
+    """(command, exit code) for each command of the README's command-line
+    walkthrough; the code is 0 unless a `# -> exit N` comment follows."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command-line walkthrough", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = []
+    # sh joins a line ending in a backslash to the next, quotes or not
+    for line in block.replace("\\\n", "").splitlines():
+        line = line.strip()
+        stated = re.fullmatch(r"# -> exit (\d+).*", line)
+        if stated:
+            steps[-1][1] = int(stated.group(1))
+        elif line and not line.startswith("#"):
+            steps.append([line, 0])
+    return steps
+
+
+def test_readme_walkthrough_exit_codes(tmp_path, capsys, monkeypatch):
+    steps = _readme_walkthrough()
+    assert [code for _, code in steps].count(3) == 1
+    assert sum(cmd.startswith("hrpks ") for cmd, _ in steps) >= 15
+    # the other lines run in sh, with `python3` the interpreter under test
+    # and the package importable from where it was imported here
+    shim = tmp_path / "bin"
+    shim.mkdir()
+    python3 = shim / "python3"
+    python3.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    python3.chmod(0o755)
+    env = dict(os.environ,
+               PATH=f"{shim}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=str(Path(hrpks.__file__).resolve().parents[1]))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for command, expected in steps:
+        if command.startswith("hrpks "):
+            code = main(shlex.split(command)[1:])
+            err = capsys.readouterr().err
+        else:
+            proc = subprocess.run(["sh", "-c", command], cwd=work, env=env,
+                                  capture_output=True, text=True)
+            code, err = proc.returncode, proc.stderr
+        assert code == expected, f"{command}: exit {code}\n{err}"

@@ -1,9 +1,11 @@
 """Golden seeded artifacts: SHA-256 pins of three deterministic runs.
 
-The digests were captured with the affine double-and-add group law, before
-E(F_p) arithmetic moved to Jacobian coordinates and windowed Straus. Any
-change to curve arithmetic, encoding or serialization that alters a single
-output byte under a fixed seed fails here.
+The digests were first captured with the affine double-and-add group law,
+before E(F_p) arithmetic moved to Jacobian coordinates and windowed Straus,
+and re-pinned once for wire format v2, which drops the collapsed
+commitments from nonzero proofs and from the challenge. Any change to curve
+arithmetic, encoding or serialization that alters a single output byte
+under a fixed seed fails here.
 """
 
 import hashlib
@@ -20,11 +22,11 @@ MERSENNE_89 = (1 << 89) - 1
 
 GOLDEN = {
     "cli_toy17":
-        "b5c882c0dd6eec2f78e21293d3a0da6ac18b2c233cbe0e184487fe5c7354da28",
+        "875c0142e9ab35f8c389bf637b35ce2d5035e32b46df58a16b101d8b647a47c8",
     "rank28_empty_rl":
-        "bcb05552d24e6bd94c79217fe0cb6e0a79a81a24f84262f0faa65c43e14158dd",
+        "61dac6d1309c327f40a566bfa116a43e0cff59477f5dfccb2c2c0ff4357a8672",
     "rank28_revoked_dept":
-        "1d5e429995e2a328e1cb650def0ee2bc7ab97b4a8118b719afba9790125722f4",
+        "eb1386e080e46700d86539675c50a6a4b25257533b39527c7b0c0f714ba3c6c5",
 }
 
 

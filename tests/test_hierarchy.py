@@ -263,9 +263,9 @@ def test_setup_checks_each_prime_once(monkeypatch):
     tested = []
     real = modmath.is_probable_prime
 
-    def counting(n, rounds=64):
+    def counting(n):
         tested.append(n)
-        return real(n, rounds)
+        return real(n)
     monkeypatch.setattr(modmath, "is_probable_prime", counting)
     p, q = 10007, 1009
     with warnings.catch_warnings():

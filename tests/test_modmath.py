@@ -56,16 +56,13 @@ def test_psi_12_rejected_by_the_last_fixed_base():
     assert psi_12 < PSI_13
     assert _bases_fooled(psi_12) == 12  # 2..37 pass, 41 catches it
     assert not is_probable_prime(psi_12)
-    # below the bound the fixed bases decide, whatever `rounds` says
-    assert not is_probable_prime(psi_12, rounds=0)
-    assert is_probable_prime(PSI_13 - 168, rounds=0)
+    assert is_probable_prime(PSI_13 - 168)
 
 
 def test_psi_13_rejected_through_random_bases():
     assert PSI_13 == 1287836182261 * 2575672364521
     assert _bases_fooled(PSI_13) == 13  # the fixed bases alone would pass it
     assert not is_probable_prime(PSI_13)
-    assert not is_probable_prime(PSI_13, rounds=8)
 
 
 def test_strong_pseudoprimes_to_leading_bases_rejected():
@@ -84,7 +81,6 @@ def test_carmichael_numbers_rejected():
     for n in carmichael:
         assert pow(2, n - 1, n) == 1  # Fermat would call it prime
         assert not is_probable_prime(n)
-        assert not is_probable_prime(n, rounds=0)
 
 
 def test_primes_on_both_sides_of_the_bound():

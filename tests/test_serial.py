@@ -19,7 +19,7 @@ from conftest import make_r3_params, make_toy_params
 GOLDEN_RL_DOC = (
     '{"groups":[{"constraints":[["123","48","79"]],"path":"/financial"}],'
     '"kind":"rl","members":[{"member_id":"emp1",'
-    '"point":["1385928692","2187054458"]}],"rl_version":"2","version":"1"}'
+    '"point":["1385928692","2187054458"]}],"rl_version":"2","version":"2"}'
 )
 
 
@@ -92,9 +92,7 @@ def _random_signature(rng):
         commitment_responses=tuple(rng.randrange(1 << 31)
                                    for _ in range(2 * bool(groups))),
         nonzero_proofs=tuple(
-            NonzeroProof(gamma_seed_index=rng.randrange(4),
-                         d=rng.randrange(1, 1 << 34),
-                         sw=rng.randrange(1 << 31), su=rng.randrange(1 << 31))
+            NonzeroProof(sw=rng.randrange(1 << 31), su=rng.randrange(1 << 31))
             for _ in range(groups)),
         retry=rng.randrange(4), rl_version=rng.randrange(8))
 
@@ -193,14 +191,16 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         serial.deserialize_artifact('{"kind":"params","version":"99"}')
     with pytest.raises(ParseError):
-        serial.deserialize_artifact('{"kind":"wat","version":"1"}')
+        serial.deserialize_artifact(
+            '{"kind":"wat","version":"%s"}' % serial.FORMAT_VERSION)
     # raw JSON numbers are rejected: precision safety demands strings
     bad = GOLDEN_RL_DOC.replace('"rl_version":"2"', '"rl_version":2')
     with pytest.raises(ParseError):
         serial.deserialize_artifact(bad)
     # truncated structure
     with pytest.raises(ParseError):
-        serial.deserialize_artifact('{"kind":"rl","version":"1"}')
+        serial.deserialize_artifact(
+            '{"kind":"rl","version":"%s"}' % serial.FORMAT_VERSION)
 
 
 def test_non_hex_cert_is_parse_error():
@@ -282,9 +282,9 @@ def test_params_load_checks_each_prime_once(monkeypatch):
     tested = []
     real = modmath.is_probable_prime
 
-    def counting(n, rounds=64):
+    def counting(n):
         tested.append(n)
-        return real(n, rounds)
+        return real(n)
     monkeypatch.setattr(modmath, "is_probable_prime", counting)
     monkeypatch.setattr(serial, "is_probable_prime", counting)
     back = serial.deserialize_artifact(

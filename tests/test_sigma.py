@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -233,6 +234,63 @@ def test_aux_table_holds_every_window_digit():
                      for k in range(1 << sigma._AUX_WINDOW)]
 
 
+def _reference_nonzero_b(aux, commitments, collapsed, e, f, x):
+    """D^e h^f g^x with plain `pow`, the collapsed commitment
+    D = g^a0 prod C_i^a_i built on its own first."""
+    d = _reference_aux_product(aux, [aux.g, *commitments], collapsed.coeffs)
+    return _reference_aux_product(aux, [d, aux.h, aux.g], [e, f, x])
+
+
+def _nonzero_b_cases(aux, rng):
+    """(commitments, collapsed coefficients, e, f, x) with the zero and
+    repeat edges: a0 = 0, some a_i = 0, e = 0 (sw = 0), x = 0 (c = 0) and
+    a repeated C_i."""
+    q, rho = aux.q, aux.rho
+
+    def element():
+        return pow(aux.g, rng.randrange(1, q), rho)
+
+    def exponent():
+        return rng.choice([0, 1, q - 1, rng.randrange(q)])
+
+    c1, c2, c3 = element(), element(), element()
+    yield (c1, c2), (0, 5, q - 1), rng.randrange(q), 7, -3
+    yield (c1, c2, c3), (rng.randrange(q), 0, rng.randrange(q), 0), \
+        rng.randrange(q), rng.randrange(q), -rng.randrange(1 << 31)
+    yield (c1, c2), (rng.randrange(q), 3, 4), 0, rng.randrange(q), -9
+    yield (c1, c2), (rng.randrange(q), 3, 4), rng.randrange(q), 0, 0
+    yield (c1, c1, c2), (2, q - 1, 1, 6), rng.randrange(q), 1, -1
+    yield (c3, c3), (0, 1, q - 1), q - 1, q - 1, 0
+    for _ in range(40):
+        commitments = tuple(rng.choice([c1, c2, c3, element()])
+                            for _ in range(rng.randrange(1, 9)))
+        coeffs = (exponent(),) + tuple(exponent() for _ in commitments)
+        if not any(coeffs[1:]):
+            coeffs = coeffs[:1] + (1,) + coeffs[2:]
+        yield commitments, coeffs, exponent(), exponent(), \
+            -rng.randrange(1 << 31) * rng.randrange(2)
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_nonzero_b_is_one_product_equal_to_plain_pow(make_aux):
+    # B_j = g^(a0 e + x) h^f prod C_i^(a_i e) must equal D^e h^f g^x, the
+    # value computed from the collapsed commitment D that is no longer sent
+    aux = make_aux()
+    rng = random.Random(aux.q.bit_length() + 1)
+    g_table, h_table = sigma._aux_table(aux, aux.g), sigma._aux_table(aux,
+                                                                      aux.h)
+    for commitments, coeffs, e, f, x in _nonzero_b_cases(aux, rng):
+        collapsed = Hyperplane(coeffs)
+        c_tables = [sigma._aux_table(aux, c) for c in commitments]
+        got = sigma._nonzero_b(aux, g_table, h_table, c_tables, collapsed,
+                               e, f, x)
+        assert got == _reference_nonzero_b(aux, commitments, collapsed,
+                                           e, f, x), (coeffs, e, f, x)
+
+
 def test_verify_rejects_commitment_of_order_2q():
     # rho = k*q + 1 with k even, so -C_1 has order 2q. Its exponents may
     # not be reduced mod q: the subgroup check has to reject it before any
@@ -255,16 +313,6 @@ def test_verify_rejects_commitment_of_order_2q():
         nonzero_proofs=sig.nonzero_proofs, retry=sig.retry,
         rl_version=sig.rl_version)
     assert verify(params, pk, rl, b"m", forged).reason == "MALFORMED"
-    # the same for a collapsed commitment: -D_j differs from D_j
-    p0 = sig.nonzero_proofs[0]
-    negated = sigma.NonzeroProof(gamma_seed_index=p0.gamma_seed_index,
-                                 d=rho - p0.d, sw=p0.sw, su=p0.su)
-    forged_d = Signature(
-        challenge=c, s=sig.s, commitments=sig.commitments,
-        commitment_responses=sig.commitment_responses,
-        nonzero_proofs=(negated,), retry=sig.retry,
-        rl_version=sig.rl_version)
-    assert verify(params, pk, rl, b"m", forged_d).reason == "MALFORMED"
 
 
 # --- constraint collapse ----------------------------------------------------
@@ -419,8 +467,11 @@ def test_zero_collapse_triggers_retry_then_succeeds():
     params, sk, pk, rl, rng = _craft_key_hitting_zero_collapse()
     sig = sign(params, sk, pk, rl, b"needs a second try", rng)
     assert sig.retry >= 1
-    assert all(p.gamma_seed_index == sig.retry for p in sig.nonzero_proofs)
     assert verify(params, pk, rl, b"needs a second try", sig).accepted
+    # the proofs answer the retry-counted collapse, not the first one
+    first = dataclasses.replace(sig, retry=0)
+    assert verify(params, pk, rl, b"needs a second try",
+                  first).reason == "BAD_CHALLENGE"
 
 
 def test_retry_exhausted_is_signaled(monkeypatch):
@@ -479,8 +530,9 @@ def test_single_field_mutation_flips_to_reject():
         res = verify(params, pk, rl, msg, tampered)
         assert not res.accepted, f"mutation at {path} still accepted"
         mutated_fields += 1
-    # c, 2x s, 2x C, 2x st, 2x proofs x 4 fields, retry, rl_version
-    assert mutated_fields >= 16
+    # c, 2x s, 2x C, 2x st, 2x proofs x 2 fields (sw, su), retry,
+    # rl_version: every wire field of the signature
+    assert mutated_fields == 13
 
     # input-side mutations
     assert not verify(params, pk, rl, msg + b"!", sig).accepted
@@ -527,12 +579,9 @@ def test_structural_rejections():
     assert verify(params, pk, rl, b"m",
                   variant(commitments=(bad_c,) + sig.commitments[1:])
                   ).reason == "MALFORMED"
-    # gamma seed index disagreeing with the retry counter
-    p0 = sig.nonzero_proofs[0]
-    crooked = sigma.NonzeroProof(gamma_seed_index=p0.gamma_seed_index + 1,
-                                 d=p0.d, sw=p0.sw, su=p0.su)
+    # a retry counter one off: other gammas, other collapsed commitments
     assert verify(params, pk, rl, b"m",
-                  variant(nonzero_proofs=(crooked,))).reason == "MALFORMED"
+                  variant(retry=sig.retry + 1)).reason == "BAD_CHALLENGE"
     # commitments present although the list has no groups
     sig_plain = sign(params, sk, pk, empty_rl(), b"m", rng)
     stuffed = Signature(challenge=sig_plain.challenge, s=sig_plain.s,
@@ -553,6 +602,29 @@ def test_structural_rejections():
     assert verify(params, pk, wide, b"m", sig).reason == "MALFORMED"
 
 
+def test_rl_differing_in_one_revoked_coefficient_rejects():
+    # the same list version, one hyperplane coefficient moved: the list
+    # hash and the rebuilt collapsed commitment both change
+    from hrpks.revocation import ConstraintSet, RevocationList
+
+    params, gm, rng, root, fin, hr, eng = _toy_world(seed=59)
+    sk, pk = join(params, gm, fin, "alice", rng)
+    rl = revoke_group(revoke_group(empty_rl(), hr), eng)
+    sig = sign(params, sk, pk, rl, b"m", rng)
+    assert verify(params, pk, rl, b"m", sig).accepted
+    entry = rl.groups[1]
+    coeffs = entry.constraints[0].coeffs
+    moved = RevocationList(
+        members=rl.members,
+        groups=(rl.groups[0], ConstraintSet(
+            path=entry.path,
+            constraints=(Hyperplane(coeffs[:1] + ((coeffs[1] + 1)
+                                                  % params.q,)
+                                    + coeffs[2:]),))),
+        version=rl.version)
+    assert verify(params, pk, moved, b"m", sig).reason == "BAD_CHALLENGE"
+
+
 def test_forged_random_transcripts_rejected():
     params, gm, rng, root, fin, hr, _eng = _toy_world(seed=53)
     sk, pk = join(params, gm, fin, "alice", rng)
@@ -568,7 +640,6 @@ def test_forged_random_transcripts_rejected():
             commitment_responses=tuple(rng.randrange(q)
                                        for _ in range(params.r)),
             nonzero_proofs=(sigma.NonzeroProof(
-                gamma_seed_index=0, d=rng.randrange(1, rho),
                 sw=rng.randrange(q), su=rng.randrange(q)),),
             retry=0, rl_version=rl.version)
         assert not verify(params, pk, rl, b"forged", forged).accepted

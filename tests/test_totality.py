@@ -168,6 +168,26 @@ def _doc(kind, value):
     return json.loads(serial.serialize_artifact(kind, value))
 
 
+def test_format_v1_documents_are_refused(world):
+    # format 2 keeps no reader for format 1, whatever the kind
+    params, pk, rl, sig, artifacts = world
+    assert sig.nonzero_proofs
+    for kind, value in artifacts:
+        doc = _doc(kind, value)
+        doc["version"] = "1"
+        if kind == "signature":  # the two proof fields format 1 sent
+            for proof in doc["nonzero_proofs"]:
+                proof.update(d="2", gamma_seed_index=str(sig.retry))
+        with pytest.raises(ParseError,
+                           match="unsupported format version '1'"):
+            serial.deserialize_artifact(json.dumps(doc))
+    # a format-1 certificate is no valid certificate
+    cert = json.loads(pk.cert)
+    cert["version"] = "1"
+    forged = dataclasses.replace(pk, cert=json.dumps(cert).encode("utf-8"))
+    assert verify_cert(params, pk) and verify_cert(params, forged) is False
+
+
 def test_leak_cert_member_id_not_a_string(world):
     # loaded, then sigma.verify and verify_cert raised AttributeError
     params, pk, rl, sig, _ = world
@@ -225,7 +245,8 @@ def test_leak_deeply_nested_json():
     # RecursionError from json.loads
     with pytest.raises(ParseError):
         serial.deserialize_artifact("[" * 100000 + "]" * 100000)
-    text = '{"kind":"rl","version":"1","members":' + "[" * 100000
+    text = ('{"kind":"rl","version":"%s","members":' % serial.FORMAT_VERSION
+            + "[" * 100000)
     with pytest.raises(ParseError):
         serial.deserialize_artifact(text)
 
@@ -289,7 +310,8 @@ def test_leak_lone_surrogate_string(world):
 
 def test_leak_overlong_json_integer_literal():
     # json.loads raises a plain ValueError past the int digit limit
-    text = '{"kind":"rl","version":"1","rl_version":' + "9" * 5000 + "}"
+    text = ('{"kind":"rl","version":"%s","rl_version":' % serial.FORMAT_VERSION
+            + "9" * 5000 + "}")
     with pytest.raises(ParseError):
         serial.deserialize_artifact(text)
 
