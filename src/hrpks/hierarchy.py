@@ -150,6 +150,11 @@ class PublicKey:
     cert: Optional[bytes] = None
 
 
+def _key_parts(pk: PublicKey) -> list:
+    """The identity a key is signed under: (point, member id, dept path)."""
+    return [pk.point, pk.member_id.encode(), pk.dept.encode()]
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Public parameters. CurveFp checks that p is prime; `setup` and the
@@ -202,9 +207,7 @@ class SystemParams:
             c.a1, c.a2, c.a3, c.a4, c.a6,
             self.q, self.r, list(self.gens),
             self.aux.rho, self.aux.g, self.aux.h,
-            self.l_c, self.l_s,
-            self.gm_pub.point, self.gm_pub.member_id.encode(),
-            self.gm_pub.dept.encode(),
+            self.l_c, self.l_s, *_key_parts(self.gm_pub),
         ]
         return hashlib.sha256(b"HRPKS-v1/params" + encode(parts)).digest()
 
@@ -212,10 +215,12 @@ class SystemParams:
     def mask_bits(self) -> int:
         return self.q.bit_length() + self.l_c + self.l_s
 
-    def gens_msm(self, scalars: Sequence[int]) -> ModPoint:
-        """sum scalars[i] * gens[i], on the generators' cached comb table
-        for scalars in [0, 2^mask_bits)."""
-        return msm(self.curve, scalars, self.gens, fixed=self.r,
+    def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
+        """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`;
+        the generators run on their cached comb table for scalars in
+        [0, 2^mask_bits)."""
+        return msm(self.curve, [*scalars, *(n for n, _ in extra)],
+                   self.gens + tuple(P for _, P in extra), fixed=self.r,
                    fixed_bits=self.mask_bits)
 
 
@@ -403,7 +408,7 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
 
 
 def _cert_message(pk: PublicKey) -> bytes:
-    return encode([pk.point, pk.member_id.encode(), pk.dept.encode()])
+    return encode(_key_parts(pk))
 
 
 def gm_certify(params: SystemParams, gm_sk: SecretKey, pk: PublicKey,

@@ -86,7 +86,9 @@ def revoke_group(rl: RevocationList, dept: DeptNode) -> RevocationList:
 
 def coalesce(rl: RevocationList, root: DeptNode) -> RevocationList:
     """Replace complete revoked sibling families by their parent's entry,
-    repeated to a fixpoint (bottom-up).
+    cascading upward in one deepest-first pass: by the time a node is
+    visited its children are settled, and later visits only touch
+    shallower entries.
 
     Needs the GM tree: the list alone cannot tell whether a sibling family
     is complete. Keys on any child's subspace satisfy the parent's
@@ -94,20 +96,16 @@ def coalesce(rl: RevocationList, root: DeptNode) -> RevocationList:
     """
     entries = {g.path: g for g in rl.groups}
     changed = False
-    progress = True
-    while progress:
-        progress = False
-        # deepest nodes first so collapses can cascade upward
-        for node in sorted(walk(root), key=lambda n: -n.level):
-            if node.level < 1 or not node.children:
-                continue
-            if all(c.path in entries for c in node.children):
-                for c in node.children:
-                    del entries[c.path]
-                if node.path not in entries:
-                    entries[node.path] = ConstraintSet(
-                        path=node.path, constraints=node.constraints)
-                progress = changed = True
+    for node in sorted(walk(root), key=lambda n: -n.level):
+        if node.level < 1 or not node.children:
+            continue
+        if all(c.path in entries for c in node.children):
+            for c in node.children:
+                del entries[c.path]
+            if node.path not in entries:
+                entries[node.path] = ConstraintSet(
+                    path=node.path, constraints=node.constraints)
+            changed = True
     if not changed:
         return rl
     return RevocationList(members=rl.members,

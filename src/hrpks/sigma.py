@@ -21,6 +21,10 @@ makes each B_j one product over the bases g, h and C_1..C_r. Every
 auxiliary-group product (C_i, A_i, B_j) is one Straus multi-exponentiation
 over window tables built once per sign or verify call.
 
+`sign` takes R, the A_i and the B_j from verify's equations at c = 0, with
+its nonces in place of the responses (A_i = g^s_i h^st_i C_i^-c is then
+g^k_i h^u_i), so both sides hash a transcript built by one function.
+
 Responses on the curve side stay integers (never reduced): the group order
 of E(F_p) is deliberately not assumed known, so a statistical-gap slack of
 l_s bits hides the secret instead of a modular reduction. The linkage
@@ -34,11 +38,11 @@ Nothing here is constant-time.
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .curve_fp import ModPoint, msm, on_curve_fp
+from .curve_fp import ModPoint, on_curve_fp
 from .encoding import hash_to_challenge
 from .errors import InvariantError, RetryExhausted, SignerRevoked
 from .hierarchy import (AuxGroup, Hyperplane, PublicKey, SecretKey,
-                        SystemParams, require_key_pair)
+                        SystemParams, _key_parts, require_key_pair)
 from .revocation import RevocationList, is_member_revoked, rl_hash
 
 CHALLENGE_TAG = b"HRPKS-v1/chal"
@@ -185,26 +189,62 @@ def _derive_gammas(params: SystemParams, rlh: bytes, set_index: int,
             for ell in range(set_size)]
 
 
-def _pk_parts(pk: PublicKey):
-    return [pk.point, pk.member_id.encode(), pk.dept.encode()]
-
-
 def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
                big_r: ModPoint, commitments, announcements, bs,
                message: bytes) -> int:
-    parts = [params.digest(), _pk_parts(pk), rlh, retry, big_r,
+    parts = [params.digest(), _key_parts(pk), rlh, retry, big_r,
              list(commitments), list(announcements), list(bs), message]
     return hash_to_challenge(CHALLENGE_TAG, parts, params.l_c)
 
 
 def _nonzero_b(aux: AuxGroup, g_table, h_table, c_tables,
-               collapsed: Hyperplane, e: int, f: int, x: int = 0) -> int:
+               collapsed: Hyperplane, e: int, f: int, x: int) -> int:
     """D^e h^f g^x as one product g^(a0 e + x) h^f prod C_i^(a_i e), where
     D = g^a0 prod C_i^a_i is the collapsed commitment for the collapsed
     coefficients (g^f(x) h^tau when each C_i commits to x_i)."""
     return _aux_product(aux, [(g_table, collapsed.a0 * e + x), (h_table, f),
                               *((c_table, a * e) for c_table, a
                                 in zip(c_tables, collapsed.linear))])
+
+
+def _collapse_all(params: SystemParams, rl: RevocationList, rlh: bytes,
+                  retry: int):
+    """The collapsed hyperplane of each revoked set at this retry. Raises
+    ValueError or InvariantError on a set that is not r-dimensional or
+    collapses to no hyperplane."""
+    collapsed = []
+    for j, entry in enumerate(rl.groups):
+        if any(len(hp.coeffs) != params.r + 1 for hp in entry.constraints):
+            raise ValueError("constraint dimension disagrees with r")
+        gammas = _derive_gammas(params, rlh, j, len(entry.constraints), retry)
+        collapsed.append(collapse_constraints(entry.constraints, gammas,
+                                              params.q))
+    return collapsed
+
+
+def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
+                       retry: int, collapsed, c: int, s, commitments, st,
+                       proofs, message: bytes) -> int:
+    """The challenge over verify's equations R = sum s_i G_i - c pk,
+    A_i = g^s_i h^st_i C_i^-c and B_j = D_j^sw_j h^su_j g^-c. At c = 0,
+    with nonces in place of the responses, they are the announcements.
+
+    Every C_i must already be in the order-q subgroup, as `_aux_product`
+    requires of its bases."""
+    aux = params.aux
+    big_r = params.gens_msm(s, ((-c, pk.point),))
+    announcements = bs = ()
+    if commitments:
+        g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
+        c_tables = [_aux_table(aux, c_i) for c_i in commitments]
+        announcements = [
+            _aux_product(aux, ((g_table, s_i), (h_table, st_i), (c_table, -c)))
+            for s_i, st_i, c_table in zip(s, st, c_tables)]
+        bs = [_nonzero_b(aux, g_table, h_table, c_tables, hp, proof.sw,
+                         proof.su, -c)
+              for hp, proof in zip(collapsed, proofs)]
+    return _challenge(params, pk, rlh, retry, big_r, commitments,
+                      announcements, bs, message)
 
 
 def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
@@ -233,63 +273,42 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     # below the verifier's 2^(bitlen(q)+l_c+l_s) range bound.
     mask_top = (1 << params.mask_bits) - (1 << (params.q.bit_length() + params.l_c))
     ks = [rng.randrange(mask_top) for _ in range(params.r)]
-    big_r = params.gens_msm(ks)
 
     rlh = rl_hash(rl)
-    commitments: list = []
-    announcements: list = []
-    ts: list = []
-    us: list = []
-    retry = 0
-    bs = []
-    openings = []  # (w, ubar, kw, ku) per revoked set
+    commitments, ts, us = [], [], []
     if rl.groups:
         g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
-        for xi, ki in zip(sk.x, ks):
-            ti = rng.randrange(q)
-            ui = rng.randrange(q)
-            ts.append(ti)
-            us.append(ui)
-            commitments.append(_commit(params, g_table, h_table, xi, ti))
-            announcements.append(
-                _aux_product(aux, ((g_table, ki), (h_table, ui))))
-        c_tables = [_aux_table(aux, c) for c in commitments]
+        for xi in sk.x:
+            ts.append(rng.randrange(q))
+            us.append(rng.randrange(q))
+            commitments.append(_commit(params, g_table, h_table, xi, ts[-1]))
 
-        while True:
-            if retry >= MAX_COLLAPSE_ATTEMPTS:
-                raise RetryExhausted(
-                    f"collapse evaluated to zero {MAX_COLLAPSE_ATTEMPTS} "
-                    "times; check the RNG and the size of q")
-            vs = []
-            collapsed_list = []
-            for j, entry in enumerate(rl.groups):
-                gammas = _derive_gammas(params, rlh, j,
-                                        len(entry.constraints), retry)
-                collapsed = collapse_constraints(entry.constraints, gammas, q)
-                collapsed_list.append(collapsed)
-                vs.append(collapsed.evaluate(sk.x, q))
-            if all(v != 0 for v in vs):
-                break
-            retry += 1
+    retry = 0
+    while True:
+        if retry >= MAX_COLLAPSE_ATTEMPTS:
+            raise RetryExhausted(
+                f"collapse evaluated to zero {MAX_COLLAPSE_ATTEMPTS} "
+                "times; check the RNG and the size of q")
+        collapsed = _collapse_all(params, rl, rlh, retry)
+        vs = [hp.evaluate(sk.x, q) for hp in collapsed]
+        if all(vs):
+            break
+        retry += 1
 
-        for collapsed, v in zip(collapsed_list, vs):
-            tau = sum(a * t for a, t in zip(collapsed.linear, ts)) % q
-            w = pow(v, -1, q)
-            ubar = -tau * w % q
-            kw = rng.randrange(q)
-            ku = rng.randrange(q)
-            bs.append(_nonzero_b(aux, g_table, h_table, c_tables, collapsed,
-                                 kw, ku))
-            openings.append((w, ubar, kw, ku))
-
-    c = _challenge(params, pk, rlh, retry, big_r, commitments, announcements,
-                   bs, message)
+    nonces = [NonzeroProof(sw=rng.randrange(q), su=rng.randrange(q))
+              for _ in collapsed]  # (kw_j, ku_j)
+    c = _rebuild_challenge(params, pk, rlh, retry, collapsed, 0, ks,
+                           commitments, us, nonces, message)
 
     s = tuple(k + c * x for k, x in zip(ks, sk.x))
     st = tuple((u + c * t) % q for u, t in zip(us, ts))
-    proofs = tuple(
-        NonzeroProof(sw=(kw + c * w) % q, su=(ku + c * ubar) % q)
-        for w, ubar, kw, ku in openings)
+    proofs = []
+    for hp, v, n in zip(collapsed, vs, nonces):
+        # w = 1/v opens g in base (D_j, h): D_j^w h^(-tau w) = g
+        w = pow(v, -1, q)
+        tau = sum(a * t for a, t in zip(hp.linear, ts)) % q
+        proofs.append(NonzeroProof(sw=(n.sw + c * w) % q,
+                                   su=(n.su - c * tau * w) % q))
     return Signature(challenge=c, s=s, commitments=tuple(commitments),
                      commitment_responses=st, nonzero_proofs=proofs,
                      retry=retry, rl_version=rl.version)
@@ -329,7 +348,7 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
            message: bytes, sig: Signature) -> VerifyResult:
     """Total verification: every failure is a Reject with a reason, never
     an exception."""
-    q, aux, curve = params.q, params.aux, params.curve
+    curve = params.curve
     if is_member_revoked(rl, pk):
         return VerifyResult.reject(PK_REVOKED)
     if sig.rl_version != rl.version:
@@ -342,37 +361,15 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
     if not _structural_ok(params, rl, sig):
         return VerifyResult.reject(MALFORMED)
 
-    c = sig.challenge
-    big_r = msm(curve, sig.s + (-c,), params.gens + (pk.point,),
-                fixed=params.r, fixed_bits=params.mask_bits)
-
     rlh = rl_hash(rl)
-    announcements = []
-    bs = []
-    if rl.groups:
-        # _structural_ok has put every C_i in the order-q subgroup, as
-        # _aux_product requires of its bases.
-        g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
-        c_tables = [_aux_table(aux, c_i) for c_i in sig.commitments]
-        for s_i, st_i, c_table in zip(sig.s, sig.commitment_responses,
-                                      c_tables):
-            announcements.append(_aux_product(
-                aux, ((g_table, s_i), (h_table, st_i), (c_table, -c))))
-        for j, (entry, proof) in enumerate(zip(rl.groups, sig.nonzero_proofs)):
-            if any(len(hp.coeffs) != params.r + 1
-                   for hp in entry.constraints):
-                return VerifyResult.reject(MALFORMED)
-            gammas = _derive_gammas(params, rlh, j, len(entry.constraints),
-                                    sig.retry)
-            try:
-                collapsed = collapse_constraints(entry.constraints, gammas, q)
-            except (InvariantError, ValueError):
-                return VerifyResult.reject(MALFORMED)
-            bs.append(_nonzero_b(aux, g_table, h_table, c_tables, collapsed,
-                                 proof.sw, proof.su, -c))
-
-    expected = _challenge(params, pk, rlh, sig.retry, big_r, sig.commitments,
-                          announcements, bs, message)
-    if expected != c:
+    try:
+        collapsed = _collapse_all(params, rl, rlh, sig.retry)
+    except (InvariantError, ValueError):
+        return VerifyResult.reject(MALFORMED)
+    expected = _rebuild_challenge(
+        params, pk, rlh, sig.retry, collapsed, sig.challenge, sig.s,
+        sig.commitments, sig.commitment_responses, sig.nonzero_proofs,
+        message)
+    if expected != sig.challenge:
         return VerifyResult.reject(BAD_CHALLENGE)
     return VerifyResult.accept()

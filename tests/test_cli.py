@@ -237,12 +237,14 @@ def test_corrupt_artifact_exit_code(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    # the module is executable directly; exercises the __main__ path
-    proc = subprocess.run(
-        [sys.executable, "-m", "hrpks.cli", "reproduce", "toy17"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "all values match" in proc.stdout
+    # both the cli module and the package are executable directly; this
+    # exercises their __main__ paths
+    for module in ("hrpks.cli", "hrpks"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "reproduce", "toy17"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "all values match" in proc.stdout
 
 
 def test_setup_rank28_lists_no_generators(tmp_path, capsys):

@@ -182,6 +182,7 @@ def test_coalesce_cascades_two_levels():
     out = coalesce(rl, root)
     assert [g.path for g in out.groups] == ["/a"]
     assert out.version == rl.version + 1
+    assert coalesce(out, root) is out
 
 
 def test_coalesce_preserves_blocked_set():

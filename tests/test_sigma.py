@@ -6,7 +6,7 @@ import pytest
 
 from hrpks import hierarchy, revocation, serial, sigma
 from hrpks.curve_fp import ModPoint
-from hrpks.errors import RetryExhausted, SignerRevoked
+from hrpks.errors import InvariantError, RetryExhausted, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
     new_root
 from hrpks.revocation import empty_rl, revoke_group, revoke_member
@@ -600,6 +600,16 @@ def test_structural_rejections():
                               constraints=(Hyperplane((1, 2, 3, 4, 5)),)),),
         version=rl.version)
     assert verify(params, pk, wide, b"m", sig).reason == "MALFORMED"
+    # a hyperplane nonzero as integers whose linear part is zero mod q:
+    # no collapse exists, for the verifier or the signer
+    flat = RevocationList(
+        members=rl.members,
+        groups=(ConstraintSet(path=rl.groups[0].path,
+                              constraints=(Hyperplane((1, params.q, 0)),)),),
+        version=rl.version)
+    assert verify(params, pk, flat, b"m", sig).reason == "MALFORMED"
+    with pytest.raises(InvariantError):
+        sign(params, sk, pk, flat, b"m", rng)
 
 
 def test_rl_differing_in_one_revoked_coefficient_rejects():
