@@ -256,115 +256,91 @@ def cmd_reproduce_toy17(_args):
     return EXIT_INVARIANT
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
+# Options several commands share.
+_SEED = ("--seed", {"type": int, "default": None})
+_OUT_OR_RL = ("--out", {"default": None})  # None writes back to --rl
+
+# command words -> (handler, help line, arguments). A bare flag is a
+# required string option; a (name, keywords) pair goes to add_argument.
+COMMANDS = {
+    ("setup",): (cmd_setup, "create system parameters and GM key", (
+        ("--curve", {"required": True, "choices": curve_q.catalog_ids()}),
+        ("--p", {"type": int, "required": True}),
+        ("--q", {"type": int, "required": True}),
+        ("--lc", {"type": int, "default": None}),
+        ("--ls", {"type": int, "default": hierarchy.DEFAULT_STAT_GAP_BITS}),
+        _SEED,
+        ("--params-out", {"default": "gm.params"}),
+        ("--gm-key-out", {"default": "gm.key"}))),
+    ("dept", "add"): (cmd_dept_add, "add a department under --parent", (
+        "--params", "--tree", ("--parent", {"default": "/"}),
+        ("--name", {"default": None}), _SEED)),
+    ("member", "join"): (
+        cmd_member_join, "generate and certify a member keypair", (
+            "--params", "--tree", "--gm-key", "--dept", "--id", "--key-out",
+            "--pub-out", _SEED)),
+    ("sign",): (cmd_sign, "sign a message file", (
+        "--params", "--key", "--rl", "--msg-file", "--out", _SEED)),
+    ("verify",): (cmd_verify, "verify a signature file", (
+        "--params", "--pub", "--rl", "--msg-file", "--sig",
+        ("--json", {"action": "store_true"}))),
+    ("revoke", "member"): (cmd_revoke_member, "put a public key on the list",
+                           ("--params", "--rl", "--pub", _OUT_OR_RL)),
+    ("revoke", "group"): (
+        cmd_revoke_group, "put a department's constraints on the list",
+        ("--params", "--rl", "--tree", "--dept", _OUT_OR_RL)),
+    ("rl", "coalesce"): (cmd_rl_coalesce, "collapse fully revoked families",
+                         ("--params", "--rl", "--tree", _OUT_OR_RL)),
+    ("lab", "relations"): (
+        cmd_lab_relations, "search for generator relations", (
+            "--params", ("--bound", {"type": int, "required": True}),
+            ("--method", {"choices": ["exhaustive", "mitm"],
+                          "default": "exhaustive"}),
+            "--out")),
+    ("lab", "orders"): (cmd_lab_orders, "generator orders vs Hasse interval",
+                        ("--params", "--out")),
+    ("reproduce",): (cmd_reproduce_toy17, "recompute built-in examples",
+                     (("example", {"choices": ["toy17"]}),)),
+}
+
+
+def build_parser(words=()):
+    """The parser for the command named by `words`; for words that name
+    none, a parser that lists every command and exits through argparse."""
+    if words in COMMANDS:
+        func, help_line, arguments = COMMANDS[words]
+        parser = argparse.ArgumentParser(prog="hrpks " + " ".join(words),
+                                         description=help_line)
+        for arg in arguments:
+            name, keywords = (arg, {"required": True}) \
+                if isinstance(arg, str) else arg
+            parser.add_argument(name, **keywords)
+        parser.set_defaults(func=func)
+        return parser
+    parser = argparse.ArgumentParser(
         prog="hrpks",
         description="Hierarchical-revocation signatures over high-rank "
-                    "elliptic curves (research tool; not constant-time)")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("setup", help="create system parameters and GM key")
-    p.add_argument("--curve", required=True, choices=curve_q.catalog_ids())
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--lc", type=int, default=None)
-    p.add_argument("--ls", type=int, default=hierarchy.DEFAULT_STAT_GAP_BITS)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--params-out", default="gm.params")
-    p.add_argument("--gm-key-out", default="gm.key")
-    p.set_defaults(func=cmd_setup)
-
-    p = sub.add_parser("dept", help="department tree operations")
-    dsub = p.add_subparsers(dest="dept_command", required=True)
-    d = dsub.add_parser("add", help="add a department under --parent")
-    d.add_argument("--params", required=True)
-    d.add_argument("--tree", required=True)
-    d.add_argument("--parent", default="/")
-    d.add_argument("--name", default=None)
-    d.add_argument("--seed", type=int, default=None)
-    d.set_defaults(func=cmd_dept_add)
-
-    p = sub.add_parser("member", help="member operations")
-    msub = p.add_subparsers(dest="member_command", required=True)
-    m = msub.add_parser("join", help="generate and certify a member keypair")
-    m.add_argument("--params", required=True)
-    m.add_argument("--tree", required=True)
-    m.add_argument("--gm-key", required=True)
-    m.add_argument("--dept", required=True)
-    m.add_argument("--id", required=True)
-    m.add_argument("--key-out", required=True)
-    m.add_argument("--pub-out", required=True)
-    m.add_argument("--seed", type=int, default=None)
-    m.set_defaults(func=cmd_member_join)
-
-    p = sub.add_parser("sign", help="sign a message file")
-    p.add_argument("--params", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--rl", required=True)
-    p.add_argument("--msg-file", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_sign)
-
-    p = sub.add_parser("verify", help="verify a signature file")
-    p.add_argument("--params", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--rl", required=True)
-    p.add_argument("--msg-file", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("revoke", help="revocation operations")
-    rsub = p.add_subparsers(dest="revoke_command", required=True)
-    r = rsub.add_parser("member", help="put a public key on the list")
-    r.add_argument("--params", required=True)
-    r.add_argument("--rl", required=True)
-    r.add_argument("--pub", required=True)
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_revoke_member)
-    r = rsub.add_parser("group", help="put a department's constraints "
-                                      "on the list")
-    r.add_argument("--params", required=True)
-    r.add_argument("--rl", required=True)
-    r.add_argument("--tree", required=True)
-    r.add_argument("--dept", required=True)
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_revoke_group)
-
-    p = sub.add_parser("rl", help="revocation-list maintenance")
-    lsub = p.add_subparsers(dest="rl_command", required=True)
-    c = lsub.add_parser("coalesce", help="collapse fully revoked families")
-    c.add_argument("--params", required=True)
-    c.add_argument("--rl", required=True)
-    c.add_argument("--tree", required=True)
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_rl_coalesce)
-
-    p = sub.add_parser("lab", help="hardness-assumption probes")
-    labsub = p.add_subparsers(dest="lab_command", required=True)
-    l = labsub.add_parser("relations", help="search for generator relations")
-    l.add_argument("--params", required=True)
-    l.add_argument("--bound", type=int, required=True)
-    l.add_argument("--method", choices=["exhaustive", "mitm"],
-                   default="exhaustive")
-    l.add_argument("--out", required=True)
-    l.set_defaults(func=cmd_lab_relations)
-    l = labsub.add_parser("orders", help="generator orders vs Hasse interval")
-    l.add_argument("--params", required=True)
-    l.add_argument("--out", required=True)
-    l.set_defaults(func=cmd_lab_orders)
-
-    p = sub.add_parser("reproduce", help="recompute built-in examples")
-    p.add_argument("example", choices=["toy17"])
-    p.set_defaults(func=cmd_reproduce_toy17)
-
-    return top
+                    "elliptic curves (research tool; not constant-time)",
+        epilog="commands:\n" + "\n".join(
+            f"  {' '.join(w):<16}{help_line}"
+            for w, (_func, help_line, _args) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=[" ".join(w) for w in COMMANDS],
+                        metavar="command",
+                        help="one of the commands below; `hrpks <command> "
+                             "--help` lists its options")
+    # reached only when a command arrives as one word ("dept add") or
+    # after "--": name it as leading words instead
+    parser.set_defaults(func=lambda args: parser.error(
+        f"give {args.command!r} as the first words of the command line"))
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1]))
+                  if w in COMMANDS), ())
+    args = build_parser(words).parse_args(argv[len(words):])
     try:
         return args.func(args)
     except SignerRevoked as e:

@@ -432,6 +432,9 @@ def _straus(curve: CurveFp, terms, combed=(), d: int = 0) -> ModPoint:
     return ModPoint(X * zi2 % p, Y * zi2 * zi % p)
 
 
+ORDER_P_GUARD = 1 << 64
+
+
 def hasse_interval(p: int) -> Tuple[int, int]:
     """[p+1-2sqrt(p), p+1+2sqrt(p)], widened outward to integers."""
     two_sqrt = math.isqrt(4 * p)
@@ -484,7 +487,11 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
 
 def point_order(curve: CurveFp, P: ModPoint) -> int:
     """Exact order of P: find one annihilator in the Hasse interval, factor
-    it, then strip primes while the quotient still kills P."""
+    it, then strip primes while the quotient still kills P. Refuses p above
+    ORDER_P_GUARD, where the baby-step table (about 2*p^(1/4) entries)
+    outgrows a desk."""
+    if curve.p > ORDER_P_GUARD:
+        raise ValueError("p exceeds the 2^64 order-search guard")
     _require_on_curve(curve, P)
     if P.is_infinity:
         return 1

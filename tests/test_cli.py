@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -5,11 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import hrpks
 from hrpks import serial
-from hrpks.cli import main
+from hrpks.cli import COMMANDS, build_parser, main
 from hrpks.hierarchy import verify_cert
 
 TOY = ["--curve", "toy17", "--p", "3123456773", "--q", "3123456773"]
@@ -199,6 +203,26 @@ def test_lab_subcommands(tmp_path, capsys):
     assert serial.load_artifact(d / "ord.report").orders == (103, 103)
 
 
+def test_lab_relations_refuses_p_above_order_guard(tmp_path, capsys):
+    # `lab orders` refused these parameters while `lab relations` ran a
+    # baby-step giant-step search of about 2 * p^(1/4) steps per generator
+    code, _, err = run(capsys, "setup", "--curve", "toy17",
+                       "--p", str((1 << 127) - 1), "--q", str((1 << 89) - 1),
+                       "--seed", "1",
+                       "--params-out", str(tmp_path / "big.params"),
+                       "--gm-key-out", str(tmp_path / "big.key"))
+    assert code == 0, err
+    for method in ("mitm", "exhaustive"):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "lab", "relations", "--params",
+                           str(tmp_path / "big.params"), "--bound", "1",
+                           "--method", method,
+                           "--out", str(tmp_path / "rel.report"))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and "order-search guard" in err, err
+    assert not (tmp_path / "rel.report").exists()
+
+
 def test_reproduce_toy17(capsys):
     code, out, _ = run(capsys, "reproduce", "toy17")
     assert code == 0
@@ -362,3 +386,97 @@ def test_readme_walkthrough_exit_codes(tmp_path, capsys, monkeypatch):
                                   capture_output=True, text=True)
             code, err = proc.returncode, proc.stderr
         assert code == expected, f"{command}: exit {code}\n{err}"
+
+
+# One representative argv per command and the namespace it parsed to under
+# the parser tree this table replaced, less `func` and the dests that named
+# the command words, which nothing read.
+NAMESPACES = [
+    (["setup", "--curve", "toy17", "--p", "97", "--q", "257"],
+     {"curve": "toy17", "p": 97, "q": 257, "lc": None, "ls": 64,
+      "seed": None, "params_out": "gm.params", "gm_key_out": "gm.key"}),
+    (["dept", "add", "--params", "gm.params", "--tree", "org.tree"],
+     {"params": "gm.params", "tree": "org.tree", "parent": "/",
+      "name": None, "seed": None}),
+    (["member", "join", "--params", "gm.params", "--tree", "org.tree",
+      "--gm-key", "gm.key", "--dept", "/financial", "--id", "alice",
+      "--key-out", "a.key", "--pub-out", "a.pub", "--seed", "5"],
+     {"params": "gm.params", "tree": "org.tree", "gm_key": "gm.key",
+      "dept": "/financial", "id": "alice", "key_out": "a.key",
+      "pub_out": "a.pub", "seed": 5}),
+    (["sign", "--params", "gm.params", "--key", "a.key", "--rl", "list.rl",
+      "--msg-file", "m.txt", "--out", "m.sig"],
+     {"params": "gm.params", "key": "a.key", "rl": "list.rl",
+      "msg_file": "m.txt", "out": "m.sig", "seed": None}),
+    (["verify", "--params", "gm.params", "--pub", "a.pub", "--rl", "list.rl",
+      "--msg-file", "m.txt", "--sig", "m.sig"],
+     {"params": "gm.params", "pub": "a.pub", "rl": "list.rl",
+      "msg_file": "m.txt", "sig": "m.sig", "json": False}),
+    (["revoke", "member", "--params", "gm.params", "--rl", "list.rl",
+      "--pub", "a.pub"],
+     {"params": "gm.params", "rl": "list.rl", "pub": "a.pub", "out": None}),
+    (["revoke", "group", "--params", "gm.params", "--rl", "list.rl",
+      "--tree", "org.tree", "--dept", "/hr"],
+     {"params": "gm.params", "rl": "list.rl", "tree": "org.tree",
+      "dept": "/hr", "out": None}),
+    (["rl", "coalesce", "--params", "gm.params", "--rl", "list.rl",
+      "--tree", "org.tree"],
+     {"params": "gm.params", "rl": "list.rl", "tree": "org.tree",
+      "out": None}),
+    (["lab", "relations", "--params", "gm.params", "--bound", "3",
+      "--out", "r.report"],
+     {"params": "gm.params", "bound": 3, "method": "exhaustive",
+      "out": "r.report"}),
+    (["lab", "orders", "--params", "gm.params", "--out", "o.report"],
+     {"params": "gm.params", "out": "o.report"}),
+    (["reproduce", "toy17"], {"example": "toy17"}),
+]
+
+
+def test_every_command_parses_to_its_pinned_namespace():
+    named = [next(w for w in COMMANDS if tuple(argv[:len(w)]) == w)
+             for argv, _ in NAMESPACES]
+    assert sorted(named) == sorted(COMMANDS)
+    for words, (argv, expected) in zip(named, NAMESPACES):
+        got = vars(build_parser(words).parse_args(argv[len(words):]))
+        assert got.pop("func") is COMMANDS[words][0]
+        assert got == expected, argv
+
+
+def test_usage_paths_exit_through_argparse(capsys):
+    for argv in ([], ["dept"], ["bogus"], ["dept", "bogus"], ["--", "sign"],
+                 ["sign", "--params", "p", "--key", "k", "--rl", "r",
+                  "--msg-file", "m"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert "required: --out" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for words in COMMANDS:
+        assert f"  {' '.join(words)} " in out, words
+
+    with pytest.raises(SystemExit) as exc:
+        main(["dept", "add", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hrpks dept add ")
+    assert "--parent PARENT" in out
+
+
+def test_one_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code = main(["verify", "--params", str(tmp_path / "missing.params"),
+                 "--pub", "x", "--rl", "y", "--msg-file", "z", "--sig", "w"])
+    assert code == 2
+    assert built == ["hrpks verify"]

@@ -295,6 +295,14 @@ def test_point_order_divides_qr_counted_size_up_to_1e4():
             assert size % point_order(c, pt) == 0
 
 
+def test_point_order_refuses_p_above_guard():
+    # the baby-step table would hold about 2 * p^(1/4) entries
+    c = reduce_curve(catalog("toy17"), (1 << 127) - 1)
+    g = reduce_point(c, catalog("toy17").generators[0])
+    with pytest.raises(ValueError, match="2\\^64 order-search guard"):
+        point_order(c, g)
+
+
 def test_point_order_toy_prime_self_consistent():
     c, g1, g2 = gens_mod()
     lo, hi = hasse_interval(TOY_P)
