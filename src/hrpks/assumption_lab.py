@@ -13,7 +13,6 @@ from typing import Tuple
 
 from . import curve_fp
 from .curve_fp import INF, ModPoint, msm, point_order
-from .encoding import encode
 from .errors import InvariantError
 from .hierarchy import SystemParams
 
@@ -47,14 +46,14 @@ def _is_trivial(vec) -> bool:
 
 
 def _finish_relations(params: SystemParams, method: str, bound: int,
-                      found, started: float) -> RelationReport:
+                      found, orders: Tuple[int, ...],
+                      started: float) -> RelationReport:
     relations = tuple(sorted(set(found)))
     for vec in relations:
         if all(v == 0 for v in vec):
             raise InvariantError("all-zero vector reported as a relation")
         if not msm(params.curve, vec, params.gens).is_infinity:
             raise InvariantError(f"reported relation {vec} fails re-verification")
-    orders = tuple(point_order(params.curve, g) for g in params.gens)
     return RelationReport(
         params_digest=params.digest().hex(), method=method, bound=bound,
         relations=relations,
@@ -77,11 +76,10 @@ def relation_search_exhaustive(params: SystemParams, bound: int) -> RelationRepo
         raise ValueError(
             f"bound^r = {bound ** r} exceeds the {EXHAUSTIVE_GUARD} guard")
     started = time.perf_counter()
+    # the orders come before the walk, so p past the guard fails at once
+    orders = tuple(point_order(params.curve, g) for g in params.gens)
     curve, gens = params.curve, params.gens
     found = []
-    if bound == 0:
-        return _finish_relations(params, "exhaustive", bound, found, started)
-
     vec = [0] * r
 
     def sweep(i: int, acc: ModPoint):
@@ -98,7 +96,8 @@ def relation_search_exhaustive(params: SystemParams, bound: int) -> RelationRepo
         vec[i] = 0
 
     sweep(0, INF)
-    return _finish_relations(params, "exhaustive", bound, found, started)
+    return _finish_relations(params, "exhaustive", bound, found, orders,
+                             started)
 
 
 def relation_search_mitm(params: SystemParams, bound: int) -> RelationReport:
@@ -112,6 +111,7 @@ def relation_search_mitm(params: SystemParams, bound: int) -> RelationReport:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     started = time.perf_counter()
+    orders = tuple(point_order(params.curve, g) for g in params.gens)
     curve = params.curve
     g1, g2 = params.gens
     found = []
@@ -119,19 +119,19 @@ def relation_search_mitm(params: SystemParams, bound: int) -> RelationReport:
     table: dict = {}
     acc = curve_fp._scalar_unchecked(curve, -bound, g1)
     for x1 in range(-bound, bound + 1):
-        table.setdefault(encode(acc), []).append(x1)
+        table.setdefault(acc, []).append(x1)
         if x1 < bound:
             acc = curve_fp._add_unchecked(curve, acc, g1)
 
     neg_g2 = curve_fp.neg_fp(curve, g2)
     probe = curve_fp._scalar_unchecked(curve, bound, g2)  # -(-bound)*G2
     for x2 in range(-bound, bound + 1):
-        for x1 in table.get(encode(probe), ()):
+        for x1 in table.get(probe, ()):
             if x1 or x2:
                 found.append((x1, x2))
         if x2 < bound:
             probe = curve_fp._add_unchecked(curve, probe, neg_g2)
-    return _finish_relations(params, "mitm", bound, found, started)
+    return _finish_relations(params, "mitm", bound, found, orders, started)
 
 
 def order_report(params: SystemParams) -> OrderReport:

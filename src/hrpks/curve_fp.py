@@ -29,13 +29,13 @@ None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
 """
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from . import modmath
-from .curve_q import CurveQ, RationalPoint
+from .curve_q import CurveQ, RationalPoint, discriminant_coeffs
 from .errors import InvariantError
 
 
@@ -88,14 +88,8 @@ def _require_prime(p: int):
 
 
 def discriminant_fp(curve: CurveFp) -> int:
-    p = curve.p
-    b2 = (curve.a1 * curve.a1 + 4 * curve.a2) % p
-    b4 = (2 * curve.a4 + curve.a1 * curve.a3) % p
-    b6 = (curve.a3 * curve.a3 + 4 * curve.a6) % p
-    b8 = (curve.a1 * curve.a1 * curve.a6 + 4 * curve.a2 * curve.a6
-          - curve.a1 * curve.a3 * curve.a4 + curve.a2 * curve.a3 * curve.a3
-          - curve.a4 * curve.a4) % p
-    return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+    return discriminant_coeffs(curve.a1, curve.a2, curve.a3, curve.a4,
+                               curve.a6) % curve.p
 
 
 def reduce_curve(curve: CurveQ, p: int) -> CurveFp:
@@ -244,7 +238,6 @@ _JAC_INF = (1, 1, 0)
 # doublings per call), and how many base sets the LRU of tables holds.
 COMB_TEETH = 6
 COMB_CACHE_SIZE = 8
-_COMBS = OrderedDict()  # (curve, bases, nbits) -> _Comb, least recent first
 
 
 def _window_width(nbits: int) -> int:
@@ -362,21 +355,14 @@ class _Comb:
         return [int(bits[k::d], 2) for k in range(d)]
 
 
+@functools.lru_cache(maxsize=COMB_CACHE_SIZE)
 def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...],
                 nbits: int) -> _Comb:
-    """The cached comb of (curve, bases, nbits), built on a miss; the bases
-    are checked on the curve when their table is built."""
-    key = (curve, bases, nbits)
-    comb = _COMBS.get(key)
-    if comb is not None:
-        _COMBS.move_to_end(key)
-        return comb
+    """The comb of (curve, bases, nbits), cached by content; the bases are
+    checked on the curve on a miss, and a failed check caches nothing."""
     for P in bases:
         _require_on_curve(curve, P)
-    comb = _COMBS[key] = _Comb(curve, bases, nbits)
-    if len(_COMBS) > COMB_CACHE_SIZE:
-        _COMBS.popitem(last=False)
-    return comb
+    return _Comb(curve, bases, nbits)
 
 
 def _straus(curve: CurveFp, terms, combed=(), d: int = 0) -> ModPoint:
@@ -450,8 +436,6 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
     j in [0, ceil(sqrt(W))) and giant steps stride by that same amount,
     so the table stays at about 2*p^(1/4) entries.
     """
-    from .encoding import encode  # deferred: encoding depends on this module
-
     lo, hi = hasse_interval(curve.p)
     lo = max(lo, 1)  # p <= 3 pushes the raw floor to 0; orders start at 1
     width = hi - lo + 1
@@ -462,9 +446,7 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
     baby = {}
     acc = INF
     for j in range(m_step):
-        key = encode(acc)
-        if key not in baby:
-            baby[key] = j
+        baby.setdefault(acc, j)
         acc = _add_unchecked(curve, acc, P)
 
     # find k in [0, width) with k*P = -lo*P, then m = lo + k
@@ -473,7 +455,7 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
     gamma = target
     i = 0
     while i * m_step < width:
-        j = baby.get(encode(gamma))
+        j = baby.get(gamma)
         if j is not None:
             k = i * m_step + j
             if k < width:

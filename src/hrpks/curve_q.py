@@ -12,9 +12,9 @@ from typing import Optional, Tuple
 
 from .errors import InvariantError
 
-# Coordinate sizes of n*P grow quadratically in n; this cap protects against
-# accidental memory blow-up (override via the max_scalar argument).
-DEFAULT_SCALAR_CAP = 1 << 20
+# Coordinate sizes of n*P grow quadratically in n; this cap on |n| protects
+# against accidental memory blow-up.
+_SCALAR_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,10 @@ class RationalPoint:
         return f"RationalPoint({self.x}, {self.y})"
 
 
-def discriminant_coeffs(a1, a2, a3, a4, a6) -> Fraction:
-    """Discriminant of y^2+a1xy+a3y = x^3+a2x^2+a4x+a6 (b2/b4/b6/b8 form)."""
-    a1, a2, a3, a4, a6 = (Fraction(v) for v in (a1, a2, a3, a4, a6))
+def discriminant_coeffs(a1, a2, a3, a4, a6):
+    """Discriminant of y^2+a1xy+a3y = x^3+a2x^2+a4x+a6 (b2/b4/b6/b8 form),
+    in the coefficients' own number type: Fractions over Q, ints for
+    `curve_fp` to reduce mod p."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -128,17 +129,16 @@ def add_q(curve: CurveQ, P: RationalPoint, Q: RationalPoint) -> RationalPoint:
     return _add_unchecked(curve, P, Q)
 
 
-def scalar_mul_q(curve: CurveQ, n: int, P: RationalPoint,
-                 max_scalar: Optional[int] = DEFAULT_SCALAR_CAP) -> RationalPoint:
+def scalar_mul_q(curve: CurveQ, n: int, P: RationalPoint) -> RationalPoint:
     """n*P by double-and-add; negative n multiplies the negation."""
     _require_on_curve(curve, P)
-    if max_scalar is not None and abs(n) > max_scalar:
+    if abs(n) > _SCALAR_CAP:
         raise ValueError(
-            f"|n| = {abs(n)} exceeds the scalar cap {max_scalar}: coordinate "
+            f"|n| = {abs(n)} exceeds the scalar cap {_SCALAR_CAP}: coordinate "
             "height of n*P grows quadratically in n over Q, so large multiples "
-            "exhaust memory; raise max_scalar explicitly if you mean it")
+            "exhaust memory")
     if n < 0:
-        return scalar_mul_q(curve, -n, neg_q(curve, P), max_scalar=max_scalar)
+        return scalar_mul_q(curve, -n, neg_q(curve, P))
     acc = RationalPoint.infinity()
     base = P
     while n:

@@ -1,32 +1,29 @@
 """Canonical byte encoding and challenge hashing.
 
-Every value that enters a challenge hash goes through `encode`, a
-tag-length-value layout chosen so that distinct values can never share a
-byte string. Transcript soundness rides on that injectivity, so keep this
-module boring.
+`encode` only builds hash inputs: every value that enters a challenge or
+digest hash goes through it, a tag-length-value layout chosen so that
+distinct values can never share a byte string. Transcript soundness rides
+on that injectivity, so keep this module boring.
 
 Layout: 1 tag byte, 4-byte big-endian payload length, payload.
   int       sign byte (0 zero / 1 positive / 2 negative) + magnitude bytes
-  Fraction  encoded numerator followed by encoded denominator
   bytes     raw
   sequence  concatenation of encoded elements
   ModPoint  flag byte (1 = infinity); affine points append both coordinates
 """
 
 import hashlib
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .curve_fp import ModPoint
 from .errors import ParseError
 
 TAG_INT = 0x01
-TAG_RATIONAL = 0x02
 TAG_BYTES = 0x03
 TAG_SEQ = 0x04
 TAG_POINT = 0x05
 
-Encodable = Union[int, Fraction, bytes, ModPoint, Sequence]
+Encodable = Union[int, bytes, ModPoint, Sequence]
 
 
 def _frame(tag: int, payload: bytes) -> bytes:
@@ -49,9 +46,6 @@ def encode(value: Encodable) -> bytes:
         raise TypeError("bool is not encodable")
     if isinstance(value, int):
         return _frame(TAG_INT, _int_payload(value))
-    if isinstance(value, Fraction):
-        return _frame(TAG_RATIONAL,
-                      encode(value.numerator) + encode(value.denominator))
     if isinstance(value, (bytes, bytearray)):
         return _frame(TAG_BYTES, bytes(value))
     if isinstance(value, ModPoint):
@@ -82,15 +76,6 @@ def _decode_one(data):
     rest = data[5 + length:]
     if tag == TAG_INT:
         return _decode_int(payload), rest
-    if tag == TAG_RATIONAL:
-        num, mid = _decode_one(memoryview(payload))
-        den, tail = _decode_one(mid)
-        if len(tail) != 0 or not isinstance(num, int) or not isinstance(den, int):
-            raise ParseError("malformed rational payload")
-        frac = Fraction(num, den)
-        if frac.numerator != num or frac.denominator != den:
-            raise ParseError("rational not in lowest terms")
-        return frac, rest
     if tag == TAG_BYTES:
         return payload, rest
     if tag == TAG_SEQ:

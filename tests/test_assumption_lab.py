@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hrpks import assumption_lab, modmath
@@ -138,3 +140,15 @@ def test_order_report_guard():
     params, _gm = make_small_params(p=p, q=257, seed=5)
     with pytest.raises(ValueError):
         order_report(params)
+
+
+def test_searches_refuse_p_above_order_guard_before_walking():
+    params, _gm = make_small_params(p=(1 << 127) - 1, q=(1 << 89) - 1,
+                                    seed=1)
+    # both boxes pass their own guards and would take seconds to walk
+    for search, bound in ((relation_search_mitm, 100000),
+                          (relation_search_exhaustive, 200)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="order-search guard"):
+            search(params, bound)
+        assert time.perf_counter() - started < 1.0

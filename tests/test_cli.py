@@ -223,6 +223,25 @@ def test_lab_relations_refuses_p_above_order_guard(tmp_path, capsys):
     assert not (tmp_path / "rel.report").exists()
 
 
+def test_lab_relations_refuses_before_searching(tmp_path, capsys):
+    # the generator orders come before the walk: a wide box is refused as
+    # fast as --bound 1 instead of after a search of 2 * 10^5 + 1 steps
+    code, _, err = run(capsys, "setup", "--curve", "toy17",
+                       "--p", str((1 << 127) - 1), "--q", str((1 << 89) - 1),
+                       "--seed", "1",
+                       "--params-out", str(tmp_path / "big.params"),
+                       "--gm-key-out", str(tmp_path / "big.key"))
+    assert code == 0, err
+    started = time.perf_counter()
+    code, _, err = run(capsys, "lab", "relations", "--params",
+                       str(tmp_path / "big.params"), "--bound", "100000",
+                       "--method", "mitm",
+                       "--out", str(tmp_path / "rel.report"))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and "order-search guard" in err, err
+    assert not (tmp_path / "rel.report").exists()
+
+
 def test_reproduce_toy17(capsys):
     code, out, _ = run(capsys, "reproduce", "toy17")
     assert code == 0

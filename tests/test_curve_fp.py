@@ -599,24 +599,35 @@ def test_comb_sums_to_infinity():
 def test_comb_cache_keyed_by_content_and_bounded():
     from hrpks import curve_fp
 
+    cache, size = curve_fp._comb_table, curve_fp.COMB_CACHE_SIZE
     c, g1, g2 = gens_mod()
-    curve_fp._COMBS.clear()
+    cache.cache_clear()
     msm(c, [3, 4], (g1, g2), fixed=2, fixed_bits=40)
-    table = curve_fp._COMBS[c, (g1, g2), 40]
+    table = cache(c, (g1, g2), 40)
+    assert cache.cache_info()[:2] == (1, 1)  # (hits, misses)
     # equal content from fresh objects reuses the table
     twin = reduce_curve(catalog("toy17"), TOY_P)
     copies = (ModPoint(g1.x, g1.y), ModPoint(g2.x, g2.y))
     msm(twin, [5, 6], copies, fixed=2, fixed_bits=40)
-    assert len(curve_fp._COMBS) == 1
-    assert curve_fp._COMBS[twin, copies, 40] is table
-    # distinct bit bounds are distinct tables; the least recent goes first
-    for nbits in range(1, curve_fp.COMB_CACHE_SIZE + 4):
+    assert cache(twin, copies, 40) is table
+    assert cache.cache_info().misses == 1
+    assert cache.cache_info().currsize == 1
+    # distinct bit bounds are distinct tables; the one kept in use stays
+    for nbits in range(1, size + 4):
         msm(c, [1], (g1,), fixed=1, fixed_bits=nbits)
         msm(c, [1, 1], (g1, g2), fixed=2, fixed_bits=40)  # keep it recent
-        assert len(curve_fp._COMBS) <= curve_fp.COMB_CACHE_SIZE
-    assert len(curve_fp._COMBS) == curve_fp.COMB_CACHE_SIZE
-    assert curve_fp._COMBS[c, (g1, g2), 40] is table
-    assert (c, (g1,), 1) not in curve_fp._COMBS
+        assert cache.cache_info().currsize <= size
+    assert cache.cache_info().currsize == size
+    assert cache(c, (g1, g2), 40) is table
+    misses = cache.cache_info().misses
+    assert misses == 1 + size + 3
+    # the newest cycled table is still cached; the least recent one went
+    # first and is rebuilt on its next use
+    msm(c, [1], (g1,), fixed=1, fixed_bits=size + 3)
+    assert cache.cache_info().misses == misses
+    msm(c, [1], (g1,), fixed=1, fixed_bits=1)
+    assert cache.cache_info().misses == misses + 1
+    assert cache.cache_info().currsize == size
 
 
 def test_comb_rejects_bad_bases_and_arguments():
@@ -624,12 +635,12 @@ def test_comb_rejects_bad_bases_and_arguments():
 
     c, g1, g2 = gens_mod()
     off = ModPoint(g1.x, (g1.y + 1) % c.p)
-    curve_fp._COMBS.clear()
+    curve_fp._comb_table.cache_clear()
     with pytest.raises(ValueError, match="not on the curve"):
         msm(c, [1, 1], [g1, off], fixed=2, fixed_bits=8)
     with pytest.raises(ValueError, match="not on the curve"):
         msm(c, [1, 1], [g1, off], fixed=1, fixed_bits=8)
-    assert not curve_fp._COMBS
+    assert curve_fp._comb_table.cache_info().currsize == 0
     for fixed, nbits in ((3, 8), (-1, 8), (1, 0)):
         with pytest.raises(ValueError, match="fixed"):
             msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits)

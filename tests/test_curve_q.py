@@ -216,8 +216,3 @@ def test_scalar_cap():
     p1 = c.generators[0]
     with pytest.raises(ValueError, match="height"):
         scalar_mul_q(c, (1 << 20) + 1, p1)
-    with pytest.raises(ValueError):
-        scalar_mul_q(c, 31, p1, max_scalar=30)
-    # raising the cap lets the same multiple through
-    assert scalar_mul_q(c, 31, p1, max_scalar=40) == \
-        add_q(c, scalar_mul_q(c, 30, p1, max_scalar=30), p1)
