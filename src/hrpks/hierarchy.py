@@ -12,6 +12,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import curve_fp, curve_q, modmath
@@ -200,7 +201,12 @@ class SystemParams:
             raise InvariantError("GM public point not on the curve")
 
     def digest(self) -> bytes:
-        """Stable 32-byte identifier binding every public parameter."""
+        """Stable 32-byte identifier binding every public parameter,
+        computed once per params object."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
         c = self.curve
         parts = [
             self.curve_id.encode(), self.p,

@@ -4,10 +4,16 @@ constraint set, and coalescing of fully revoked sibling families.
 Lists are immutable snapshots; every mutation returns a fresh list with a
 strictly larger version counter. Members and groups are kept in canonical
 order so equal contents always serialize (and hash) identically.
+
+What a list determines (its hash, its set of revoked points, the collapsed
+hyperplanes `sigma` derives from it) is computed once per list object and
+kept in the instance `__dict__` by `functools.cached_property`, which
+leaves equality, repr and serialization to the fields alone.
 """
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from .curve_fp import ModPoint
@@ -57,13 +63,33 @@ class RevocationList:
         if len(set(paths)) != len(paths):
             raise InvariantError("duplicate department path in revocation list")
 
+    @cached_property
+    def _digest(self) -> bytes:
+        from . import serial  # deferred: serial sits above this module
+
+        return hashlib.sha256(
+            serial.serialize_artifact("rl", self).encode("utf-8")).digest()
+
+    @cached_property
+    def _points(self) -> frozenset:
+        return frozenset(m.point for m in self.members)
+
+    @cached_property
+    def _collapse_memo(self) -> dict:
+        """`sigma._collapse_all`'s results for this list, by (q, r, retry)."""
+        return {}
+
+
+_EMPTY = RevocationList()
+
 
 def empty_rl() -> RevocationList:
-    return RevocationList()
+    """The empty list, one shared object, so its hash is computed once."""
+    return _EMPTY
 
 
 def is_member_revoked(rl: RevocationList, pk: PublicKey) -> bool:
-    return any(m.point == pk.point for m in rl.members)
+    return pk.point in rl._points
 
 
 def revoke_member(rl: RevocationList, pk: PublicKey) -> RevocationList:
@@ -115,8 +141,6 @@ def coalesce(rl: RevocationList, root: DeptNode) -> RevocationList:
 
 def rl_hash(rl: RevocationList) -> bytes:
     """SHA-256 over the canonical serialized list; bound into every
-    signature challenge."""
-    from . import serial  # deferred: serial sits above this module
-
-    return hashlib.sha256(
-        serial.serialize_artifact("rl", rl).encode("utf-8")).digest()
+    signature challenge. Serialized and hashed on the first call per list
+    object; later calls return the stored digest."""
+    return rl._digest

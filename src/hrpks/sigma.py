@@ -19,7 +19,11 @@ list and the retry counter, and the challenge hashes all of those, so the
 transcript still fixes every statement the extractor needs. Expanding D_j
 makes each B_j one product over the bases g, h and C_1..C_r. Every
 auxiliary-group product (C_i, A_i, B_j) is one Straus multi-exponentiation
-over window tables built once per sign or verify call.
+over window tables. The tables of g and h are built once per aux group and
+kept across calls; those of the C_i are built once per sign or verify call.
+The collapsed hyperplanes are computed once per (revocation list, q, r,
+retry) and kept on the list, so signatures checked against one published
+list share them.
 
 `sign` takes R, the A_i and the B_j from verify's equations at c = 0, with
 its nonces in place of the responses (A_i = g^s_i h^st_i C_i^-c is then
@@ -35,6 +39,7 @@ reduction.
 Nothing here is constant-time.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -53,6 +58,8 @@ MAX_COLLAPSE_ATTEMPTS = 64
 # 3.4 and 3.3 ms at w = 4, 5, 6 for q = 2^127 - 1, r = 8 and 14 revoked
 # sets, and 0.15, 0.16 and 0.20 ms for the 32-bit toy q, r = 2 and 3 sets.
 _AUX_WINDOW = 5
+# How many aux groups' g and h tables `_gh_tables` keeps.
+_GH_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,15 @@ def _aux_table(aux: AuxGroup, base: int):
     table = [1, base % aux.rho]
     for _ in range(2, 1 << _AUX_WINDOW):
         table.append(table[-1] * base % aux.rho)
-    return table
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=_GH_CACHE_SIZE)
+def _gh_tables(aux: AuxGroup):
+    """The window tables of g and h, cached by aux group. The C_i tables
+    stay per call: every signature has its own C_i, and caching them would
+    evict these."""
+    return _aux_table(aux, aux.g), _aux_table(aux, aux.h)
 
 
 def _aux_product(aux: AuxGroup, terms) -> int:
@@ -152,9 +167,7 @@ def _commit(params: SystemParams, g_table, h_table, value: int,
 
 def pedersen_commit(params: SystemParams, value: int, randomness: int) -> int:
     """g^value * h^randomness in the auxiliary group."""
-    aux = params.aux
-    return _commit(params, _aux_table(aux, aux.g), _aux_table(aux, aux.h),
-                   value, randomness)
+    return _commit(params, *_gh_tables(params.aux), value, randomness)
 
 
 def collapse_constraints(constraints: Sequence[Hyperplane],
@@ -207,19 +220,34 @@ def _nonzero_b(aux: AuxGroup, g_table, h_table, c_tables,
                                 in zip(c_tables, collapsed.linear))])
 
 
-def _collapse_all(params: SystemParams, rl: RevocationList, rlh: bytes,
-                  retry: int):
-    """The collapsed hyperplane of each revoked set at this retry. Raises
-    ValueError or InvariantError on a set that is not r-dimensional or
-    collapses to no hyperplane."""
-    collapsed = []
-    for j, entry in enumerate(rl.groups):
-        if any(len(hp.coeffs) != params.r + 1 for hp in entry.constraints):
-            raise ValueError("constraint dimension disagrees with r")
-        gammas = _derive_gammas(params, rlh, j, len(entry.constraints), retry)
-        collapsed.append(collapse_constraints(entry.constraints, gammas,
-                                              params.q))
-    return collapsed
+def _retry_ok(retry) -> bool:
+    """Whether `retry` is a collapse attempt `sign` may make. `verify`
+    rejects every other value before it collapses, which also bounds each
+    list's memo of `_collapse_all` results."""
+    return isinstance(retry, int) and 0 <= retry < MAX_COLLAPSE_ATTEMPTS
+
+
+def _collapse_all(params: SystemParams, rl: RevocationList, retry: int):
+    """The collapsed hyperplane of each revoked set at this retry, as a
+    tuple. Computed once per (list, q, r, retry) and kept on the list: the
+    gammas depend on nothing else. Raises ValueError or InvariantError on
+    a set that is not r-dimensional or collapses to no hyperplane, and
+    keeps nothing then."""
+    key = (params.q, params.r, retry)
+    memo = rl._collapse_memo
+    if key not in memo:
+        rlh = rl_hash(rl)
+        collapsed = []
+        for j, entry in enumerate(rl.groups):
+            if any(len(hp.coeffs) != params.r + 1
+                   for hp in entry.constraints):
+                raise ValueError("constraint dimension disagrees with r")
+            gammas = _derive_gammas(params, rlh, j, len(entry.constraints),
+                                    retry)
+            collapsed.append(collapse_constraints(entry.constraints, gammas,
+                                                  params.q))
+        memo[key] = tuple(collapsed)
+    return memo[key]
 
 
 def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
@@ -235,7 +263,7 @@ def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
     big_r = params.gens_msm(s, ((-c, pk.point),))
     announcements = bs = ()
     if commitments:
-        g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
+        g_table, h_table = _gh_tables(aux)
         c_tables = [_aux_table(aux, c_i) for c_i in commitments]
         announcements = [
             _aux_product(aux, ((g_table, s_i), (h_table, st_i), (c_table, -c)))
@@ -274,10 +302,9 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     mask_top = (1 << params.mask_bits) - (1 << (params.q.bit_length() + params.l_c))
     ks = [rng.randrange(mask_top) for _ in range(params.r)]
 
-    rlh = rl_hash(rl)
     commitments, ts, us = [], [], []
     if rl.groups:
-        g_table, h_table = _aux_table(aux, aux.g), _aux_table(aux, aux.h)
+        g_table, h_table = _gh_tables(aux)
         for xi in sk.x:
             ts.append(rng.randrange(q))
             us.append(rng.randrange(q))
@@ -285,11 +312,11 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 
     retry = 0
     while True:
-        if retry >= MAX_COLLAPSE_ATTEMPTS:
+        if not _retry_ok(retry):
             raise RetryExhausted(
                 f"collapse evaluated to zero {MAX_COLLAPSE_ATTEMPTS} "
                 "times; check the RNG and the size of q")
-        collapsed = _collapse_all(params, rl, rlh, retry)
+        collapsed = _collapse_all(params, rl, retry)
         vs = [hp.evaluate(sk.x, q) for hp in collapsed]
         if all(vs):
             break
@@ -297,7 +324,7 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 
     nonces = [NonzeroProof(sw=rng.randrange(q), su=rng.randrange(q))
               for _ in collapsed]  # (kw_j, ku_j)
-    c = _rebuild_challenge(params, pk, rlh, retry, collapsed, 0, ks,
+    c = _rebuild_challenge(params, pk, rl_hash(rl), retry, collapsed, 0, ks,
                            commitments, us, nonces, message)
 
     s = tuple(k + c * x for k, x in zip(ks, sk.x))
@@ -317,7 +344,7 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 def _structural_ok(params: SystemParams, rl: RevocationList,
                    sig: Signature) -> bool:
     q, aux = params.q, params.aux
-    if not isinstance(sig.retry, int) or sig.retry < 0:
+    if not _retry_ok(sig.retry):
         return False
     if not 0 <= sig.challenge < (1 << params.l_c):
         return False
@@ -361,13 +388,12 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
     if not _structural_ok(params, rl, sig):
         return VerifyResult.reject(MALFORMED)
 
-    rlh = rl_hash(rl)
     try:
-        collapsed = _collapse_all(params, rl, rlh, sig.retry)
+        collapsed = _collapse_all(params, rl, sig.retry)
     except (InvariantError, ValueError):
         return VerifyResult.reject(MALFORMED)
     expected = _rebuild_challenge(
-        params, pk, rlh, sig.retry, collapsed, sig.challenge, sig.s,
+        params, pk, rl_hash(rl), sig.retry, collapsed, sig.challenge, sig.s,
         sig.commitments, sig.commitment_responses, sig.nonzero_proofs,
         message)
     if expected != sig.challenge:

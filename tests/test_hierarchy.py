@@ -77,6 +77,19 @@ def test_params_digest_distinguishes():
     assert len(a.digest()) == 32
 
 
+def test_warm_and_cold_params_are_indistinguishable():
+    from hrpks import serial
+
+    warm, _ = make_toy_params(seed=3)
+    text = serial.serialize_artifact("params", warm)
+    cold = serial.deserialize_artifact(text)
+    warm.digest()
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert serial.serialize_artifact("params", warm) == text
+    assert cold.digest() == warm.digest()
+
+
 def _toy_tree(params, rng):
     root = new_root()
     fin = add_department(params, root, rng, name="financial",

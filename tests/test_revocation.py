@@ -1,14 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
+from hrpks import serial, sigma
 from hrpks.curve_fp import ModPoint
 from hrpks.errors import SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
     new_root
-from hrpks.revocation import (RevocationList, coalesce, empty_rl,
-                              is_member_revoked, revoke_group, revoke_member,
-                              rl_hash)
+from hrpks.revocation import (RevocationList, RevokedMember, coalesce,
+                              empty_rl, is_member_revoked, revoke_group,
+                              revoke_member, rl_hash)
 from hrpks.sigma import sign, verify
 
 from conftest import make_r3_params, make_toy_params
@@ -222,3 +224,64 @@ def _sign_outcome(params, sk, pk, rl, rng):
         return "revoked"
     assert verify(params, pk, rl, b"oracle", sig).accepted
     return "accepted"
+
+
+# --- values a list computes once --------------------------------------------
+
+def _lists_of_every_origin():
+    """Lists made by revoke_member, revoke_group, coalesce and the loader,
+    including two that share a version but not their contents."""
+    params, gm = make_r3_params()
+    rng = random.Random(77)
+    root = new_root()
+    ops = add_department(params, root, rng, name="ops")
+    kids = [add_department(params, ops, rng, name=f"t{i}") for i in range(2)]
+    lab = add_department(params, root, rng, name="lab")
+    one_a = revoke_member(empty_rl(), _pk(1, 2, "a"))
+    one_b = revoke_member(empty_rl(), _pk(3, 4, "b"))
+    grouped = revoke_group(revoke_group(one_a, kids[0]), kids[1])
+    coalesced = coalesce(grouped, root)
+    assert coalesced is not grouped
+    wider = revoke_group(coalesced, lab)
+    loaded = serial.deserialize_artifact(
+        serial.serialize_artifact("rl", wider))
+    return params, [empty_rl(), one_a, one_b, grouped, coalesced, wider,
+                    loaded]
+
+
+def test_rl_hash_is_the_hash_of_the_serialized_list():
+    _params, lists = _lists_of_every_origin()
+    for _ in range(2):  # cold, then from the stored digest
+        for rl in lists:
+            text = serial.serialize_artifact("rl", rl)
+            assert rl_hash(rl) == hashlib.sha256(
+                text.encode("utf-8")).digest()
+
+
+def test_warm_and_cold_lists_are_indistinguishable():
+    params, lists = _lists_of_every_origin()
+    for warm in lists:
+        rl_hash(warm)
+        is_member_revoked(warm, _pk())
+        sigma._collapse_all(params, warm, 0)
+        cold = RevocationList(members=warm.members, groups=warm.groups,
+                              version=warm.version)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert serial.serialize_artifact("rl", warm) == \
+            serial.serialize_artifact("rl", cold)
+        assert rl_hash(cold) == rl_hash(warm)
+
+
+def test_is_member_revoked_agrees_with_a_scan():
+    rng = random.Random(79)
+    for _ in range(20):
+        points = {ModPoint(rng.randrange(50), rng.randrange(50))
+                  for _ in range(rng.randrange(12))}
+        rl = RevocationList(members=tuple(
+            RevokedMember(point=p, member_id=f"m{p.x}.{p.y}")
+            for p in points), version=len(points))
+        for _ in range(30):
+            pk = _pk(rng.randrange(50), rng.randrange(50), "anyone")
+            scan = any(m.point == pk.point for m in rl.members)
+            assert is_member_revoked(rl, pk) == scan

@@ -230,8 +230,9 @@ def test_aux_table_holds_every_window_digit():
     params, _ = make_toy_params()
     aux = params.aux
     table = sigma._aux_table(aux, aux.h)
-    assert table == [pow(aux.h, k, aux.rho)
-                     for k in range(1 << sigma._AUX_WINDOW)]
+    # a tuple, so a cached table cannot be changed by one caller under another
+    assert table == tuple(pow(aux.h, k, aux.rho)
+                          for k in range(1 << sigma._AUX_WINDOW))
 
 
 def _reference_nonzero_b(aux, commitments, collapsed, e, f, x):
@@ -485,6 +486,72 @@ def test_retry_exhausted_is_signaled(monkeypatch):
     with pytest.raises(RetryExhausted):
         sign(params, sk, pk, rl, b"never works", rng)
     assert sigma.MAX_COLLAPSE_ATTEMPTS == 64
+
+
+def test_retry_at_the_bound_rejects_malformed(monkeypatch):
+    """A signature valid but for its retry counter, which sits at the
+    bound sign stops at, rejects MALFORMED; so does every larger counter,
+    before anything is collapsed for it."""
+    from hrpks.revocation import RevocationList
+
+    params, sk, pk, rl, rng = _craft_key_hitting_zero_collapse()
+    bound = sigma.MAX_COLLAPSE_ATTEMPTS
+    original = sigma._derive_gammas
+
+    def late(params_, rlh, set_index, set_size, retry):
+        # the key's zero collapse below the bound, a nonzero one from there
+        return original(params_, rlh, set_index, set_size,
+                        0 if retry < bound else 1)
+
+    monkeypatch.setattr(sigma, "_derive_gammas", late)
+    with monkeypatch.context() as m:
+        m.setattr(sigma, "MAX_COLLAPSE_ATTEMPTS", bound + 1)
+        sig = sign(params, sk, pk, rl, b"late", rng)
+        assert sig.retry == bound
+        assert verify(params, pk, rl, b"late", sig).accepted
+    assert verify(params, pk, rl, b"late", sig).reason == "MALFORMED"
+
+    cold = RevocationList(members=rl.members, groups=rl.groups,
+                          version=rl.version)
+    for retry in range(bound, bound + 100):
+        forged = dataclasses.replace(sig, retry=retry)
+        assert verify(params, pk, cold, b"late", forged).reason == \
+            "MALFORMED"
+    assert not cold._collapse_memo
+
+
+def test_collapse_memo_matches_a_direct_collapse():
+    params, gm, rng, root, fin, hr, eng = _toy_world(seed=83)
+    small, _ = make_small_params()
+    rl = revoke_group(revoke_group(empty_rl(), hr), eng)
+    # one list under two q, each retry asked for again once it is stored
+    for p in (params, small, params):
+        for retry in (0, 1, 0, 1):
+            direct = tuple(
+                collapse_constraints(
+                    entry.constraints,
+                    sigma._derive_gammas(p, revocation.rl_hash(rl), j,
+                                         len(entry.constraints), retry),
+                    p.q)
+                for j, entry in enumerate(rl.groups))
+            assert sigma._collapse_all(p, rl, retry) == direct
+
+
+def test_collapse_errors_are_not_kept():
+    from hrpks.revocation import ConstraintSet, RevocationList
+
+    params, gm, rng, root, fin, hr, _eng = _toy_world(seed=85)
+    sk, pk = join(params, gm, fin, "alice", rng)
+    sig = sign(params, sk, pk, revoke_group(empty_rl(), hr), b"m", rng)
+    # the key is off HR, so sign's revoked-set check stops there and the
+    # wide plane is first met by the collapse
+    bad = RevocationList(groups=(ConstraintSet(
+        path="/hr", constraints=(HR, Hyperplane((1, 2, 3, 4)))),),
+        version=sig.rl_version)
+    for _ in range(2):
+        assert verify(params, pk, bad, b"m", sig).reason == "MALFORMED"
+        with pytest.raises(ValueError):
+            sign(params, sk, pk, bad, b"m", rng)
 
 
 # --- transcript binding -----------------------------------------------------
