@@ -2,24 +2,31 @@
 the long-Weierstrass group law, multi-scalar multiplication, and exact
 point-order computation via baby-step giant-step over the Hasse interval.
 
-Points cross every API boundary as affine `ModPoint`s. `add_fp` and the
-step walks of BSGS and the assumption lab use the affine law, one
-inversion per addition. `msm` and `scalar_mul_fp` share one engine that
-works in long-Weierstrass Jacobian coordinates (x = X/Z^2, y = Y/Z^3) with
-a1..a6 kept, so it serves every p, 2 and 3 included: a windowed Straus
-interleave over per-call tables of small multiples, with one inversion to
-normalise the tables and one to return the result to affine form. Every
-inversion is a `pow(v, -1, p)` call in this module.
+Points cross every API boundary as affine `ModPoint`s. The affine
+long-Weierstrass law lives in one place, `_slope` and `_third`. `add_fp`
+and the step walks of BSGS and the assumption lab run it one addition at
+a time, one inversion each; `_add_pairs` runs it on a batch of pairs with
+one shared inversion (Montgomery's simultaneous-inversion trick, Math.
+Comp. 1987). `msm` and `scalar_mul_fp` share one engine whose doubling
+chain works in long-Weierstrass Jacobian coordinates (x = X/Z^2,
+y = Y/Z^3) with a1..a6 kept, so it serves every p, 2 and 3 included: a
+windowed Straus interleave over per-call tables of small multiples, with
+one inversion to normalise the tables and one to return the result to
+affine form. Every inversion is a `pow(v, -1, p)` call in this module.
 
 Long-lived bases, such as a system's generators, can instead run on a
 fixed-base comb (Lim and Lee, "More Flexible Exponentiation with
 Precomputation", CRYPTO 1994). For scalars below 2^nbits, cut into t
 blocks of d = ceil(nbits / t) bits, each base G keeps the 2^t - 1 subset
 sums of its teeth {2^(d*i) * G : i < t}; bit j of every block together
-picks one table entry, so a call costs d doublings and at most one mixed
-addition per base and doubling instead of a doubling per scalar bit. The
-tables are built with the same Jacobian formulas, batch-normalised to
-affine, and kept in a small LRU keyed by the content (curve, bases,
+picks one table entry per base. Those entries of one comb column do not
+depend on the chain, so all d column sums are formed up front in affine
+form by a pairwise tree over the bases, each level one batch across all
+columns with one inversion (three levels for eight bases). A call then
+costs d doublings and one mixed addition per column instead of a
+doubling per scalar bit and an addition per base and column. The subset
+sums are built with the same batched adder, one level and one inversion
+per tooth, and kept in a small LRU keyed by the content (curve, bases,
 nbits), so freshly loaded copies of the same parameters share them.
 `msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as such
 bases; their scalars outside [0, 2^nbits) and every other term join the
@@ -30,6 +37,7 @@ desk-scale parameters, not a hardened signing stack.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -150,26 +158,39 @@ def _require_on_curve(curve: CurveFp, P: ModPoint):
         raise ValueError(f"point {P} is not on the curve mod {curve.p}")
 
 
+def _slope(curve: CurveFp, x1: int, y1: int, x2: int, y2: int):
+    """The line through two finite points of the long-Weierstrass law, the
+    tangent when they are equal, as (numerator, denominator) with a
+    nonzero denominator; None when the points are opposite, which is also
+    every vanishing tangent, so the sum is infinity."""
+    p = curve.p
+    if x1 != x2:
+        return y2 - y1, x2 - x1
+    # same x: either Q = -P, or Q = P with tangent denominator 2y + a1 x + a3
+    den = (y1 + y2 + curve.a1 * x2 + curve.a3) % p
+    if not den:
+        return None
+    return 3 * x1 * x1 + 2 * curve.a2 * x1 + curve.a4 - curve.a1 * y1, den
+
+
+def _third(curve: CurveFp, lam: int, x1: int, y1: int, x2: int):
+    """Affine P + Q from the slope `lam` of the line through P and Q."""
+    p, a1 = curve.p, curve.a1
+    x3 = (lam * lam + a1 * lam - curve.a2 - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - a1 * x3 - y1 - curve.a3) % p
+
+
 def _add_unchecked(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
     if P.is_infinity:
         return Q
     if Q.is_infinity:
         return P
-    p = curve.p
-    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
-    x1, y1 = P.x, P.y
-    x2, y2 = Q.x, Q.y
-    if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
+    slope = _slope(curve, P.x, P.y, Q.x, Q.y)
+    if slope is None:
         return INF
-    if P == Q:
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) \
-            * pow(2 * y1 + a1 * x1 + a3, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    nu = (y1 - lam * x1) % p
-    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-    y3 = (-(lam + a1) * x3 - nu - a3) % p
-    return ModPoint(x3, y3)
+    num, den = slope
+    return ModPoint(*_third(curve, num * pow(den, -1, curve.p) % curve.p,
+                            P.x, P.y, Q.x))
 
 
 def add_fp(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
@@ -196,14 +217,15 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
 
     Every term shares one doubling chain over the joint bit length; per
     window of w bits each term adds one precomputed multiple of its point.
-    At most two inversions happen per call: one normalises every term's
-    table to affine, one converts the result back to an affine `ModPoint`.
+    One inversion normalises every term's table to affine, one converts
+    the result back to an affine `ModPoint`.
 
     The first `fixed` points are long-lived bases: their scalars in
     [0, 2^fixed_bits) run on the cached comb table of those bases, and join
-    the chain for its last d = ceil(fixed_bits / t) doublings. Building a
-    missing table costs two more inversions. The result is the same for
-    every input either way.
+    the chain for its last d = ceil(fixed_bits / t) doublings, one column
+    sum per doubling. Summing the columns costs one inversion per level,
+    ceil(log2 k) for k combed bases. Building a missing table costs
+    t + 1 more. The result is the same for every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
@@ -221,8 +243,8 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
         if not 0 <= n < 1 << fixed_bits:
             terms.append((n, P))
         elif n:
-            combed.append((row, comb.columns(n)))
-    return _straus(curve, terms, combed, comb.d)
+            combed.append([row[i] for i in comb.columns(n)])
+    return _straus(curve, terms, combed)
 
 
 # -- Jacobian engine --------------------------------------------------------
@@ -235,8 +257,12 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
 _JAC_INF = (1, 1, 0)
 
 # Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
-# doublings per call), and how many base sets the LRU of tables holds.
-COMB_TEETH = 6
+# doublings and column sums per call), and how many base sets the LRU of
+# tables holds. With batched column sums, r = 8 and 241-bit scalars mod
+# 2^127 - 1 (CPython 3.11, 2-vCPU VM), each step from t = 6 to 9 made a
+# comb-only msm about 8% to 10% faster; t = 9 builds its tables 1.4 times
+# as slowly as t = 8 and doubles their memory again, so t stops at 8.
+COMB_TEETH = 8
 COMB_CACHE_SIZE = 8
 
 
@@ -292,39 +318,80 @@ def _jac_add_affine(curve: CurveFp, P, x2: int, y2: int):
     return X3, Y3, Z3
 
 
-def _normalize(curve: CurveFp, jpoints):
-    """Affine (x, y) for each Jacobian point, or None for infinity, with
-    one inversion for the whole batch (Montgomery's trick)."""
-    p = curve.p
+def _invert_all(p: int, values):
+    """The inverse mod p of each nonzero value, with one inversion for the
+    whole batch (Montgomery's trick)."""
     prefix = []
     acc = 1
-    for _, _, Z in jpoints:
-        if Z:
-            acc = acc * Z % p
+    for v in values:
+        acc = acc * v % p
         prefix.append(acc)
+    if not prefix:
+        return []
     inv = pow(acc, -1, p)
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * values[i] % p
+    out[0] = inv
+    return out
+
+
+def _normalize(curve: CurveFp, jpoints):
+    """Affine (x, y) for each Jacobian point, or None for infinity, with
+    one inversion for the whole batch."""
+    p = curve.p
+    finite = [i for i, (_, _, Z) in enumerate(jpoints) if Z]
     out = [None] * len(jpoints)
-    for i in range(len(jpoints) - 1, -1, -1):
-        X, Y, Z = jpoints[i]
-        if not Z:
-            continue
-        zi = inv * prefix[i - 1] % p if i else inv
-        inv = inv * Z % p
+    for i, zi in zip(finite, _invert_all(p, [jpoints[i][2] for i in finite])):
+        X, Y, _ = jpoints[i]
         zi2 = zi * zi % p
         out[i] = (X * zi2 % p, Y * zi2 * zi % p)
     return out
 
 
+def _add_pairs(curve: CurveFp, pairs):
+    """Affine P + Q for each (P, Q) of finite affine (x, y) points, None
+    for an infinite sum, with one inversion for the whole batch: `_slope`
+    and `_third` are the law `_add_unchecked` runs."""
+    p = curve.p
+    slopes = [_slope(curve, x1, y1, x2, y2) for (x1, y1), (x2, y2) in pairs]
+    inverses = iter(_invert_all(p, [s[1] for s in slopes if s is not None]))
+    return [None if s is None
+            else _third(curve, s[0] * next(inverses) % p, x1, y1, x2)
+            for s, ((x1, y1), (x2, _)) in zip(slopes, pairs)]
+
+
+def _sum_rows(curve: CurveFp, rows):
+    """Elementwise affine sum of equal-length lists of affine points (None
+    is infinity), None where a sum is infinite. Each level adds the rows
+    pairwise, all their elements in one `_add_pairs` batch, so a level
+    costs one inversion; an odd last row waits for the next level."""
+    while len(rows) > 1:
+        halves = list(zip(rows[::2], rows[1::2]))
+        sums = iter(_add_pairs(curve, [
+            (P, Q) for A, B in halves for P, Q in zip(A, B)
+            if P is not None and Q is not None]))
+        rows = [[Q if P is None else P if Q is None else next(sums)
+                 for P, Q in zip(A, B)]
+                for A, B in halves] + rows[len(rows) & ~1:]
+    return rows[0] if rows else []
+
+
 class _Comb:
     """Comb tables of a tuple of bases for scalars below 2^nbits: rows[i][m]
     is the affine sum of the teeth 2^(d*k) * bases[i] over the set bits k
-    of m, or None for infinity. Two batch inversions build the whole set:
-    one normalises the teeth, one the subset sums."""
+    of m, or None for infinity. The teeth are Jacobian doublings with one
+    batch inversion to normalise them; the subset sums then take t
+    `_sum_rows` levels of two rows, one inversion each: level k adds tooth
+    k to entries 0 .. 2^k - 1 of every row. `index` maps each t-bit string
+    to its row index, for `columns`."""
 
     def __init__(self, curve: CurveFp, bases: Tuple[ModPoint, ...], nbits: int):
         t = COMB_TEETH
         d = self.d = -(-nbits // t)
         self.digits = f"0{d * t}b"
+        self.index = {format(m, f"0{t}b"): m for m in range(1 << t)}
         teeth = []
         for P in bases:
             tooth = _JAC_INF if P.is_infinity else (P.x, P.y, 1)
@@ -334,25 +401,21 @@ class _Comb:
                     tooth = _jac_double(curve, tooth)
                 teeth.append(tooth)
         teeth = _normalize(curve, teeth)
-        sums = []
-        for i in range(len(bases)):
-            row = [_JAC_INF]
-            # entries 2^k .. 2^(k+1) - 1 add tooth k to entries 0 .. 2^k - 1
-            for tooth in teeth[i * t:(i + 1) * t]:
-                row += [entry if tooth is None
-                        else _jac_add_affine(curve, entry, *tooth)
-                        for entry in row]
-            sums += row[1:]
-        flat = _normalize(curve, sums)
-        size = (1 << t) - 1
-        self.rows = [[None] + flat[i * size:(i + 1) * size]
-                     for i in range(len(bases))]
+        rows = [[None] for _ in bases]
+        for k in range(t):
+            sums = iter(_sum_rows(curve, [
+                [entry for row in rows for entry in row],
+                [teeth[i * t + k] for i, row in enumerate(rows)
+                 for _ in row]]))
+            for row in rows:
+                row += itertools.islice(sums, len(row))
+        self.rows = rows
 
     def columns(self, n: int):
         """Row index per comb column of 0 <= n < 2^(d*t), top column first:
         column j gathers bit d*k + j of n into bit k."""
-        bits, d = format(n, self.digits), self.d
-        return [int(bits[k::d], 2) for k in range(d)]
+        bits, d, index = format(n, self.digits), self.d, self.index
+        return [index[bits[k::d]] for k in range(d)]
 
 
 @functools.lru_cache(maxsize=COMB_CACHE_SIZE)
@@ -365,12 +428,14 @@ def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...],
     return _Comb(curve, bases, nbits)
 
 
-def _straus(curve: CurveFp, terms, combed=(), d: int = 0) -> ModPoint:
+def _straus(curve: CurveFp, terms, combed=()) -> ModPoint:
     """Sum of n * P over (n, P) terms; points are already known on the
     curve. Fixed-window Straus: a table of 1*P .. (2^w - 1)*P per term,
     batch-normalised, then mixed additions onto one Jacobian accumulator.
-    Each (comb row, `_Comb.columns`) pair in `combed` adds one row entry
-    on each of the chain's last d doublings."""
+    Each list in `combed` holds one base's comb table entries, column by
+    column, top column first; `_sum_rows` sums them per column, and each
+    of the d column sums is one mixed addition on one of the chain's last
+    d doublings."""
     pairs = []
     for n, P in terms:
         if n < 0:
@@ -394,16 +459,16 @@ def _straus(curve: CurveFp, terms, combed=(), d: int = 0) -> ModPoint:
         flat = _normalize(curve, jtable)
         rows = [(n, [None] + flat[i * mask:(i + 1) * mask])
                 for i, (n, _) in enumerate(pairs)]
+    columns = _sum_rows(curve, combed)
+    d = len(columns)
 
     acc = _JAC_INF
     for bit in range(max(nbits, d) - 1, -1, -1):
         acc = _jac_double(curve, acc)
         if bit < d:
-            column = d - 1 - bit
-            for row, cols in combed:
-                entry = row[cols[column]]
-                if entry is not None:
-                    acc = _jac_add_affine(curve, acc, *entry)
+            entry = columns[d - 1 - bit]
+            if entry is not None:
+                acc = _jac_add_affine(curve, acc, *entry)
         if bit % w == 0:
             for n, row in rows:
                 entry = row[(n >> bit) & mask]

@@ -3,7 +3,9 @@ constraint set, and coalescing of fully revoked sibling families.
 
 Lists are immutable snapshots; every mutation returns a fresh list with a
 strictly larger version counter. Members and groups are kept in canonical
-order so equal contents always serialize (and hash) identically.
+order so equal contents always serialize (and hash) identically. The
+constructor sorts and checks whatever it is given; a mutation inserts its
+one new entry into the already canonical list at its sorted position.
 
 What a list determines (its hash, its set of revoked points, the collapsed
 hyperplanes `sigma` derives from it) is computed once per list object and
@@ -11,6 +13,7 @@ kept in the instance `__dict__` by `functools.cached_property`, which
 leaves equality, repr and serialization to the fields alone.
 """
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +45,13 @@ class ConstraintSet:
 
 
 def _member_key(m: RevokedMember):
-    return (m.point.x or 0, m.point.y or 0, m.member_id)
+    # infinity sorts first, apart from the finite point (0, 0)
+    return (not m.point.is_infinity, m.point.x or 0, m.point.y or 0,
+            m.member_id)
+
+
+def _group_key(g: ConstraintSet):
+    return g.path
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class RevocationList:
 
     def __post_init__(self):
         members = tuple(sorted(self.members, key=_member_key))
-        groups = tuple(sorted(self.groups, key=lambda g: g.path))
+        groups = tuple(sorted(self.groups, key=_group_key))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "groups", groups)
         points = [m.point for m in members]
@@ -88,16 +97,32 @@ def empty_rl() -> RevocationList:
     return _EMPTY
 
 
+def _next(rl: RevocationList, members=None, groups=None) -> RevocationList:
+    """The version after `rl`, with new members or groups that are already
+    canonical and free of duplicates: the list the constructor would build
+    from them, without sorting and checking every entry again."""
+    child = object.__new__(RevocationList)
+    fields = {"members": rl.members if members is None else members,
+              "groups": rl.groups if groups is None else groups,
+              "version": rl.version + 1}
+    for name, value in fields.items():
+        object.__setattr__(child, name, value)
+    return child
+
+
 def is_member_revoked(rl: RevocationList, pk: PublicKey) -> bool:
     return pk.point in rl._points
 
 
 def revoke_member(rl: RevocationList, pk: PublicKey) -> RevocationList:
-    if is_member_revoked(rl, pk):
-        raise ValueError(f"public key of {pk.member_id!r} is already revoked")
     member = RevokedMember(point=pk.point, member_id=pk.member_id)
-    return RevocationList(members=rl.members + (member,), groups=rl.groups,
-                          version=rl.version + 1)
+    members = rl.members
+    i = bisect.bisect(members, _member_key(member), key=_member_key)
+    # entries of one point differ only in id, so they sort side by side:
+    # a listed pk.point is a neighbour of position i
+    if any(m.point == pk.point for m in members[max(i - 1, 0):i + 1]):
+        raise ValueError(f"public key of {pk.member_id!r} is already revoked")
+    return _next(rl, members=members[:i] + (member,) + members[i:])
 
 
 def revoke_group(rl: RevocationList, dept: DeptNode) -> RevocationList:
@@ -106,8 +131,8 @@ def revoke_group(rl: RevocationList, dept: DeptNode) -> RevocationList:
     if any(g.path == dept.path for g in rl.groups):
         raise ValueError(f"department {dept.path!r} is already revoked")
     entry = ConstraintSet(path=dept.path, constraints=dept.constraints)
-    return RevocationList(members=rl.members, groups=rl.groups + (entry,),
-                          version=rl.version + 1)
+    i = bisect.bisect(rl.groups, dept.path, key=_group_key)
+    return _next(rl, groups=rl.groups[:i] + (entry,) + rl.groups[i:])
 
 
 def coalesce(rl: RevocationList, root: DeptNode) -> RevocationList:
@@ -134,9 +159,7 @@ def coalesce(rl: RevocationList, root: DeptNode) -> RevocationList:
             changed = True
     if not changed:
         return rl
-    return RevocationList(members=rl.members,
-                          groups=tuple(entries.values()),
-                          version=rl.version + 1)
+    return _next(rl, groups=tuple(sorted(entries.values(), key=_group_key)))
 
 
 def rl_hash(rl: RevocationList) -> bytes:

@@ -644,3 +644,120 @@ def test_comb_rejects_bad_bases_and_arguments():
     for fixed, nbits in ((3, 8), (-1, 8), (1, 0)):
         with pytest.raises(ValueError, match="fixed"):
             msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits)
+
+
+# -- batched affine additions -----------------------------------------------
+
+
+def _affine(pt):
+    return None if pt.is_infinity else (pt.x, pt.y)
+
+
+def _fold(curve, points):
+    acc = ModPoint.infinity()
+    for pt in points:
+        acc = add_fp(curve, acc, pt)
+    return acc
+
+
+def _tiny_curves():
+    from hrpks.curve_q import CurveQ
+
+    cq = CurveQ(a1=0, a2=0, a3=1, a4=1, a6=0, curve_id="test-91")
+    return [reduce_curve(cq, 2), reduce_curve(cq, 3),
+            reduce_curve(catalog("toy17"), 5)]
+
+
+def test_add_pairs_matches_affine_law_on_tiny_groups():
+    from hrpks.curve_fp import _add_pairs
+
+    for c in _tiny_curves():
+        finite = _enumerate_group(c)[1:]
+        pairs = [(P, Q) for P in finite for Q in finite]
+        want = [_affine(add_fp(c, P, Q)) for P, Q in pairs]
+        # the affine law agrees with the Jacobian engine's formulas
+        assert want == [_affine(msm(c, [1, 1], [P, Q])) for P, Q in pairs]
+        # one batch of every ordered pair, chord, tangent and opposite alike
+        assert _add_pairs(c, [(_affine(P), _affine(Q)) for P, Q in pairs]) \
+            == want
+
+
+def _rows(columns):
+    """The columns, padded with infinity to one length, as rows of affine
+    points: the layout `_sum_rows` sums column by column."""
+    height = max(map(len, columns), default=0)
+    return [[_affine(pts[i]) if i < len(pts) else None for pts in columns]
+            for i in range(height)]
+
+
+def test_sum_rows_matches_folds_on_tiny_groups():
+    from hrpks.curve_fp import _sum_rows
+
+    for c in _tiny_curves():
+        group = _enumerate_group(c)
+        for columns in ([[P, Q] for P in group for Q in group],
+                        [[P, Q, R] for P in group for Q in group
+                         for R in group]):
+            assert _sum_rows(c, _rows(columns)) == \
+                [_affine(_fold(c, pts)) for pts in columns]
+
+
+def test_sum_rows_edge_columns():
+    from hrpks.curve_fp import _sum_rows
+
+    c5 = reduce_curve(catalog("toy17"), 5)
+    two_torsion = ModPoint(2, 0)
+    assert neg_fp(c5, two_torsion) == two_torsion
+    big = reduce_curve(catalog("rank28"), MERSENNE_127)
+    rng = random.Random(12)
+    for c, pool in ((c5, _enumerate_group(c5)),
+                    (big, _random_points(big, 5, rng))):
+        pool = pool + [neg_fp(c, P) for P in pool]
+        columns = [[], [ModPoint.infinity()], [pool[1]], [pool[1]] * 4,
+                   [pool[1], neg_fp(c, pool[1])],
+                   [pool[2], pool[1], neg_fp(c, pool[1])],
+                   [pool[1], pool[2], neg_fp(c, pool[2]), neg_fp(c, pool[1])],
+                   [pool[3]] * 7]
+        if c is c5:
+            columns += [[two_torsion] * k for k in range(1, 6)]
+            columns.append([two_torsion, pool[1], two_torsion])
+        for _ in range(40):
+            columns.append([rng.choice(pool + [ModPoint.infinity()])
+                            for _ in range(rng.randrange(12))])
+        # every column at once, so the levels share their inversions
+        assert _sum_rows(c, _rows(columns)) == \
+            [_affine(_fold(c, pts)) for pts in columns]
+        for height in range(1, 8):  # odd and even row counts
+            assert _sum_rows(c, _rows(columns[-40:])[:height]) == \
+                [_affine(_fold(c, pts[:height])) for pts in columns[-40:]]
+    assert _sum_rows(big, []) == []
+
+
+def test_sum_rows_one_inversion_per_level(monkeypatch):
+    from hrpks import curve_fp
+
+    c = reduce_curve(catalog("rank28"), MERSENNE_127)
+    rng = random.Random(9)
+    pool = [_affine(P) for P in _random_points(c, 40, rng)]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(curve_fp, "pow", counting, raising=False)
+    for height, levels in ((8, 3), (5, 3), (3, 2), (2, 1), (1, 0), (0, 0),
+                           (9, 4), (16, 4)):
+        rows = [rng.sample(pool, 6) for _ in range(height)]
+        calls.clear()
+        curve_fp._sum_rows(c, rows)
+        assert len(calls) == levels, height
+        assert all(args[1] == -1 for args in calls)
+    # a comb-only msm of r = 8 bases: three levels plus the affine result
+    bases = [ModPoint(*P) for P in pool[:8]]
+    scalars = [rng.randrange(1, 1 << 100) for _ in bases]
+    want = _reference_msm(c, scalars, bases)
+    msm(c, scalars, bases, fixed=8, fixed_bits=100)  # builds the table
+    calls.clear()
+    assert msm(c, scalars, bases, fixed=8, fixed_bits=100) == want
+    assert len(calls) == 4

@@ -285,3 +285,96 @@ def test_is_member_revoked_agrees_with_a_scan():
             pk = _pk(rng.randrange(50), rng.randrange(50), "anyone")
             scan = any(m.point == pk.point for m in rl.members)
             assert is_member_revoked(rl, pk) == scan
+
+
+# --- mutations insert into the canonical order ------------------------------
+
+def _assert_canonical(rl):
+    """rl equals, serializes and hashes as the list the constructor builds
+    from its entries given in reverse order."""
+    ref = RevocationList(members=rl.members[::-1], groups=rl.groups[::-1],
+                         version=rl.version)
+    assert rl == ref
+    assert serial.serialize_artifact("rl", rl) == \
+        serial.serialize_artifact("rl", ref)
+    assert rl_hash(rl) == rl_hash(ref)
+
+
+def _member_pk(point, member_id):
+    return PublicKey(point=point, member_id=member_id, dept="/d")
+
+
+def _random_tree(rng):
+    """A tree of up to three levels with shuffled names, built without
+    params: coalesce and revoke_group read only paths, levels and
+    constraints."""
+    from hrpks.hierarchy import DeptNode
+
+    root = new_root()
+    nodes = []
+    frontier = [root]
+    for level in range(1, 4):
+        nxt = []
+        for parent in frontier:
+            for name in rng.sample("pqrstuvw", rng.randrange(1, 4)):
+                node = DeptNode(f"{parent.path}/{name}", level,
+                                parent.constraints
+                                + (Hyperplane((level, 1, 0, 0)),))
+                parent.children.append(node)
+                nxt.append(node)
+        nodes += nxt
+        frontier = rng.sample(nxt, min(len(nxt), 2))
+    return root, nodes
+
+
+def test_mutations_match_the_canonicalizing_constructor():
+    rng = random.Random(81)
+    points = [ModPoint.infinity(), ModPoint(0, 0)] + [
+        ModPoint(rng.randrange(6), rng.randrange(6)) for _ in range(30)]
+    ids = ["x", "y", "", "m0", "m00"]
+    for _ in range(30):
+        root, nodes = _random_tree(rng)
+        start = rng.sample(sorted(set(points), key=repr), rng.randrange(6))
+        rl = RevocationList(
+            members=[RevokedMember(pt, rng.choice(ids)) for pt in start],
+            version=rng.randrange(5))
+        _assert_canonical(rl)
+        for _ in range(25):
+            op = rng.randrange(3)
+            if op == 0:
+                pk = _member_pk(rng.choice(points), rng.choice(ids))
+                if is_member_revoked(rl, pk):
+                    with pytest.raises(ValueError):
+                        revoke_member(rl, pk)
+                    continue
+                out = revoke_member(rl, pk)
+            elif op == 1:
+                dept = rng.choice(nodes)
+                if any(g.path == dept.path for g in rl.groups):
+                    with pytest.raises(ValueError):
+                        revoke_group(rl, dept)
+                    continue
+                out = revoke_group(rl, dept)
+            else:
+                out = coalesce(rl, root)
+                if out is rl:
+                    continue
+            assert out.version == rl.version + 1
+            _assert_canonical(out)
+            rl = out
+
+
+def test_member_order_keeps_infinity_apart_from_the_origin():
+    inf = RevokedMember(point=ModPoint.infinity(), member_id="x")
+    origin = RevokedMember(point=ModPoint(0, 0), member_id="x")
+    one = RevocationList(members=(inf, origin))
+    other = RevocationList(members=(origin, inf))
+    assert one == other
+    assert one.members == (inf, origin)
+    assert rl_hash(one) == rl_hash(other)
+    for first, second in ((inf, origin), (origin, inf)):
+        rl = empty_rl()
+        for m in (first, second):
+            rl = revoke_member(rl, _member_pk(m.point, m.member_id))
+        assert rl.members == (inf, origin)
+        _assert_canonical(rl)
