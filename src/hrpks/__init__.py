@@ -12,12 +12,12 @@ desk-scale. Do not use for anything that matters.
 """
 
 from .assumption_lab import (OrderReport, RelationReport, order_report,
-                             relation_search_exhaustive, relation_search_mitm)
+                             relation_search)
 from .curve_fp import (INF, CurveFp, ModPoint, add_fp, msm, on_curve_fp,
                        point_order, reduce_curve, reduce_point, scalar_mul_fp)
 from .curve_q import (CurveQ, RationalPoint, add_q, catalog, catalog_ids,
                       discriminant_q, on_curve_q, scalar_mul_q)
-from .encoding import decode, encode, hash_to_challenge
+from .encoding import encode, hash_to_challenge
 from .errors import InvariantError, ParseError, RetryExhausted, SignerRevoked
 from .hierarchy import (AuxGroup, DeptNode, Hyperplane, PublicKey, SecretKey,
                         SystemParams, add_department, find_dept, gm_certify,
@@ -28,6 +28,6 @@ from .revocation import (ConstraintSet, RevocationList, RevokedMember,
 from .serial import deserialize_artifact, load_artifact, save_artifact, \
     serialize_artifact
 from .sigma import (NonzeroProof, Signature, VerifyResult, collapse_constraints,
-                    pedersen_commit, sign, verify)
+                    sign, verify)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .curve_fp import INF, ModPoint, msm, point_order
 from .errors import InvariantError
 from .hierarchy import SystemParams
 
-EXHAUSTIVE_GUARD = 10 ** 8
+SEARCH_GUARD = 10 ** 6  # probe steps, (2 * bound + 1) ** ceil(r / 2)
 
 
 @dataclass(frozen=True)
@@ -45,93 +45,70 @@ def _is_trivial(vec) -> bool:
     return sum(1 for v in vec if v != 0) == 1
 
 
-def _finish_relations(params: SystemParams, method: str, bound: int,
-                      found, orders: Tuple[int, ...],
-                      started: float) -> RelationReport:
-    relations = tuple(sorted(set(found)))
-    for vec in relations:
-        if all(v == 0 for v in vec):
-            raise InvariantError("all-zero vector reported as a relation")
-        if not msm(params.curve, vec, params.gens).is_infinity:
-            raise InvariantError(f"reported relation {vec} fails re-verification")
-    return RelationReport(
-        params_digest=params.digest().hex(), method=method, bound=bound,
-        relations=relations,
-        trivial_flags=tuple(_is_trivial(v) for v in relations),
-        orders=orders,
-        q_over_min_order=params.q / min(orders),
-        wall_time=time.perf_counter() - started)
-
-
-def relation_search_exhaustive(params: SystemParams, bound: int) -> RelationReport:
-    """Every x in [-bound, bound]^r with sum x_i * G_i = infinity.
-
-    Walks the grid with one point addition per step instead of one scalar
-    multiplication per vector.
-    """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    r = params.r
-    if bound ** r > EXHAUSTIVE_GUARD:
-        raise ValueError(
-            f"bound^r = {bound ** r} exceeds the {EXHAUSTIVE_GUARD} guard")
-    started = time.perf_counter()
-    # the orders come before the walk, so p past the guard fails at once
-    orders = tuple(point_order(params.curve, g) for g in params.gens)
-    curve, gens = params.curve, params.gens
-    found = []
-    vec = [0] * r
+def _box(curve, gens, bound: int):
+    """Yield (x, sum x_i * G_i) for every x in [-bound, bound]^len(gens),
+    one point addition per step."""
+    vec = [0] * len(gens)
 
     def sweep(i: int, acc: ModPoint):
+        if i == len(gens):
+            yield tuple(vec), acc
+            return
         base = curve_fp._add_unchecked(
             curve, acc, curve_fp._scalar_unchecked(curve, -bound, gens[i]))
         for v in range(-bound, bound + 1):
             vec[i] = v
-            if i + 1 < r:
-                sweep(i + 1, base)
-            elif base.is_infinity and any(vec):
-                found.append(tuple(vec))
+            yield from sweep(i + 1, base)
             if v < bound:
                 base = curve_fp._add_unchecked(curve, base, gens[i])
-        vec[i] = 0
 
-    sweep(0, INF)
-    return _finish_relations(params, "exhaustive", bound, found, orders,
-                             started)
+    return sweep(0, INF)
 
 
-def relation_search_mitm(params: SystemParams, bound: int) -> RelationReport:
-    """Meet-in-the-middle for r = 2: table x1*G1, probe -x2*G2.
+def relation_search(params: SystemParams, bound: int) -> RelationReport:
+    """Every nonzero x in [-bound, bound]^r with sum x_i * G_i = infinity.
 
-    Output agrees with the exhaustive search over the same box; memory is
-    one table entry per x1 in [-bound, bound].
+    Meet in the middle: a table maps each box point of the first r // 2
+    generators to its vectors, and the box points of the other generators,
+    negated, probe it. Time is (2 * bound + 1) ** ceil(r / 2) steps and
+    memory (2 * bound + 1) ** (r // 2) table entries.
     """
-    if params.r != 2:
-        raise ValueError("meet-in-the-middle search supports exactly r = 2")
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    r = params.r
+    steps = (2 * bound + 1) ** ((r + 1) // 2)
+    if steps > SEARCH_GUARD:
+        raise ValueError(
+            f"{steps} probe steps exceed the {SEARCH_GUARD} guard")
     started = time.perf_counter()
+    # the orders come before the walk, so p past the guard fails at once
     orders = tuple(point_order(params.curve, g) for g in params.gens)
-    curve = params.curve
-    g1, g2 = params.gens
-    found = []
-
+    curve, gens = params.curve, params.gens
+    half = r // 2
     table: dict = {}
-    acc = curve_fp._scalar_unchecked(curve, -bound, g1)
-    for x1 in range(-bound, bound + 1):
-        table.setdefault(acc, []).append(x1)
-        if x1 < bound:
-            acc = curve_fp._add_unchecked(curve, acc, g1)
-
-    neg_g2 = curve_fp.neg_fp(curve, g2)
-    probe = curve_fp._scalar_unchecked(curve, bound, g2)  # -(-bound)*G2
-    for x2 in range(-bound, bound + 1):
-        for x1 in table.get(probe, ()):
-            if x1 or x2:
-                found.append((x1, x2))
-        if x2 < bound:
-            probe = curve_fp._add_unchecked(curve, probe, neg_g2)
-    return _finish_relations(params, "mitm", bound, found, orders, started)
+    for vec, point in _box(curve, gens[:half], bound):
+        table.setdefault(point, []).append(vec)
+    negated = [curve_fp.neg_fp(curve, g) for g in gens[half:]]
+    relations = []
+    for tail, point in _box(curve, negated, bound):
+        for head in table.get(point, ()):
+            vec = head + tail
+            if any(vec):
+                relations.append(vec)
+    relations.sort()
+    for vec in relations:
+        if not any(vec):
+            raise InvariantError("all-zero vector reported as a relation")
+        if not msm(curve, vec, gens).is_infinity:
+            raise InvariantError(
+                f"reported relation {vec} fails re-verification")
+    return RelationReport(
+        params_digest=params.digest().hex(), method="mitm", bound=bound,
+        relations=tuple(relations),
+        trivial_flags=tuple(_is_trivial(v) for v in relations),
+        orders=orders,
+        q_over_min_order=params.q / min(orders),
+        wall_time=time.perf_counter() - started)
 
 
 def order_report(params: SystemParams) -> OrderReport:

@@ -174,10 +174,7 @@ def cmd_rl_coalesce(args):
 
 def cmd_lab_relations(args):
     params = _load(args.params, "params")
-    if args.method == "mitm":
-        report = assumption_lab.relation_search_mitm(params, args.bound)
-    else:
-        report = assumption_lab.relation_search_exhaustive(params, args.bound)
+    report = assumption_lab.relation_search(params, args.bound)
     serial.save_artifact(args.out, "report", report)
     nontrivial = sum(1 for f in report.trivial_flags if not f)
     print(f"{report.method} search bound {report.bound}: "
@@ -294,8 +291,6 @@ COMMANDS = {
     ("lab", "relations"): (
         cmd_lab_relations, "search for generator relations", (
             "--params", ("--bound", {"type": int, "required": True}),
-            ("--method", {"choices": ["exhaustive", "mitm"],
-                          "default": "exhaustive"}),
             "--out")),
     ("lab", "orders"): (cmd_lab_orders, "generator orders vs Hasse interval",
                         ("--params", "--out")),

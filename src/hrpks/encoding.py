@@ -130,7 +130,5 @@ def hash_to_challenge(domain_tag: bytes, parts: Iterable[Encodable],
         raise ValueError("challenge_bits must be at least 8")
     if challenge_bits > MAX_CHALLENGE_BITS:
         raise ValueError(f"challenge_bits capped at {MAX_CHALLENGE_BITS}")
-    if isinstance(domain_tag, str):
-        domain_tag = domain_tag.encode("ascii")
     digest = hashlib.sha256(domain_tag + encode(list(parts))).digest()
     return int.from_bytes(digest, "big") >> (256 - challenge_bits)

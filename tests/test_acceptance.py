@@ -14,8 +14,7 @@ from fractions import Fraction
 import pytest
 
 from hrpks import modmath, serial, sigma
-from hrpks.assumption_lab import (order_report, relation_search_exhaustive,
-                                  relation_search_mitm)
+from hrpks.assumption_lab import order_report, relation_search
 from hrpks.curve_fp import (ModPoint, add_fp, msm, on_curve_fp, point_order,
                             reduce_curve, reduce_point, scalar_mul_fp)
 from hrpks.curve_q import RationalPoint, catalog, scalar_mul_q
@@ -298,7 +297,7 @@ def test_criterion_7_coalescing_semantics():
 
 
 def test_criterion_8a_order_and_relation_lab():
-    with criterion("8a", "orders vs enumeration; mitm = exhaustive; "
+    with criterion("8a", "orders vs enumeration; search = oracle; "
                          "relations re-verify"):
         started = time.perf_counter()
         # p = 97 enumeration oracle
@@ -327,10 +326,15 @@ def test_criterion_8a_order_and_relation_lab():
         assert rep.orders == (103, 103)
 
         for bound in (25, 50):
-            a = relation_search_exhaustive(params97, bound)
-            b = relation_search_mitm(params97, bound)
-            assert a.relations == b.relations
-            for vec in a.relations:
+            report = relation_search(params97, bound)
+            # definitional oracle: msm on every nonzero vector of the box
+            expected = tuple(
+                (a, b) for a in range(-bound, bound + 1)
+                for b in range(-bound, bound + 1)
+                if (a, b) != (0, 0)
+                and msm(c97, (a, b), params97.gens).is_infinity)
+            assert report.relations == expected
+            for vec in report.relations:
                 assert msm(c97, vec, params97.gens).is_infinity
         assert time.perf_counter() - started < 60.0
 
@@ -352,7 +356,7 @@ def test_criterion_8b_toy_box_expected_empty():
         bound = 10 ** 5
         params, _ = make_toy_params(seed=4022)
         started = time.perf_counter()
-        report = relation_search_mitm(params, bound)
+        report = relation_search(params, bound)
         assert time.perf_counter() - started < 60.0
 
         curve, (g1, g2) = params.curve, params.gens

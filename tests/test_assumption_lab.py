@@ -1,38 +1,39 @@
+import itertools
+import random
 import time
+import warnings
 
 import pytest
 
-from hrpks import assumption_lab, modmath
-from hrpks.assumption_lab import (OrderReport, order_report,
-                                  relation_search_exhaustive,
-                                  relation_search_mitm)
-from hrpks.curve_fp import add_fp, msm, scalar_mul_fp
+from hrpks import assumption_lab, curve_q, hierarchy, modmath
+from hrpks.assumption_lab import OrderReport, order_report, relation_search
+from hrpks.curve_fp import msm, scalar_mul_fp
 
-from conftest import make_small_params, make_toy_params
+from conftest import make_r3_params, make_small_params, make_toy_params
 
 
 def _brute_relations(params, bound):
-    """Definitional oracle: try every vector with scalar_mul/add."""
-    found = []
-    curve, gens = params.curve, params.gens
-    assert params.r == 2
-    for a in range(-bound, bound + 1):
-        pa = scalar_mul_fp(curve, a, gens[0])
-        for b in range(-bound, bound + 1):
-            if (a, b) == (0, 0):
-                continue
-            pb = scalar_mul_fp(curve, b, gens[1])
-            if add_fp(curve, pa, pb).is_infinity:
-                found.append((a, b))
-    return tuple(sorted(found))
+    """Definitional oracle: msm on every nonzero vector of the box, in
+    sorted order."""
+    box = itertools.product(range(-bound, bound + 1), repeat=params.r)
+    return tuple(vec for vec in box if any(vec)
+                 and msm(params.curve, vec, params.gens).is_infinity)
 
 
-def test_exhaustive_finds_order_relations_p97():
+def _r1_params():
+    g1 = curve_q.catalog("toy17").generators[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return hierarchy.setup("toy17", 97, 257, random.Random(3), l_s=24,
+                               generators=[g1])[0]
+
+
+def test_mitm_finds_order_relations_p97():
     # both reduced generators have order 103 (enumerated in test_curve_fp),
     # so a bound of 110 > 103 must surface the single-generator relations
     params, _gm = make_small_params()
-    report = relation_search_exhaustive(params, 110)
-    assert report.method == "exhaustive"
+    report = relation_search(params, 110)
+    assert report.method == "mitm"
     assert (103, 0) in report.relations
     assert (-103, 0) in report.relations
     assert (0, 103) in report.relations
@@ -45,72 +46,84 @@ def test_exhaustive_finds_order_relations_p97():
     assert report.params_digest == params.digest().hex()
 
 
-def test_exhaustive_bound_zero_empty():
+def test_mitm_bound_zero_empty():
     params, _gm = make_small_params()
-    report = relation_search_exhaustive(params, 0)
+    report = relation_search(params, 0)
     assert report.relations == ()
     assert report.trivial_flags == ()
 
 
-def test_exhaustive_matches_brute_force_oracle():
+def test_mitm_matches_brute_force_oracle():
     params, _gm = make_small_params()
     for bound in (1, 7, 25):
-        report = relation_search_exhaustive(params, bound)
+        report = relation_search(params, bound)
         assert report.relations == _brute_relations(params, bound)
-
-
-def test_relations_reverify_via_msm():
-    params, _gm = make_small_params()
-    report = relation_search_exhaustive(params, 60)
-    assert report.relations  # cyclic 103-order group: relations exist
-    for vec in report.relations:
-        assert msm(params.curve, vec, params.gens).is_infinity
-        assert any(vec)
+    # r = 1: the table holds only infinity; P1 mod 97 has order 103
+    params1 = _r1_params()
+    for bound in (0, 1, 102, 103, 150):
+        report = relation_search(params1, bound)
+        assert report.relations == _brute_relations(params1, bound)
+        assert all(report.trivial_flags)
+    assert relation_search(params1, 103).relations == ((-103,), (103,))
+    # r = 3: G3 = G1 + G2, so (1, 1, -1) and its multiples are relations
+    params3 = make_r3_params()[0]
+    for bound in range(7):
+        report = relation_search(params3, bound)
+        assert report.relations == _brute_relations(params3, bound)
+        assert report.trivial_flags == tuple(
+            sum(map(bool, v)) == 1 for v in report.relations)
+    assert (1, 1, -1) in report.relations
 
 
 def test_mitm_agrees_with_exhaustive():
     params, _gm = make_small_params()
     for bound in (10, 50):
-        mitm = relation_search_mitm(params, bound)
-        full = relation_search_exhaustive(params, bound)
-        assert mitm.relations == full.relations
-        assert mitm.trivial_flags == full.trivial_flags
+        assert relation_search(params, bound).relations == \
+            _brute_relations(params, bound)
     # and on a second small prime
     params997, _ = make_small_params(p=997, q=257, seed=8)
-    assert relation_search_mitm(params997, 50).relations == \
-        relation_search_exhaustive(params997, 50).relations
+    report = relation_search(params997, 50)
+    assert report.relations and \
+        report.relations == _brute_relations(params997, 50)
 
 
 def test_mitm_trivial_flags():
     params, _gm = make_small_params()
-    report = relation_search_mitm(params, 110)
+    report = relation_search(params, 110)
     flags = dict(zip(report.relations, report.trivial_flags))
     assert flags[(103, 0)] is True and flags[(0, 103)] is True
     mixed = [v for v, f in flags.items() if not f]
     assert mixed and all(v[0] != 0 and v[1] != 0 for v in mixed)
 
 
+def test_relations_reverify_via_msm():
+    params, _gm = make_small_params()
+    report = relation_search(params, 60)
+    assert report.relations  # cyclic 103-order group: relations exist
+    for vec in report.relations:
+        assert msm(params.curve, vec, params.gens).is_infinity
+        assert any(vec)
+
+
 def test_mitm_tiny_bound_on_toy_prime():
     params, _gm = make_toy_params()
-    report = relation_search_mitm(params, 1)
+    report = relation_search(params, 1)
     assert report.relations == ()
 
 
 def test_guards():
     params, _gm = make_small_params()
     with pytest.raises(ValueError):
-        relation_search_exhaustive(params, 10 ** 5)  # bound^r over guard
-    with pytest.raises(ValueError):
-        relation_search_exhaustive(params, -1)
-    params3 = _fake_r3()
-    with pytest.raises(ValueError):
-        relation_search_mitm(params3, 5)
-
-
-def _fake_r3():
-    from conftest import make_r3_params
-
-    return make_r3_params()[0]
+        relation_search(params, -1)
+    # (2 * bound + 1) ** ceil(r / 2) probe steps: just past the guard is
+    # refused before the orders and the walk; one bound less is allowed
+    assert 2 * 499999 + 1 <= assumption_lab.SEARCH_GUARD < 2 * 500000 + 1
+    assert 999 ** 2 <= assumption_lab.SEARCH_GUARD < 1001 ** 2
+    for params, bound in ((params, 500000), (make_r3_params()[0], 500)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="probe steps"):
+            relation_search(params, bound)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_order_report_p97():
@@ -145,10 +158,8 @@ def test_order_report_guard():
 def test_searches_refuse_p_above_order_guard_before_walking():
     params, _gm = make_small_params(p=(1 << 127) - 1, q=(1 << 89) - 1,
                                     seed=1)
-    # both boxes pass their own guards and would take seconds to walk
-    for search, bound in ((relation_search_mitm, 100000),
-                          (relation_search_exhaustive, 200)):
-        started = time.perf_counter()
-        with pytest.raises(ValueError, match="order-search guard"):
-            search(params, bound)
-        assert time.perf_counter() - started < 1.0
+    # the box passes the search guard and would take seconds to walk
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="order-search guard"):
+        relation_search(params, 100000)
+    assert time.perf_counter() - started < 1.0

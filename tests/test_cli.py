@@ -192,10 +192,17 @@ def test_lab_subcommands(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "lab", "relations", "--params",
                        str(d / "s.params"), "--bound", "110",
-                       "--method", "mitm", "--out", str(d / "rel.report"))
+                       "--out", str(d / "rel.report"))
     assert code == 0 and "relations" in out
     report = serial.load_artifact(d / "rel.report")
     assert (103, 0) in report.relations
+    # one search, no selector
+    with pytest.raises(SystemExit) as exc:
+        main(["lab", "relations", "--params", str(d / "s.params"),
+              "--bound", "1", "--method", "mitm",
+              "--out", str(d / "m.report")])
+    assert exc.value.code == 2
+    assert not (d / "m.report").exists()
 
     code, out, _ = run(capsys, "lab", "orders", "--params",
                        str(d / "s.params"), "--out", str(d / "ord.report"))
@@ -212,14 +219,12 @@ def test_lab_relations_refuses_p_above_order_guard(tmp_path, capsys):
                        "--params-out", str(tmp_path / "big.params"),
                        "--gm-key-out", str(tmp_path / "big.key"))
     assert code == 0, err
-    for method in ("mitm", "exhaustive"):
-        started = time.perf_counter()
-        code, _, err = run(capsys, "lab", "relations", "--params",
-                           str(tmp_path / "big.params"), "--bound", "1",
-                           "--method", method,
-                           "--out", str(tmp_path / "rel.report"))
-        assert time.perf_counter() - started < 1.0
-        assert code == 2 and "order-search guard" in err, err
+    started = time.perf_counter()
+    code, _, err = run(capsys, "lab", "relations", "--params",
+                       str(tmp_path / "big.params"), "--bound", "1",
+                       "--out", str(tmp_path / "rel.report"))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and "order-search guard" in err, err
     assert not (tmp_path / "rel.report").exists()
 
 
@@ -235,7 +240,6 @@ def test_lab_relations_refuses_before_searching(tmp_path, capsys):
     started = time.perf_counter()
     code, _, err = run(capsys, "lab", "relations", "--params",
                        str(tmp_path / "big.params"), "--bound", "100000",
-                       "--method", "mitm",
                        "--out", str(tmp_path / "rel.report"))
     assert time.perf_counter() - started < 1.0
     assert code == 2 and "order-search guard" in err, err
@@ -444,8 +448,7 @@ NAMESPACES = [
       "out": None}),
     (["lab", "relations", "--params", "gm.params", "--bound", "3",
       "--out", "r.report"],
-     {"params": "gm.params", "bound": 3, "method": "exhaustive",
-      "out": "r.report"}),
+     {"params": "gm.params", "bound": 3, "out": "r.report"}),
     (["lab", "orders", "--params", "gm.params", "--out", "o.report"],
      {"params": "gm.params", "out": "o.report"}),
     (["reproduce", "toy17"], {"example": "toy17"}),
