@@ -7,30 +7,33 @@ long-Weierstrass law lives in one place, `_slope` and `_third`. `add_fp`
 and the step walks of BSGS and the assumption lab run it one addition at
 a time, one inversion each; `_add_pairs` runs it on a batch of pairs with
 one shared inversion (Montgomery's simultaneous-inversion trick, Math.
-Comp. 1987). `msm` and `scalar_mul_fp` share one engine whose doubling
-chain works in long-Weierstrass Jacobian coordinates (x = X/Z^2,
-y = Y/Z^3) with a1..a6 kept, so it serves every p, 2 and 3 included: a
-windowed Straus interleave over per-call tables of small multiples, with
-one inversion to normalise the tables and one to return the result to
-affine form. Every inversion is a `pow(v, -1, p)` call in this module.
+Comp. 1987). `msm` and `scalar_mul_fp` share one engine: simultaneous
+double-and-add over rows of affine points, one entry per column of a
+doubling chain that works in long-Weierstrass Jacobian coordinates
+(x = X/Z^2, y = Y/Z^3) with a1..a6 kept, so it serves every p, 2 and 3
+included. Every inversion is a `pow(v, -1, p)` call in this module.
 
-Long-lived bases, such as a system's generators, can instead run on a
-fixed-base comb (Lim and Lee, "More Flexible Exponentiation with
-Precomputation", CRYPTO 1994). For scalars below 2^nbits, cut into t
-blocks of d = ceil(nbits / t) bits, each base G keeps the 2^t - 1 subset
-sums of its teeth {2^(d*i) * G : i < t}; bit j of every block together
-picks one table entry per base. Those entries of one comb column do not
-depend on the chain, so all d column sums are formed up front in affine
-form by a pairwise tree over the bases, each level one batch across all
-columns with one inversion (three levels for eight bases). A call then
-costs d doublings and one mixed addition per column instead of a
-doubling per scalar bit and an addition per base and column. The subset
-sums are built with the same batched adder, one level and one inversion
-per tooth, and kept in a small LRU keyed by the content (curve, bases,
-nbits), so freshly loaded copies of the same parameters share them.
-`msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as such
-bases; their scalars outside [0, 2^nbits) and every other term join the
-Straus interleave on the same doubling chain.
+Long-lived bases, such as a system's generators, run on a fixed-base
+comb (Lim and Lee, "More Flexible Exponentiation with Precomputation",
+CRYPTO 1994). For scalars below 2^nbits, cut into t blocks of
+d = ceil(nbits / t) bits, each base G keeps the 2^t - 1 subset sums of
+its teeth {2^(d*i) * G : i < t}; bit j of every block together picks one
+table entry per base, so each base gives a row of d entries. Any other
+term n * P is a comb with one tooth: its row holds P, -P or nothing per
+column, from the non-adjacent form (NAF) of n, which needs no table and
+has about one nonzero digit in three. No row depends on the chain, so
+the rows are summed column by column up front in affine form, by a
+pairwise tree whose every level is one batch across all columns with one
+inversion: the comb rows first (three levels for eight bases), then
+those d sums and the NAF rows, padded at the top to the longest (one
+more level for a single NAF row, such as verify's -c * pk). A call then
+costs one doubling and at most one mixed addition per column, and one
+inversion to return the result to affine form. The subset sums are built with the same batched adder, one level
+and one inversion per tooth, and kept in a small LRU keyed by the content
+(curve, bases, nbits), so freshly loaded copies of the same parameters
+share them. `msm(..., fixed=k, fixed_bits=nbits)` marks the first k
+points as such bases; their scalars outside [0, 2^nbits) become NAF rows
+like every other term.
 
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
@@ -212,20 +215,21 @@ def _scalar_unchecked(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
 
 def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
         *, fixed: int = 0, fixed_bits: int = 0) -> ModPoint:
-    """Sum of scalars[i] * points[i] by windowed Straus interleaving in
-    Jacobian coordinates.
+    """Sum of scalars[i] * points[i] on one Jacobian doubling chain.
 
-    Every term shares one doubling chain over the joint bit length; per
-    window of w bits each term adds one precomputed multiple of its point.
-    One inversion normalises every term's table to affine, one converts
-    the result back to an affine `ModPoint`.
+    Each term n * P is a row of P, -P or nothing per chain column, from
+    the NAF of n; the rows are summed per column in affine form, one
+    inversion per level of a pairwise tree, and the chain makes one
+    doubling and at most one mixed addition per column. One inversion
+    converts the result back to an affine `ModPoint`.
 
     The first `fixed` points are long-lived bases: their scalars in
-    [0, 2^fixed_bits) run on the cached comb table of those bases, and join
-    the chain for its last d = ceil(fixed_bits / t) doublings, one column
-    sum per doubling. Summing the columns costs one inversion per level,
-    ceil(log2 k) for k combed bases. Building a missing table costs
-    t + 1 more. The result is the same for every input either way.
+    [0, 2^fixed_bits) run on the cached comb table of those bases, one
+    row of d = ceil(fixed_bits / t) entries per base. Summing the comb
+    rows costs one inversion per level, ceil(log2 k) for k combed bases,
+    and merging those sums with the other rows ceil(log2(m + 1)) more for
+    m other terms. Building a missing table costs t + 1 more. The result
+    is the same for every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
@@ -264,18 +268,6 @@ _JAC_INF = (1, 1, 0)
 # as slowly as t = 8 and doubles their memory again, so t stops at 8.
 COMB_TEETH = 8
 COMB_CACHE_SIZE = 8
-
-
-def _window_width(nbits: int) -> int:
-    """Straus window width for scalars of `nbits` bits. Wider windows cost
-    2^w - 2 table additions per term and save additions in the main loop;
-    these thresholds were fastest, within timing noise, for 1, 9 and 29
-    terms mod 2^127 - 1."""
-    if nbits < 64:
-        return 2
-    if nbits < 192:
-        return 3
-    return 4
 
 
 def _jac_double(curve: CurveFp, P):
@@ -428,52 +420,40 @@ def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...],
     return _Comb(curve, bases, nbits)
 
 
+def _naf_row(curve: CurveFp, n: int, P: ModPoint):
+    """n * P as a comb row with one tooth: P, -P or None per digit of the
+    non-adjacent form of n != 0, top digit first, for a finite P. With
+    h = 3n, bit i + 1 of h & ~n marks digit i as +1 and of n & ~h as -1;
+    Python's unbounded two's complement makes this hold for n < 0 too."""
+    h = 3 * n
+    plus, minus = (h & ~n) >> 1, (n & ~h) >> 1
+    digits = f"0{(plus | minus).bit_length()}b"
+    Q = neg_fp(curve, P)
+    pos, neg = (P.x, P.y), (Q.x, Q.y)
+    return [pos if a == "1" else neg if b == "1" else None
+            for a, b in zip(format(plus, digits), format(minus, digits))]
+
+
 def _straus(curve: CurveFp, terms, combed=()) -> ModPoint:
     """Sum of n * P over (n, P) terms; points are already known on the
-    curve. Fixed-window Straus: a table of 1*P .. (2^w - 1)*P per term,
-    batch-normalised, then mixed additions onto one Jacobian accumulator.
-    Each list in `combed` holds one base's comb table entries, column by
-    column, top column first; `_sum_rows` sums them per column, and each
-    of the d column sums is one mixed addition on one of the chain's last
-    d doublings."""
-    pairs = []
-    for n, P in terms:
-        if n < 0:
-            n, P = -n, neg_fp(curve, P)
-        if n and not P.is_infinity:
-            pairs.append((n, P))
-    if not pairs and not combed:
-        return INF
-    nbits = max((n for n, _ in pairs), default=0).bit_length()
-    w = _window_width(nbits)
-    mask = (1 << w) - 1
-    rows = []
-    if pairs:
-        jtable = []
-        for _, P in pairs:
-            entry = (P.x, P.y, 1)
-            jtable.append(entry)
-            for _ in range(mask - 1):
-                entry = _jac_add_affine(curve, entry, P.x, P.y)
-                jtable.append(entry)
-        flat = _normalize(curve, jtable)
-        rows = [(n, [None] + flat[i * mask:(i + 1) * mask])
-                for i, (n, _) in enumerate(pairs)]
-    columns = _sum_rows(curve, combed)
-    d = len(columns)
-
+    curve. Simultaneous double-and-add over rows of affine entries, top
+    column first: each list in `combed` holds one base's comb table
+    entries, d columns, and each term is a `_naf_row`. `_sum_rows` sums
+    the comb rows per column first, so their levels do not walk the
+    padding, then sums those d sums and the NAF rows, all padded at the
+    top to the longest; the chain makes one Jacobian doubling and at most
+    one mixed addition per column."""
+    rows = [_naf_row(curve, n, P) for n, P in terms
+            if n and not P.is_infinity]
+    if combed:
+        rows.append(_sum_rows(curve, combed))
+    width = max(map(len, rows), default=0)
     acc = _JAC_INF
-    for bit in range(max(nbits, d) - 1, -1, -1):
+    for entry in _sum_rows(curve, [[None] * (width - len(row)) + row
+                                   for row in rows]):
         acc = _jac_double(curve, acc)
-        if bit < d:
-            entry = columns[d - 1 - bit]
-            if entry is not None:
-                acc = _jac_add_affine(curve, acc, *entry)
-        if bit % w == 0:
-            for n, row in rows:
-                entry = row[(n >> bit) & mask]
-                if entry is not None:
-                    acc = _jac_add_affine(curve, acc, *entry)
+        if entry is not None:
+            acc = _jac_add_affine(curve, acc, *entry)
     X, Y, Z = acc
     if not Z:
         return INF

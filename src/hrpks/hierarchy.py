@@ -295,14 +295,7 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
     if not modmath.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
-    gens = []
-    for g in gens_q:
-        m = reduce_point(reduced, g)
-        if m.is_infinity:
-            raise ValueError(f"generator {g} reduces to infinity mod {p}")
-        gens.append(m)
-    if len(set(gens)) != len(gens):
-        raise ValueError("generators collide after reduction; pick another p")
+    gens = tuple(reduce_point(reduced, g) for g in gens_q)
 
     if l_c is None:
         l_c = min(128, q.bit_length() - 1)
@@ -323,10 +316,22 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     gm_x = tuple(rng.randrange(q) for _ in range(r))
     gm_point = msm(reduced, gm_x, gens)
     gm_pub = PublicKey(point=gm_point, member_id="gm", dept="")
-    params = SystemParams(curve_id=curve_id, curve=reduced, r=r, p=p, q=q,
-                          gens=tuple(gens), aux=aux, l_c=l_c, l_s=l_s,
-                          gm_pub=gm_pub)
+    try:
+        params = SystemParams(curve_id=curve_id, curve=reduced, r=r, p=p,
+                              q=q, gens=gens, aux=aux, l_c=l_c, l_s=l_s,
+                              gm_pub=gm_pub)
+    except InvariantError as e:
+        # built from the caller's arguments, so a bad one is a usage error
+        raise ValueError(str(e)) from e
     return params, SecretKey(x=gm_x, member_id="gm", dept="")
+
+
+def _require_r_wide(params: SystemParams, node: DeptNode):
+    """A tree is loaded without params, so a hand-edited one can stack
+    hyperplanes of any width; every one must be r + 1 wide."""
+    if any(len(hp.coeffs) != params.r + 1 for hp in node.constraints):
+        raise ValueError(f"department {node.path or '/'} has a hyperplane "
+                         f"that is not r + 1 = {params.r + 1} wide")
 
 
 def add_department(params: SystemParams, parent: DeptNode, rng,
@@ -340,6 +345,7 @@ def add_department(params: SystemParams, parent: DeptNode, rng,
     hyperplane instead of sampling (it must still be independent).
     """
     q, r = params.q, params.r
+    _require_r_wide(params, parent)
     if parent.level >= r - 1:
         raise ValueError(
             f"depth limit: level-{parent.level} department cannot have "
@@ -399,6 +405,7 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
     """
     if dept.level < 1:
         raise ValueError("members join departments, not the root")
+    _require_r_wide(params, dept)
     x = solve_member_vector(params, dept, rng, pinned=pinned)
     for hp in dept.constraints:
         if hp.evaluate(x, params.q) != 0:

@@ -74,11 +74,16 @@ def _text(convert: Callable, expected: str) -> Callable:
     return load
 
 
-def _canonical_int(text: str) -> int:
-    value = int(text, 10)
-    if str(value) != text:  # "+5", "007", " 5", "1_0", "-0"
-        raise ValueError(text)
-    return value
+def _canonical(parse: Callable) -> Callable:
+    """`parse`, accepting only the text that `repr` writes for the value it
+    reads, so each value has one spelling: "+5", "007", " 5", "1_0", "-0",
+    "1e1" and " nan " are refused."""
+    def convert(text: str):
+        value = parse(text)
+        if repr(value) != text:
+            raise ValueError(text)
+        return value
+    return convert
 
 
 def _utf8(text: str) -> str:
@@ -92,7 +97,7 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-_load_int = _text(_canonical_int, "a canonical decimal string")
+_load_int = _text(_canonical(int), "a canonical decimal string")
 
 
 def _load_point(doc) -> ModPoint:
@@ -105,7 +110,7 @@ def _load_point(doc) -> ModPoint:
 
 _INT = _Codec(lambda v: str(int(v)), _load_int)
 _STR = _Codec(lambda v: v, _text(_utf8, "a UTF-8 string"))
-_FLOAT = _Codec(repr, _text(float, "a float string"))
+_FLOAT = _Codec(repr, _text(_canonical(float), "a canonical float string"))
 _HEX = _Codec(lambda v: v.hex() if v else "",
               _text(lambda t: bytes.fromhex(t) if t else None, "a hex string"))
 _POINT = _Codec(lambda v: "inf" if v.is_infinity else [str(v.x), str(v.y)],
@@ -140,8 +145,7 @@ def _record(build: Callable, *fields) -> _Codec:
             loads.append((wire, wire, load))
     wires = frozenset(wire for wire, *_ in fields)
 
-    # plain loops: cheaper than comprehensions here, and `rl_hash` dumps a
-    # record per revoked member on every sign and verify
+    # plain loops: cheaper than comprehensions here
     def dump_record(value):
         doc = {}
         for wire, get, dump in dumps:

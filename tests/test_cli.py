@@ -260,10 +260,40 @@ def test_usage_errors(tmp_path, capsys):
                        "--gm-key-out", str(tmp_path / "x.key"))
     assert code == 2 and "not prime" in err
 
+    # every bad parameter of setup is a usage error, l_s included
+    for flag, value, what in (("--ls", "0", "l_s"), ("--ls", "300", "l_s"),
+                              ("--lc", "3", "l_c")):
+        code, _, err = run(capsys, "setup", *TOY, flag, value,
+                           "--params-out", str(tmp_path / "x.params"),
+                           "--gm-key-out", str(tmp_path / "x.key"))
+        assert code == 2 and what in err, (flag, value, err)
+    assert not (tmp_path / "x.params").exists()
+
     code, _, err = run(capsys, "verify", "--params",
                        str(tmp_path / "missing.params"), "--pub", "x",
                        "--rl", "y", "--msg-file", "z", "--sig", "w")
     assert code == 2
+
+
+def test_join_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path, capsys):
+    # a hand-edited tree: /a/b stacks a 2-wide hyperplane on /a's 3-wide one
+    params, gm_key = _setup(capsys, tmp_path)
+    tree = tmp_path / "org.tree"
+    code, _, _ = run(capsys, "dept", "add", "--params", str(params),
+                     "--tree", str(tree), "--parent", "/", "--name", "a",
+                     "--seed", "2")
+    assert code == 0
+    doc = json.loads(tree.read_text())
+    doc["root"]["children"][0]["children"].append(
+        {"children": [], "hyperplane": ["1", "2"], "name": "b"})
+    tree.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "member", "join", "--params", str(params),
+                       "--tree", str(tree), "--gm-key", str(gm_key),
+                       "--dept", "/a/b", "--id", "x",
+                       "--key-out", str(tmp_path / "x.key"),
+                       "--pub-out", str(tmp_path / "x.pub"), "--seed", "3")
+    assert code == 2 and "not r + 1 = 3 wide" in err
+    assert "Traceback" not in err
 
 
 def test_corrupt_artifact_exit_code(tmp_path, capsys):
@@ -281,6 +311,12 @@ def test_corrupt_artifact_exit_code(tmp_path, capsys):
                        "--pub", str(pub), "--rl", str(rl),
                        "--msg-file", str(msg), "--sig", str(sig))
     assert code == 4 and "curve equation" in err
+
+    # a keypair passed where the certificate belongs
+    code, _, err = run(capsys, "verify", "--params", str(params),
+                       "--pub", str(members["alice"][0]), "--rl", str(rl),
+                       "--msg-file", str(msg), "--sig", str(sig))
+    assert code == 2 and "does not hold a public key" in err
 
 
 def test_console_entry_point(tmp_path):

@@ -435,6 +435,8 @@ def test_msm_reference_edge_scalars_and_points():
         ([11, 12], [g1, neg]),
         ([(1 << 100) + 1, (1 << 100) + 1], [g2, neg_fp(c, g2)]),
         ([5, 9, 1 << 64], [inf, g2, inf]),
+        ([(1 << 64) - 1, (1 << 64) + 1, -(1 << 64) + 1], [g1, g2, neg]),
+        ([(1 << 33) - 1, -(1 << 33) - 1], [g1, g1]),
     ]
     for scalars, points in cases:
         _assert_matches_reference(c, scalars, points)
@@ -444,8 +446,8 @@ def test_msm_reference_edge_scalars_and_points():
 
 def test_msm_reference_small_order_points():
     # toy17 mod 5: (2, 0) is 2-torsion, and every point has order dividing
-    # the 6-element group, so window tables of 3, 7 or 15 multiples keep
-    # landing on infinity at every window width
+    # the 6-element group, so the NAF rows' column sums and the chain keep
+    # landing on infinity and on tangents of 2-torsion
     c5 = reduce_curve(catalog("toy17"), 5)
     group = _enumerate_group(c5)
     assert len(group) == 6 and ModPoint(2, 0) in group
@@ -496,7 +498,7 @@ def test_msm_reference_toy17(p):
 
 @pytest.mark.parametrize("bits", [31, 89, 241, 317])
 def test_msm_reference_rank28_long_form(bits):
-    # a1 = a3 = 1; the bit lengths put every window width in play
+    # a1 = a3 = 1; scalars of 31 to 317 bits, one to eight terms
     c = reduce_curve(catalog("rank28"), MERSENNE_127)
     assert c.a1 == c.a3 == 1
     rng = random.Random(bits)
@@ -569,6 +571,23 @@ def test_comb_reference_toy17():
     c5 = reduce_curve(catalog("toy17"), 5)
     group = _enumerate_group(c5)
     _assert_comb_matches_reference(c5, group, 20, rng)
+    # one-tooth NAF rows of d - 1, d and d + 1 digits against the comb's d
+    # columns, with the variable point a combed base or its negation, so
+    # the merge level meets tangents and opposites
+    from hrpks.curve_fp import COMB_TEETH
+
+    neg = neg_fp(c, g1)
+    for nbits in (31, 127):
+        d = -(-nbits // COMB_TEETH)
+        for k in (d - 2, d - 1, d):
+            for n in ((1 << k) - 1, 1 << k, (1 << k) + 1, -(1 << k) - 1,
+                      -1, 1):
+                for fixed in ([1, 0], [1, 1], [(1 << nbits) - 1, 3]):
+                    for extra in (g1, neg):
+                        scalars, points = fixed + [n], [g1, g2, extra]
+                        assert msm(c, scalars, points, fixed=2,
+                                   fixed_bits=nbits) == \
+                            _reference_msm(c, scalars, points), scalars
 
 
 @pytest.mark.parametrize("p, nbits", [(10007, 31), (MERSENNE_127, 241)])
@@ -761,3 +780,16 @@ def test_sum_rows_one_inversion_per_level(monkeypatch):
     calls.clear()
     assert msm(c, scalars, bases, fixed=8, fixed_bits=100) == want
     assert len(calls) == 4
+    # verify's shape: the three comb levels, one level merging the column
+    # sums with the NAF row of -c * pk, and the affine result
+    pk, ch = ModPoint(*pool[8]), rng.randrange(1, 1 << 89)
+    want = _reference_msm(c, scalars + [-ch], bases + [pk])
+    calls.clear()
+    assert msm(c, scalars + [-ch], bases + [pk], fixed=8,
+               fixed_bits=100) == want
+    assert len(calls) == 5
+    # one NAF row needs no level: the affine result only
+    want = _reference_msm(c, [ch], [pk])
+    calls.clear()
+    assert scalar_mul_fp(c, ch, pk) == want
+    assert len(calls) == 1

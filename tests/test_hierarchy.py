@@ -47,6 +47,10 @@ def test_setup_rejects_bad_inputs():
         setup("toy17", TOY_P, 251, rng)  # 2^l_c < q needs q >= 257
     with pytest.raises(InvariantError):
         setup("toy17", 2, TOY_Q, rng)  # bad reduction
+    # SystemParams' checks of setup's own arguments are usage errors too
+    for l_s in (0, hierarchy.MAX_STAT_GAP_BITS + 1):
+        with pytest.raises(ValueError, match="l_s"):
+            setup("toy17", TOY_P, 257, rng, l_s=l_s)
 
 
 def test_setup_warns_when_q_may_exceed_orders():
@@ -196,6 +200,25 @@ def test_join_rejects_root():
     params, gm = make_toy_params()
     with pytest.raises(ValueError):
         join(params, gm, new_root(), "x", random.Random(0))
+
+
+def test_hyperplanes_not_r_plus_1_wide_are_value_errors():
+    # a hand-edited tree can stack hyperplanes of any width; at r = 3 a
+    # narrow one made add_department sample forever and join raise
+    # IndexError, and a wide one let add_department attach a child
+    params, gm = make_r3_params()
+    rng = random.Random(14)
+    a = add_department(params, new_root(), rng, name="a")
+    for coeffs in ((1, 2), (1, 2, 3), (1, 2, 3, 4, 5)):
+        hp = Hyperplane(coeffs)
+        top = hierarchy.DeptNode(path="/x", level=1, constraints=(hp,))
+        below = hierarchy.DeptNode(path="/a/x", level=2,
+                                   constraints=a.constraints + (hp,))
+        with pytest.raises(ValueError, match="not r \\+ 1 = 4 wide"):
+            add_department(params, top, rng)
+        for dept in (top, below):
+            with pytest.raises(ValueError, match="not r \\+ 1 = 4 wide"):
+                join(params, gm, dept, "m", rng)
 
 
 def test_sibling_departments_disjoint_constraints():

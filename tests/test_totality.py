@@ -333,6 +333,38 @@ def test_integers_must_be_canonical_decimal(world):
             serial.deserialize_artifact(json.dumps(doc))
 
 
+def test_floats_must_be_canonical_repr(world):
+    for kind, value in world[4]:
+        if kind == "report":
+            doc = _doc(kind, value)
+            assert serial.deserialize_artifact(json.dumps(doc)) == value
+            for bad in ("1_0", " nan ", "10", "1e1", "+0.5", "0.50", ".5"):
+                doc["q_over_min_order"] = bad
+                with pytest.raises(ParseError):
+                    serial.deserialize_artifact(json.dumps(doc))
+
+
+def test_duplicates_are_invariant_errors(world):
+    params, pk, rl, sig, artifacts = world
+    doc = _doc("rl", rl)
+    doc["members"].append(dict(doc["members"][0], member_id="eve"))
+    with pytest.raises(InvariantError, match="duplicate member point"):
+        serial.deserialize_artifact(json.dumps(doc))
+    doc = _doc("rl", rl)
+    doc["groups"].append(doc["groups"][0])
+    with pytest.raises(InvariantError, match="duplicate department path"):
+        serial.deserialize_artifact(json.dumps(doc))
+    doc = _doc("params", params)
+    doc["gens"][1] = doc["gens"][0]
+    with pytest.raises(InvariantError, match="pairwise distinct"):
+        serial.deserialize_artifact(json.dumps(doc))
+    doc = _doc("tree", dict(artifacts)["tree"])
+    siblings = doc["root"]["children"]
+    siblings.append(dict(siblings[1], children=[]))
+    with pytest.raises(InvariantError, match="duplicate child names"):
+        serial.deserialize_artifact(json.dumps(doc))
+
+
 def test_unknown_and_missing_fields_rejected(world):
     doc = _doc("signature", world[3])
     doc["extra"] = "1"
