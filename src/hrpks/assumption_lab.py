@@ -85,13 +85,23 @@ def relation_search(params: SystemParams, bound: int) -> RelationReport:
     orders = tuple(point_order(params.curve, g) for g in params.gens)
     curve, gens = params.curve, params.gens
     half = r // 2
+    # box point -> its vector, or a list of its vectors once two share it
     table: dict = {}
     for vec, point in _box(curve, gens[:half], bound):
-        table.setdefault(point, []).append(vec)
+        heads = table.get(point)
+        if heads is None:
+            table[point] = vec
+        elif isinstance(heads, list):
+            heads.append(vec)
+        else:
+            table[point] = [heads, vec]
     negated = [curve_fp.neg_fp(curve, g) for g in gens[half:]]
     relations = []
     for tail, point in _box(curve, negated, bound):
-        for head in table.get(point, ()):
+        heads = table.get(point)
+        if heads is None:
+            continue
+        for head in heads if isinstance(heads, list) else (heads,):
             vec = head + tail
             if any(vec):
                 relations.append(vec)

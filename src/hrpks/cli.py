@@ -147,6 +147,9 @@ def cmd_revoke_group(args):
     params = _load(args.params, "params")
     root = _load(args.tree, "tree")
     dept = find_dept(root, args.dept)
+    # the list does not know r: a hyperplane of another width would make
+    # every later sign against it fail
+    hierarchy._require_r_wide(params, dept)
     rl = _load(args.rl, "rl", params)
     rl = revocation.revoke_group(rl, dept)
     out = args.out or args.rl

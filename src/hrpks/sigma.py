@@ -16,18 +16,21 @@ One transcript, one challenge c:
 
 D_j is neither sent nor hashed: it is a function of the C_i, the revocation
 list and the retry counter, and the challenge hashes all of those, so the
-transcript still fixes every statement the extractor needs. Expanding D_j
-makes each B_j one product over the bases g, h and C_1..C_r. Every
-auxiliary-group product (C_i, A_i, B_j) is one Straus multi-exponentiation
-over window tables. The tables of g and h are built once per aux group and
-kept across calls; those of the C_i are built once per sign or verify call.
-The collapsed hyperplanes are computed once per (revocation list, q, r,
-retry) and kept on the list, so signatures checked against one published
-list share them.
+transcript still fixes every statement the extractor needs. The collapsed
+hyperplanes are computed once per (revocation list, q, r, retry) and kept
+on the list, so signatures checked against one published list share them.
 
-`sign` takes R, the A_i and the B_j from verify's equations at c = 0, with
-its nonces in place of the responses (A_i = g^s_i h^st_i C_i^-c is then
-g^k_i h^u_i), so both sides hash a transcript built by one function.
+`sign` knows the opening of every auxiliary-group value it makes:
+C_i = g^x_i h^t_i, A_i = g^k_i h^u_i and, since D_j = g^v_j h^tau_j,
+B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j). Each is one `_gh` product over
+the fixed-base tables of g and h, which are built once per aux group and
+kept across calls; no squaring is made. `verify` has no openings: it
+expands D_j, so each B_j is g^(a0 sw - c) h^su prod C_i^(a_i sw), and it
+takes the g and h parts by `_gh` and the C_i parts by one Straus
+multi-exponentiation over window tables built once per call. Signer and
+verifier hash their transcript through the one `_challenge`, and a test
+checks that sign's announcements are verify's equations at c = 0 with the
+nonces in place of the responses.
 
 Responses on the curve side stay integers (never reduced): the group order
 of E(F_p) is deliberately not assumed known, so a statistical-gap slack of
@@ -53,12 +56,16 @@ from .revocation import RevocationList, is_member_revoked, rl_hash
 CHALLENGE_TAG = b"HRPKS-v1/chal"
 GAMMA_TAG = b"HRPKS-v1/gamma"
 MAX_COLLAPSE_ATTEMPTS = 64
-# Window width of `_aux_product`, by measurement (min of 60 interleaved
-# runs, Python 3.11, 2-vCPU VM): the aux products of one verify took 3.6,
-# 3.4 and 3.3 ms at w = 4, 5, 6 for q = 2^127 - 1, r = 8 and 14 revoked
-# sets, and 0.15, 0.16 and 0.20 ms for the 32-bit toy q, r = 2 and 3 sets.
+# Window width of both aux table kinds: the per-call tables of the C_i in
+# `_aux_product` and the rows of the cached g and h table in `_gh`. By
+# measurement (min of 60 interleaved runs, Python 3.11, shared 2-vCPU
+# host), for q = 2^127 - 1, r = 8 and 16 revoked sets: sign 2.32, 2.30 and
+# 2.16 ms, verify 5.82, 5.41 and 5.15 ms at w = 4, 5, 6, while the g and h
+# table, which every fresh process builds on its first sign, takes 54, 86
+# and 144 KiB and 0.40, 0.65 and 1.11 ms; for the 32-bit toy q, r = 2 and
+# 3 sets: sign 0.43, 0.41 and 0.43 ms, verify 0.62, 0.62 and 0.64 ms.
 _AUX_WINDOW = 5
-# How many aux groups' g and h tables `_gh_tables` keeps.
+# How many aux groups' g and h tables `_gh_table` keeps.
 _GH_CACHE_SIZE = 8
 
 
@@ -113,7 +120,7 @@ BAD_CHALLENGE = "BAD_CHALLENGE"
 
 def _aux_table(aux: AuxGroup, base: int):
     """base^0, base^1, ..., base^(2^w - 1) mod rho: one base's window table
-    for `_aux_product`."""
+    for `_aux_product`, and one row of a fixed-base table."""
     table = [1, base % aux.rho]
     for _ in range(2, 1 << _AUX_WINDOW):
         table.append(table[-1] * base % aux.rho)
@@ -121,22 +128,45 @@ def _aux_table(aux: AuxGroup, base: int):
 
 
 @functools.lru_cache(maxsize=_GH_CACHE_SIZE)
-def _gh_tables(aux: AuxGroup):
-    """The window tables of g and h, cached by aux group. The C_i tables
-    stay per call: every signature has its own C_i, and caching them would
-    evict these."""
-    return _aux_table(aux, aux.g), _aux_table(aux, aux.h)
+def _gh_table(aux: AuxGroup):
+    """The fixed-base table of g and h, cached by aux group: row k pairs
+    the `_aux_table` of g^(2^(w k)) with that of h^(2^(w k)), for the
+    ceil(bitlen(q) / w) rows an exponent below q needs. Built with plain
+    multiplications: the first power of row k + 1 is the last of row k
+    times its first."""
+    rows, g, h, rho = [], aux.g, aux.h, aux.rho
+    for _ in range(-(-aux.q.bit_length() // _AUX_WINDOW)):
+        g_row, h_row = _aux_table(aux, g), _aux_table(aux, h)
+        rows.append((g_row, h_row))
+        g, h = g_row[-1] * g % rho, h_row[-1] * h % rho
+    return tuple(rows)
+
+
+def _gh(aux: AuxGroup, a: int, b: int) -> int:
+    """g^a h^b mod rho, with a and b reduced mod q first: per row, the
+    entries of a's and b's w-bit digits, no squarings (Brickell, Gordon,
+    McCurley and Wilson, "Fast Exponentiation with Precomputation",
+    EUROCRYPT 1992). One reduction per row of both products is cheaper
+    in Python than one per entry, and a zero digit's entry is 1."""
+    rho, w, mask = aux.rho, _AUX_WINDOW, (1 << _AUX_WINDOW) - 1
+    a, b = a % aux.q, b % aux.q
+    acc = 1
+    for g_row, h_row in _gh_table(aux):
+        acc = acc * g_row[a & mask] * h_row[b & mask] % rho
+        a >>= w
+        b >>= w
+    return acc
 
 
 def _aux_product(aux: AuxGroup, terms) -> int:
     """prod base^e mod rho over (window table of base, e) terms.
 
-    One Straus chain: w squarings per window, shared by every term, and one
-    table multiply per nonzero digit. Each e is reduced mod q first, so it
-    may be negative or exceed q; that is valid only because every base has
-    order dividing q. g and h do (`AuxGroup` checks them), and the C_i do
-    once `_structural_ok` has checked C_i^q = 1, which verify runs before
-    any product. On any other base the result is wrong.
+    One Straus chain: w squarings per window, shared by every term, then
+    the window's table entries of every term, reduced once (as in `_gh`).
+    Each e is reduced mod q first, so it may be negative or exceed q; that
+    is valid only because every base has order dividing q. The C_i, its
+    only bases, do once `_structural_ok` has checked C_i^q = 1, which
+    verify runs before any product. On any other base the result is wrong.
     """
     q, rho = aux.q, aux.rho
     terms = [(table, e % q) for table, e in terms]
@@ -152,22 +182,16 @@ def _aux_product(aux: AuxGroup, terms) -> int:
             for _ in range(_AUX_WINDOW):
                 acc = acc * acc % rho
         for table, e in terms:
-            digit = (e >> shift) & mask
-            if digit:
-                acc = acc * table[digit] % rho
+            acc *= table[(e >> shift) & mask]
+        acc %= rho
     return acc
-
-
-def _commit(params: SystemParams, g_table, h_table, value: int,
-            randomness: int) -> int:
-    if not 0 <= value < params.q or not 0 <= randomness < params.q:
-        raise ValueError("commitment inputs must lie in [0, q)")
-    return _aux_product(params.aux, ((g_table, value), (h_table, randomness)))
 
 
 def pedersen_commit(params: SystemParams, value: int, randomness: int) -> int:
     """g^value * h^randomness in the auxiliary group."""
-    return _commit(params, *_gh_tables(params.aux), value, randomness)
+    if not 0 <= value < params.q or not 0 <= randomness < params.q:
+        raise ValueError("commitment inputs must lie in [0, q)")
+    return _gh(params.aux, value, randomness)
 
 
 def collapse_constraints(constraints: Sequence[Hyperplane],
@@ -210,14 +234,14 @@ def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
     return hash_to_challenge(CHALLENGE_TAG, parts, params.l_c)
 
 
-def _nonzero_b(aux: AuxGroup, g_table, h_table, c_tables,
-               collapsed: Hyperplane, e: int, f: int, x: int) -> int:
-    """D^e h^f g^x as one product g^(a0 e + x) h^f prod C_i^(a_i e), where
+def _nonzero_b(aux: AuxGroup, c_tables, collapsed: Hyperplane, e: int,
+               f: int, x: int) -> int:
+    """D^e h^f g^x as g^(a0 e + x) h^f times prod C_i^(a_i e), where
     D = g^a0 prod C_i^a_i is the collapsed commitment for the collapsed
     coefficients (g^f(x) h^tau when each C_i commits to x_i)."""
-    return _aux_product(aux, [(g_table, collapsed.a0 * e + x), (h_table, f),
-                              *((c_table, a * e) for c_table, a
-                                in zip(c_tables, collapsed.linear))])
+    return _gh(aux, collapsed.a0 * e + x, f) * _aux_product(
+        aux, [(c_table, a * e) for c_table, a
+              in zip(c_tables, collapsed.linear)]) % aux.rho
 
 
 def _retry_ok(retry) -> bool:
@@ -255,7 +279,7 @@ def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
                        proofs, message: bytes) -> int:
     """The challenge over verify's equations R = sum s_i G_i - c pk,
     A_i = g^s_i h^st_i C_i^-c and B_j = D_j^sw_j h^su_j g^-c. At c = 0,
-    with nonces in place of the responses, they are the announcements.
+    with nonces in place of the responses, they are sign's announcements.
 
     Every C_i must already be in the order-q subgroup, as `_aux_product`
     requires of its bases."""
@@ -263,13 +287,11 @@ def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
     big_r = params.gens_msm(s, ((-c, pk.point),))
     announcements = bs = ()
     if commitments:
-        g_table, h_table = _gh_tables(aux)
         c_tables = [_aux_table(aux, c_i) for c_i in commitments]
         announcements = [
-            _aux_product(aux, ((g_table, s_i), (h_table, st_i), (c_table, -c)))
-            for s_i, st_i, c_table in zip(s, st, c_tables)]
-        bs = [_nonzero_b(aux, g_table, h_table, c_tables, hp, proof.sw,
-                         proof.su, -c)
+            _gh(aux, s_i, st_i) * _aux_product(aux, ((c_table, -c),))
+            % aux.rho for s_i, st_i, c_table in zip(s, st, c_tables)]
+        bs = [_nonzero_b(aux, c_tables, hp, proof.sw, proof.su, -c)
               for hp, proof in zip(collapsed, proofs)]
     return _challenge(params, pk, rlh, retry, big_r, commitments,
                       announcements, bs, message)
@@ -304,11 +326,10 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 
     commitments, ts, us = [], [], []
     if rl.groups:
-        g_table, h_table = _gh_tables(aux)
         for xi in sk.x:
             ts.append(rng.randrange(q))
             us.append(rng.randrange(q))
-            commitments.append(_commit(params, g_table, h_table, xi, ts[-1]))
+            commitments.append(pedersen_commit(params, xi, ts[-1]))
 
     retry = 0
     while True:
@@ -322,20 +343,24 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
             break
         retry += 1
 
-    nonces = [NonzeroProof(sw=rng.randrange(q), su=rng.randrange(q))
+    nonces = [(rng.randrange(q), rng.randrange(q))
               for _ in collapsed]  # (kw_j, ku_j)
-    c = _rebuild_challenge(params, pk, rl_hash(rl), retry, collapsed, 0, ks,
-                           commitments, us, nonces, message)
+    # D_j = g^v_j h^tau_j
+    taus = [sum(a * t for a, t in zip(hp.linear, ts)) % q for hp in collapsed]
+    announcements = [_gh(aux, k, u) for k, u in zip(ks, us)]  # none if no C_i
+    bs = [_gh(aux, v * kw, tau * kw + ku)
+          for v, tau, (kw, ku) in zip(vs, taus, nonces)]
+    c = _challenge(params, pk, rl_hash(rl), retry, params.gens_msm(ks),
+                   commitments, announcements, bs, message)
 
     s = tuple(k + c * x for k, x in zip(ks, sk.x))
     st = tuple((u + c * t) % q for u, t in zip(us, ts))
     proofs = []
-    for hp, v, n in zip(collapsed, vs, nonces):
+    for v, tau, (kw, ku) in zip(vs, taus, nonces):
         # w = 1/v opens g in base (D_j, h): D_j^w h^(-tau w) = g
         w = pow(v, -1, q)
-        tau = sum(a * t for a, t in zip(hp.linear, ts)) % q
-        proofs.append(NonzeroProof(sw=(n.sw + c * w) % q,
-                                   su=(n.su - c * tau * w) % q))
+        proofs.append(NonzeroProof(sw=(kw + c * w) % q,
+                                   su=(ku - c * tau * w) % q))
     return Signature(challenge=c, s=s, commitments=tuple(commitments),
                      commitment_responses=st, nonzero_proofs=proofs,
                      retry=retry, rl_version=rl.version)

@@ -296,6 +296,44 @@ def test_join_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_revoke_group_of_a_narrow_department_exits_2(tmp_path, capsys):
+    # the same hand-edited /a/b: listing it would make every later sign
+    # against the list exit 2 with "dimension mismatch", so revoke refuses
+    # it and leaves the list as it was
+    params, gm_key = _setup(capsys, tmp_path)
+    tree = tmp_path / "org.tree"
+    code, _, _ = run(capsys, "dept", "add", "--params", str(params),
+                     "--tree", str(tree), "--parent", "/", "--name", "a",
+                     "--seed", "2")
+    assert code == 0
+    key, pub = tmp_path / "alice.key", tmp_path / "alice.pub"
+    code, _, err = run(capsys, "member", "join", "--params", str(params),
+                       "--tree", str(tree), "--gm-key", str(gm_key),
+                       "--dept", "/a", "--id", "alice", "--key-out", str(key),
+                       "--pub-out", str(pub), "--seed", "3")
+    assert code == 0, err
+    doc = json.loads(tree.read_text())
+    doc["root"]["children"][0]["children"].append(
+        {"children": [], "hyperplane": ["1", "2"], "name": "b"})
+    tree.write_text(json.dumps(doc))
+    rl = _write_empty_rl(tmp_path, params)
+    before = rl.read_bytes()
+    for out in ([], ["--out", str(tmp_path / "other.rl")]):
+        code, _, err = run(capsys, "revoke", "group", "--params", str(params),
+                           "--rl", str(rl), "--tree", str(tree),
+                           "--dept", "/a/b", *out)
+        assert code == 2 and "not r + 1 = 3 wide" in err
+        assert "Traceback" not in err
+    assert rl.read_bytes() == before
+    assert not (tmp_path / "other.rl").exists()
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"still signs")
+    code, _, err = run(capsys, "sign", "--params", str(params), "--key",
+                       str(key), "--rl", str(rl), "--msg-file", str(msg),
+                       "--out", str(tmp_path / "msg.sig"), "--seed", "4")
+    assert code == 0, err
+
+
 def test_corrupt_artifact_exit_code(tmp_path, capsys):
     d = tmp_path
     params, gm_key, tree, members, rl, msg = _full_world(capsys, d)

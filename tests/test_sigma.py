@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import random
+import warnings
 
 import pytest
 
-from hrpks import hierarchy, revocation, serial, sigma
+from hrpks import curve_q, hierarchy, revocation, serial, sigma
 from hrpks.curve_fp import ModPoint
 from hrpks.errors import InvariantError, RetryExhausted, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
@@ -228,11 +229,52 @@ def test_aux_product_matches_plain_pow(make_aux):
 
 def test_aux_table_holds_every_window_digit():
     params, _ = make_toy_params()
-    aux = params.aux
-    table = sigma._aux_table(aux, aux.h)
-    # a tuple, so a cached table cannot be changed by one caller under another
-    assert table == tuple(pow(aux.h, k, aux.rho)
-                          for k in range(1 << sigma._AUX_WINDOW))
+    w = sigma._AUX_WINDOW
+    for aux in (params.aux, hierarchy._build_aux_group((1 << 127) - 1)):
+        table = sigma._aux_table(aux, aux.h)
+        assert table == tuple(pow(aux.h, k, aux.rho) for k in range(1 << w))
+        # row k of the fixed-base table holds base^(d * 2^(w k)) for every
+        # digit d, in as many rows as an exponent below q has digits
+        rows = sigma._gh_table(aux)
+        assert len(rows) == -(-aux.q.bit_length() // w)
+        for k, (g_row, h_row) in enumerate(rows):
+            for base, row in ((aux.g, g_row), (aux.h, h_row)):
+                assert row == tuple(pow(base, d << (w * k), aux.rho)
+                                    for d in range(1 << w)), (base, k)
+        # tuples, so a cached table cannot be changed by one caller under
+        # another
+        assert isinstance(table, tuple) and isinstance(rows, tuple)
+        assert all(isinstance(row, tuple) for pair in rows for row in pair)
+
+
+def _gh_cases(aux, rng):
+    q, w = aux.q, sigma._AUX_WINDOW
+    top = 1 << q.bit_length()
+    edges = [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, -1, -q, -(q + 1),
+             -rng.getrandbits(200), top, top + 1, top - 1, 3 * top + 5,
+             rng.getrandbits(317), rng.randrange(q)]
+    for a in edges:
+        for b in edges:
+            yield a, b
+    # every digit of every row, of either base, next to a random other one
+    for k in range(len(sigma._gh_table(aux))):
+        for d in range(1 << w):
+            yield d << (w * k), rng.randrange(q)
+            yield rng.randrange(q), d << (w * k)
+    for _ in range(50):
+        yield rng.randrange(-top, 2 * top), rng.randrange(-top, 2 * top)
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_gh_matches_plain_pow(make_aux):
+    aux = make_aux()
+    rng = random.Random(aux.q.bit_length() + 2)
+    for a, b in _gh_cases(aux, rng):
+        want = pow(aux.g, a, aux.rho) * pow(aux.h, b, aux.rho) % aux.rho
+        assert sigma._gh(aux, a, b) == want, (a, b)
 
 
 def _reference_nonzero_b(aux, commitments, collapsed, e, f, x):
@@ -281,13 +323,10 @@ def test_nonzero_b_is_one_product_equal_to_plain_pow(make_aux):
     # value computed from the collapsed commitment D that is no longer sent
     aux = make_aux()
     rng = random.Random(aux.q.bit_length() + 1)
-    g_table, h_table = sigma._aux_table(aux, aux.g), sigma._aux_table(aux,
-                                                                      aux.h)
     for commitments, coeffs, e, f, x in _nonzero_b_cases(aux, rng):
         collapsed = Hyperplane(coeffs)
         c_tables = [sigma._aux_table(aux, c) for c in commitments]
-        got = sigma._nonzero_b(aux, g_table, h_table, c_tables, collapsed,
-                               e, f, x)
+        got = sigma._nonzero_b(aux, c_tables, collapsed, e, f, x)
         assert got == _reference_nonzero_b(aux, commitments, collapsed,
                                            e, f, x), (coeffs, e, f, x)
 
@@ -720,6 +759,97 @@ def test_forged_random_transcripts_rejected():
                 sw=rng.randrange(q), su=rng.randrange(q)),),
             retry=0, rl_version=rl.version)
         assert not verify(params, pk, rl, b"forged", forged).accepted
+
+
+def _q127_world(r, seed):
+    """toy17 mod TOY_P with q = 2^127 - 1 and r generators (P1, P2, then
+    each the sum of the two before), a signer in /mine and revoked sets
+    of one to three constraints."""
+    curve = curve_q.catalog("toy17")
+    gens = list(curve.generators)
+    while len(gens) < r:
+        gens.append(curve_q.add_q(curve, gens[-2], gens[-1]))
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q above the Hasse floor of TOY_P
+        params, gm = hierarchy.setup("toy17", TOY_P, (1 << 127) - 1, rng,
+                                     generators=gens[:r])
+    root = new_root()
+    mine = add_department(params, root, rng, name="mine")
+    sk, pk = join(params, gm, mine, "signer", rng)
+    rl = revoke_group(empty_rl(), add_department(params, root, rng))
+    node = add_department(params, root, rng)
+    for _ in range(min(r - 1, 3)):
+        rl = revoke_group(rl, node)
+        if node.level < r - 1:
+            node = add_department(params, node, rng)
+    return params, sk, pk, rl
+
+
+def _oracle_world(kind):
+    if kind == "toy17-q32":
+        params, gm, rng, root, fin, hr, eng = _toy_world(seed=91)
+        sk, pk = join(params, gm, fin, "alice", rng)
+        return params, sk, pk, revoke_group(revoke_group(empty_rl(), hr), eng)
+    if kind == "retry":
+        params, sk, pk, rl, _rng = _craft_key_hitting_zero_collapse()
+        return params, sk, pk, rl
+    if kind == "empty-rl":
+        params, sk, pk, _rl = _q127_world(8, seed=95)
+        return params, sk, pk, empty_rl()
+    return _q127_world(int(kind.rsplit("r", 1)[1]), seed=93)
+
+
+@pytest.mark.parametrize("kind", ["toy17-q32", "q127-r2", "q127-r3",
+                                  "q127-r8", "empty-rl", "retry"])
+def test_sign_announcements_are_verify_equations_at_c0(kind, monkeypatch):
+    # `sign` makes R, C_i, A_i and B_j from its openings; `_rebuild_challenge`
+    # (verify's equations) at c = 0 with the nonces as responses is the oracle
+    params, sk, pk, rl = _oracle_world(kind)
+    q, aux, msg, seed = params.q, params.aux, b"oracle", 97
+    hashed = []
+    original = sigma._challenge
+
+    def record(*args):
+        hashed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sigma, "_challenge", record)
+    sig = sign(params, sk, pk, rl, msg, random.Random(seed))
+    assert (sig.retry > 0) == (kind == "retry")
+    assert bool(sig.commitments) == (kind != "empty-rl")
+
+    # replay sign's draws: masks, then (t_i, u_i) per coordinate, then
+    # (kw_j, ku_j) per revoked set
+    rng = random.Random(seed)
+    mask_top = (1 << params.mask_bits) - (1 << (q.bit_length() + params.l_c))
+    ks = [rng.randrange(mask_top) for _ in range(params.r)]
+    ts, us = [], []
+    for _ in sig.commitments:
+        ts.append(rng.randrange(q))
+        us.append(rng.randrange(q))
+    nonces = [sigma.NonzeroProof(sw=rng.randrange(q), su=rng.randrange(q))
+              for _ in rl.groups]
+    assert sig.s == tuple(k + sig.challenge * x for k, x in zip(ks, sk.x))
+    assert sig.commitments == tuple(
+        pow(aux.g, x, aux.rho) * pow(aux.h, t, aux.rho) % aux.rho
+        for x, t in zip(sk.x, ts))
+
+    collapsed = sigma._collapse_all(params, rl, sig.retry)
+    c = sigma._rebuild_challenge(params, pk, revocation.rl_hash(rl),
+                                 sig.retry, collapsed, 0, ks,
+                                 sig.commitments, us, nonces, msg)
+    assert c == sig.challenge
+    signed, oracle = hashed
+    names = ("params", "pk", "rlh", "retry", "R", "C", "A", "B", "message")
+    for i, name in enumerate(names):
+        got, want = signed[i], oracle[i]
+        if name in ("C", "A", "B"):  # sign hands lists, the oracle tuples
+            got, want = list(got), list(want)
+        assert got == want, name
+    assert len(signed[6]) == len(sig.commitments)
+    assert len(signed[7]) == len(rl.groups)
+    assert verify(params, pk, rl, msg, sig).accepted
 
 
 def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
