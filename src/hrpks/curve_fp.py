@@ -454,13 +454,8 @@ def _straus(curve: CurveFp, terms, combed=()) -> ModPoint:
         acc = _jac_double(curve, acc)
         if entry is not None:
             acc = _jac_add_affine(curve, acc, *entry)
-    X, Y, Z = acc
-    if not Z:
-        return INF
-    p = curve.p
-    zi = pow(Z, -1, p)
-    zi2 = zi * zi % p
-    return ModPoint(X * zi2 % p, Y * zi2 * zi % p)
+    (out,) = _normalize(curve, [acc])
+    return INF if out is None else ModPoint(*out)
 
 
 ORDER_P_GUARD = 1 << 64

@@ -31,8 +31,10 @@ MAX_STAT_GAP_BITS = 4 * DEFAULT_STAT_GAP_BITS
 class AuxGroup:
     """Order-q subgroup of (Z/rho)*: the commitment group.
 
-    h is derived from g by hashing, so nobody holds log_g(h). q must be
-    prime; `setup` and the params loader check it.
+    h is g raised to a hash-derived exponent, so log_g(h) is public:
+    anyone can recompute it, and the nonzero proof of `sigma` does not
+    bind until h is derived with no known logarithm (ROADMAP item 2). q
+    must be prime; `setup` and the params loader check it.
     """
 
     rho: int
@@ -302,15 +304,6 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     if not 8 <= l_c < q.bit_length():
         raise ValueError("need 8 <= l_c and 2^l_c < q (so q >= 257)")
 
-    hasse_lo, _ = curve_fp.hasse_interval(p)
-    if q >= hasse_lo:
-        warnings.warn(
-            f"q = {q} is not significantly below the possible generator "
-            f"orders (Hasse floor {hasse_lo}); key coordinates may wrap "
-            "around generator orders, which weakens the intended "
-            "relation-hardness range restriction. Fine for toy "
-            "reproduction only.")
-
     aux = _build_aux_group(q)
     r = len(gens)
     gm_x = tuple(rng.randrange(q) for _ in range(r))
@@ -323,6 +316,22 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     except InvariantError as e:
         # built from the caller's arguments, so a bad one is a usage error
         raise ValueError(str(e)) from e
+
+    # Each generator order must exceed 2^mask_bits: a member who adds an
+    # order n to key coordinate i keeps the certified point, lies off every
+    # revoked plane whose a_i n is nonzero mod q, and keeps the responses
+    # below 2^mask_bits once c * n does. No order is computed here (each is a point-order
+    # search); the Hasse floor, the least #E can be, stands in, and a
+    # generator whose order is a proper divisor of #E passes it.
+    hasse_lo, _ = curve_fp.hasse_interval(p)
+    if hasse_lo <= 1 << params.mask_bits:
+        warnings.warn(
+            f"the Hasse floor {hasse_lo} of the possible generator orders "
+            f"is at most 2^{params.mask_bits} (mask_bits = bitlen(q) + l_c "
+            "+ l_s), so key coordinates may wrap around generator orders "
+            "and a member of a revoked department can be accepted. For p "
+            "above 2^64, where no order can be computed, the floor is only "
+            "a necessary bound. Fine for toy reproduction only.")
     return params, SecretKey(x=gm_x, member_id="gm", dept="")
 
 

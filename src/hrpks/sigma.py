@@ -10,9 +10,14 @@ One transcript, one challenge c:
   nonzero side     collapse each revoked set to one hyperplane f_j via
                    hash-derived gammas, D_j = g^f_j(0) prod C_i^f_j[i]
                    = g^v_j h^tau_j with v_j = f_j(x); knowing w_j = 1/v_j
-                   exhibits g in base (D_j, h), which is impossible when
-                   v_j = 0. B_j = D_j^kw_j h^ku_j, sw_j = kw_j + c * w_j,
+                   exhibits g in base (D_j, h). B_j = D_j^kw_j h^ku_j,
+                   sw_j = kw_j + c * w_j,
                    su_j = ku_j + c * (-tau_j * w_j)  (mod q).
+
+The nonzero proof binds only while log_g h is unknown: with it, g can be
+exhibited in base (D_j, h) even when v_j = 0. Today h is g raised to a
+hash-derived exponent, so log_g h is public and the proof does not bind;
+it stays so until h is derived with no known logarithm (ROADMAP item 2).
 
 D_j is neither sent nor hashed: it is a function of the C_i, the revocation
 list and the retry counter, and the challenge hashes all of those, so the
@@ -26,8 +31,9 @@ B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j). Each is one `_gh` product over
 the fixed-base tables of g and h, which are built once per aux group and
 kept across calls; no squaring is made. `verify` has no openings: it
 expands D_j, so each B_j is g^(a0 sw - c) h^su prod C_i^(a_i sw), and it
-takes the g and h parts by `_gh` and the C_i parts by one Straus
-multi-exponentiation over window tables built once per call. Signer and
+checks each A_i and each B_j as one Straus multi-exponentiation
+`_aux_product` whose terms are g and h, on the first row of that cached
+table, and the C_i, on window tables built once per call. Signer and
 verifier hash their transcript through the one `_challenge`, and a test
 checks that sign's announcements are verify's equations at c = 0 with the
 nonces in place of the responses.
@@ -56,8 +62,9 @@ from .revocation import RevocationList, is_member_revoked, rl_hash
 CHALLENGE_TAG = b"HRPKS-v1/chal"
 GAMMA_TAG = b"HRPKS-v1/gamma"
 MAX_COLLAPSE_ATTEMPTS = 64
-# Window width of both aux table kinds: the per-call tables of the C_i in
-# `_aux_product` and the rows of the cached g and h table in `_gh`. By
+# Window width of both aux table kinds: the rows of the cached g and h
+# table, which `_gh` walks and whose first row gives g and h their
+# `_aux_product` terms, and the per-call tables of the C_i. By
 # measurement (min of 60 interleaved runs, Python 3.11, shared 2-vCPU
 # host), for q = 2^127 - 1, r = 8 and 16 revoked sets: sign 2.32, 2.30 and
 # 2.16 ms, verify 5.82, 5.41 and 5.15 ms at w = 4, 5, 6, while the g and h
@@ -164,9 +171,10 @@ def _aux_product(aux: AuxGroup, terms) -> int:
     One Straus chain: w squarings per window, shared by every term, then
     the window's table entries of every term, reduced once (as in `_gh`).
     Each e is reduced mod q first, so it may be negative or exceed q; that
-    is valid only because every base has order dividing q. The C_i, its
-    only bases, do once `_structural_ok` has checked C_i^q = 1, which
-    verify runs before any product. On any other base the result is wrong.
+    is valid only because every base has order dividing q. Its bases are
+    g and h, which `AuxGroup` checks, and the C_i, once `_structural_ok`
+    has checked C_i^q = 1, which verify runs before any product. On any
+    other base the result is wrong.
     """
     q, rho = aux.q, aux.rho
     terms = [(table, e % q) for table, e in terms]
@@ -236,12 +244,15 @@ def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
 
 def _nonzero_b(aux: AuxGroup, c_tables, collapsed: Hyperplane, e: int,
                f: int, x: int) -> int:
-    """D^e h^f g^x as g^(a0 e + x) h^f times prod C_i^(a_i e), where
-    D = g^a0 prod C_i^a_i is the collapsed commitment for the collapsed
-    coefficients (g^f(x) h^tau when each C_i commits to x_i)."""
-    return _gh(aux, collapsed.a0 * e + x, f) * _aux_product(
-        aux, [(c_table, a * e) for c_table, a
-              in zip(c_tables, collapsed.linear)]) % aux.rho
+    """D^e h^f g^x as one `_aux_product`, g^(a0 e + x) h^f prod
+    C_i^(a_i e), where D = g^a0 prod C_i^a_i is the collapsed commitment
+    for the collapsed coefficients (g^f(x) h^tau when each C_i commits to
+    x_i)."""
+    g_table, h_table = _gh_table(aux)[0]
+    return _aux_product(aux, [
+        (g_table, collapsed.a0 * e + x), (h_table, f),
+        *((c_table, a * e)
+          for c_table, a in zip(c_tables, collapsed.linear))])
 
 
 def _retry_ok(retry) -> bool:
@@ -287,10 +298,12 @@ def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
     big_r = params.gens_msm(s, ((-c, pk.point),))
     announcements = bs = ()
     if commitments:
+        g_table, h_table = _gh_table(aux)[0]
         c_tables = [_aux_table(aux, c_i) for c_i in commitments]
         announcements = [
-            _gh(aux, s_i, st_i) * _aux_product(aux, ((c_table, -c),))
-            % aux.rho for s_i, st_i, c_table in zip(s, st, c_tables)]
+            _aux_product(aux, ((g_table, s_i), (h_table, st_i),
+                               (c_table, -c)))
+            for s_i, st_i, c_table in zip(s, st, c_tables)]
         bs = [_nonzero_b(aux, c_tables, hp, proof.sw, proof.su, -c)
               for hp, proof in zip(collapsed, proofs)]
     return _challenge(params, pk, rlh, retry, big_r, commitments,

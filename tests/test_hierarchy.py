@@ -54,13 +54,19 @@ def test_setup_rejects_bad_inputs():
 
 
 def test_setup_warns_when_q_may_exceed_orders():
+    # warns when the Hasse floor p + 1 - 2 sqrt(p) is at most 2^mask_bits,
+    # mask_bits = bitlen(q) + l_c + l_s: q = p, and a small q whose l_c +
+    # l_s slack (9 + 8 + 64 = 81 bits) exceeds a 32-bit floor
     rng = random.Random(2)
-    with pytest.warns(UserWarning, match="orders"):
-        setup("toy17", TOY_P, TOY_Q, rng)
-    # a q far below the Hasse floor stays silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        setup("toy17", TOY_P, 257, rng)
+    for p, q, l_s in ((TOY_P, TOY_Q, 64), (TOY_P, 257, 64),
+                      ((1 << 127) - 1, (1 << 89) - 1, 64)):
+        with pytest.warns(UserWarning, match="orders"):
+            setup("toy17", p, q, rng, l_s=l_s)
+    # a floor above 2^mask_bits stays silent
+    for p, q, l_s in ((TOY_P, 257, 8), ((1 << 255) - 19, (1 << 89) - 1, 64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            setup("toy17", p, q, rng, l_s=l_s)
 
 
 def test_aux_group_structure():

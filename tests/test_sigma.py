@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from hrpks import curve_q, hierarchy, revocation, serial, sigma
-from hrpks.curve_fp import ModPoint
+from hrpks.curve_fp import ModPoint, point_order
 from hrpks.errors import InvariantError, RetryExhausted, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
     new_root
@@ -225,6 +225,21 @@ def test_aux_product_matches_plain_pow(make_aux):
     rng = random.Random(aux.q.bit_length())
     for bases, exps in _aux_product_cases(aux, rng):
         _assert_aux_product_matches(aux, bases, exps)
+    # g and h on the row-0 tables of `_gh_table`, beside a C_i, as verify
+    # passes them
+    q = aux.q
+    g_row, h_row = sigma._gh_table(aux)[0]
+    c_i = pow(aux.g, rng.randrange(1, q), aux.rho)
+    c_table = sigma._aux_table(aux, c_i)
+    edges = [0, 1, q - 1, q, q + 1, 2 * q + 5, rng.getrandbits(317), -1,
+             -q, -(3 * q) - 2, -rng.getrandbits(64)]
+    for e_g in edges:
+        for e_h in edges:
+            e_c = rng.choice(edges)
+            got = sigma._aux_product(
+                aux, [(g_row, e_g), (h_row, e_h), (c_table, e_c)])
+            assert got == _reference_aux_product(
+                aux, [aux.g, aux.h, c_i], [e_g, e_h, e_c]), (e_g, e_h, e_c)
 
 
 def test_aux_table_holds_every_window_digit():
@@ -850,6 +865,49 @@ def test_sign_announcements_are_verify_equations_at_c0(kind, monkeypatch):
     assert len(signed[6]) == len(sig.commitments)
     assert len(signed[7]) == len(rl.groups)
     assert verify(params, pk, rl, msg, sig).accepted
+
+
+@pytest.mark.parametrize("kind", ["toy17-q32", "q127-r8"])
+def test_verify_takes_no_fixed_base_product(kind, monkeypatch):
+    # verify checks each A_i and B_j as one `_aux_product` with g and h
+    # among its terms; only sign and `pedersen_commit` walk `_gh`
+    params, sk, pk, rl = _oracle_world(kind)
+    sig = sign(params, sk, pk, rl, b"one chain", random.Random(7))
+    assert sig.nonzero_proofs
+
+    def no_gh(*args):
+        raise AssertionError("verify called _gh")
+
+    monkeypatch.setattr(sigma, "_gh", no_gh)
+    assert verify(params, pk, rl, b"one chain", sig).accepted
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: a key coordinate shifted by a generator order keeps "
+    "the certified point, lies off every revoked plane and keeps the "
+    "responses in range"))
+def test_generator_order_shift_is_rejected(monkeypatch):
+    # preconditions fail through pytest.warns and pytest.fail, which the
+    # xfail does not absorb; only the final verdict is the known defect
+    with pytest.warns(UserWarning, match="orders"):
+        params, gm = hierarchy.setup("toy17", TOY_P, TOY_P,
+                                     random.Random(12345))
+    rng = random.Random(71)
+    fin = add_department(params, new_root(), rng, name="financial",
+                         constraint=FINANCIAL)
+    sk, pk = join(params, gm, fin, "mallory", rng)
+    if not hierarchy.verify_cert(params, pk):
+        pytest.fail("the member's certificate does not verify")
+    rl = revoke_group(empty_rl(), fin)
+    n = point_order(params.curve, params.gens[0])  # p + 1 on toy17
+    shifted = dataclasses.replace(sk, x=(sk.x[0] + n,) + sk.x[1:])
+    real = sigma.pedersen_commit
+    monkeypatch.setattr(
+        sigma, "pedersen_commit",
+        lambda params, value, randomness: real(params, value % params.q,
+                                               randomness))
+    sig = sign(params, shifted, pk, rl, b"shifted", rng)
+    assert not verify(params, pk, rl, b"shifted", sig).accepted
 
 
 def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
