@@ -7,10 +7,11 @@ order so equal contents always serialize (and hash) identically. The
 constructor sorts and checks whatever it is given; a mutation inserts its
 one new entry into the already canonical list at its sorted position.
 
-What a list determines (its hash, its set of revoked points, the collapsed
-hyperplanes `sigma` derives from it) is computed once per list object and
-kept in the instance `__dict__` by `functools.cached_property`, which
-leaves equality, repr and serialization to the fields alone.
+The canonical order is the list's only index: lookups bisect it. What a
+list determines (its hash, the collapsed hyperplanes `sigma` derives from
+it) is computed once per list object and kept in the instance `__dict__`
+by `functools.cached_property`, which leaves equality, repr and
+serialization to the fields alone.
 """
 
 import bisect
@@ -44,10 +45,15 @@ class ConstraintSet:
             raise InvariantError("empty constraint set")
 
 
+def _point_key(entry):
+    """The point part of `_member_key`, of a RevokedMember or a PublicKey:
+    infinity sorts first, apart from the finite point (0, 0)."""
+    point = entry.point
+    return (not point.is_infinity, point.x or 0, point.y or 0)
+
+
 def _member_key(m: RevokedMember):
-    # infinity sorts first, apart from the finite point (0, 0)
-    return (not m.point.is_infinity, m.point.x or 0, m.point.y or 0,
-            m.member_id)
+    return (*_point_key(m), m.member_id)
 
 
 def _group_key(g: ConstraintSet):
@@ -65,11 +71,10 @@ class RevocationList:
         groups = tuple(sorted(self.groups, key=_group_key))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "groups", groups)
-        points = [m.point for m in members]
-        if len(set(points)) != len(points):
+        # entries of one point, or one path, sort side by side
+        if any(a.point == b.point for a, b in zip(members, members[1:])):
             raise InvariantError("duplicate member point in revocation list")
-        paths = [g.path for g in groups]
-        if len(set(paths)) != len(paths):
+        if any(a.path == b.path for a, b in zip(groups, groups[1:])):
             raise InvariantError("duplicate department path in revocation list")
 
     @cached_property
@@ -78,10 +83,6 @@ class RevocationList:
 
         return hashlib.sha256(
             serial.serialize_artifact("rl", self).encode("utf-8")).digest()
-
-    @cached_property
-    def _points(self) -> frozenset:
-        return frozenset(m.point for m in self.members)
 
     @cached_property
     def _collapse_memo(self) -> dict:
@@ -110,28 +111,34 @@ def _next(rl: RevocationList, members=None, groups=None) -> RevocationList:
     return child
 
 
+def _locate(entries, key, probe):
+    """(i, listed): the first position in canonical `entries` whose key is
+    not below `probe`, where an unlisted probe is inserted, and whether
+    the entry there has key `probe`. Entries of one point differ only in
+    id, so bisecting members by `_point_key` lands on the first of them."""
+    i = bisect.bisect_left(entries, probe, key=key)
+    return i, i < len(entries) and key(entries[i]) == probe
+
+
 def is_member_revoked(rl: RevocationList, pk: PublicKey) -> bool:
-    return pk.point in rl._points
+    return _locate(rl.members, _point_key, _point_key(pk))[1]
 
 
 def revoke_member(rl: RevocationList, pk: PublicKey) -> RevocationList:
-    member = RevokedMember(point=pk.point, member_id=pk.member_id)
-    members = rl.members
-    i = bisect.bisect(members, _member_key(member), key=_member_key)
-    # entries of one point differ only in id, so they sort side by side:
-    # a listed pk.point is a neighbour of position i
-    if any(m.point == pk.point for m in members[max(i - 1, 0):i + 1]):
+    i, listed = _locate(rl.members, _point_key, _point_key(pk))
+    if listed:
         raise ValueError(f"public key of {pk.member_id!r} is already revoked")
-    return _next(rl, members=members[:i] + (member,) + members[i:])
+    member = RevokedMember(point=pk.point, member_id=pk.member_id)
+    return _next(rl, members=rl.members[:i] + (member,) + rl.members[i:])
 
 
 def revoke_group(rl: RevocationList, dept: DeptNode) -> RevocationList:
     if dept.level < 1:
         raise ValueError("the root has no hyperplane to revoke")
-    if any(g.path == dept.path for g in rl.groups):
+    i, listed = _locate(rl.groups, _group_key, dept.path)
+    if listed:
         raise ValueError(f"department {dept.path!r} is already revoked")
     entry = ConstraintSet(path=dept.path, constraints=dept.constraints)
-    i = bisect.bisect(rl.groups, dept.path, key=_group_key)
     return _next(rl, groups=rl.groups[:i] + (entry,) + rl.groups[i:])
 
 

@@ -40,16 +40,6 @@ from .sigma import NonzeroProof, Signature
 
 FORMAT_VERSION = "2"
 
-EXTENSIONS = {
-    "params": ".params",
-    "keypair": ".key",
-    "cert": ".pub",
-    "rl": ".rl",
-    "signature": ".sig",
-    "tree": ".tree",
-    "report": ".report",
-}
-
 
 class _Codec(NamedTuple):
     dump: Callable  # value -> JSON document

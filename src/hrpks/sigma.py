@@ -109,14 +109,6 @@ class VerifyResult:
     accepted: bool
     reason: Optional[str] = None
 
-    @staticmethod
-    def accept() -> "VerifyResult":
-        return VerifyResult(True)
-
-    @staticmethod
-    def reject(reason: str) -> "VerifyResult":
-        return VerifyResult(False, reason)
-
 
 PK_REVOKED = "PK_REVOKED"
 RL_MISMATCH = "RL_MISMATCH"
@@ -415,25 +407,25 @@ def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
     an exception."""
     curve = params.curve
     if is_member_revoked(rl, pk):
-        return VerifyResult.reject(PK_REVOKED)
+        return VerifyResult(False, PK_REVOKED)
     if sig.rl_version != rl.version:
-        return VerifyResult.reject(RL_MISMATCH)
+        return VerifyResult(False, RL_MISMATCH)
     if not on_curve_fp(curve, pk.point):
-        return VerifyResult.reject(MALFORMED)
+        return VerifyResult(False, MALFORMED)
     if any(not isinstance(v, int) or v < 0 or v >= (1 << params.mask_bits)
            for v in sig.s):
-        return VerifyResult.reject(RANGE)
+        return VerifyResult(False, RANGE)
     if not _structural_ok(params, rl, sig):
-        return VerifyResult.reject(MALFORMED)
+        return VerifyResult(False, MALFORMED)
 
     try:
         collapsed = _collapse_all(params, rl, sig.retry)
     except (InvariantError, ValueError):
-        return VerifyResult.reject(MALFORMED)
+        return VerifyResult(False, MALFORMED)
     expected = _rebuild_challenge(
         params, pk, rl_hash(rl), sig.retry, collapsed, sig.challenge, sig.s,
         sig.commitments, sig.commitment_responses, sig.nonzero_proofs,
         message)
     if expected != sig.challenge:
-        return VerifyResult.reject(BAD_CHALLENGE)
-    return VerifyResult.accept()
+        return VerifyResult(False, BAD_CHALLENGE)
+    return VerifyResult(True)

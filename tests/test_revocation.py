@@ -275,16 +275,27 @@ def test_warm_and_cold_lists_are_indistinguishable():
 
 def test_is_member_revoked_agrees_with_a_scan():
     rng = random.Random(79)
-    for _ in range(20):
+    edges = [ModPoint.infinity(), ModPoint(0, 0), ModPoint(0, 1),
+             ModPoint(1, 0)]
+    # listed ids sort before, equal to and after the probe's "anyone"
+    ids = ["", "a", "anyone", "anyone2", "b"]
+    sides = set()
+    for _ in range(40):
         points = {ModPoint(rng.randrange(50), rng.randrange(50))
                   for _ in range(rng.randrange(12))}
+        points.update(rng.sample(edges, rng.randrange(len(edges) + 1)))
         rl = RevocationList(members=tuple(
-            RevokedMember(point=p, member_id=f"m{p.x}.{p.y}")
+            RevokedMember(point=p, member_id=rng.choice(ids))
             for p in points), version=len(points))
-        for _ in range(30):
-            pk = _pk(rng.randrange(50), rng.randrange(50), "anyone")
-            scan = any(m.point == pk.point for m in rl.members)
-            assert is_member_revoked(rl, pk) == scan
+        probes = edges + [m.point for m in rl.members] + [
+            ModPoint(rng.randrange(50), rng.randrange(50))
+            for _ in range(30)]
+        for point in probes:
+            pk = _member_pk(point, "anyone")
+            scan = [m.member_id for m in rl.members if m.point == point]
+            assert is_member_revoked(rl, pk) == bool(scan)
+            sides.update((i > "anyone") - (i < "anyone") for i in scan)
+    assert sides == {-1, 0, 1}
 
 
 # --- mutations insert into the canonical order ------------------------------
@@ -343,7 +354,7 @@ def test_mutations_match_the_canonicalizing_constructor():
             op = rng.randrange(3)
             if op == 0:
                 pk = _member_pk(rng.choice(points), rng.choice(ids))
-                if is_member_revoked(rl, pk):
+                if any(m.point == pk.point for m in rl.members):
                     with pytest.raises(ValueError):
                         revoke_member(rl, pk)
                     continue

@@ -58,7 +58,7 @@ def test_round_trips_all_kinds(tmp_path):
             assert again == value
             assert serial.serialize_artifact(kind, again) == text
         # file helpers
-        path = tmp_path / f"artifact{serial.EXTENSIONS[kind]}"
+        path = tmp_path / f"artifact.{kind}"
         serial.save_artifact(path, kind, value)
         loaded = serial.load_artifact(path, curve=params.curve)
         assert serial.serialize_artifact(kind, loaded) == text

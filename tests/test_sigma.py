@@ -910,6 +910,72 @@ def test_generator_order_shift_is_rejected(monkeypatch):
     assert not verify(params, pk, rl, b"shifted", sig).accepted
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: verify checks no certificate, so an uncertified key "
+    "labelled with a revoked department and lying off its plane is "
+    "accepted"))
+def test_uncertified_key_in_a_revoked_department_is_rejected():
+    params, _gm, rng, _root, _fin, hr, _eng = _toy_world(seed=141)
+    rl = revoke_group(empty_rl(), hr)
+    x = tuple(rng.randrange(params.q) for _ in range(params.r))
+    if HR.evaluate(x, params.q) == 0:
+        pytest.fail("the drawn key lies on HR's plane")
+    sk = hierarchy.SecretKey(x=x, member_id="mallory", dept=hr.path)
+    pk = PublicKey(point=params.gens_msm(x), member_id="mallory",
+                   dept=hr.path)
+    if hierarchy.verify_cert(params, pk):
+        pytest.fail("the uncertified key has a valid certificate")
+    sig = sign(params, sk, pk, rl, b"uncertified", rng)
+    assert not verify(params, pk, rl, b"uncertified", sig).accepted
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: h = g^e with a public e, so the nonzero proof opens "
+    "g in base (D_j, h) at v_j = 0 with w = 1 and y = 1/e - tau_j"))
+def test_nonzero_proof_at_zero_value_is_rejected():
+    params, gm, rng, _root, _fin, hr, _eng = _toy_world(seed=143)
+    q, aux, msg = params.q, params.aux, b"log_g h"
+    sk, pk = join(params, gm, hr, "mallory", rng)
+    rl = revoke_group(empty_rl(), hr)
+    try:
+        sign(params, sk, pk, rl, msg, rng)
+        pytest.fail("honest sign did not refuse the revoked member")
+    except SignerRevoked:
+        pass
+    e = sigma.hash_to_challenge(hierarchy.H_DERIVE_TAG, [aux.rho, aux.g],
+                                q.bit_length() - 1) + 2
+    if pow(aux.g, e, aux.rho) != aux.h:
+        pytest.fail("h is not g^e for the derivation's e")
+    if not hierarchy.verify_cert(params, pk):
+        pytest.fail("the member's certificate does not verify")
+
+    # sign's draws and announcements at retry 0, with v = f(x) = 0
+    mask_top = (1 << params.mask_bits) - (1 << (q.bit_length() + params.l_c))
+    ks = [rng.randrange(mask_top) for _ in range(params.r)]
+    ts = [rng.randrange(q) for _ in range(params.r)]
+    us = [rng.randrange(q) for _ in range(params.r)]
+    commitments = [pedersen_commit(params, x, t) for x, t in zip(sk.x, ts)]
+    announcements = [sigma._gh(aux, k, u) for k, u in zip(ks, us)]
+    (collapsed,) = sigma._collapse_all(params, rl, 0)
+    if collapsed.evaluate(sk.x, q) != 0:
+        pytest.fail("the member's key lies off the collapsed plane")
+    tau = sum(a * t for a, t in zip(collapsed.linear, ts)) % q
+    kw, ku = rng.randrange(q), rng.randrange(q)
+    bs = [sigma._gh(aux, 0, tau * kw + ku)]
+    c = sigma._challenge(params, pk, revocation.rl_hash(rl), 0,
+                         params.gens_msm(ks), commitments, announcements, bs,
+                         msg)
+    proof = sigma.NonzeroProof(sw=(kw + c) % q,
+                               su=(ku + c * (pow(e, -1, q) - tau)) % q)
+    sig = Signature(challenge=c,
+                    s=tuple(k + c * x for k, x in zip(ks, sk.x)),
+                    commitments=tuple(commitments),
+                    commitment_responses=tuple(
+                        (u + c * t) % q for u, t in zip(us, ts)),
+                    nonzero_proofs=(proof,), retry=0, rl_version=rl.version)
+    assert not verify(params, pk, rl, msg, sig).accepted
+
+
 def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
     import gc
 
@@ -950,3 +1016,41 @@ def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
     del sk
     gc.collect()
     assert len(hierarchy._KEY_MATCHES) == before - 1
+
+
+def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
+    # noise-free costs beside the timings: sign inverts each v_j, verify
+    # checks each C_i^q = 1, and a list's gammas are hashed once
+    params, gm, rng, _root, fin, hr, eng = _toy_world(seed=151)
+    sk, pk = join(params, gm, fin, "alice", rng)
+    rl = revoke_group(revoke_group(empty_rl(), hr), eng)
+    empty_sig = sign(params, sk, pk, empty_rl(), b"m", rng)
+    exponents, hashes = [], []
+    real_hash = sigma.hash_to_challenge
+
+    def counting_pow(*args):
+        exponents.append(args[1])
+        return pow(*args)
+
+    def counting_hash(*args):
+        hashes.append(args[0])
+        return real_hash(*args)
+
+    monkeypatch.setattr(sigma, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(sigma, "hash_to_challenge", counting_hash)
+
+    def counts(run):
+        exponents.clear()
+        hashes.clear()
+        result = run()
+        return result, list(exponents), len(hashes)
+
+    sig, *cold = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
+    assert cold == [[-1, -1], 3]
+    sig, *warm = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
+    assert warm == [[-1, -1], 1]
+    result, *checked = counts(lambda: verify(params, pk, rl, b"m", sig))
+    assert result.accepted and checked == [[params.q, params.q], 1]
+    result, *bare = counts(
+        lambda: verify(params, pk, empty_rl(), b"m", empty_sig))
+    assert result.accepted and bare == [[], 1]

@@ -395,7 +395,7 @@ def test_cli_exit_codes_for_mistyped_and_composite_artifacts(tmp_path,
     files = {"params": params, "cert": pk, "rl": rl, "signature": sig}
     paths = {}
     for kind, value in files.items():
-        paths[kind] = tmp_path / f"a{serial.EXTENSIONS[kind]}"
+        paths[kind] = tmp_path / f"a.{kind}"
         serial.save_artifact(paths[kind], kind, value)
     msg = tmp_path / "msg"
     msg.write_bytes(MESSAGE)
