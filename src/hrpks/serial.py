@@ -8,8 +8,8 @@ sign.
 
 One table, `_ARTIFACTS`, maps each kind to a codec that drives both
 directions. A codec is a (dump, load) pair built from a few field codecs:
-`_INT` (canonical decimal string), `_STR`, `_FLOAT` (repr), `_HEX` (bytes,
-"" for none), `_POINT` ("inf" or [x, y]), `_list(codec)` and
+`_INT` (canonical decimal string), `_STR`, `_FLOAT` (repr), `_HEX` (bytes
+as lower-case hex, "" for none), `_POINT` ("inf" or [x, y]), `_list(codec)` and
 `_record(build, fields)`, a JSON object with exactly the named fields,
 read from the value's attributes on dump and passed to `build` as keyword
 arguments on load. Every type check lives in the load half of these
@@ -90,6 +90,15 @@ def _flag(text: str) -> bool:
 _load_int = _text(_canonical(int), "a canonical decimal string")
 
 
+def _hex(text: str) -> Optional[bytes]:
+    """Bytes from the lower-case, unspaced hex that dump writes, so "AB",
+    " ab" and "a b" are refused; "" is no bytes."""
+    value = bytes.fromhex(text)
+    if value.hex() != text:
+        raise ValueError(text)
+    return value or None
+
+
 def _load_point(doc) -> ModPoint:
     if doc == "inf":
         return INF
@@ -102,7 +111,7 @@ _INT = _Codec(lambda v: str(int(v)), _load_int)
 _STR = _Codec(lambda v: v, _text(_utf8, "a UTF-8 string"))
 _FLOAT = _Codec(repr, _text(_canonical(float), "a canonical float string"))
 _HEX = _Codec(lambda v: v.hex() if v else "",
-              _text(lambda t: bytes.fromhex(t) if t else None, "a hex string"))
+              _text(_hex, "a lower-case hex string"))
 _POINT = _Codec(lambda v: "inf" if v.is_infinity else [str(v.x), str(v.y)],
                 _load_point)
 _FLAG = _Codec(lambda v: "1" if v else "0", _text(_flag, '"0" or "1"'))

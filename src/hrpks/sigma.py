@@ -25,18 +25,18 @@ transcript still fixes every statement the extractor needs. The collapsed
 hyperplanes are computed once per (revocation list, q, r, retry) and kept
 on the list, so signatures checked against one published list share them.
 
-`sign` knows the opening of every auxiliary-group value it makes:
+Every auxiliary-group value either side makes is one `_aux_product`,
+g^a h^b prod C_i^e_i: g and h from the fixed-base table of their powers,
+which is built once per aux group and kept across calls, with no
+squaring, and the C_i, if any, on one Straus chain over window tables
+built once per call. `sign` knows the opening of every value it makes,
 C_i = g^x_i h^t_i, A_i = g^k_i h^u_i and, since D_j = g^v_j h^tau_j,
-B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j). Each is one `_gh` product over
-the fixed-base tables of g and h, which are built once per aux group and
-kept across calls; no squaring is made. `verify` has no openings: it
-expands D_j, so each B_j is g^(a0 sw - c) h^su prod C_i^(a_i sw), and it
-checks each A_i and each B_j as one Straus multi-exponentiation
-`_aux_product` whose terms are g and h, on the first row of that cached
-table, and the C_i, on window tables built once per call. Signer and
-verifier hash their transcript through the one `_challenge`, and a test
-checks that sign's announcements are verify's equations at c = 0 with the
-nonces in place of the responses.
+B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j), so it makes no chain. `verify`
+has no openings: it checks each A_i = g^s_i h^st_i C_i^-c and, expanding
+D_j, each B_j = g^(a0 sw - c) h^su prod C_i^(a_i sw) as one product.
+Signer and verifier hash their transcript through the one `_challenge`,
+and a test checks that sign's announcements are verify's equations at
+c = 0 with the nonces in place of the responses.
 
 Responses on the curve side stay integers (never reduced): the group order
 of E(F_p) is deliberately not assumed known, so a statistical-gap slack of
@@ -62,15 +62,15 @@ from .revocation import RevocationList, is_member_revoked, rl_hash
 CHALLENGE_TAG = b"HRPKS-v1/chal"
 GAMMA_TAG = b"HRPKS-v1/gamma"
 MAX_COLLAPSE_ATTEMPTS = 64
-# Window width of both aux table kinds: the rows of the cached g and h
-# table, which `_gh` walks and whose first row gives g and h their
-# `_aux_product` terms, and the per-call tables of the C_i. By
+# Window width of both aux table kinds that `_aux_product` reads: the
+# rows of the cached g and h table and the per-call tables of the C_i. By
 # measurement (min of 60 interleaved runs, Python 3.11, shared 2-vCPU
 # host), for q = 2^127 - 1, r = 8 and 16 revoked sets: sign 2.32, 2.30 and
 # 2.16 ms, verify 5.82, 5.41 and 5.15 ms at w = 4, 5, 6, while the g and h
-# table, which every fresh process builds on its first sign, takes 54, 86
-# and 144 KiB and 0.40, 0.65 and 1.11 ms; for the 32-bit toy q, r = 2 and
-# 3 sets: sign 0.43, 0.41 and 0.43 ms, verify 0.62, 0.62 and 0.64 ms.
+# table, which every fresh process builds on its first sign or verify,
+# takes 54, 86 and 144 KiB and 0.40, 0.65 and 1.11 ms; for the 32-bit toy
+# q, r = 2 and 3 sets: sign 0.43, 0.41 and 0.43 ms, verify 0.62, 0.62 and
+# 0.64 ms.
 _AUX_WINDOW = 5
 # How many aux groups' g and h tables `_gh_table` keeps.
 _GH_CACHE_SIZE = 8
@@ -141,15 +141,36 @@ def _gh_table(aux: AuxGroup):
     return tuple(rows)
 
 
-def _gh(aux: AuxGroup, a: int, b: int) -> int:
-    """g^a h^b mod rho, with a and b reduced mod q first: per row, the
-    entries of a's and b's w-bit digits, no squarings (Brickell, Gordon,
-    McCurley and Wilson, "Fast Exponentiation with Precomputation",
-    EUROCRYPT 1992). One reduction per row of both products is cheaper
-    in Python than one per entry, and a zero digit's entry is 1."""
-    rho, w, mask = aux.rho, _AUX_WINDOW, (1 << _AUX_WINDOW) - 1
-    a, b = a % aux.q, b % aux.q
+def _aux_product(aux: AuxGroup, a: int, b: int, terms=()) -> int:
+    """g^a h^b prod base^e mod rho, over (window table of base, e) terms.
+
+    The terms share one Straus chain: w squarings per window, then the
+    window's table entries of every term, reduced once. With no terms there
+    is no chain. g and h then take one entry per digit from every row of
+    the cached `_gh_table`, with no squarings (Brickell, Gordon, McCurley
+    and Wilson, "Fast Exponentiation with Precomputation", EUROCRYPT 1992),
+    both entries of a row reduced once.
+
+    a, b and each e are reduced mod q first, so they may be negative or
+    exceed q; that is valid only because every base has order dividing q:
+    g and h, which `AuxGroup` checks, and the C_i, once `_structural_ok`
+    has checked C_i^q = 1, which verify runs before any product. On any
+    other base the result is wrong.
+    """
+    q, rho, w = aux.q, aux.rho, _AUX_WINDOW
+    mask = (1 << w) - 1
     acc = 1
+    if terms:
+        terms = [(table, e % q) for table, e in terms]
+        top = max(e.bit_length() for _, e in terms)
+        for shift in range((top - 1) // w * w, -1, -w):
+            if acc != 1:  # no squarings before the first nonzero digit
+                for _ in range(w):
+                    acc = acc * acc % rho
+            for table, e in terms:
+                acc *= table[(e >> shift) & mask]
+            acc %= rho
+    a, b = a % q, b % q
     for g_row, h_row in _gh_table(aux):
         acc = acc * g_row[a & mask] * h_row[b & mask] % rho
         a >>= w
@@ -157,41 +178,11 @@ def _gh(aux: AuxGroup, a: int, b: int) -> int:
     return acc
 
 
-def _aux_product(aux: AuxGroup, terms) -> int:
-    """prod base^e mod rho over (window table of base, e) terms.
-
-    One Straus chain: w squarings per window, shared by every term, then
-    the window's table entries of every term, reduced once (as in `_gh`).
-    Each e is reduced mod q first, so it may be negative or exceed q; that
-    is valid only because every base has order dividing q. Its bases are
-    g and h, which `AuxGroup` checks, and the C_i, once `_structural_ok`
-    has checked C_i^q = 1, which verify runs before any product. On any
-    other base the result is wrong.
-    """
-    q, rho = aux.q, aux.rho
-    terms = [(table, e % q) for table, e in terms]
-    terms = [(table, e) for table, e in terms if e]
-    if not terms:
-        return 1
-    top = max(e.bit_length() for _, e in terms)
-    mask = (1 << _AUX_WINDOW) - 1
-    acc = 1
-    for shift in range((top - 1) // _AUX_WINDOW * _AUX_WINDOW, -1,
-                       -_AUX_WINDOW):
-        if acc != 1:  # no squarings before the first nonzero digit
-            for _ in range(_AUX_WINDOW):
-                acc = acc * acc % rho
-        for table, e in terms:
-            acc *= table[(e >> shift) & mask]
-        acc %= rho
-    return acc
-
-
 def pedersen_commit(params: SystemParams, value: int, randomness: int) -> int:
     """g^value * h^randomness in the auxiliary group."""
     if not 0 <= value < params.q or not 0 <= randomness < params.q:
         raise ValueError("commitment inputs must lie in [0, q)")
-    return _gh(params.aux, value, randomness)
+    return _aux_product(params.aux, value, randomness)
 
 
 def collapse_constraints(constraints: Sequence[Hyperplane],
@@ -232,19 +223,6 @@ def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
     parts = [params.digest(), _key_parts(pk), rlh, retry, big_r,
              list(commitments), list(announcements), list(bs), message]
     return hash_to_challenge(CHALLENGE_TAG, parts, params.l_c)
-
-
-def _nonzero_b(aux: AuxGroup, c_tables, collapsed: Hyperplane, e: int,
-               f: int, x: int) -> int:
-    """D^e h^f g^x as one `_aux_product`, g^(a0 e + x) h^f prod
-    C_i^(a_i e), where D = g^a0 prod C_i^a_i is the collapsed commitment
-    for the collapsed coefficients (g^f(x) h^tau when each C_i commits to
-    x_i)."""
-    g_table, h_table = _gh_table(aux)[0]
-    return _aux_product(aux, [
-        (g_table, collapsed.a0 * e + x), (h_table, f),
-        *((c_table, a * e)
-          for c_table, a in zip(c_tables, collapsed.linear))])
 
 
 def _retry_ok(retry) -> bool:
@@ -290,13 +268,13 @@ def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
     big_r = params.gens_msm(s, ((-c, pk.point),))
     announcements = bs = ()
     if commitments:
-        g_table, h_table = _gh_table(aux)[0]
         c_tables = [_aux_table(aux, c_i) for c_i in commitments]
-        announcements = [
-            _aux_product(aux, ((g_table, s_i), (h_table, st_i),
-                               (c_table, -c)))
-            for s_i, st_i, c_table in zip(s, st, c_tables)]
-        bs = [_nonzero_b(aux, c_tables, hp, proof.sw, proof.su, -c)
+        announcements = [_aux_product(aux, s_i, st_i, [(c_table, -c)])
+                         for s_i, st_i, c_table in zip(s, st, c_tables)]
+        # D_j expanded: B_j = g^(a0 sw - c) h^su prod C_i^(a_i sw)
+        bs = [_aux_product(aux, hp.a0 * proof.sw - c, proof.su,
+                           [(c_table, a * proof.sw)
+                            for c_table, a in zip(c_tables, hp.linear)])
               for hp, proof in zip(collapsed, proofs)]
     return _challenge(params, pk, rlh, retry, big_r, commitments,
                       announcements, bs, message)
@@ -352,8 +330,9 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
               for _ in collapsed]  # (kw_j, ku_j)
     # D_j = g^v_j h^tau_j
     taus = [sum(a * t for a, t in zip(hp.linear, ts)) % q for hp in collapsed]
-    announcements = [_gh(aux, k, u) for k, u in zip(ks, us)]  # none if no C_i
-    bs = [_gh(aux, v * kw, tau * kw + ku)
+    announcements = [_aux_product(aux, k, u)
+                     for k, u in zip(ks, us)]  # none if no C_i
+    bs = [_aux_product(aux, v * kw, tau * kw + ku)
           for v, tau, (kw, ku) in zip(vs, taus, nonces)]
     c = _challenge(params, pk, rl_hash(rl), retry, params.gens_msm(ks),
                    commitments, announcements, bs, message)

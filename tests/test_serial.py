@@ -207,9 +207,17 @@ def test_non_hex_cert_is_parse_error():
     params, gm, rng, root, fin, hr, sk, pk = _world()
     for kind, value in (("cert", pk), ("keypair", (sk, pk))):
         doc = json.loads(serial.serialize_artifact(kind, value))
-        (doc if kind == "cert" else doc["pk"])["cert"] = "zz"
-        with pytest.raises(ParseError):
-            serial.deserialize_artifact(json.dumps(doc))
+        holder = doc if kind == "cert" else doc["pk"]
+        written = holder["cert"]
+        assert written.lower() == written != written.upper()
+        # only the spelling dump writes loads: no upper case, no spaces
+        for bad in ("zz", written.upper(), " " + written, written + " ",
+                    written[:2] + " " + written[2:], "AB", " ab", "a b"):
+            holder["cert"] = bad
+            with pytest.raises(ParseError):
+                serial.deserialize_artifact(json.dumps(doc))
+        holder["cert"] = written
+        assert serial.deserialize_artifact(json.dumps(doc)) == value
 
 
 def test_unknown_kind_serialize():

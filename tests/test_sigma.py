@@ -178,42 +178,72 @@ def test_commit_range_check():
 
 # --- aux-group multi-exponentiation -----------------------------------------
 
-def _reference_aux_product(aux, bases, exps):
-    """Plain `pow` per term, exponents unreduced (negative ones invert)."""
-    acc = 1
-    for b, e in zip(bases, exps):
-        acc = acc * pow(b, e, aux.rho) % aux.rho
+def _reference_aux_product(aux, a, b, bases, exps):
+    """g^a h^b prod base^e with plain `pow`, exponents unreduced (negative
+    ones invert)."""
+    acc = pow(aux.g, a, aux.rho) * pow(aux.h, b, aux.rho) % aux.rho
+    for base, e in zip(bases, exps):
+        acc = acc * pow(base, e, aux.rho) % aux.rho
     return acc
 
 
-def _assert_aux_product_matches(aux, bases, exps):
-    terms = [(sigma._aux_table(aux, b), e) for b, e in zip(bases, exps)]
-    assert sigma._aux_product(aux, terms) == \
-        _reference_aux_product(aux, bases, exps), (bases, exps)
-
-
 def _aux_product_cases(aux, rng):
-    q, w = aux.q, sigma._AUX_WINDOW
-    elements = [aux.g, aux.h] + [pow(aux.g, rng.randrange(1, q), aux.rho)
-                                 for _ in range(3)]
-    edges = [0, 1, 2, q - 1, q, q + 1, 2 * q + 5, (1 << w) - 1, 1 << w,
-             (1 << (3 * w)) - 1, rng.getrandbits(317), -1,
-             -rng.getrandbits(64), -(3 * q) - 2]
+    """(a, b, bases, exps): g and h exponents at every edge and at every
+    digit of every fixed-base row, alone and beside 0 to 8 terms, the
+    shapes of sign (no terms), of A_i (one C_i) and of B_j
+    (g^(a0 e + x) h^f prod C_i^(a_i e), with zero and repeat edges)."""
+    q, rho, w = aux.q, aux.rho, sigma._AUX_WINDOW
+    top = 1 << q.bit_length()
+
+    edges = [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q + 5, (1 << w) - 1,
+             1 << w, (1 << (3 * w)) - 1, top - 1, top, top + 1, 3 * top + 5,
+             rng.getrandbits(317), rng.randrange(q), -1, -q, -(q + 1),
+             -(3 * q) - 2, -rng.getrandbits(64), -rng.getrandbits(200)]
+
+    def edge():
+        return rng.choice(edges + [rng.randrange(q)])
+
+    def element():
+        return pow(aux.g, rng.randrange(1, q), rho)
+
+    elements = [aux.g, aux.h, element(), element(), element()]
+    for a in edges:
+        for b in edges:
+            yield a, b, [], []
+    # every digit of every row, of either base, next to a random other one
+    for k in range(len(sigma._gh_table(aux))):
+        for d in range(1 << w):
+            yield d << (w * k), rng.randrange(q), [], []
+            yield rng.randrange(q), d << (w * k), [], []
+    for _ in range(50):
+        yield rng.randrange(-top, 2 * top), rng.randrange(-top, 2 * top), \
+            [], []
+    # one term at every edge, on g, h, other elements and 1
     for e in edges:
-        for b in elements[:3]:
-            yield [b], [e]
+        for base in elements + [1]:
+            yield edge(), edge(), [base], [e]
     for e1 in edges:
-        for e2 in edges:
-            yield elements[:2], [e1, e2]
-    yield [], []
-    yield [1], [rng.getrandbits(317)]
-    yield [1, aux.g], [q - 1, -7]
-    yield [aux.g, aux.g], [q - 1, 1]             # repeat that cancels
-    yield [aux.h, aux.h, aux.h], [5, 2 * q + 5, -10]
-    yield elements, [0] * len(elements)
-    for _ in range(30):
-        bases = [rng.choice(elements) for _ in range(rng.randrange(1, 10))]
-        yield bases, [rng.choice(edges + [rng.randrange(q)]) for _ in bases]
+        for e2 in edges[::2]:
+            yield edge(), edge(), elements[:2], [e1, e2]
+    yield 0, 0, elements, [0] * len(elements)
+    yield q - 1, 1, [aux.g, aux.g], [q - 1, 1]      # repeats that cancel
+    yield 5, 2 * q + 5, [aux.h, aux.h, aux.h], [5, 2 * q + 5, -10]
+    # the B_j shape for collapsed coefficients (a0, a_1, ...), e = sw,
+    # f = su and x = -c
+    c1, c2, c3 = elements[2:]
+    for cs, coeffs, e, f, x in [
+            ((c1, c2), (0, 5, q - 1), rng.randrange(q), 7, -3),
+            ((c1, c2, c3), (rng.randrange(q), 0, rng.randrange(q), 0),
+             rng.randrange(q), rng.randrange(q), -rng.randrange(1 << 31)),
+            ((c1, c2), (rng.randrange(q), 3, 4), 0, rng.randrange(q), -9),
+            ((c1, c2), (rng.randrange(q), 3, 4), rng.randrange(q), 0, 0),
+            ((c1, c1, c2), (2, q - 1, 1, 6), rng.randrange(q), 1, -1),
+            ((c3, c3), (0, 1, q - 1), q - 1, q - 1, 0)]:
+        yield coeffs[0] * e + x, f, cs, [a * e for a in coeffs[1:]]
+    for _ in range(60):
+        bases = [rng.choice(elements + [element()])
+                 for _ in range(rng.randrange(9))]
+        yield edge(), edge(), bases, [edge() for _ in bases]
 
 
 @pytest.mark.parametrize("make_aux", [
@@ -223,23 +253,13 @@ def _aux_product_cases(aux, rng):
 def test_aux_product_matches_plain_pow(make_aux):
     aux = make_aux()
     rng = random.Random(aux.q.bit_length())
-    for bases, exps in _aux_product_cases(aux, rng):
-        _assert_aux_product_matches(aux, bases, exps)
-    # g and h on the row-0 tables of `_gh_table`, beside a C_i, as verify
-    # passes them
-    q = aux.q
-    g_row, h_row = sigma._gh_table(aux)[0]
-    c_i = pow(aux.g, rng.randrange(1, q), aux.rho)
-    c_table = sigma._aux_table(aux, c_i)
-    edges = [0, 1, q - 1, q, q + 1, 2 * q + 5, rng.getrandbits(317), -1,
-             -q, -(3 * q) - 2, -rng.getrandbits(64)]
-    for e_g in edges:
-        for e_h in edges:
-            e_c = rng.choice(edges)
-            got = sigma._aux_product(
-                aux, [(g_row, e_g), (h_row, e_h), (c_table, e_c)])
-            assert got == _reference_aux_product(
-                aux, [aux.g, aux.h, c_i], [e_g, e_h, e_c]), (e_g, e_h, e_c)
+    for a, b, bases, exps in _aux_product_cases(aux, rng):
+        terms = [(sigma._aux_table(aux, base), e)
+                 for base, e in zip(bases, exps)]
+        got = (sigma._aux_product(aux, a, b, terms) if terms
+               else sigma._aux_product(aux, a, b))
+        assert got == _reference_aux_product(aux, a, b, bases, exps), \
+            (a, b, bases, exps)
 
 
 def test_aux_table_holds_every_window_digit():
@@ -260,90 +280,6 @@ def test_aux_table_holds_every_window_digit():
         # another
         assert isinstance(table, tuple) and isinstance(rows, tuple)
         assert all(isinstance(row, tuple) for pair in rows for row in pair)
-
-
-def _gh_cases(aux, rng):
-    q, w = aux.q, sigma._AUX_WINDOW
-    top = 1 << q.bit_length()
-    edges = [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, -1, -q, -(q + 1),
-             -rng.getrandbits(200), top, top + 1, top - 1, 3 * top + 5,
-             rng.getrandbits(317), rng.randrange(q)]
-    for a in edges:
-        for b in edges:
-            yield a, b
-    # every digit of every row, of either base, next to a random other one
-    for k in range(len(sigma._gh_table(aux))):
-        for d in range(1 << w):
-            yield d << (w * k), rng.randrange(q)
-            yield rng.randrange(q), d << (w * k)
-    for _ in range(50):
-        yield rng.randrange(-top, 2 * top), rng.randrange(-top, 2 * top)
-
-
-@pytest.mark.parametrize("make_aux", [
-    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
-    lambda: hierarchy._build_aux_group((1 << 127) - 1),
-], ids=["toy17-q32", "q127"])
-def test_gh_matches_plain_pow(make_aux):
-    aux = make_aux()
-    rng = random.Random(aux.q.bit_length() + 2)
-    for a, b in _gh_cases(aux, rng):
-        want = pow(aux.g, a, aux.rho) * pow(aux.h, b, aux.rho) % aux.rho
-        assert sigma._gh(aux, a, b) == want, (a, b)
-
-
-def _reference_nonzero_b(aux, commitments, collapsed, e, f, x):
-    """D^e h^f g^x with plain `pow`, the collapsed commitment
-    D = g^a0 prod C_i^a_i built on its own first."""
-    d = _reference_aux_product(aux, [aux.g, *commitments], collapsed.coeffs)
-    return _reference_aux_product(aux, [d, aux.h, aux.g], [e, f, x])
-
-
-def _nonzero_b_cases(aux, rng):
-    """(commitments, collapsed coefficients, e, f, x) with the zero and
-    repeat edges: a0 = 0, some a_i = 0, e = 0 (sw = 0), x = 0 (c = 0) and
-    a repeated C_i."""
-    q, rho = aux.q, aux.rho
-
-    def element():
-        return pow(aux.g, rng.randrange(1, q), rho)
-
-    def exponent():
-        return rng.choice([0, 1, q - 1, rng.randrange(q)])
-
-    c1, c2, c3 = element(), element(), element()
-    yield (c1, c2), (0, 5, q - 1), rng.randrange(q), 7, -3
-    yield (c1, c2, c3), (rng.randrange(q), 0, rng.randrange(q), 0), \
-        rng.randrange(q), rng.randrange(q), -rng.randrange(1 << 31)
-    yield (c1, c2), (rng.randrange(q), 3, 4), 0, rng.randrange(q), -9
-    yield (c1, c2), (rng.randrange(q), 3, 4), rng.randrange(q), 0, 0
-    yield (c1, c1, c2), (2, q - 1, 1, 6), rng.randrange(q), 1, -1
-    yield (c3, c3), (0, 1, q - 1), q - 1, q - 1, 0
-    for _ in range(40):
-        commitments = tuple(rng.choice([c1, c2, c3, element()])
-                            for _ in range(rng.randrange(1, 9)))
-        coeffs = (exponent(),) + tuple(exponent() for _ in commitments)
-        if not any(coeffs[1:]):
-            coeffs = coeffs[:1] + (1,) + coeffs[2:]
-        yield commitments, coeffs, exponent(), exponent(), \
-            -rng.randrange(1 << 31) * rng.randrange(2)
-
-
-@pytest.mark.parametrize("make_aux", [
-    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
-    lambda: hierarchy._build_aux_group((1 << 127) - 1),
-], ids=["toy17-q32", "q127"])
-def test_nonzero_b_is_one_product_equal_to_plain_pow(make_aux):
-    # B_j = g^(a0 e + x) h^f prod C_i^(a_i e) must equal D^e h^f g^x, the
-    # value computed from the collapsed commitment D that is no longer sent
-    aux = make_aux()
-    rng = random.Random(aux.q.bit_length() + 1)
-    for commitments, coeffs, e, f, x in _nonzero_b_cases(aux, rng):
-        collapsed = Hyperplane(coeffs)
-        c_tables = [sigma._aux_table(aux, c) for c in commitments]
-        got = sigma._nonzero_b(aux, c_tables, collapsed, e, f, x)
-        assert got == _reference_nonzero_b(aux, commitments, collapsed,
-                                           e, f, x), (coeffs, e, f, x)
 
 
 def test_verify_rejects_commitment_of_order_2q():
@@ -867,21 +803,6 @@ def test_sign_announcements_are_verify_equations_at_c0(kind, monkeypatch):
     assert verify(params, pk, rl, msg, sig).accepted
 
 
-@pytest.mark.parametrize("kind", ["toy17-q32", "q127-r8"])
-def test_verify_takes_no_fixed_base_product(kind, monkeypatch):
-    # verify checks each A_i and B_j as one `_aux_product` with g and h
-    # among its terms; only sign and `pedersen_commit` walk `_gh`
-    params, sk, pk, rl = _oracle_world(kind)
-    sig = sign(params, sk, pk, rl, b"one chain", random.Random(7))
-    assert sig.nonzero_proofs
-
-    def no_gh(*args):
-        raise AssertionError("verify called _gh")
-
-    monkeypatch.setattr(sigma, "_gh", no_gh)
-    assert verify(params, pk, rl, b"one chain", sig).accepted
-
-
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 3: a key coordinate shifted by a generator order keeps "
     "the certified point, lies off every revoked plane and keeps the "
@@ -955,13 +876,13 @@ def test_nonzero_proof_at_zero_value_is_rejected():
     ts = [rng.randrange(q) for _ in range(params.r)]
     us = [rng.randrange(q) for _ in range(params.r)]
     commitments = [pedersen_commit(params, x, t) for x, t in zip(sk.x, ts)]
-    announcements = [sigma._gh(aux, k, u) for k, u in zip(ks, us)]
+    announcements = [sigma._aux_product(aux, k, u) for k, u in zip(ks, us)]
     (collapsed,) = sigma._collapse_all(params, rl, 0)
     if collapsed.evaluate(sk.x, q) != 0:
         pytest.fail("the member's key lies off the collapsed plane")
     tau = sum(a * t for a, t in zip(collapsed.linear, ts)) % q
     kw, ku = rng.randrange(q), rng.randrange(q)
-    bs = [sigma._gh(aux, 0, tau * kw + ku)]
+    bs = [sigma._aux_product(aux, 0, tau * kw + ku)]
     c = sigma._challenge(params, pk, revocation.rl_hash(rl), 0,
                          params.gens_msm(ks), commitments, announcements, bs,
                          msg)
@@ -1020,13 +941,15 @@ def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
 
 def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
     # noise-free costs beside the timings: sign inverts each v_j, verify
-    # checks each C_i^q = 1, and a list's gammas are hashed once
+    # checks each C_i^q = 1, and a list's gammas are hashed once; sign
+    # makes one aux product per C_i, A_i and B_j, verify one per A_i and B_j
     params, gm, rng, _root, fin, hr, eng = _toy_world(seed=151)
     sk, pk = join(params, gm, fin, "alice", rng)
     rl = revoke_group(revoke_group(empty_rl(), hr), eng)
+    r, m = params.r, len(rl.groups)
     empty_sig = sign(params, sk, pk, empty_rl(), b"m", rng)
-    exponents, hashes = [], []
-    real_hash = sigma.hash_to_challenge
+    exponents, hashes, products = [], [], []
+    real_hash, real_product = sigma.hash_to_challenge, sigma._aux_product
 
     def counting_pow(*args):
         exponents.append(args[1])
@@ -1036,21 +959,27 @@ def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
         hashes.append(args[0])
         return real_hash(*args)
 
+    def counting_product(*args):
+        products.append(args[0])
+        return real_product(*args)
+
     monkeypatch.setattr(sigma, "pow", counting_pow, raising=False)
     monkeypatch.setattr(sigma, "hash_to_challenge", counting_hash)
+    monkeypatch.setattr(sigma, "_aux_product", counting_product)
 
     def counts(run):
         exponents.clear()
         hashes.clear()
+        products.clear()
         result = run()
-        return result, list(exponents), len(hashes)
+        return result, list(exponents), len(hashes), len(products)
 
     sig, *cold = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
-    assert cold == [[-1, -1], 3]
+    assert cold == [[-1, -1], 3, 2 * r + m]
     sig, *warm = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
-    assert warm == [[-1, -1], 1]
+    assert warm == [[-1, -1], 1, 2 * r + m]
     result, *checked = counts(lambda: verify(params, pk, rl, b"m", sig))
-    assert result.accepted and checked == [[params.q, params.q], 1]
+    assert result.accepted and checked == [[params.q, params.q], 1, r + m]
     result, *bare = counts(
         lambda: verify(params, pk, empty_rl(), b"m", empty_sig))
-    assert result.accepted and bare == [[], 1]
+    assert result.accepted and bare == [[], 1, 0]
