@@ -187,18 +187,20 @@ def _reference_aux_product(aux, a, b, bases, exps):
     return acc
 
 
-def _aux_product_cases(aux, rng):
-    """(a, b, bases, exps): g and h exponents at every edge and at every
-    digit of every fixed-base row, alone and beside 0 to 8 terms, the
-    shapes of sign (no terms), of A_i (one C_i) and of B_j
-    (g^(a0 e + x) h^f prod C_i^(a_i e), with zero and repeat edges)."""
-    q, rho, w = aux.q, aux.rho, sigma._AUX_WINDOW
+def _aux_edges(aux, rng):
+    q, w = aux.q, sigma._AUX_WINDOW
     top = 1 << q.bit_length()
+    return [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q + 5, (1 << w) - 1,
+            1 << w, (1 << (3 * w)) - 1, top - 1, top, top + 1, 3 * top + 5,
+            rng.getrandbits(317), rng.randrange(q), -1, -q, -(q + 1),
+            -(3 * q) - 2, -rng.getrandbits(64), -rng.getrandbits(200)]
 
-    edges = [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q + 5, (1 << w) - 1,
-             1 << w, (1 << (3 * w)) - 1, top - 1, top, top + 1, 3 * top + 5,
-             rng.getrandbits(317), rng.randrange(q), -1, -q, -(q + 1),
-             -(3 * q) - 2, -rng.getrandbits(64), -rng.getrandbits(200)]
+
+def _aux_product_cases(aux, rng):
+    """(a, b, bases, exps): 1 to 8 terms at every edge beside g and h
+    exponents at an edge, the shapes of A_i (one C_i) and of B_j."""
+    q, rho = aux.q, aux.rho
+    edges = _aux_edges(aux, rng)
 
     def edge():
         return rng.choice(edges + [rng.randrange(q)])
@@ -207,17 +209,6 @@ def _aux_product_cases(aux, rng):
         return pow(aux.g, rng.randrange(1, q), rho)
 
     elements = [aux.g, aux.h, element(), element(), element()]
-    for a in edges:
-        for b in edges:
-            yield a, b, [], []
-    # every digit of every row, of either base, next to a random other one
-    for k in range(len(sigma._gh_table(aux))):
-        for d in range(1 << w):
-            yield d << (w * k), rng.randrange(q), [], []
-            yield rng.randrange(q), d << (w * k), [], []
-    for _ in range(50):
-        yield rng.randrange(-top, 2 * top), rng.randrange(-top, 2 * top), \
-            [], []
     # one term at every edge, on g, h, other elements and 1
     for e in edges:
         for base in elements + [1]:
@@ -228,21 +219,9 @@ def _aux_product_cases(aux, rng):
     yield 0, 0, elements, [0] * len(elements)
     yield q - 1, 1, [aux.g, aux.g], [q - 1, 1]      # repeats that cancel
     yield 5, 2 * q + 5, [aux.h, aux.h, aux.h], [5, 2 * q + 5, -10]
-    # the B_j shape for collapsed coefficients (a0, a_1, ...), e = sw,
-    # f = su and x = -c
-    c1, c2, c3 = elements[2:]
-    for cs, coeffs, e, f, x in [
-            ((c1, c2), (0, 5, q - 1), rng.randrange(q), 7, -3),
-            ((c1, c2, c3), (rng.randrange(q), 0, rng.randrange(q), 0),
-             rng.randrange(q), rng.randrange(q), -rng.randrange(1 << 31)),
-            ((c1, c2), (rng.randrange(q), 3, 4), 0, rng.randrange(q), -9),
-            ((c1, c2), (rng.randrange(q), 3, 4), rng.randrange(q), 0, 0),
-            ((c1, c1, c2), (2, q - 1, 1, 6), rng.randrange(q), 1, -1),
-            ((c3, c3), (0, 1, q - 1), q - 1, q - 1, 0)]:
-        yield coeffs[0] * e + x, f, cs, [a * e for a in coeffs[1:]]
     for _ in range(60):
         bases = [rng.choice(elements + [element()])
-                 for _ in range(rng.randrange(9))]
+                 for _ in range(rng.randrange(1, 9))]
         yield edge(), edge(), bases, [edge() for _ in bases]
 
 
@@ -256,10 +235,98 @@ def test_aux_product_matches_plain_pow(make_aux):
     for a, b, bases, exps in _aux_product_cases(aux, rng):
         terms = [(sigma._aux_table(aux, base), e)
                  for base, e in zip(bases, exps)]
-        got = (sigma._aux_product(aux, a, b, terms) if terms
-               else sigma._aux_product(aux, a, b))
+        got = sigma._aux_product(aux, a, b, terms)
         assert got == _reference_aux_product(aux, a, b, bases, exps), \
             (a, b, bases, exps)
+
+
+def _gh_cases(aux, rng):
+    q, w = aux.q, sigma._AUX_WINDOW
+    top = 1 << q.bit_length()
+    edges = _aux_edges(aux, rng)
+    for a in edges:
+        for b in edges:
+            yield a, b
+    # every digit of every row, of either base, next to a random other one
+    for k in range(len(sigma._gh_table(aux))):
+        for d in range(1 << w):
+            yield d << (w * k), rng.randrange(q)
+            yield rng.randrange(q), d << (w * k)
+    for _ in range(50):
+        yield rng.randrange(-top, 2 * top), rng.randrange(-top, 2 * top)
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_gh_matches_plain_pow(make_aux):
+    # g^a h^b with no terms, as sign and `pedersen_commit` take it, reads
+    # only the fixed-base table
+    aux = make_aux()
+    rng = random.Random(aux.q.bit_length() + 2)
+    for a, b in _gh_cases(aux, rng):
+        want = _reference_aux_product(aux, a, b, [], [])
+        assert sigma._aux_product(aux, a, b) == want, (a, b)
+
+
+def _reference_nonzero_b(aux, commitments, collapsed, e, f, x):
+    """D^e h^f g^x with plain `pow`, the collapsed commitment
+    D = g^a0 prod C_i^a_i built on its own first."""
+    d = _reference_aux_product(aux, 0, 0, [aux.g, *commitments],
+                               collapsed.coeffs)
+    return _reference_aux_product(aux, x, f, [d], [e])
+
+
+def _nonzero_b_cases(aux, rng):
+    """(commitments, collapsed coefficients, e, f, x) with the zero and
+    repeat edges: a0 = 0, some a_i = 0, e = 0 (sw = 0), x = 0 (c = 0) and
+    a repeated C_i."""
+    q, rho = aux.q, aux.rho
+
+    def element():
+        return pow(aux.g, rng.randrange(1, q), rho)
+
+    def exponent():
+        return rng.choice([0, 1, q - 1, rng.randrange(q)])
+
+    c1, c2, c3 = element(), element(), element()
+    yield (c1, c2), (0, 5, q - 1), rng.randrange(q), 7, -3
+    yield (c1, c2, c3), (rng.randrange(q), 0, rng.randrange(q), 0), \
+        rng.randrange(q), rng.randrange(q), -rng.randrange(1 << 31)
+    yield (c1, c2), (rng.randrange(q), 3, 4), 0, rng.randrange(q), -9
+    yield (c1, c2), (rng.randrange(q), 3, 4), rng.randrange(q), 0, 0
+    yield (c1, c1, c2), (2, q - 1, 1, 6), rng.randrange(q), 1, -1
+    yield (c3, c3), (0, 1, q - 1), q - 1, q - 1, 0
+    for _ in range(40):
+        commitments = tuple(rng.choice([c1, c2, c3, element()])
+                            for _ in range(rng.randrange(1, 9)))
+        coeffs = (exponent(),) + tuple(exponent() for _ in commitments)
+        if not any(coeffs[1:]):
+            coeffs = coeffs[:1] + (1,) + coeffs[2:]
+        yield commitments, coeffs, exponent(), exponent(), \
+            -rng.randrange(1 << 31) * rng.randrange(2)
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_nonzero_b_is_one_product_equal_to_plain_pow(make_aux):
+    # B_j = g^(a0 e + x) h^f prod C_i^(a_i e), the one product verify
+    # takes, must equal D^e h^f g^x, the value computed from the collapsed
+    # commitment D that is not sent
+    aux = make_aux()
+    rng = random.Random(aux.q.bit_length() + 1)
+    for commitments, coeffs, e, f, x in _nonzero_b_cases(aux, rng):
+        collapsed = Hyperplane(coeffs)
+        c_tables = [sigma._aux_table(aux, c) for c in commitments]
+        got = sigma._aux_product(
+            aux, collapsed.a0 * e + x, f,
+            [(c_table, a * e)
+             for c_table, a in zip(c_tables, collapsed.linear)])
+        assert got == _reference_nonzero_b(aux, commitments, collapsed,
+                                           e, f, x), (coeffs, e, f, x)
 
 
 def test_aux_table_holds_every_window_digit():
@@ -801,6 +868,26 @@ def test_sign_announcements_are_verify_equations_at_c0(kind, monkeypatch):
     assert len(signed[6]) == len(sig.commitments)
     assert len(signed[7]) == len(rl.groups)
     assert verify(params, pk, rl, msg, sig).accepted
+
+
+@pytest.mark.parametrize("kind", ["toy17-q32", "q127-r8"])
+def test_verify_takes_no_fixed_base_product(kind, monkeypatch):
+    # verify checks each A_i and B_j as one `_aux_product` with C_i among
+    # its terms; only sign and `pedersen_commit` take g^a h^b on its own
+    params, sk, pk, rl = _oracle_world(kind)
+    sig = sign(params, sk, pk, rl, b"one chain", random.Random(7))
+    assert sig.nonzero_proofs
+    real_product, calls = sigma._aux_product, []
+
+    def terms_only(aux, a, b, terms=()):
+        if not terms:
+            raise AssertionError("verify took a fixed-base-only product")
+        calls.append(len(terms))
+        return real_product(aux, a, b, terms)
+
+    monkeypatch.setattr(sigma, "_aux_product", terms_only)
+    assert verify(params, pk, rl, b"one chain", sig).accepted
+    assert len(calls) == params.r + len(rl.groups)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
