@@ -7,6 +7,7 @@ Department at level k <= r-1 carries k linearly independent hyperplanes
 from the department's solution space mod q.
 """
 
+import collections
 import hashlib
 import math
 import warnings
@@ -16,7 +17,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import curve_fp, curve_q, modmath
-from .curve_fp import CurveFp, ModPoint, msm, reduce_curve, reduce_point
+from .curve_fp import (CurveFp, ModPoint, msm, neg_fp, reduce_curve,
+                       reduce_point)
 from .curve_q import RationalPoint
 from .encoding import MAX_CHALLENGE_BITS, encode, hash_to_challenge
 from .errors import InvariantError, ParseError
@@ -226,9 +228,19 @@ class SystemParams:
     def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
         """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`;
         the generators run on their cached comb table for scalars in
-        [0, 2^mask_bits)."""
+        [0, 2^mask_bits). The first term on the GM point, as a certificate
+        check's -c * GM, runs as -n * (-GM) on a one-row table of the same
+        mask_bits beside the generators' own; the sum is the same."""
+        extra = list(extra)
+        fixed, bases = self.r, self.gens
+        for i, (n, P) in enumerate(extra):
+            if P == self.gm_pub.point:
+                del extra[i]
+                scalars = [*scalars, -n]
+                fixed, bases = (self.r, 1), bases + (neg_fp(self.curve, P),)
+                break
         return msm(self.curve, [*scalars, *(n for n, _ in extra)],
-                   self.gens + tuple(P for _, P in extra), fixed=self.r,
+                   bases + tuple(P for _, P in extra), fixed=fixed,
                    fixed_bits=self.mask_bits)
 
 
@@ -445,8 +457,34 @@ def gm_certify(params: SystemParams, gm_sk: SecretKey, pk: PublicKey,
     return serial.serialize_artifact("signature", sig).encode("utf-8")
 
 
+# How many certificate verdicts `verify_cert` keeps, the least recently
+# used dropped first; an entry holds a key with its certificate, about
+# 1 KB at r = 8.
+_CERT_CACHE_SIZE = 128
+# (params digest, public key) -> verdict, least recently used first
+_CERT_VERDICTS = collections.OrderedDict()
+
+
 def verify_cert(params: SystemParams, pk: PublicKey) -> bool:
-    """True iff pk carries a valid GM certificate for exactly its fields."""
+    """True iff pk carries a valid GM certificate for exactly its fields.
+
+    Verdicts are kept in a bounded LRU keyed by the params digest, which
+    binds every parameter the check reads, the GM key included, and by
+    the frozen key itself, compared by content: point, member id, dept
+    and certificate bytes. A repeated check is then a dict lookup, and a
+    False is as safe to keep as a True. A check that raises keeps
+    nothing."""
+    key = (params.digest(), pk)
+    verdict = _CERT_VERDICTS.pop(key, None)
+    if verdict is None:
+        verdict = _check_cert(params, pk)
+    _CERT_VERDICTS[key] = verdict
+    if len(_CERT_VERDICTS) > _CERT_CACHE_SIZE:
+        _CERT_VERDICTS.popitem(last=False)
+    return verdict
+
+
+def _check_cert(params: SystemParams, pk: PublicKey) -> bool:
     from . import revocation, serial, sigma
 
     if not pk.cert:

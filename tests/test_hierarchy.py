@@ -1,10 +1,11 @@
+import dataclasses
 import random
 import warnings
 
 import pytest
 
-from hrpks import hierarchy, modmath
-from hrpks.curve_fp import ModPoint, msm
+from hrpks import hierarchy, modmath, serial
+from hrpks.curve_fp import ModPoint, msm, neg_fp
 from hrpks.errors import InvariantError
 from hrpks.hierarchy import (Hyperplane, add_department, find_dept, join,
                              new_root, setup, solve_member_vector,
@@ -360,3 +361,72 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     # the member's point and the certificate's commitment, both on the
     # generators' comb; the GM key check was cached by the first join
     assert calls == [params.r, params.r]
+
+
+def test_cert_verdict_cache_answers_as_an_uncached_check():
+    params, gm = make_toy_params()
+    rng = random.Random(31)
+    root, fin, _hr, _eng = _toy_tree(params, rng)
+    _sk, pk = join(params, gm, fin, "alice", rng)
+    hierarchy._CERT_VERDICTS.clear()
+    assert verify_cert(params, pk) is True  # kept under params' digest
+
+    cert = bytearray(pk.cert)
+    digits = [i for i, b in enumerate(cert) if 0x30 <= b <= 0x39]
+    cert[digits[len(digits) // 2]] ^= 1  # another digit: still a document
+    assert serial.deserialize_artifact(cert.decode()).s != \
+        serial.deserialize_artifact(pk.cert.decode()).s
+    keys = [
+        dataclasses.replace(pk, point=params.gens[1]),
+        dataclasses.replace(pk, member_id="alicf"),
+        dataclasses.replace(pk, dept="/hr"),
+        dataclasses.replace(pk, cert=bytes(cert)),
+        dataclasses.replace(pk, cert=None),
+    ]
+    for other in keys:
+        assert hierarchy._check_cert(params, other) is False
+        # the first answer is checked, the second one kept: False stays
+        assert verify_cert(params, other) is False
+        assert verify_cert(params, other) is False
+
+    # params that differ in one field have another digest, so the True
+    # kept under params is not theirs
+    two_g2 = msm(params.curve, [2], [params.gens[1]])
+    others = [
+        dataclasses.replace(params, l_s=params.l_s - 1),
+        dataclasses.replace(params, gens=(params.gens[0], two_g2)),
+        dataclasses.replace(params, gm_pub=dataclasses.replace(
+            params.gm_pub, point=neg_fp(params.curve, params.gm_pub.point))),
+    ]
+    for other in others:
+        assert other.digest() != params.digest()
+        assert hierarchy._check_cert(other, pk) is False
+        assert verify_cert(other, pk) is False
+    assert verify_cert(params, pk) is True
+    # an equal key from elsewhere (a file, say) is the same entry
+    twin = hierarchy.PublicKey(point=ModPoint(pk.point.x, pk.point.y),
+                               member_id="alice", dept=fin.path,
+                               cert=bytes(pk.cert))
+    before = len(hierarchy._CERT_VERDICTS)
+    assert verify_cert(params, twin) is True
+    assert len(hierarchy._CERT_VERDICTS) == before
+
+
+def test_cert_verdict_cache_is_bounded():
+    params, _gm = make_toy_params()
+    size = hierarchy._CERT_CACHE_SIZE
+    hierarchy._CERT_VERDICTS.clear()
+    keys = [hierarchy.PublicKey(point=params.gens[0], member_id=f"m{i}",
+                                dept="/d", cert=b"not a signature")
+            for i in range(size + 5)]
+    for pk in keys:
+        assert verify_cert(params, pk) is False
+        assert len(hierarchy._CERT_VERDICTS) <= size
+    assert len(hierarchy._CERT_VERDICTS) == size
+    # the least recently used go first
+    kept = {key for _, key in hierarchy._CERT_VERDICTS}
+    assert kept == set(keys[5:])
+    verify_cert(params, keys[5])  # used again: now the most recent
+    verify_cert(params, keys[0])
+    assert keys[5] in {key for _, key in hierarchy._CERT_VERDICTS}
+    assert keys[6] not in {key for _, key in hierarchy._CERT_VERDICTS}

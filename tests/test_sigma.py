@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from hrpks import curve_q, hierarchy, revocation, serial, sigma
-from hrpks.curve_fp import ModPoint, point_order
+from hrpks import curve_fp, curve_q, hierarchy, revocation, serial, sigma
+from hrpks.curve_fp import ModPoint, msm, point_order
 from hrpks.errors import InvariantError, RetryExhausted, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
     new_root
@@ -1070,3 +1070,65 @@ def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
     result, *bare = counts(
         lambda: verify(params, pk, empty_rl(), b"m", empty_sig))
     assert result.accepted and bare == [[], 1, 0]
+
+
+def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
+    # a cold check runs -c * GM as c * (-GM) on the comb, so its chain is
+    # the comb's ceil(mask_bits / t) columns, not the l_c + 1 digits of
+    # c's NAF; a warm check is a lookup that loads and hashes nothing
+    params, gm, rng, _root, fin, _hr, _eng = _toy_world(seed=161)
+    _sk, pk = join(params, gm, fin, "alice", rng)
+    bob_sk, bob = join(params, gm, fin, "bob", rng)
+    hierarchy._CERT_VERDICTS.clear()
+    assert hierarchy.verify_cert(params, bob)  # both comb tables built
+    doublings, msms, hashes, loads = [], [], [], []
+    real_double, real_msm = curve_fp._jac_double, hierarchy.msm
+    real_hash, real_load = sigma.hash_to_challenge, serial.deserialize_artifact
+
+    def counting_double(*args):
+        doublings.append(1)
+        return real_double(*args)
+
+    def counting_msm(*args, **kwargs):
+        msms.append(kwargs["fixed"])
+        return real_msm(*args, **kwargs)
+
+    def counting_hash(*args):
+        hashes.append(args[0])
+        return real_hash(*args)
+
+    def counting_load(*args, **kwargs):
+        loads.append(1)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(curve_fp, "_jac_double", counting_double)
+    monkeypatch.setattr(hierarchy, "msm", counting_msm)
+    monkeypatch.setattr(sigma, "hash_to_challenge", counting_hash)
+    monkeypatch.setattr(serial, "deserialize_artifact", counting_load)
+    assert hierarchy.verify_cert(params, pk) is True
+    d = -(-params.mask_bits // curve_fp.COMB_TEETH)
+    assert d == 16 and params.l_c + 1 == 32
+    assert len(doublings) == d
+    assert msms == [(params.r, 1)] and len(hashes) == 1 and len(loads) == 1
+    for warm in (pk, dataclasses.replace(pk, cert=bytes(pk.cert))):
+        doublings.clear(), msms.clear(), hashes.clear(), loads.clear()
+        assert hierarchy.verify_cert(params, warm) is True
+        assert doublings == msms == hashes == loads == []
+    # a member's verify keeps -c * pk a NAF row beside the generators' comb
+    sig = sign(params, bob_sk, bob, empty_rl(), b"m", rng)
+    msms.clear()
+    assert verify(params, bob, empty_rl(), b"m", sig).accepted
+    assert msms == [params.r]
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
+def test_gm_comb_matches_the_naf_path(make):
+    params, _gm = make()
+    rng = random.Random(163)
+    gm, top = params.gm_pub.point, 1 << params.mask_bits
+    for c in (0, 1, (1 << params.l_c) - 1):
+        for s in ([0] * params.r, [top - 1] * params.r,
+                  [rng.randrange(top) for _ in range(params.r)]):
+            naf = msm(params.curve, [*s, -c], params.gens + (gm,),
+                      fixed=params.r, fixed_bits=params.mask_bits)
+            assert params.gens_msm(s, ((-c, gm),)) == naf, (c, s)

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from hrpks import cli, serial
+from hrpks import cli, hierarchy, serial
 from hrpks.assumption_lab import RelationReport, order_report
 from hrpks.errors import InvariantError, ParseError
 from hrpks.hierarchy import add_department, join, new_root, verify_cert
@@ -378,12 +378,24 @@ def test_unknown_and_missing_fields_rejected(world):
 
 def test_verify_cert_lets_unexpected_errors_through(world, monkeypatch):
     params, pk = world[0], world[1]
+    hierarchy._CERT_VERDICTS.clear()  # else a kept verdict skips the loader
 
     def broken(text, curve=None):
         raise RuntimeError("a bug, not a bad certificate")
     monkeypatch.setattr(serial, "deserialize_artifact", broken)
     with pytest.raises(RuntimeError):
         verify_cert(params, pk)
+    # the error kept no verdict: the same key reaches the loader again
+    monkeypatch.undo()
+    loads = []
+    real = serial.deserialize_artifact
+
+    def counting(text, curve=None):
+        loads.append(text)
+        return real(text, curve)
+    monkeypatch.setattr(serial, "deserialize_artifact", counting)
+    assert verify_cert(params, pk) is True
+    assert loads == [pk.cert.decode("utf-8")]
     # undecodable certificate bytes are just "no valid cert"
     monkeypatch.undo()
     assert verify_cert(params, dataclasses.replace(pk, cert=b"\xff")) is False
