@@ -28,15 +28,17 @@ inversion: the comb rows first (three levels for eight bases), then
 those d sums and the NAF rows, padded at the top to the longest (one
 more level for a single NAF row, such as verify's -c * pk). A call then
 costs one doubling and at most one mixed addition per column, and one
-inversion to return the result to affine form. The subset sums are built with the same batched adder, one level
-and one inversion per tooth, and kept in a small LRU keyed by the content
-(curve, bases, nbits), so freshly loaded copies of the same parameters
-share them. `msm(..., fixed=k, fixed_bits=nbits)` marks the first k
-points as such bases; their scalars outside [0, 2^nbits) become NAF rows
-like every other term. The bases on the comb are a system's generators
-and, in a certificate check, its GM key: `SystemParams.gens_msm` runs
--c * GM as c * (-GM) on a one-row table beside the generators' own
-(`fixed=(r, 1)`), so the chain is d columns long, not l_c + 1.
+inversion to return the result to affine form. The subset sums are
+built with the same batched adder, one level and one inversion per
+tooth, and kept in a small LRU keyed by the content (curve, bases,
+nbits), so freshly loaded copies of the same parameters share them.
+`msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as such
+bases; their scalars outside [0, 2^nbits) become NAF rows like every
+other term. A system has one table, over its generators and the
+negation of its GM key: `SystemParams.gens_msm` runs a certificate
+check's -c * GM as c * (-GM) on it, so that chain is d columns long,
+not l_c + 1, and every other caller gives -GM the scalar 0, which adds
+no row.
 
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
@@ -228,39 +230,28 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
 
     The first `fixed` points are long-lived bases: their scalars in
     [0, 2^fixed_bits) run on the cached comb table of those bases, one
-    row of d = ceil(fixed_bits / t) entries per base. `fixed` may also be
-    a tuple of counts, one per set of leading bases with a table of its
-    own, so a set used alone and with one more base, as the generators
-    are with and without the GM key, keeps one table, and the other base
-    gets a table of one row. Summing the comb rows costs one inversion per
-    level, ceil(log2 k) for k combed bases, and merging those sums with
-    the other rows ceil(log2(m + 1)) more for m other terms. Building a
-    missing table costs t + 1 more. The result is the same for every
-    input either way.
+    row of d = ceil(fixed_bits / t) entries per base. Summing the comb
+    rows costs one inversion per level, ceil(log2 k) for k combed bases,
+    and merging those sums with the other rows ceil(log2(m + 1)) more for
+    m other terms. Building a missing table costs t + 1 more. The result
+    is the same for every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
                          f"{len(points)} points")
-    sets = (fixed,) if isinstance(fixed, int) else tuple(fixed)
-    nfixed = sum(sets)
-    if min(sets, default=0) < 0 or nfixed > len(points) \
-            or (nfixed and fixed_bits < 1):
+    if not 0 <= fixed <= len(points) or (fixed and fixed_bits < 1):
         raise ValueError("need 0 <= fixed <= len(points) and fixed_bits >= 1")
-    for P in points[nfixed:]:
+    for P in points[fixed:]:
         _require_on_curve(curve, P)
-    if not nfixed:
+    if not fixed:
         return _straus(curve, zip(scalars, points))
-    rows, start = [], 0
-    for k in filter(None, sets):
-        comb = _comb_table(curve, tuple(points[start:start + k]), fixed_bits)
-        rows += comb.rows
-        start += k
-    terms = list(zip(scalars[nfixed:], points[nfixed:]))
+    comb = _comb_table(curve, tuple(points[:fixed]), fixed_bits)
+    terms = list(zip(scalars[fixed:], points[fixed:]))
     combed = []
-    for n, P, row in zip(scalars, points, rows):
+    for n, P, row in zip(scalars, points, comb.rows):
         if not 0 <= n < 1 << fixed_bits:
             terms.append((n, P))
-        elif n:  # every table of one nbits cuts n into the same columns
+        elif n:
             combed.append([row[i] for i in comb.columns(n)])
     return _straus(curve, terms, combed)
 

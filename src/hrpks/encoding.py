@@ -16,7 +16,6 @@ import hashlib
 from typing import Iterable, Sequence, Union
 
 from .curve_fp import ModPoint
-from .errors import ParseError
 
 TAG_INT = 0x01
 TAG_BYTES = 0x03
@@ -55,67 +54,6 @@ def encode(value: Encodable) -> bytes:
     if isinstance(value, (list, tuple)):
         return _frame(TAG_SEQ, b"".join(encode(v) for v in value))
     raise TypeError(f"cannot encode {type(value).__name__}")
-
-
-def decode(data: bytes) -> Encodable:
-    """Inverse of encode; rejects trailing garbage."""
-    value, rest = _decode_one(memoryview(data))
-    if len(rest) != 0:
-        raise ParseError("trailing bytes after encoded value")
-    return value
-
-
-def _decode_one(data):
-    if len(data) < 5:
-        raise ParseError("truncated frame header")
-    tag = data[0]
-    length = int.from_bytes(data[1:5], "big")
-    if len(data) < 5 + length:
-        raise ParseError("truncated payload")
-    payload = bytes(data[5:5 + length])
-    rest = data[5 + length:]
-    if tag == TAG_INT:
-        return _decode_int(payload), rest
-    if tag == TAG_BYTES:
-        return payload, rest
-    if tag == TAG_SEQ:
-        items = []
-        view = memoryview(payload)
-        while len(view):
-            item, view = _decode_one(view)
-            items.append(item)
-        return items, rest
-    if tag == TAG_POINT:
-        if payload[:1] == b"\x01":
-            if payload != b"\x01":
-                raise ParseError("malformed infinity point")
-            return ModPoint.infinity(), rest
-        if payload[:1] != b"\x00":
-            raise ParseError("bad point flag byte")
-        x, mid = _decode_one(memoryview(payload[1:]))
-        y, tail = _decode_one(mid)
-        if len(tail) != 0 or not isinstance(x, int) or not isinstance(y, int):
-            raise ParseError("malformed point payload")
-        return ModPoint(x, y), rest
-    raise ParseError(f"unknown tag byte 0x{tag:02x}")
-
-
-def _decode_int(payload: bytes) -> int:
-    if not payload:
-        raise ParseError("empty integer payload")
-    sign, mag = payload[0], payload[1:]
-    if sign == 0:
-        if mag:
-            raise ParseError("nonzero magnitude with zero sign byte")
-        return 0
-    value = int.from_bytes(mag, "big")
-    if not mag or mag[0] == 0 or value == 0:
-        raise ParseError("non-minimal integer magnitude")
-    return value if sign == 1 else -value if sign == 2 else _bad_sign(sign)
-
-
-def _bad_sign(sign):
-    raise ParseError(f"bad sign byte {sign}")
 
 
 MAX_CHALLENGE_BITS = 256  # one SHA-256 block of output

@@ -226,22 +226,18 @@ class SystemParams:
         return self.q.bit_length() + self.l_c + self.l_s
 
     def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
-        """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`;
-        the generators run on their cached comb table for scalars in
-        [0, 2^mask_bits). The first term on the GM point, as a certificate
-        check's -c * GM, runs as -n * (-GM) on a one-row table of the same
-        mask_bits beside the generators' own; the sum is the same."""
-        extra = list(extra)
-        fixed, bases = self.r, self.gens
-        for i, (n, P) in enumerate(extra):
-            if P == self.gm_pub.point:
-                del extra[i]
-                scalars = [*scalars, -n]
-                fixed, bases = (self.r, 1), bases + (neg_fp(self.curve, P),)
-                break
-        return msm(self.curve, [*scalars, *(n for n, _ in extra)],
-                   bases + tuple(P for _, P in extra), fixed=fixed,
-                   fixed_bits=self.mask_bits)
+        """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`,
+        on the system's one cached comb table, over (gens..., -GM), for
+        scalars in [0, 2^mask_bits). Terms on the GM point, as a
+        certificate check's -c * GM, fold into -GM's comb scalar as
+        -n; every other term is a NAF row. The sum is the same."""
+        gm = self.gm_pub.point
+        folded = -sum(n for n, P in extra if P == gm)
+        rest = [(n, P) for n, P in extra if P != gm]
+        return msm(self.curve, [*scalars, folded, *(n for n, _ in rest)],
+                   self.gens + (neg_fp(self.curve, gm),)
+                   + tuple(P for _, P in rest),
+                   fixed=self.r + 1, fixed_bits=self.mask_bits)
 
 
 # SecretKey -> (curve, gens, point) it was last found to represent, by
@@ -332,9 +328,10 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     # Each generator order must exceed 2^mask_bits: a member who adds an
     # order n to key coordinate i keeps the certified point, lies off every
     # revoked plane whose a_i n is nonzero mod q, and keeps the responses
-    # below 2^mask_bits once c * n does. No order is computed here (each is a point-order
-    # search); the Hasse floor, the least #E can be, stands in, and a
-    # generator whose order is a proper divisor of #E passes it.
+    # below 2^mask_bits once c * n does. No order is computed here (each
+    # is a point-order search); the Hasse floor, the least #E can be,
+    # stands in, and a generator whose order is a proper divisor of #E
+    # passes it.
     hasse_lo, _ = curve_fp.hasse_interval(p)
     if hasse_lo <= 1 << params.mask_bits:
         warnings.warn(

@@ -4,12 +4,14 @@ import warnings
 
 import pytest
 
-from hrpks import hierarchy, modmath, serial
+from hrpks import curve_fp, hierarchy, modmath, serial
 from hrpks.curve_fp import ModPoint, msm, neg_fp
 from hrpks.errors import InvariantError
 from hrpks.hierarchy import (Hyperplane, add_department, find_dept, join,
                              new_root, setup, solve_member_vector,
                              verify_cert)
+from hrpks.revocation import empty_rl
+from hrpks.sigma import sign, verify
 
 from conftest import TOY_P, TOY_Q, make_r3_params, make_toy_params
 
@@ -359,8 +361,30 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "msm", counting)
     join(params, gm, fin, "second", rng)
     # the member's point and the certificate's commitment, both on the
-    # generators' comb; the GM key check was cached by the first join
-    assert calls == [params.r, params.r]
+    # system's one comb over (G_1..G_r, -GM); the GM key check was cached
+    # by the first join
+    assert calls == [params.r + 1, params.r + 1]
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
+def test_one_comb_table_per_system(make):
+    # join, sign, a member's verify and a cold certificate check all read
+    # one table over (G_1..G_r, -GM); none builds a second
+    params, gm = make()
+    rng = random.Random(37)
+    curve_fp._comb_table.cache_clear()
+    dept = add_department(params, new_root(), rng)
+    sk, pk = join(params, gm, dept, "alice", rng)
+    sig = sign(params, sk, pk, empty_rl(), b"m", rng)
+    assert verify(params, pk, empty_rl(), b"m", sig).accepted
+    hierarchy._CERT_VERDICTS.clear()
+    assert verify_cert(params, pk) is True
+    assert curve_fp._comb_table.cache_info().misses == 1
+    bases = params.gens + (neg_fp(params.curve, params.gm_pub.point),)
+    table = curve_fp._comb_table(params.curve, bases, params.mask_bits)
+    info = curve_fp._comb_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)  # the lookup was a hit
+    assert len(table.rows) == params.r + 1
 
 
 def test_cert_verdict_cache_answers_as_an_uncached_check():

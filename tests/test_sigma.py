@@ -1080,7 +1080,7 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     _sk, pk = join(params, gm, fin, "alice", rng)
     bob_sk, bob = join(params, gm, fin, "bob", rng)
     hierarchy._CERT_VERDICTS.clear()
-    assert hierarchy.verify_cert(params, bob)  # both comb tables built
+    assert hierarchy.verify_cert(params, bob)  # the comb table built
     doublings, msms, hashes, loads = [], [], [], []
     real_double, real_msm = curve_fp._jac_double, hierarchy.msm
     real_hash, real_load = sigma.hash_to_challenge, serial.deserialize_artifact
@@ -1089,9 +1089,9 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
         doublings.append(1)
         return real_double(*args)
 
-    def counting_msm(*args, **kwargs):
-        msms.append(kwargs["fixed"])
-        return real_msm(*args, **kwargs)
+    def counting_msm(curve, scalars, points, **kwargs):
+        msms.append((kwargs["fixed"], len(points)))
+        return real_msm(curve, scalars, points, **kwargs)
 
     def counting_hash(*args):
         hashes.append(args[0])
@@ -1109,16 +1109,18 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     d = -(-params.mask_bits // curve_fp.COMB_TEETH)
     assert d == 16 and params.l_c + 1 == 32
     assert len(doublings) == d
-    assert msms == [(params.r, 1)] and len(hashes) == 1 and len(loads) == 1
+    # the GM key folded into the comb over (G_1..G_r, -GM), no other term
+    r = params.r
+    assert msms == [(r + 1, r + 1)] and len(hashes) == 1 and len(loads) == 1
     for warm in (pk, dataclasses.replace(pk, cert=bytes(pk.cert))):
         doublings.clear(), msms.clear(), hashes.clear(), loads.clear()
         assert hierarchy.verify_cert(params, warm) is True
         assert doublings == msms == hashes == loads == []
-    # a member's verify keeps -c * pk a NAF row beside the generators' comb
+    # a member's verify keeps -c * pk a NAF row beside the same comb
     sig = sign(params, bob_sk, bob, empty_rl(), b"m", rng)
     msms.clear()
     assert verify(params, bob, empty_rl(), b"m", sig).accepted
-    assert msms == [params.r]
+    assert msms == [(r + 1, r + 2)]
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
