@@ -15,30 +15,37 @@ included. Every inversion is a `pow(v, -1, p)` call in this module.
 
 Long-lived bases, such as a system's generators, run on a fixed-base
 comb (Lim and Lee, "More Flexible Exponentiation with Precomputation",
-CRYPTO 1994). For scalars below 2^nbits, cut into t blocks of
-d = ceil(nbits / t) bits, each base G keeps the 2^t - 1 subset sums of
-its teeth {2^(d*i) * G : i < t}; bit j of every block together picks one
-table entry per base, so each base gives a row of d entries. Any other
-term n * P is a comb with one tooth: its row holds P, -P or nothing per
-column, from the non-adjacent form (NAF) of n, which needs no table and
-has about one nonzero digit in three. No row depends on the chain, so
-the rows are summed column by column up front in affine form, by a
-pairwise tree whose every level is one batch across all columns with one
-inversion: the comb rows first (three levels for eight bases), then
-those d sums and the NAF rows, padded at the top to the longest (one
-more level for a single NAF row, such as verify's -c * pk). A call then
+CRYPTO 1994). For scalars below 2^(d*t), cut into t blocks of d bits,
+each base G keeps the 2^t - 1 subset sums of its teeth {2^(d*i) * G :
+i < t}; bit j of every block together picks one table entry per base,
+so each base gives a row of d entries. Any other term n * P is a comb
+with one tooth: its row holds P, -P or nothing per column, from the
+non-adjacent form (NAF) of n, which needs no table and has about one
+nonzero digit in three. No row depends on the chain, so the rows are
+summed column by column up front in affine form, by a pairwise tree
+whose every level is one batch across all columns with one inversion:
+the comb rows first (four levels for eight bases and a key), then those
+d sums and the NAF rows, padded at the top to the longest. A call then
 costs one doubling and at most one mixed addition per column, and one
-inversion to return the result to affine form. The subset sums are
-built with the same batched adder, one level and one inversion per
-tooth, and kept in a small LRU keyed by the content (curve, bases,
-nbits), so freshly loaded copies of the same parameters share them.
-`msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as such
-bases; their scalars outside [0, 2^nbits) become NAF rows like every
-other term. A system has one table, over its generators and the
+inversion to return the result to affine form. A table is built with
+the same batched adder: one batch normalisation of the teeth, then one
+level and one inversion per tooth.
+
+`msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as
+long-lived bases, with t = COMB_TEETH teeth and d = ceil(nbits / t)
+columns; their scalars outside [0, 2^(d*t)) become NAF rows like every
+other term. Their table is kept in a small LRU keyed by the content
+(curve, bases, nbits), so freshly loaded copies of the same parameters
+share it. A system has one such table, over its generators and the
 negation of its GM key: `SystemParams.gens_msm` runs a certificate
-check's -c * GM as c * (-GM) on it, so that chain is d columns long,
-not l_c + 1, and every other caller gives -GM the scalar 0, which adds
-no row.
+check's -c * GM as c * (-GM) on it, and every other caller gives -GM
+the scalar 0, which adds no row. With `keyed_bits=l_c`, each other point
+is a key: its scalar in [1, 2^(d*t')) runs on a comb of that point
+alone, in the same d columns with t' = ceil(l_c / d) teeth, kept in a
+second LRU of KEY_CACHE_SIZE tables keyed by (curve, point, d, t'), so a
+key loaded afresh still hits. `gens_msm` runs a member verify's -c * pk
+as c * (-pk) there, so that chain is d columns long too, not l_c + 1; a
+scalar the key's table cannot take, 0 among them, is a NAF row.
 
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
@@ -219,7 +226,8 @@ def _scalar_unchecked(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
 
 
 def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
-        *, fixed: int = 0, fixed_bits: int = 0) -> ModPoint:
+        *, fixed: int = 0, fixed_bits: int = 0,
+        keyed_bits: int = 0) -> ModPoint:
     """Sum of scalars[i] * points[i] on one Jacobian doubling chain.
 
     Each term n * P is a row of P, -P or nothing per chain column, from
@@ -229,11 +237,15 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
     converts the result back to an affine `ModPoint`.
 
     The first `fixed` points are long-lived bases: their scalars in
-    [0, 2^fixed_bits) run on the cached comb table of those bases, one
-    row of d = ceil(fixed_bits / t) entries per base. Summing the comb
-    rows costs one inversion per level, ceil(log2 k) for k combed bases,
-    and merging those sums with the other rows ceil(log2(m + 1)) more for
-    m other terms. Building a missing table costs t + 1 more. The result
+    [0, 2^(d*t)) run on the cached comb table of those bases, t =
+    COMB_TEETH teeth and one row of d = ceil(fixed_bits / t) entries per
+    base. With `keyed_bits`, every other point is a key, such as the one
+    a verify checks: its scalar in [1, 2^(d*t')) runs on a cached comb of
+    that point alone, with the same d columns and t' = ceil(keyed_bits /
+    d) teeth, so the chain stays d columns long. Summing the comb rows
+    costs one inversion per level, ceil(log2 k) for k combed rows, and
+    merging those sums with the other rows ceil(log2(m + 1)) more for m
+    other terms. Building a missing table costs t + 1 more. The result
     is the same for every input either way.
     """
     if len(scalars) != len(points):
@@ -241,15 +253,28 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
                          f"{len(points)} points")
     if not 0 <= fixed <= len(points) or (fixed and fixed_bits < 1):
         raise ValueError("need 0 <= fixed <= len(points) and fixed_bits >= 1")
-    for P in points[fixed:]:
-        _require_on_curve(curve, P)
+    if not 0 <= keyed_bits <= (fixed_bits if fixed else 0):
+        # the key combs take their d columns from the fixed bases' table,
+        # and t' = ceil(keyed_bits / d) stays at most COMB_TEETH
+        raise ValueError("need 0 <= keyed_bits <= fixed_bits, with fixed "
+                         "bases")
     if not fixed:
+        for P in points:
+            _require_on_curve(curve, P)
         return _straus(curve, zip(scalars, points))
+    d = -(-fixed_bits // COMB_TEETH)
+    key_teeth = -(-keyed_bits // d)
+    combed, terms = [], []
+    for n, P in zip(scalars[fixed:], points[fixed:]):
+        if 0 < n < 1 << d * key_teeth:
+            key = _key_table(curve, P, d, key_teeth)
+            combed.append([key.rows[0][i] for i in key.columns(n)])
+        else:
+            _require_on_curve(curve, P)
+            terms.append((n, P))
     comb = _comb_table(curve, tuple(points[:fixed]), fixed_bits)
-    terms = list(zip(scalars[fixed:], points[fixed:]))
-    combed = []
     for n, P, row in zip(scalars, points, comb.rows):
-        if not 0 <= n < 1 << fixed_bits:
+        if not 0 <= n < comb.top:
             terms.append((n, P))
         elif n:
             combed.append([row[i] for i in comb.columns(n)])
@@ -273,6 +298,12 @@ _JAC_INF = (1, 1, 0)
 # as slowly as t = 8 and doubles their memory again, so t stops at 8.
 COMB_TEETH = 8
 COMB_CACHE_SIZE = 8
+# How many key combs `msm` keeps for `keyed_bits` terms, the least
+# recently used dropped first. A verifier that cycles through more
+# distinct keys than this never hits. By tracemalloc, an entry holds about
+# 0.9 KB at toy17 (t' = 2), 1.4 KB at r = 8 mod 2^127 - 1 with q = 2^89 - 1
+# (t' = 3) and 2.0 KB at r = 8 with q = 2^127 - 1 (t' = 4).
+KEY_CACHE_SIZE = 128
 
 
 def _jac_double(curve: CurveFp, P):
@@ -376,19 +407,19 @@ def _sum_rows(curve: CurveFp, rows):
 
 
 class _Comb:
-    """Comb tables of a tuple of bases for scalars below 2^nbits: rows[i][m]
-    is the affine sum of the teeth 2^(d*k) * bases[i] over the set bits k
-    of m, or None for infinity. The teeth are Jacobian doublings with one
-    batch inversion to normalise them; the subset sums then take t
-    `_sum_rows` levels of two rows, one inversion each: level k adds tooth
-    k to entries 0 .. 2^k - 1 of every row. `index` maps each t-bit string
-    to its row index, for `columns`."""
+    """Comb tables of a tuple of bases with t teeth of d bits each, for
+    scalars below `top` = 2^(d*t): rows[i][m] is the affine sum of the
+    teeth 2^(d*k) * bases[i] over the set bits k of m, or None for
+    infinity. The teeth are Jacobian doublings with one batch inversion to
+    normalise them; the subset sums then take t `_sum_rows` levels of two
+    rows, one inversion each: level k adds tooth k to entries 0 .. 2^k - 1
+    of every row."""
 
-    def __init__(self, curve: CurveFp, bases: Tuple[ModPoint, ...], nbits: int):
-        t = COMB_TEETH
-        d = self.d = -(-nbits // t)
+    def __init__(self, curve: CurveFp, bases: Tuple[ModPoint, ...], d: int,
+                 t: int):
+        self.d, self.top = d, 1 << d * t
         self.digits = f"0{d * t}b"
-        self.index = {format(m, f"0{t}b"): m for m in range(1 << t)}
+        self.index = _comb_index(t)
         teeth = []
         for P in bases:
             tooth = _JAC_INF if P.is_infinity else (P.x, P.y, 1)
@@ -409,20 +440,37 @@ class _Comb:
         self.rows = rows
 
     def columns(self, n: int):
-        """Row index per comb column of 0 <= n < 2^(d*t), top column first:
+        """Row index per comb column of 0 <= n < top, top column first:
         column j gathers bit d*k + j of n into bit k."""
         bits, d, index = format(n, self.digits), self.d, self.index
         return [index[bits[k::d]] for k in range(d)]
 
 
+@functools.lru_cache(maxsize=None)
+def _comb_index(t: int):
+    """Each t-bit string to the row index it names, shared by every comb
+    of t teeth; `msm` makes none of more than COMB_TEETH."""
+    return {format(m, f"0{t}b"): m for m in range(1 << t)}
+
+
 @functools.lru_cache(maxsize=COMB_CACHE_SIZE)
 def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...],
                 nbits: int) -> _Comb:
-    """The comb of (curve, bases, nbits), cached by content; the bases are
-    checked on the curve on a miss, and a failed check caches nothing."""
+    """The comb of (curve, bases, nbits), COMB_TEETH teeth, cached by
+    content; the bases are checked on the curve on a miss, and a failed
+    check caches nothing."""
     for P in bases:
         _require_on_curve(curve, P)
-    return _Comb(curve, bases, nbits)
+    return _Comb(curve, bases, -(-nbits // COMB_TEETH), COMB_TEETH)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _key_table(curve: CurveFp, P: ModPoint, d: int, t: int) -> _Comb:
+    """The comb of the one base P in d columns of t teeth, cached by
+    content, so a key loaded afresh still hits; P is checked on the curve
+    on a miss, and a failed check caches nothing."""
+    _require_on_curve(curve, P)
+    return _Comb(curve, (P,), d, t)
 
 
 def _naf_row(curve: CurveFp, n: int, P: ModPoint):

@@ -229,15 +229,19 @@ class SystemParams:
         """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`,
         on the system's one cached comb table, over (gens..., -GM), for
         scalars in [0, 2^mask_bits). Terms on the GM point, as a
-        certificate check's -c * GM, fold into -GM's comb scalar as
-        -n; every other term is a NAF row. The sum is the same."""
-        gm = self.gm_pub.point
+        certificate check's -c * GM, fold into -GM's comb scalar as -n.
+        Any other term, as a member verify's -c * pk, runs as (-n) * (-P)
+        on a cached comb of -P alone in the table's d columns (`msm`'s
+        `keyed_bits` = l_c), which takes every nonzero challenge, or else
+        as a NAF row. The sum is the same."""
+        curve, gm = self.curve, self.gm_pub.point
         folded = -sum(n for n, P in extra if P == gm)
-        rest = [(n, P) for n, P in extra if P != gm]
-        return msm(self.curve, [*scalars, folded, *(n for n, _ in rest)],
-                   self.gens + (neg_fp(self.curve, gm),)
+        rest = [(-n, neg_fp(curve, P)) for n, P in extra if P != gm]
+        return msm(curve, [*scalars, folded, *(n for n, _ in rest)],
+                   self.gens + (neg_fp(curve, gm),)
                    + tuple(P for _, P in rest),
-                   fixed=self.r + 1, fixed_bits=self.mask_bits)
+                   fixed=self.r + 1, fixed_bits=self.mask_bits,
+                   keyed_bits=self.l_c)
 
 
 # SecretKey -> (curve, gens, point) it was last found to represent, by
@@ -331,16 +335,22 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     # below 2^mask_bits once c * n does. No order is computed here (each
     # is a point-order search); the Hasse floor, the least #E can be,
     # stands in, and a generator whose order is a proper divisor of #E
-    # passes it.
+    # passes it. The rule is necessary, not sufficient: any short relation
+    # sum L_i G_i = O shifts a key the same way, short relations always
+    # exist (about p^(1/r) in sup norm), and no check here can tell how
+    # hard they are to find, so a quiet setup is no soundness claim.
     hasse_lo, _ = curve_fp.hasse_interval(p)
     if hasse_lo <= 1 << params.mask_bits:
         warnings.warn(
             f"the Hasse floor {hasse_lo} of the possible generator orders "
             f"is at most 2^{params.mask_bits} (mask_bits = bitlen(q) + l_c "
             "+ l_s), so key coordinates may wrap around generator orders "
-            "and a member of a revoked department can be accepted. For p "
-            "above 2^64, where no order can be computed, the floor is only "
-            "a necessary bound. Fine for toy reproduction only.")
+            "and a member of a revoked department can be accepted. "
+            "Generator orders above 2^mask_bits are necessary, not "
+            "sufficient: a key shifted by a short relation among the "
+            "generators is accepted too. For p above 2^64, where no order "
+            "can be computed, the floor is only a necessary bound. Fine "
+            "for toy reproduction only.")
     return params, SecretKey(x=gm_x, member_id="gm", dept="")
 
 

@@ -1,7 +1,7 @@
 """Built-in reference vectors for the toy17 worked example: the first seven
-multiples of both generators over Q and mod p, the three department
-hyperplanes, and the published key material. Used by `hrpks reproduce
-toy17` to diff a fresh computation against these pinned values.
+multiples of both generators over Q and mod p, the financial
+department's hyperplane, and the published key material. Used by `hrpks
+reproduce toy17` to diff a fresh computation against these pinned values.
 
 Note on SK1: the published tuple (3257, 2774256590) does NOT satisfy the
 financial-department hyperplane (it evaluates to 524452959, not 0), yet it
@@ -60,8 +60,6 @@ P2_MULTIPLES_P = (
 
 # hyperplane coefficient order is (a0, a1, a2)
 FINANCIAL_PLANE = (123, 48, 79)
-HR_PLANE = (752, 36, 139)
-ENGINEERING_PLANE = (937, 58, 32)
 
 SK2 = (6789, 118608156)
 PK2 = (2132129612, 2902520269)

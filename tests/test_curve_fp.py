@@ -663,6 +663,12 @@ def test_comb_rejects_bad_bases_and_arguments():
     for fixed, nbits in ((3, 8), (-1, 8), (1, 0)):
         with pytest.raises(ValueError, match="fixed"):
             msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits)
+    # a key's comb takes its d columns from the fixed bases' table, and
+    # no more teeth than they have
+    for fixed, keyed in ((0, 8), (1, 9), (1, -1)):
+        with pytest.raises(ValueError, match="keyed_bits"):
+            msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=8,
+                keyed_bits=keyed)
 
 
 # -- batched affine additions -----------------------------------------------

@@ -10,15 +10,13 @@ under a fixed seed fails here.
 
 import hashlib
 import random
-import warnings
 
-from hrpks import curve_q, hierarchy, modmath, revocation, serial, sigma
-from hrpks.curve_fp import ModPoint, msm, reduce_curve
+from hrpks import hierarchy, revocation, serial, sigma
 from hrpks.cli import main
 
+from conftest import make_rank28_params
+
 TOY = ["--curve", "toy17", "--p", "3123456773", "--q", "3123456773"]
-MERSENNE_127 = (1 << 127) - 1
-MERSENNE_89 = (1 << 89) - 1
 
 GOLDEN = {
     "cli_toy17":
@@ -67,43 +65,11 @@ def test_golden_cli_toy17_walkthrough(tmp_path, capsys):
         == GOLDEN["cli_toy17"]
 
 
-def _rank28_points(curve, count, rng):
-    """`count` seeded random affine points of E(F_p) from the long form:
-    y solves y^2 + (a1 x + a3) y = f(x) through one square root."""
-    p = curve.p
-    points = []
-    while len(points) < count:
-        x = rng.randrange(p)
-        b = (curve.a1 * x + curve.a3) % p
-        f = (x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
-        root = modmath.sqrt_mod((b * b + 4 * f) % p, p)
-        if root is not None:
-            points.append(ModPoint(x, (root - b) * pow(2, -1, p) % p))
-    return tuple(points)
-
-
 def _rank28_world(seed):
-    """rank28 (a1 = a3 = 1) mod 2^127-1 with r = 4, two sibling
-    departments and one member in each.
-
-    The catalog publishes no rank-28 generators, so the four generators
-    are seeded random points of the reduced curve, and the parameters are
-    assembled around the auxiliary group `setup` builds for the same q.
-    """
+    """rank28 mod 2^127-1 with r = 4 (`make_rank28_params`), two sibling
+    departments and one member in each."""
     rng = random.Random(seed)
-    curve = reduce_curve(curve_q.catalog("rank28"), MERSENNE_127)
-    gens = _rank28_points(curve, 4, rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        donor, _ = hierarchy.setup("toy17", MERSENNE_127, MERSENNE_89, rng)
-    gm_x = tuple(rng.randrange(MERSENNE_89) for _ in gens)
-    gm_pub = hierarchy.PublicKey(point=msm(curve, gm_x, gens),
-                                 member_id="gm", dept="")
-    params = hierarchy.SystemParams(
-        curve_id="rank28", curve=curve, r=len(gens), p=MERSENNE_127,
-        q=MERSENNE_89, gens=gens, aux=donor.aux, l_c=donor.l_c,
-        l_s=donor.l_s, gm_pub=gm_pub)
-    gm_sk = hierarchy.SecretKey(x=gm_x, member_id="gm", dept="")
+    params, gm_sk = make_rank28_params(rng, 4)
     root = hierarchy.new_root()
     fin = hierarchy.add_department(params, root, rng, name="financial")
     hr = hierarchy.add_department(params, root, rng, name="hr")

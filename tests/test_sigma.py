@@ -14,7 +14,8 @@ from hrpks.revocation import empty_rl, revoke_group, revoke_member
 from hrpks.sigma import (Signature, collapse_constraints, pedersen_commit,
                          sign, verify)
 
-from conftest import TOY_P, make_r3_params, make_small_params, make_toy_params
+from conftest import (TOY_P, make_r3_params, make_rank28_params,
+                      make_small_params, make_toy_params)
 
 FINANCIAL = Hyperplane((123, 48, 79))
 HR = Hyperplane((752, 36, 139))
@@ -1072,6 +1073,36 @@ def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
     assert result.accepted and bare == [[], 1, 0]
 
 
+def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
+    # every inversion mod p is a pow(v, -1, p) in curve_fp; one per level
+    # of summing rows, and one for the affine result. At r = 8 a warm sign
+    # sums 8 comb rows in 3 levels, and a warm verify sums those and the
+    # key's comb row in 4; a key's first verify also builds its table, a
+    # normalisation and t - 1 levels of subset sums for t = 3 teeth
+    params, gm = make_rank28_params(random.Random(173), 8)
+    assert params.r == 8 and params.p.bit_length() == 127
+    d = -(-params.mask_bits // curve_fp.COMB_TEETH)
+    assert (d, -(-params.l_c // d)) == (31, 3)
+    rng = random.Random(179)
+    sk, pk = join(params, gm, add_department(params, new_root(), rng),
+                  "alice", rng)
+    inversions = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inversions.append(mod)
+        return pow(base, exp, mod)
+    monkeypatch.setattr(curve_fp, "pow", counting_pow, raising=False)
+    # join built the system's table and recorded the key match: sign is warm
+    sig = sign(params, sk, pk, empty_rl(), b"m", rng)
+    assert inversions == [params.p] * 4
+    curve_fp._key_table.cache_clear()
+    for expected in (3 + 5, 5):  # the key's first verify, then a warm one
+        inversions.clear()
+        assert verify(params, pk, empty_rl(), b"m", sig).accepted
+        assert inversions == [params.p] * expected
+
+
 def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     # a cold check runs -c * GM as c * (-GM) on the comb, so its chain is
     # the comb's ceil(mask_bits / t) columns, not the l_c + 1 digits of
@@ -1116,11 +1147,14 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
         doublings.clear(), msms.clear(), hashes.clear(), loads.clear()
         assert hierarchy.verify_cert(params, warm) is True
         assert doublings == msms == hashes == loads == []
-    # a member's verify keeps -c * pk a NAF row beside the same comb
+    # a member's verify runs -c * pk as c * (-pk) on a comb of -pk alone
+    # in the same d columns: once that table is built, its chain is d
+    # doublings too, not l_c + 1
     sig = sign(params, bob_sk, bob, empty_rl(), b"m", rng)
-    msms.clear()
     assert verify(params, bob, empty_rl(), b"m", sig).accepted
-    assert msms == [(r + 1, r + 2)]
+    doublings.clear(), msms.clear()
+    assert verify(params, bob, empty_rl(), b"m", sig).accepted
+    assert msms == [(r + 1, r + 2)] and len(doublings) == d
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
@@ -1134,3 +1168,48 @@ def test_gm_comb_matches_the_naf_path(make):
             naf = msm(params.curve, [*s, -c], params.gens + (gm,),
                       fixed=params.r, fixed_bits=params.mask_bits)
             assert params.gens_msm(s, ((-c, gm),)) == naf, (c, s)
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
+def test_key_comb_matches_the_naf_path(make):
+    # a member verify's -c * pk runs as c * (-pk) on a cached comb of -pk
+    # alone; cold or warm it sums to what a NAF row of -c gives, and c = 0
+    # adds no row and builds no table
+    params, gm = make()
+    rng = random.Random(167)
+    _sk, pk = join(params, gm, add_department(params, new_root(), rng),
+                   "alice", rng)
+    cache, top = curve_fp._key_table, 1 << params.mask_bits
+    for c in (0, 1, (1 << params.l_c) - 1, rng.randrange(1 << params.l_c)):
+        s = [rng.randrange(top) for _ in range(params.r)]
+        naf = msm(params.curve, [*s, -c], params.gens + (pk.point,),
+                  fixed=params.r, fixed_bits=params.mask_bits)
+        cache.cache_clear()
+        for state in ("cold", "warm"):
+            assert params.gens_msm(s, ((-c, pk.point),)) == naf, (c, state)
+            assert cache.cache_info().currsize == (c != 0)
+        assert cache.cache_info().misses == (c != 0)
+    # a copy of the key loaded afresh, as every CLI command loads one, hits
+    twin = serial.deserialize_artifact(serial.serialize_artifact("cert", pk))
+    assert twin == pk and twin.point is not pk.point
+    hits = cache.cache_info().hits
+    assert params.gens_msm(s, ((-c, twin.point),)) == naf
+    assert cache.cache_info()[:2] == (hits + 1, 1)  # (hits, misses)
+    # the LRU stays within its size, the least recently used going first
+    size = curve_fp.KEY_CACHE_SIZE
+    keys = [msm(params.curve, [k], [pk.point]) for k in range(2, size + 7)]
+    for key in keys:
+        assert params.gens_msm(s, ((-1, key),)) == \
+            msm(params.curve, [*s, -1], params.gens + (key,))
+        assert cache.cache_info().currsize <= size
+    assert cache.cache_info().currsize == size
+    misses = cache.cache_info().misses
+    params.gens_msm(s, ((-1, keys[-1]),))
+    params.gens_msm(s, ((-1, keys[0]),))
+    assert cache.cache_info().misses == misses + 1
+    # an off-curve point raises and caches nothing
+    cache.cache_clear()
+    off = ModPoint(pk.point.x, (pk.point.y + 1) % params.p)
+    with pytest.raises(ValueError, match="not on the curve"):
+        params.gens_msm(s, ((-1, off),))
+    assert cache.cache_info().currsize == 0
