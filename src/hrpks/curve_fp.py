@@ -3,33 +3,35 @@ the long-Weierstrass group law, multi-scalar multiplication, and exact
 point-order computation via baby-step giant-step over the Hasse interval.
 
 Points cross every API boundary as affine `ModPoint`s. The affine
-long-Weierstrass law lives in one place, `_slope` and `_third`. `add_fp`
-and the step walks of BSGS and the assumption lab run it one addition at
-a time, one inversion each; `_add_pairs` runs it on a batch of pairs with
-one shared inversion (Montgomery's simultaneous-inversion trick, Math.
-Comp. 1987). `msm` and `scalar_mul_fp` share one engine: simultaneous
-double-and-add over rows of affine points, one entry per column of a
-doubling chain that works in long-Weierstrass Jacobian coordinates
-(x = X/Z^2, y = Y/Z^3) with a1..a6 kept, so it serves every p, 2 and 3
-included. Every inversion is a `pow(v, -1, p)` call in this module.
+long-Weierstrass law lives in one place, `_sum_rows`: it adds lists of
+affine points elementwise and in place, level by level of a pairwise
+tree, with one shared inversion per level (Montgomery's trick, Math.
+Comp. 1987). `add_fp` and the step walks of BSGS and the assumption lab
+run it as one-level calls on one pair, one inversion each. `msm` and
+`scalar_mul_fp` share one engine: simultaneous double-and-add over rows
+of affine points, one entry per column of a doubling chain that works in
+long-Weierstrass Jacobian coordinates (x = X/Z^2, y = Y/Z^3) with a1..a6
+kept, so it serves every p, 2 and 3 included. Every inversion is a
+`pow(v, -1, p)` call in this module.
 
 Long-lived bases, such as a system's generators, run on a fixed-base
 comb (Lim and Lee, "More Flexible Exponentiation with Precomputation",
-CRYPTO 1994). For scalars below 2^(d*t), cut into t blocks of d bits,
-each base G keeps the 2^t - 1 subset sums of its teeth {2^(d*i) * G :
-i < t}; bit j of every block together picks one table entry per base,
-so each base gives a row of d entries. Any other term n * P is a comb
-with one tooth: its row holds P, -P or nothing per column, from the
-non-adjacent form (NAF) of n, which needs no table and has about one
-nonzero digit in three. No row depends on the chain, so the rows are
-summed column by column up front in affine form, by a pairwise tree
-whose every level is one batch across all columns with one inversion:
-the comb rows first (four levels for eight bases and a key), then those
-d sums and the NAF rows, padded at the top to the longest. A call then
-costs one doubling and at most one mixed addition per column, and one
-inversion to return the result to affine form. A table is built with
-the same batched adder: one batch normalisation of the teeth, then one
-level and one inversion per tooth.
+CRYPTO 1994) of t = COMB_TEETH = 9 teeth. For scalars below 2^(d*t),
+cut into t blocks of d bits, each base G keeps the 2^t - 1 subset sums
+of its teeth {2^(d*i) * G : i < t}; bit j of every block together picks
+one table entry per base, so each base gives a row of d entries. Any
+other term n * P is a comb with one tooth: its row holds P, -P or
+nothing per column, from the non-adjacent form (NAF) of n, which needs
+no table and has about one nonzero digit in three. No row depends on
+the chain, so the rows are summed column by column up front in affine
+form, by a pairwise tree whose every level is one batch across all
+columns with one inversion: the comb rows first (four levels for eight
+bases and a key), then those d sums and the NAF rows, padded at the top
+to the longest. A call then costs one doubling and at most one mixed
+addition per column, and one inversion to return the result to affine
+form. A table is built with the same kernel: one batch normalisation of
+the teeth, then one level per tooth, each with one inversion but the
+first, which only copies tooth 0 into the table.
 
 `msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as
 long-lived bases, with t = COMB_TEETH teeth and d = ceil(nbits / t)
@@ -173,39 +175,11 @@ def _require_on_curve(curve: CurveFp, P: ModPoint):
         raise ValueError(f"point {P} is not on the curve mod {curve.p}")
 
 
-def _slope(curve: CurveFp, x1: int, y1: int, x2: int, y2: int):
-    """The line through two finite points of the long-Weierstrass law, the
-    tangent when they are equal, as (numerator, denominator) with a
-    nonzero denominator; None when the points are opposite, which is also
-    every vanishing tangent, so the sum is infinity."""
-    p = curve.p
-    if x1 != x2:
-        return y2 - y1, x2 - x1
-    # same x: either Q = -P, or Q = P with tangent denominator 2y + a1 x + a3
-    den = (y1 + y2 + curve.a1 * x2 + curve.a3) % p
-    if not den:
-        return None
-    return 3 * x1 * x1 + 2 * curve.a2 * x1 + curve.a4 - curve.a1 * y1, den
-
-
-def _third(curve: CurveFp, lam: int, x1: int, y1: int, x2: int):
-    """Affine P + Q from the slope `lam` of the line through P and Q."""
-    p, a1 = curve.p, curve.a1
-    x3 = (lam * lam + a1 * lam - curve.a2 - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - a1 * x3 - y1 - curve.a3) % p
-
-
 def _add_unchecked(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    slope = _slope(curve, P.x, P.y, Q.x, Q.y)
-    if slope is None:
-        return INF
-    num, den = slope
-    return ModPoint(*_third(curve, num * pow(den, -1, curve.p) % curve.p,
-                            P.x, P.y, Q.x))
+    """P + Q for points known on the curve: one level of `_sum_rows`."""
+    (R,) = _sum_rows(curve, [[None if P.x is None else (P.x, P.y)],
+                             [None if Q.x is None else (Q.x, Q.y)]])
+    return INF if R is None else ModPoint(*R)
 
 
 def add_fp(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
@@ -245,8 +219,9 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
     d) teeth, so the chain stays d columns long. Summing the comb rows
     costs one inversion per level, ceil(log2 k) for k combed rows, and
     merging those sums with the other rows ceil(log2(m + 1)) more for m
-    other terms. Building a missing table costs t + 1 more. The result
-    is the same for every input either way.
+    other terms. Building a missing table of t teeth costs t more: one to
+    normalise the teeth and one per tooth after the first. The result is
+    the same for every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
@@ -284,25 +259,31 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
 # -- Jacobian engine --------------------------------------------------------
 #
 # (X, Y, Z) with Z != 0 stands for the affine point (X/Z^2, Y/Z^3); Z == 0
-# is infinity. The formulas are the affine long-Weierstrass law above with
-# x1, x2, y1, y2 substituted and the denominators cleared, so a1..a6 stay
-# general and no division by 2 or 3 appears: one path serves every p.
+# is infinity. The formulas are the affine long-Weierstrass law of
+# `_sum_rows` with x1, x2, y1, y2 substituted and the denominators
+# cleared, so a1..a6 stay general and no division by 2 or 3 appears: one
+# path serves every p.
 
 _JAC_INF = (1, 1, 0)
 
 # Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
 # doublings and column sums per call), and how many base sets the LRU of
-# tables holds. With batched column sums, r = 8 and 241-bit scalars mod
-# 2^127 - 1 (CPython 3.11, 2-vCPU VM), each step from t = 6 to 9 made a
-# comb-only msm about 8% to 10% faster; t = 9 builds its tables 1.4 times
-# as slowly as t = 8 and doubles their memory again, so t stops at 8.
-COMB_TEETH = 8
+# tables holds. On the shape of a verify at r = 8 (eight generators, -GM
+# and a key row, 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM,
+# best of 12), t = 8, 9 and 10 took 1.10-1.17, 0.99-1.00 and 0.94-0.95 ms
+# per msm, and the nine-base table 16, 22 and 36 ms to build, holding
+# 0.45, 0.88 and 1.54 MiB by tracemalloc. t = 10 would save 5% more per
+# msm for 1.6 times the build and 1.75 times the memory, which `setup`
+# and every fresh process pay, so t stops at 9.
+COMB_TEETH = 9
 COMB_CACHE_SIZE = 8
 # How many key combs `msm` keeps for `keyed_bits` terms, the least
 # recently used dropped first. A verifier that cycles through more
-# distinct keys than this never hits. By tracemalloc, an entry holds about
-# 0.9 KB at toy17 (t' = 2), 1.4 KB at r = 8 mod 2^127 - 1 with q = 2^89 - 1
-# (t' = 3) and 2.0 KB at r = 8 with q = 2^127 - 1 (t' = 4).
+# distinct keys than this never hits. By tracemalloc (128 keys verified
+# once each through `gens_msm`), an entry holds about 1.7 KB at toy17
+# (t' = 3), 3.2 KB at r = 8 mod 2^127 - 1 with q = 2^89 - 1 (t' = 4) and
+# 2.9 KB at r = 8 mod a 32-bit p with q = 2^127 - 1 (t' = 4); at t = 8
+# the same count read 1.2, 2.0 and 2.9 KB.
 KEY_CACHE_SIZE = 128
 
 
@@ -379,30 +360,53 @@ def _normalize(curve: CurveFp, jpoints):
 
 
 def _add_pairs(curve: CurveFp, pairs):
-    """Affine P + Q for each (P, Q) of finite affine (x, y) points, None
-    for an infinite sum, with one inversion for the whole batch: `_slope`
-    and `_third` are the law `_add_unchecked` runs."""
-    p = curve.p
-    slopes = [_slope(curve, x1, y1, x2, y2) for (x1, y1), (x2, y2) in pairs]
-    inverses = iter(_invert_all(p, [s[1] for s in slopes if s is not None]))
-    return [None if s is None
-            else _third(curve, s[0] * next(inverses) % p, x1, y1, x2)
-            for s, ((x1, y1), (x2, _)) in zip(slopes, pairs)]
+    """Affine P + Q for each (P, Q) of affine (x, y) points or None, None
+    for an infinite sum: one level of `_sum_rows`."""
+    return _sum_rows(curve, [[P for P, _ in pairs], [Q for _, Q in pairs]])
 
 
 def _sum_rows(curve: CurveFp, rows):
-    """Elementwise affine sum of equal-length lists of affine points (None
-    is infinity), None where a sum is infinite. Each level adds the rows
-    pairwise, all their elements in one `_add_pairs` batch, so a level
-    costs one inversion; an odd last row waits for the next level."""
+    """Elementwise affine sum of equal-length lists of affine (x, y) points,
+    None for infinity, in place: each level adds row 2i + 1 into row 2i,
+    an odd last row waiting for the next level, and the first row is the
+    result. This is the one affine long-Weierstrass law. A forward pass
+    over a level multiplies up the slope denominators of its finite pairs,
+    x2 - x1 for a chord and 2y + a1 x + a3 for a tangent; one `pow(., -1,
+    p)` inverts the product (Montgomery's trick, Math. Comp. 1987); and a
+    backward pass peels off each pair's inverse and writes its sum. A
+    tangent denominator of 0, which every opposite pair has, is infinity
+    and joins neither pass, so a level with nothing to add inverts
+    nothing."""
+    p, a1, a2, a3, a4 = curve.p, curve.a1, curve.a2, curve.a3, curve.a4
     while len(rows) > 1:
-        halves = list(zip(rows[::2], rows[1::2]))
-        sums = iter(_add_pairs(curve, [
-            (P, Q) for A, B in halves for P, Q in zip(A, B)
-            if P is not None and Q is not None]))
-        rows = [[Q if P is None else P if Q is None else next(sums)
-                 for P, Q in zip(A, B)]
-                for A, B in halves] + rows[len(rows) & ~1:]
+        acc, todo = 1, []
+        for A, B in zip(rows[::2], rows[1::2]):
+            for i, Q in enumerate(B):
+                P = A[i]
+                if Q is None:
+                    continue
+                if P is None:
+                    A[i] = Q
+                    continue
+                (x1, y1), (x2, y2) = P, Q
+                if x1 != x2:
+                    num, den = y2 - y1, x2 - x1
+                else:
+                    den = (y1 + y2 + a1 * x2 + a3) % p
+                    if not den:
+                        A[i] = None
+                        continue
+                    num = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1
+                todo.append((A, i, acc, num, den, x1, y1, x2))
+                acc = acc * den % p
+        if todo:
+            inv = pow(acc, -1, p)
+            for A, i, prefix, num, den, x1, y1, x2 in reversed(todo):
+                lam = num * prefix * inv % p
+                inv = inv * den % p
+                x3 = (lam * (lam + a1) - a2 - x1 - x2) % p
+                A[i] = x3, (lam * (x1 - x3) - a1 * x3 - y1 - a3) % p
+        rows = rows[::2]
     return rows[0] if rows else []
 
 
@@ -411,9 +415,9 @@ class _Comb:
     scalars below `top` = 2^(d*t): rows[i][m] is the affine sum of the
     teeth 2^(d*k) * bases[i] over the set bits k of m, or None for
     infinity. The teeth are Jacobian doublings with one batch inversion to
-    normalise them; the subset sums then take t `_sum_rows` levels of two
-    rows, one inversion each: level k adds tooth k to entries 0 .. 2^k - 1
-    of every row."""
+    normalise them; the subset sums then take t one-level `_sum_rows`
+    calls of two rows, one inversion each but the first: level k adds
+    tooth k to entries 0 .. 2^k - 1 of every row."""
 
     def __init__(self, curve: CurveFp, bases: Tuple[ModPoint, ...], d: int,
                  t: int):

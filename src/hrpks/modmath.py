@@ -4,6 +4,7 @@ linear algebra mod a prime.
 Everything here works on plain Python ints (arbitrary precision).
 """
 
+import bisect
 import math
 import random
 
@@ -11,11 +12,14 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
-# psi_13: the least strong pseudoprime to every one of the first 13 prime
-# bases 2..41 (Sorenson and Webster, Math. Comp. 2017). Below it those
+# psi_k (OEIS A014233): the least odd composite that is a strong probable
+# prime to each of the first k prime bases, k = 1..13 (Jaeschke, Math.
+# Comp. 1993; Sorenson and Webster, Math. Comp. 2017). Below psi_k those k
 # bases decide primality exactly.
-_PSI_13 = 3317044064679887385961981
-_PSI_13_BASES = _SMALL_PRIMES[:13]
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
 # random Miller-Rabin bases from psi_13 up
 _RANDOM_ROUNDS = 64
 
@@ -23,10 +27,11 @@ _RANDOM_ROUNDS = 64
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Exact below psi_13 = 3 317 044 064 679 887 385 961 981 (about 2^81.5),
-    where it tests the 13 fixed bases 2..41. From psi_13 up it is
-    probabilistic: 64 random bases from a generator seeded by n, so
-    repeated calls agree.
+    Exact below psi_13 = 3 317 044 064 679 887 385 961 981 (about 2^81.5):
+    below psi_k it tests the first k prime bases, so 4 bases (2, 3, 5, 7)
+    decide every n below psi_4 = 3 215 031 751 and the 13 bases 2..41 the
+    last tier. From psi_13 up it is probabilistic: 64 random bases from a
+    generator seeded by n, so repeated calls agree.
     """
     if n < 2:
         return False
@@ -38,8 +43,8 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _PSI_13:
-        bases = _PSI_13_BASES
+    if n < _PSI[-1]:
+        bases = _SMALL_PRIMES[:bisect.bisect_right(_PSI, n) + 1]
     else:
         rng = random.Random(n)
         bases = (rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS))

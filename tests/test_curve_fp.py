@@ -38,6 +38,27 @@ def toy_reduced():
     return reduce_curve(catalog("toy17"), TOY_P)
 
 
+def _affine_law(curve, P, Q):
+    """P + Q by the textbook affine law (Silverman, III.2.3), one inversion
+    per pair: the oracle for `curve_fp._sum_rows`, where the library's law
+    lives, and for every helper below that adds points."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    p, a1, a2, a3, a4 = curve.p, curve.a1, curve.a2, curve.a3, curve.a4
+    if P.x != Q.x:
+        lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
+    elif (P.y + Q.y + a1 * Q.x + a3) % p == 0:
+        return ModPoint.infinity()  # Q = -P, 2-torsion P + P included
+    else:
+        lam = ((3 * P.x * P.x + 2 * a2 * P.x + a4 - a1 * P.y)
+               * pow(2 * P.y + a1 * P.x + a3, -1, p) % p)
+    nu = (P.y - lam * P.x) % p
+    x3 = (lam * lam + a1 * lam - a2 - P.x - Q.x) % p
+    return ModPoint(x3, (-(lam + a1) * x3 - nu - a3) % p)
+
+
 def gens_mod():
     c = toy_reduced()
     g1, g2 = catalog("toy17").generators
@@ -194,7 +215,7 @@ def _order_by_iteration(curve, pt):
     acc = pt
     n = 1
     while not acc.is_infinity:
-        acc = add_fp(curve, acc, pt)
+        acc = _affine_law(curve, acc, pt)
         n += 1
     return n
 
@@ -230,17 +251,14 @@ def test_point_order_two_torsion():
 
 def test_point_order_tiny_characteristic():
     # y^2 + y = x^3 + x has good reduction at 2 and 3 (disc = -91); the
-    # long-form law needs no division by 2, so char 2 works as-is
-    from hrpks.curve_q import CurveQ
-
-    cq = CurveQ(a1=0, a2=0, a3=1, a4=1, a6=0, curve_id="test-91")
-    for p in (2, 3):
-        c = reduce_curve(cq, p)
+    # long-form law needs no division by 2, so char 2 works as-is. With
+    # toy17 mod 5, every point's order against the oracle's repeated sums
+    for c in _tiny_curves():
         pts = _enumerate_group(c)
         size = len(pts)
-        lo, hi = hasse_interval(p)
+        lo, hi = hasse_interval(c.p)
         assert max(lo, 1) <= size <= hi
-        for pt in pts[1:]:
+        for pt in pts:
             n = point_order(c, pt)
             assert size % n == 0
             assert n == _order_by_iteration(c, pt)
@@ -393,10 +411,10 @@ def _reference_msm(curve, scalars, points):
     acc = ModPoint.infinity()
     nbits = max((n.bit_length() for n, _ in pairs), default=0)
     for bit in range(nbits - 1, -1, -1):
-        acc = add_fp(curve, acc, acc)
+        acc = _affine_law(curve, acc, acc)
         for n, pt in pairs:
             if (n >> bit) & 1:
-                acc = add_fp(curve, acc, pt)
+                acc = _affine_law(curve, acc, pt)
     return acc
 
 
@@ -681,7 +699,7 @@ def _affine(pt):
 def _fold(curve, points):
     acc = ModPoint.infinity()
     for pt in points:
-        acc = add_fp(curve, acc, pt)
+        acc = _affine_law(curve, acc, pt)
     return acc
 
 
@@ -694,17 +712,46 @@ def _tiny_curves():
 
 
 def test_add_pairs_matches_affine_law_on_tiny_groups():
-    from hrpks.curve_fp import _add_pairs
+    from hrpks.curve_fp import _add_pairs, _jac_add_affine, _normalize
 
     for c in _tiny_curves():
-        finite = _enumerate_group(c)[1:]
-        pairs = [(P, Q) for P in finite for Q in finite]
-        want = [_affine(add_fp(c, P, Q)) for P, Q in pairs]
-        # the affine law agrees with the Jacobian engine's formulas
-        assert want == [_affine(msm(c, [1, 1], [P, Q])) for P, Q in pairs]
-        # one batch of every ordered pair, chord, tangent and opposite alike
+        group = _enumerate_group(c)
+        pairs = [(P, Q) for P in group for Q in group]
+        want = [_affine(_affine_law(c, P, Q)) for P, Q in pairs]
+        # the oracle agrees with the Jacobian engine's formulas, chord and
+        # tangent alike
+        finite = [(P, Q) for P, Q in pairs
+                  if not (P.is_infinity or Q.is_infinity)]
+        assert [_affine(_affine_law(c, P, Q)) for P, Q in finite] == \
+            _normalize(c, [_jac_add_affine(c, (P.x, P.y, 1), Q.x, Q.y)
+                           for P, Q in finite])
+        # one batch of every ordered pair, chord, tangent, opposite and
+        # infinity alike, and each pair on its own
         assert _add_pairs(c, [(_affine(P), _affine(Q)) for P, Q in pairs]) \
             == want
+        assert [_affine(add_fp(c, P, Q)) for P, Q in pairs] == want
+
+
+def test_add_pairs_mixed_batch_with_zero_denominators():
+    # pairs with a zero denominator (opposite points, a 2-torsion point
+    # doubled) first, last and side by side among chords, tangents and
+    # infinities: they take no part in the shared inversion, and the pairs
+    # around them must still get their own inverses
+    from hrpks.curve_fp import _add_pairs
+
+    big = reduce_curve(catalog("rank28"), MERSENNE_127)
+    c5 = reduce_curve(catalog("toy17"), 5)
+    inf, two_torsion = ModPoint.infinity(), ModPoint(2, 0)
+    rng = random.Random(31)
+    for c, (A, B, C) in ((big, _random_points(big, 3, rng)),
+                         (c5, (ModPoint(3, 2), ModPoint(4, 1), two_torsion))):
+        opposite = [(P, neg_fp(c, P)) for P in (A, B, C)]
+        pairs = [opposite[0], (A, B), (B, B), opposite[1], opposite[2],
+                 (inf, C), (C, inf), (A, C), (inf, inf), (C, C), (B, A),
+                 (A, A), opposite[0], (C, B), opposite[1]]
+        assert _add_pairs(c, [(_affine(P), _affine(Q)) for P, Q in pairs]) \
+            == [_affine(_affine_law(c, P, Q)) for P, Q in pairs]
+        assert _add_pairs(c, []) == []
 
 
 def _rows(columns):

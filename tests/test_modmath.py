@@ -1,9 +1,16 @@
+import bisect
 import random
 
 from hrpks import modmath
 from hrpks.modmath import is_probable_prime
 
 PSI_13 = 3317044064679887385961981
+# psi_1 .. psi_13, OEIS A014233: the least odd composite that is a strong
+# probable prime to each of the first k prime bases
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       PSI_13)
 FIRST_13_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
@@ -46,8 +53,32 @@ def _random_bases_prime(n, rounds=64):
 
 
 def test_bound_is_psi_13():
-    assert modmath._PSI_13 == PSI_13
-    assert modmath._PSI_13_BASES == FIRST_13_PRIMES
+    assert modmath._PSI == PSI and modmath._PSI[-1] == PSI_13
+    assert modmath._SMALL_PRIMES[:13] == FIRST_13_PRIMES
+
+
+def test_each_psi_k_fools_exactly_the_bases_below_its_tier(monkeypatch):
+    # below psi_k the first k bases are tested; psi_k itself sits in the
+    # next tier (past a repeated value, the first tier above it), whose
+    # last base catches it, and psi_13 is left to the random bases
+    for psi in PSI:
+        tier = bisect.bisect_right(PSI, psi)
+        assert _bases_fooled(psi) == tier, psi
+        assert not is_probable_prime(psi)
+    # a prime pays one modular exponentiation per base of its tier
+    exponents = []
+
+    def counting_pow(*args):
+        exponents.append(args[1])
+        return pow(*args)
+
+    monkeypatch.setattr(modmath, "pow", counting_pow, raising=False)
+    for prime, bases in ((101, 1), (2039, 1), (2053, 2), ((1 << 31) - 1, 4),
+                         (3123456773, 4), ((1 << 61) - 1, 9),
+                         (PSI_13 - 168, 13)):
+        exponents.clear()
+        assert is_probable_prime(prime)
+        assert len(exponents) == bases, prime
 
 
 def test_psi_12_rejected_by_the_last_fixed_base():
@@ -100,7 +131,8 @@ def test_primes_on_both_sides_of_the_bound():
 
 
 def test_exact_on_every_small_n():
-    limit = 20000
+    # every n of the one-base tier below psi_1 and the two-base tier
+    limit = 1 << 20
     sieve = [True] * limit
     sieve[0] = sieve[1] = False
     for i in range(2, int(limit ** 0.5) + 1):

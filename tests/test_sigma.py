@@ -1078,11 +1078,11 @@ def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     # of summing rows, and one for the affine result. At r = 8 a warm sign
     # sums 8 comb rows in 3 levels, and a warm verify sums those and the
     # key's comb row in 4; a key's first verify also builds its table, a
-    # normalisation and t - 1 levels of subset sums for t = 3 teeth
+    # normalisation and t - 1 levels of subset sums for t = 4 teeth
     params, gm = make_rank28_params(random.Random(173), 8)
     assert params.r == 8 and params.p.bit_length() == 127
     d = -(-params.mask_bits // curve_fp.COMB_TEETH)
-    assert (d, -(-params.l_c // d)) == (31, 3)
+    assert (d, -(-params.l_c // d)) == (27, 4)
     rng = random.Random(179)
     sk, pk = join(params, gm, add_department(params, new_root(), rng),
                   "alice", rng)
@@ -1097,7 +1097,7 @@ def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
     assert inversions == [params.p] * 4
     curve_fp._key_table.cache_clear()
-    for expected in (3 + 5, 5):  # the key's first verify, then a warm one
+    for expected in (4 + 5, 5):  # the key's first verify, then a warm one
         inversions.clear()
         assert verify(params, pk, empty_rl(), b"m", sig).accepted
         assert inversions == [params.p] * expected
@@ -1138,7 +1138,7 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     monkeypatch.setattr(serial, "deserialize_artifact", counting_load)
     assert hierarchy.verify_cert(params, pk) is True
     d = -(-params.mask_bits // curve_fp.COMB_TEETH)
-    assert d == 16 and params.l_c + 1 == 32
+    assert d == 15 and params.l_c + 1 == 32
     assert len(doublings) == d
     # the GM key folded into the comb over (G_1..G_r, -GM), no other term
     r = params.r
