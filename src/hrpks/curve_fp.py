@@ -38,16 +38,15 @@ long-lived bases, with t = COMB_TEETH teeth and d = ceil(nbits / t)
 columns; their scalars outside [0, 2^(d*t)) become NAF rows like every
 other term. Their table is kept in a small LRU keyed by the content
 (curve, bases, nbits), so freshly loaded copies of the same parameters
-share it. A system has one such table, over its generators and the
-negation of its GM key: `SystemParams.gens_msm` runs a certificate
-check's -c * GM as c * (-GM) on it, and every other caller gives -GM
-the scalar 0, which adds no row. With `keyed_bits=l_c`, each other point
-is a key: its scalar in [1, 2^(d*t')) runs on a comb of that point
-alone, in the same d columns with t' = ceil(l_c / d) teeth, kept in a
-second LRU of KEY_CACHE_SIZE tables keyed by (curve, point, d, t'), so a
-key loaded afresh still hits. `gens_msm` runs a member verify's -c * pk
-as c * (-pk) there, so that chain is d columns long too, not l_c + 1; a
-scalar the key's table cannot take, 0 among them, is a NAF row.
+share it; a system's one such table covers its r generators. With
+`keyed_bits=l_c`, each other point is a key: its scalar in [1, 2^(d*t'))
+runs on a comb of that point alone, in the same d columns with t' =
+ceil(l_c / d) teeth, kept in a second LRU of KEY_CACHE_SIZE tables keyed
+by (curve, point, d, t'), so a key loaded afresh still hits.
+`SystemParams.gens_msm` runs every key's -c * pk as c * (-pk) there, a
+member's in a verify and the GM's in a certificate check alike, so that
+chain is d columns long too, not l_c + 1; a scalar the key's table
+cannot take, 0 among them, is a NAF row.
 
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
@@ -96,7 +95,6 @@ class CurveFp:
     a3: int
     a4: int
     a6: int
-    source: str = ""
 
     def __post_init__(self):
         _require_prime(self.p)
@@ -132,7 +130,7 @@ def reduce_curve(curve: CurveQ, p: int) -> CurveFp:
             raise ValueError(
                 f"p = {p} divides a coefficient denominator") from None
         coeffs.append(frac.numerator * inv % p)
-    return CurveFp(p, *coeffs, source=curve.curve_id)
+    return CurveFp(p, *coeffs)
 
 
 def reduce_point(curve: CurveFp, P: RationalPoint) -> ModPoint:
@@ -268,13 +266,13 @@ _JAC_INF = (1, 1, 0)
 
 # Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
 # doublings and column sums per call), and how many base sets the LRU of
-# tables holds. On the shape of a verify at r = 8 (eight generators, -GM
-# and a key row, 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM,
-# best of 12), t = 8, 9 and 10 took 1.10-1.17, 0.99-1.00 and 0.94-0.95 ms
-# per msm, and the nine-base table 16, 22 and 36 ms to build, holding
-# 0.45, 0.88 and 1.54 MiB by tracemalloc. t = 10 would save 5% more per
-# msm for 1.6 times the build and 1.75 times the memory, which `setup`
-# and every fresh process pay, so t stops at 9.
+# tables holds. On the shape of a verify at r = 8 (eight generators and a
+# key row, 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM, best of
+# three runs on a noisy host), t = 8, 9 and 10 took 1.04, 0.90 and 0.87
+# ms per msm, and the eight-base table 15, 20 and 31 ms to build, holding
+# 0.19, 0.49 and 1.28 MiB by tracemalloc. t = 10 would save 3% more per
+# msm for 1.6 times the build and 2.6 times the memory, which `setup` and
+# every fresh process pay, so t stops at 9.
 COMB_TEETH = 9
 COMB_CACHE_SIZE = 8
 # How many key combs `msm` keeps for `keyed_bits` terms, the least
@@ -357,12 +355,6 @@ def _normalize(curve: CurveFp, jpoints):
         zi2 = zi * zi % p
         out[i] = (X * zi2 % p, Y * zi2 * zi % p)
     return out
-
-
-def _add_pairs(curve: CurveFp, pairs):
-    """Affine P + Q for each (P, Q) of affine (x, y) points or None, None
-    for an infinite sum: one level of `_sum_rows`."""
-    return _sum_rows(curve, [[P for P, _ in pairs], [Q for _, Q in pairs]])
 
 
 def _sum_rows(curve: CurveFp, rows):

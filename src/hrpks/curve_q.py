@@ -165,10 +165,6 @@ def _register(curve_id, **kw):
     _CATALOG[curve_id] = CurveQ(curve_id=curve_id, **kw)
 
 
-_register("rank0_3x", a1=0, a2=0, a3=0, a4=3, a6=0, declared_rank=0,
-          torsion_note="finite rational point group")
-_register("rank1_877x", a1=0, a2=0, a3=0, a4=877, a6=0, declared_rank=1)
-_register("rank2_73x", a1=0, a2=0, a3=0, a4=73, a6=0, declared_rank=2)
 _register("toy17", a1=0, a2=0, a3=0, a4=0, a6=17, declared_rank=2,
           generators=(_pt(-2, 3), _pt(2, 5)),
           torsion_note="no torsion over Q")

@@ -227,20 +227,15 @@ class SystemParams:
 
     def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
         """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`,
-        on the system's one cached comb table, over (gens..., -GM), for
-        scalars in [0, 2^mask_bits). Terms on the GM point, as a
-        certificate check's -c * GM, fold into -GM's comb scalar as -n.
-        Any other term, as a member verify's -c * pk, runs as (-n) * (-P)
-        on a cached comb of -P alone in the table's d columns (`msm`'s
+        on the system's one cached comb table over the generators, for
+        scalars in [0, 2^mask_bits). Each extra term, a member verify's
+        -c * pk or a certificate check's -c * GM, runs as (-n) * (-P) on a
+        cached comb of -P alone in the table's d columns (`msm`'s
         `keyed_bits` = l_c), which takes every nonzero challenge, or else
         as a NAF row. The sum is the same."""
-        curve, gm = self.curve, self.gm_pub.point
-        folded = -sum(n for n, P in extra if P == gm)
-        rest = [(-n, neg_fp(curve, P)) for n, P in extra if P != gm]
-        return msm(curve, [*scalars, folded, *(n for n, _ in rest)],
-                   self.gens + (neg_fp(curve, gm),)
-                   + tuple(P for _, P in rest),
-                   fixed=self.r + 1, fixed_bits=self.mask_bits,
+        return msm(self.curve, [*scalars, *(-n for n, _ in extra)],
+                   self.gens + tuple(neg_fp(self.curve, P) for _, P in extra),
+                   fixed=self.r, fixed_bits=self.mask_bits,
                    keyed_bits=self.l_c)
 
 
@@ -313,8 +308,6 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
 
     if l_c is None:
         l_c = min(128, q.bit_length() - 1)
-    if not 8 <= l_c < q.bit_length():
-        raise ValueError("need 8 <= l_c and 2^l_c < q (so q >= 257)")
 
     aux = _build_aux_group(q)
     r = len(gens)

@@ -178,7 +178,7 @@ _KEYPAIR = _record(
 
 def _build_params(curve_id, p, q, curve, aux, **fields) -> SystemParams:
     try:
-        curve = CurveFp(p, source=curve_id, **curve)
+        curve = CurveFp(p, **curve)
     except ValueError as e:  # p is not prime
         raise InvariantError(str(e)) from None
     # `setup` checks q for the parameters it builds; CurveFp checks p

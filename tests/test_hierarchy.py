@@ -45,7 +45,7 @@ def test_setup_rejects_bad_inputs():
     with pytest.raises(ValueError):
         setup("toy17", TOY_P, 10, rng)
     with pytest.raises(ValueError):
-        setup("rank1_877x", TOY_P, TOY_Q, rng)  # catalog lists no generators
+        setup("rank14", TOY_P, TOY_Q, rng)  # catalog lists no generators
     with pytest.raises(ValueError):
         setup("toy17", TOY_P, 251, rng)  # 2^l_c < q needs q >= 257
     with pytest.raises(InvariantError):
@@ -361,15 +361,15 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "msm", counting)
     join(params, gm, fin, "second", rng)
     # the member's point and the certificate's commitment, both on the
-    # system's one comb over (G_1..G_r, -GM); the GM key check was cached
-    # by the first join
-    assert calls == [params.r + 1, params.r + 1]
+    # system's one comb over G_1..G_r; the GM key check was cached by the
+    # first join
+    assert calls == [params.r, params.r]
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
 def test_one_comb_table_per_system(make):
     # join, sign, a member's verify and a cold certificate check all read
-    # one table over (G_1..G_r, -GM); none builds a second
+    # one table over G_1..G_r; none builds a second
     params, gm = make()
     rng = random.Random(37)
     curve_fp._comb_table.cache_clear()
@@ -377,14 +377,22 @@ def test_one_comb_table_per_system(make):
     sk, pk = join(params, gm, dept, "alice", rng)
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
     assert verify(params, pk, empty_rl(), b"m", sig).accepted
+    # a cold certificate check runs -c * GM on a key comb of -GM alone,
+    # the one key table it builds
     hierarchy._CERT_VERDICTS.clear()
+    curve_fp._key_table.cache_clear()
     assert verify_cert(params, pk) is True
+    keys = curve_fp._key_table.cache_info()
+    assert (keys.misses, keys.currsize) == (1, 1)
+    d = -(-params.mask_bits // curve_fp.COMB_TEETH)
+    minus_gm = neg_fp(params.curve, params.gm_pub.point)
+    curve_fp._key_table(params.curve, minus_gm, d, -(-params.l_c // d))
+    assert curve_fp._key_table.cache_info().misses == 1  # -GM's: a hit
     assert curve_fp._comb_table.cache_info().misses == 1
-    bases = params.gens + (neg_fp(params.curve, params.gm_pub.point),)
-    table = curve_fp._comb_table(params.curve, bases, params.mask_bits)
+    table = curve_fp._comb_table(params.curve, params.gens, params.mask_bits)
     info = curve_fp._comb_table.cache_info()
     assert (info.misses, info.currsize) == (1, 1)  # the lookup was a hit
-    assert len(table.rows) == params.r + 1
+    assert len(table.rows) == params.r
 
 
 def test_cert_verdict_cache_answers_as_an_uncached_check():

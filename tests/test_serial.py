@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
-from hrpks import assumption_lab, serial
+from hrpks import assumption_lab, curve_fp, serial
 from hrpks.curve_fp import ModPoint
 from hrpks.errors import InvariantError, ParseError
 from hrpks.hierarchy import (Hyperplane, PublicKey, add_department, join,
@@ -305,3 +306,19 @@ def test_params_load_checks_each_prime_once(monkeypatch):
     doc["q"] = str(params.aux.rho - 1)
     with pytest.raises(InvariantError, match="q is not prime"):
         serial.deserialize_artifact(json.dumps(doc))
+
+
+def test_params_under_an_id_outside_the_catalog_load_back_equal():
+    # a reduced curve is its p and coefficients alone: params saved under
+    # a curve id the catalog does not know load back equal to the
+    # original, and their msm finds the comb table the original built
+    toy, _gm = make_toy_params()
+    params = dataclasses.replace(toy, curve_id="toy17-copy")
+    scalars = list(range(1, params.r + 1))
+    curve_fp._comb_table.cache_clear()
+    want = params.gens_msm(scalars)
+    back = serial.deserialize_artifact(
+        serial.serialize_artifact("params", params))
+    assert back == params and back.curve is not params.curve
+    assert back.gens_msm(scalars) == want
+    assert curve_fp._comb_table.cache_info().misses == 1

@@ -1104,14 +1104,15 @@ def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
 
 
 def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
-    # a cold check runs -c * GM as c * (-GM) on the comb, so its chain is
-    # the comb's ceil(mask_bits / t) columns, not the l_c + 1 digits of
-    # c's NAF; a warm check is a lookup that loads and hashes nothing
+    # a cold check runs -c * GM as c * (-GM) on a key comb of -GM in the
+    # system comb's columns, so its chain is ceil(mask_bits / t) columns,
+    # not the l_c + 1 digits of c's NAF; a warm check is a lookup that
+    # loads and hashes nothing
     params, gm, rng, _root, fin, _hr, _eng = _toy_world(seed=161)
     _sk, pk = join(params, gm, fin, "alice", rng)
     bob_sk, bob = join(params, gm, fin, "bob", rng)
     hierarchy._CERT_VERDICTS.clear()
-    assert hierarchy.verify_cert(params, bob)  # the comb table built
+    assert hierarchy.verify_cert(params, bob)  # both tables built
     doublings, msms, hashes, loads = [], [], [], []
     real_double, real_msm = curve_fp._jac_double, hierarchy.msm
     real_hash, real_load = sigma.hash_to_challenge, serial.deserialize_artifact
@@ -1140,9 +1141,9 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     d = -(-params.mask_bits // curve_fp.COMB_TEETH)
     assert d == 15 and params.l_c + 1 == 32
     assert len(doublings) == d
-    # the GM key folded into the comb over (G_1..G_r, -GM), no other term
+    # the comb over G_1..G_r and one key term, the GM's
     r = params.r
-    assert msms == [(r + 1, r + 1)] and len(hashes) == 1 and len(loads) == 1
+    assert msms == [(r, r + 1)] and len(hashes) == 1 and len(loads) == 1
     for warm in (pk, dataclasses.replace(pk, cert=bytes(pk.cert))):
         doublings.clear(), msms.clear(), hashes.clear(), loads.clear()
         assert hierarchy.verify_cert(params, warm) is True
@@ -1154,41 +1155,33 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     assert verify(params, bob, empty_rl(), b"m", sig).accepted
     doublings.clear(), msms.clear()
     assert verify(params, bob, empty_rl(), b"m", sig).accepted
-    assert msms == [(r + 1, r + 2)] and len(doublings) == d
-
-
-@pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
-def test_gm_comb_matches_the_naf_path(make):
-    params, _gm = make()
-    rng = random.Random(163)
-    gm, top = params.gm_pub.point, 1 << params.mask_bits
-    for c in (0, 1, (1 << params.l_c) - 1):
-        for s in ([0] * params.r, [top - 1] * params.r,
-                  [rng.randrange(top) for _ in range(params.r)]):
-            naf = msm(params.curve, [*s, -c], params.gens + (gm,),
-                      fixed=params.r, fixed_bits=params.mask_bits)
-            assert params.gens_msm(s, ((-c, gm),)) == naf, (c, s)
+    assert msms == [(r, r + 1)] and len(doublings) == d
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
 def test_key_comb_matches_the_naf_path(make):
-    # a member verify's -c * pk runs as c * (-pk) on a cached comb of -pk
-    # alone; cold or warm it sums to what a NAF row of -c gives, and c = 0
-    # adds no row and builds no table
+    # a verify's -c * pk, the GM's in a certificate check as a member's,
+    # runs as c * (-pk) on a cached comb of -pk alone; cold or warm it
+    # sums to what a NAF row of -c gives, and c = 0 adds no row and
+    # builds no table
     params, gm = make()
     rng = random.Random(167)
     _sk, pk = join(params, gm, add_department(params, new_root(), rng),
                    "alice", rng)
     cache, top = curve_fp._key_table, 1 << params.mask_bits
-    for c in (0, 1, (1 << params.l_c) - 1, rng.randrange(1 << params.l_c)):
-        s = [rng.randrange(top) for _ in range(params.r)]
-        naf = msm(params.curve, [*s, -c], params.gens + (pk.point,),
-                  fixed=params.r, fixed_bits=params.mask_bits)
-        cache.cache_clear()
-        for state in ("cold", "warm"):
-            assert params.gens_msm(s, ((-c, pk.point),)) == naf, (c, state)
-            assert cache.cache_info().currsize == (c != 0)
-        assert cache.cache_info().misses == (c != 0)
+    for key in (params.gm_pub.point, pk.point):
+        for c in (0, 1, (1 << params.l_c) - 1,
+                  rng.randrange(1 << params.l_c)):
+            for s in ([0] * params.r, [top - 1] * params.r,
+                      [rng.randrange(top) for _ in range(params.r)]):
+                naf = msm(params.curve, [*s, -c], params.gens + (key,),
+                          fixed=params.r, fixed_bits=params.mask_bits)
+                cache.cache_clear()
+                for state in ("cold", "warm"):
+                    assert params.gens_msm(s, ((-c, key),)) == naf, \
+                        (key, c, s, state)
+                    assert cache.cache_info().currsize == (c != 0)
+                assert cache.cache_info().misses == (c != 0)
     # a copy of the key loaded afresh, as every CLI command loads one, hits
     twin = serial.deserialize_artifact(serial.serialize_artifact("cert", pk))
     assert twin == pk and twin.point is not pk.point
