@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import curve_fp
-from .curve_fp import INF, ModPoint, msm, point_order
+from .curve_fp import msm, point_order
 from .errors import InvariantError
 from .hierarchy import SystemParams
 
@@ -47,22 +47,20 @@ def _is_trivial(vec) -> bool:
 
 def _box(curve, gens, bound: int):
     """Yield (x, sum x_i * G_i) for every x in [-bound, bound]^len(gens),
-    one point addition per step."""
-    vec = [0] * len(gens)
-
-    def sweep(i: int, acc: ModPoint):
-        if i == len(gens):
-            yield tuple(vec), acc
-            return
-        base = curve_fp._add_unchecked(
-            curve, acc, curve_fp._scalar_unchecked(curve, -bound, gens[i]))
-        for v in range(-bound, bound + 1):
-            vec[i] = v
-            yield from sweep(i + 1, base)
-            if v < bound:
-                base = curve_fp._add_unchecked(curve, base, gens[i])
-
-    return sweep(0, INF)
+    in `itertools.product` order, the sum as a `_sum_rows` row entry. The
+    last generator's 2 * bound + 1 multiples are one row, and each box
+    point of the other generators is added to it in one `_sum_rows` level,
+    one inversion per row."""
+    if not gens:
+        yield (), None
+        return
+    *head, last = gens
+    span = range(-bound, bound + 1)
+    row = curve_fp._progression(
+        curve, curve_fp._straus(curve, [(-bound, last)]), last, len(span))
+    for vec, point in _box(curve, head, bound):
+        sums = curve_fp._sum_rows(curve, [[point] * len(row), row])
+        yield from zip((vec + (v,) for v in span), sums)
 
 
 def relation_search(params: SystemParams, bound: int) -> RelationReport:
@@ -70,8 +68,8 @@ def relation_search(params: SystemParams, bound: int) -> RelationReport:
 
     Meet in the middle: a table maps each box point of the first r // 2
     generators to its vectors, and the box points of the other generators,
-    negated, probe it. Time is (2 * bound + 1) ** ceil(r / 2) steps and
-    memory (2 * bound + 1) ** (r // 2) table entries.
+    negated, probe it. With B = bound, time is (2B + 1)^ceil(r/2) steps,
+    memory (2B + 1)^(r//2) table entries and a row of 2B + 1 per generator.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")

@@ -6,8 +6,8 @@ Points cross every API boundary as affine `ModPoint`s. The affine
 long-Weierstrass law lives in one place, `_sum_rows`: it adds lists of
 affine points elementwise and in place, level by level of a pairwise
 tree, with one shared inversion per level (Montgomery's trick, Math.
-Comp. 1987). `add_fp` and the step walks of BSGS and the assumption lab
-run it as one-level calls on one pair, one inversion each. `msm` and
+Comp. 1987). `add_fp` is one level on one pair, and the walks of BSGS and
+the lab's box are `_progression` rows, one level per doubling. `msm` and
 `scalar_mul_fp` share one engine: simultaneous double-and-add over rows
 of affine points, one entry per column of a doubling chain that works in
 long-Weierstrass Jacobian coordinates (x = X/Z^2, y = Y/Z^3) with a1..a6
@@ -173,27 +173,22 @@ def _require_on_curve(curve: CurveFp, P: ModPoint):
         raise ValueError(f"point {P} is not on the curve mod {curve.p}")
 
 
-def _add_unchecked(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
-    """P + Q for points known on the curve: one level of `_sum_rows`."""
-    (R,) = _sum_rows(curve, [[None if P.x is None else (P.x, P.y)],
-                             [None if Q.x is None else (Q.x, Q.y)]])
-    return INF if R is None else ModPoint(*R)
+def _entry(P: ModPoint):
+    """P as a `_sum_rows` row entry: affine (x, y), or None for infinity."""
+    return None if P.is_infinity else (P.x, P.y)
 
 
 def add_fp(curve: CurveFp, P: ModPoint, Q: ModPoint) -> ModPoint:
     _require_on_curve(curve, P)
     _require_on_curve(curve, Q)
-    return _add_unchecked(curve, P, Q)
+    (R,) = _sum_rows(curve, [[_entry(P)], [_entry(Q)]])
+    return INF if R is None else ModPoint(*R)
 
 
 def scalar_mul_fp(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
     """n*P; 0*P = infinity, negative n via negation. Runs the `msm`
     engine on one term."""
     _require_on_curve(curve, P)
-    return _scalar_unchecked(curve, n, P)
-
-
-def _scalar_unchecked(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
     return _straus(curve, [(n, P)])
 
 
@@ -402,6 +397,20 @@ def _sum_rows(curve: CurveFp, rows):
     return rows[0] if rows else []
 
 
+def _progression(curve: CurveFp, start: ModPoint, step: ModPoint,
+                 count: int):
+    """start + k * step for k < count as `_sum_rows` row entries, for
+    points on the curve: each level adds n * step to the n entries so far
+    and doubles n * step, ceil(log2 count) levels of one inversion."""
+    row, stride = [_entry(start)], _entry(step)
+    while len(row) < count:
+        n = min(len(row), count - len(row))
+        sums = _sum_rows(curve, [row[:n] + [stride], [stride] * (n + 1)])
+        stride = sums.pop()
+        row += sums
+    return row[:count]
+
+
 class _Comb:
     """Comb tables of a tuple of bases with t teeth of d bits each, for
     scalars below `top` = 2^(d*t): rows[i][m] is the affine sum of the
@@ -522,8 +531,9 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
     """Smallest-found m in the Hasse interval with m*P = infinity.
 
     Classic collision search: with W the interval width, baby steps cover
-    j in [0, ceil(sqrt(W))) and giant steps stride by that same amount,
-    so the table stays at about 2*p^(1/4) entries.
+    j in [0, ceil(sqrt(W))) and giant steps stride by that same amount.
+    Both are `_progression` rows, one inversion per doubling of a row, and
+    both are held at once: about 2*p^(1/4) entries each, 4*p^(1/4) in all.
     """
     lo, hi = hasse_interval(curve.p)
     lo = max(lo, 1)  # p <= 3 pushes the raw floor to 0; orders start at 1
@@ -533,24 +543,16 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
         m_step += 1
 
     baby = {}
-    acc = INF
-    for j in range(m_step):
-        baby.setdefault(acc, j)
-        acc = _add_unchecked(curve, acc, P)
+    for j, entry in enumerate(_progression(curve, INF, P, m_step)):
+        baby.setdefault(entry, j)
 
     # find k in [0, width) with k*P = -lo*P, then m = lo + k
-    target = _scalar_unchecked(curve, -lo, P)
-    stride = neg_fp(curve, _scalar_unchecked(curve, m_step, P))
-    gamma = target
-    i = 0
-    while i * m_step < width:
+    giants = _progression(curve, _straus(curve, [(-lo, P)]),
+                          _straus(curve, [(-m_step, P)]), -(-width // m_step))
+    for i, gamma in enumerate(giants):
         j = baby.get(gamma)
-        if j is not None:
-            k = i * m_step + j
-            if k < width:
-                return lo + k
-        gamma = _add_unchecked(curve, gamma, stride)
-        i += 1
+        if j is not None and i * m_step + j < width:
+            return lo + i * m_step + j
     raise ArithmeticError(
         "no annihilating multiple in the Hasse interval; "
         "this indicates a group-law bug")
@@ -559,8 +561,8 @@ def _bsgs_annihilator(curve: CurveFp, P: ModPoint) -> int:
 def point_order(curve: CurveFp, P: ModPoint) -> int:
     """Exact order of P: find one annihilator in the Hasse interval, factor
     it, then strip primes while the quotient still kills P. Refuses p above
-    ORDER_P_GUARD, where the baby-step table (about 2*p^(1/4) entries)
-    outgrows a desk."""
+    ORDER_P_GUARD, where the baby and giant rows (about 4*p^(1/4) entries
+    together) outgrow a desk."""
     if curve.p > ORDER_P_GUARD:
         raise ValueError("p exceeds the 2^64 order-search guard")
     _require_on_curve(curve, P)
@@ -568,6 +570,6 @@ def point_order(curve: CurveFp, P: ModPoint) -> int:
         return 1
     m = _bsgs_annihilator(curve, P)
     for prime in sorted(modmath.factorize(m)):
-        while m % prime == 0 and _scalar_unchecked(curve, m // prime, P).is_infinity:
+        while m % prime == 0 and _straus(curve, [(m // prime, P)]).is_infinity:
             m //= prime
     return m

@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from hrpks import assumption_lab, curve_q, hierarchy, modmath
+from hrpks import assumption_lab, curve_fp, curve_q, hierarchy, modmath
 from hrpks.assumption_lab import OrderReport, order_report, relation_search
-from hrpks.curve_fp import msm, scalar_mul_fp
+from hrpks.curve_fp import hasse_interval, msm, point_order, scalar_mul_fp
 
 from conftest import make_r3_params, make_small_params, make_toy_params
 
@@ -163,3 +163,44 @@ def test_searches_refuse_p_above_order_guard_before_walking():
     with pytest.raises(ValueError, match="order-search guard"):
         relation_search(params, 100000)
     assert time.perf_counter() - started < 1.0
+
+
+def test_walks_make_exact_curve_inversion_counts(monkeypatch):
+    # every inversion mod p is a pow(v, -1, p) in curve_fp, and a walk of
+    # n points is a row of ceil(log2 n) levels, one inversion each
+    toy, _gm = make_toy_params()
+    params, _gm = make_small_params()
+    inversions = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inversions.append(mod)
+        return pow(base, exp, mod)
+    monkeypatch.setattr(curve_fp, "pow", counting_pow, raising=False)
+    # BSGS at the toy prime: a Hasse width of 223553 gives 473 baby and
+    # 473 giant steps, 9 levels each, and -lo * P and -473 * P one each.
+    # P1's order is p + 1 = 2 * 3 * 29 * 809 * 22189, so stripping makes
+    # five products, none of them infinity, one inversion each
+    lo, hi = hasse_interval(toy.p)
+    assert hi - lo + 1 == 223553 and sorted(modmath.factorize(
+        toy.p + 1)) == [2, 3, 29, 809, 22189]
+    assert point_order(toy.curve, toy.gens[0]) == toy.p + 1
+    assert inversions == [toy.p] * (9 + 2 + 9 + 5)
+    # mod 97, both orders 103: 7 baby steps and 6 giant steps, 3 levels
+    # each, 2 more for -lo * P and -7 * P, and 1 for 103 itself; then a
+    # box of 51 points per half, -25 * G and 6 levels. The re-verifying
+    # msm calls are counted apart
+    in_msm = []
+
+    def msm_apart(*args):
+        before = len(inversions)
+        out = msm(*args)
+        in_msm.append(len(inversions) - before)
+        return out
+    monkeypatch.setattr(assumption_lab, "msm", msm_apart)
+    inversions.clear()
+    report = relation_search(params, 25)
+    assert report.orders == (103, 103) and len(report.relations) == \
+        len(in_msm) > 0
+    assert len(inversions) - sum(in_msm) == 2 * (3 + 2 + 3 + 1) + 2 * (1 + 6)
+    assert set(inversions) == {97}

@@ -805,6 +805,29 @@ def test_sum_rows_edge_columns():
     assert _sum_rows(big, []) == []
 
 
+def test_progression_matches_affine_law():
+    # start + k * step against the oracle's repeated sums: every start and
+    # step of toy17 mod 5, the 2-torsion step (2, 0) among them, whose
+    # tangent denominator is 0, and a sample mod 97; infinity is index 0
+    # of each group, so it comes up as a start and as a step. Counts 0, 1
+    # and 2, one that ends mid-level, and one past every point's order,
+    # so the row wraps through infinity
+    from hrpks.curve_fp import _progression
+
+    for p, picks in ((5, slice(None)), (97, slice(None, None, 17))):
+        c = reduce_curve(catalog("toy17"), p)
+        group = _enumerate_group(c)
+        assert group[0].is_infinity and (p != 5 or ModPoint(2, 0) in group)
+        for start in group[picks]:
+            for step in group[picks]:
+                for count in (0, 1, 2, 5, len(group) + 2):
+                    want, acc = [], start
+                    for _ in range(count):
+                        want.append(_affine(acc))
+                        acc = _affine_law(c, acc, step)
+                    assert _progression(c, start, step, count) == want
+
+
 def test_sum_rows_one_inversion_per_level(monkeypatch):
     from hrpks import curve_fp
 
