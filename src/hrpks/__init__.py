@@ -13,10 +13,9 @@ desk-scale. Do not use for anything that matters.
 
 from .assumption_lab import (OrderReport, RelationReport, order_report,
                              relation_search)
-from .curve_fp import (INF, CurveFp, ModPoint, add_fp, msm, on_curve_fp,
-                       point_order, reduce_curve, reduce_point, scalar_mul_fp)
-from .curve_q import (CurveQ, RationalPoint, add_q, catalog, catalog_ids,
-                      discriminant_q, on_curve_q, scalar_mul_q)
+from .curve_fp import (INF, CurveFp, ModPoint, msm, on_curve_fp, point_order,
+                       reduce_curve, reduce_point, scalar_mul_fp)
+from .curve_q import CurveQ, RationalPoint, catalog, catalog_ids, scalar_mul_q
 from .encoding import encode, hash_to_challenge
 from .errors import InvariantError, ParseError, RetryExhausted, SignerRevoked
 from .hierarchy import (AuxGroup, DeptNode, Hyperplane, PublicKey, SecretKey,

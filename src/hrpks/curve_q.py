@@ -168,14 +168,30 @@ def _register(curve_id, **kw):
 _register("toy17", a1=0, a2=0, a3=0, a4=0, a6=17, declared_rank=2,
           generators=(_pt(-2, 3), _pt(2, 5)),
           torsion_note="no torsion over Q")
+# Mestre's degree-8 construction (C. R. Acad. Sci. Paris 295, 1982): for
+# P(x) = prod (x - a) over a = -4, -3, -2, -1, 1, 2, 3, 5 and g the monic
+# quartic with deg(g^2 - P) <= 3, y^2 = h(x) = g^2 - P passes through the
+# eight points (a, g(a)), which sum to O. Scaled by h's leading coefficient
+# and by u = 32 to an integral model, then moved by y -> y + x + 1 so that
+# a1 and a3 are nonzero. The generators are the images of seven of those
+# points (all but a = 5) and of the point at x = 172 on y^2 = h(x);
+# tests/test_curve_q.py rebuilds them and certifies their independence.
+_register("mestre8", a1=2, a2=443645, a3=2, a4=-8007831722,
+          a6=-3354540569415901, declared_rank=8,
+          generators=(_pt(-349920, 104866649), _pt(-262440, -105697711),
+                      _pt(-174960, -79016311), _pt(-87480, 8551169),
+                      _pt(87480, -3171151), _pt(174960, -119257111),
+                      _pt(262440, -208049311), _pt(15046560, 59203555289)),
+          torsion_note="no torsion over Q")
 _register("rank14", a1=0, a2=0, a3=0, a4=_RANK14_A4, a6=0, declared_rank=14)
 _register("rank28", a1=1, a2=-1, a3=1, a4=_RANK28_B, a6=_RANK28_C,
           declared_rank=28)
 
 
 def catalog(curve_id: str) -> CurveQ:
-    """Built-in curves by id; declared ranks are recorded as published,
-    without independent verification."""
+    """Built-in curves by id. A test certifies mestre8's 8 generators
+    independent, so its rank is at least 8; rank14's and rank28's
+    declared ranks are recorded as published, without verification."""
     try:
         return _CATALOG[curve_id]
     except KeyError:

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import curve_fp, curve_q, modmath
 from .curve_fp import (CurveFp, ModPoint, msm, neg_fp, reduce_curve,
                        reduce_point)
-from .curve_q import RationalPoint
 from .encoding import MAX_CHALLENGE_BITS, encode, hash_to_challenge
 from .errors import InvariantError, ParseError
 
@@ -282,29 +281,24 @@ def _build_aux_group(q: int) -> AuxGroup:
 
 
 def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
-          l_s: int = DEFAULT_STAT_GAP_BITS,
-          generators: Optional[Sequence[RationalPoint]] = None):
+          l_s: int = DEFAULT_STAT_GAP_BITS):
     """Build system parameters and the GM keypair.
 
-    Reduces the catalog curve and its generators mod p, constructs the
-    auxiliary commitment group for q, and samples the (unconstrained) GM
-    secret vector. Supply `generators` to override the catalog's list, e.g.
-    to run the protocol with more points than the curve has published
-    generators.
+    Reduces the catalog curve and all of its generators mod p, so r is
+    the number of generators the catalog lists (2 on toy17, 8 on
+    mestre8) and a department tree is at most r - 1 levels deep. Then
+    constructs the auxiliary commitment group for q and samples the
+    (unconstrained) GM secret vector.
 
     Returns (SystemParams, gm_secret_key).
     """
     curve = curve_q.catalog(curve_id)
-    gens_q = tuple(generators) if generators is not None else curve.generators
-    if not gens_q:
-        raise ValueError(f"curve {curve_id!r} lists no generators; supply some")
-    for g in gens_q:
-        if not curve_q.on_curve_q(curve, g):
-            raise ValueError(f"supplied generator {g} is not on {curve_id}")
+    if not curve.generators:
+        raise ValueError(f"curve {curve_id!r} lists no generators")
     reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
     if not modmath.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
-    gens = tuple(reduce_point(reduced, g) for g in gens_q)
+    gens = tuple(reduce_point(reduced, g) for g in curve.generators)
 
     if l_c is None:
         l_c = min(128, q.bit_length() - 1)
@@ -495,6 +489,6 @@ def _check_cert(params: SystemParams, pk: PublicKey) -> bool:
         return False
     if not isinstance(sig, sigma.Signature):
         return False
-    result = sigma.verify(params, params.gm_pub, revocation.empty_rl(),
-                          _cert_message(pk), sig)
+    result = sigma._verify_proof(params, params.gm_pub, revocation.empty_rl(),
+                                 _cert_message(pk), sig)
     return result.accepted

@@ -56,7 +56,8 @@ from .curve_fp import ModPoint, on_curve_fp
 from .encoding import hash_to_challenge
 from .errors import InvariantError, RetryExhausted, SignerRevoked
 from .hierarchy import (AuxGroup, Hyperplane, PublicKey, SecretKey,
-                        SystemParams, _key_parts, require_key_pair)
+                        SystemParams, _key_parts, require_key_pair,
+                        verify_cert)
 from .revocation import RevocationList, is_member_revoked, rl_hash
 
 CHALLENGE_TAG = b"HRPKS-v1/chal"
@@ -115,6 +116,7 @@ RL_MISMATCH = "RL_MISMATCH"
 RANGE = "RANGE"
 MALFORMED = "MALFORMED"
 BAD_CHALLENGE = "BAD_CHALLENGE"
+UNCERTIFIED = "UNCERTIFIED"
 
 
 def _aux_table(aux: AuxGroup, base: int):
@@ -383,10 +385,22 @@ def _structural_ok(params: SystemParams, rl: RevocationList,
 def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
            message: bytes, sig: Signature) -> VerifyResult:
     """Total verification: every failure is a Reject with a reason, never
-    an exception."""
-    curve = params.curve
+    an exception. A key must carry a valid GM certificate for exactly its
+    point, member id and department (`verify_cert`), or it is rejected
+    UNCERTIFIED, whatever it signed."""
     if is_member_revoked(rl, pk):
         return VerifyResult(False, PK_REVOKED)
+    if not verify_cert(params, pk):
+        return VerifyResult(False, UNCERTIFIED)
+    return _verify_proof(params, pk, rl, message, sig)
+
+
+def _verify_proof(params: SystemParams, pk: PublicKey, rl: RevocationList,
+                  message: bytes, sig: Signature) -> VerifyResult:
+    """`verify` without the list's member check and the certificate
+    check: the proof alone, as a certificate check runs it on the GM key,
+    which has no certificate."""
+    curve = params.curve
     if sig.rl_version != rl.version:
         return VerifyResult(False, RL_MISMATCH)
     if not on_curve_fp(curve, pk.point):

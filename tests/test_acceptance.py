@@ -23,7 +23,7 @@ from hrpks.hierarchy import Hyperplane, add_department, join, new_root
 from hrpks.revocation import coalesce, empty_rl, revoke_group, revoke_member
 from hrpks.sigma import Signature, sign, verify
 
-from conftest import TOY_P, make_r3_params, make_toy_params
+from conftest import TOY_P, make_mestre8_params, make_toy_params
 
 F = Fraction
 
@@ -258,7 +258,7 @@ def test_criterion_6_forgery_resistance():
 
 def test_criterion_7_coalescing_semantics():
     with criterion(7, "coalesce: single parent entry, blocked set unchanged"):
-        params, gm = make_r3_params(seed=4011)
+        params, gm = make_mestre8_params(seed=4011)
         rng = random.Random(4012)
         root = new_root()
         ops = add_department(params, root, rng, name="ops")

@@ -1,15 +1,15 @@
+import dataclasses
 import itertools
-import random
 import time
-import warnings
 
 import pytest
 
-from hrpks import assumption_lab, curve_fp, curve_q, hierarchy, modmath
+from hrpks import assumption_lab, curve_fp, modmath
 from hrpks.assumption_lab import OrderReport, order_report, relation_search
-from hrpks.curve_fp import hasse_interval, msm, point_order, scalar_mul_fp
+from hrpks.curve_fp import (add_fp, hasse_interval, msm, point_order,
+                            scalar_mul_fp)
 
-from conftest import make_r3_params, make_small_params, make_toy_params
+from conftest import make_mestre8_params, make_small_params, make_toy_params
 
 
 def _brute_relations(params, bound):
@@ -20,12 +20,13 @@ def _brute_relations(params, bound):
                  and msm(params.curve, vec, params.gens).is_infinity)
 
 
-def _r1_params():
-    g1 = curve_q.catalog("toy17").generators[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return hierarchy.setup("toy17", 97, 257, random.Random(3), l_s=24,
-                               generators=[g1])[0]
+def _relation_params():
+    """mestre8 mod 10007 with G1, G2 and G1 + G2 in place of its
+    generators, so that (1, 1, -1) is a relation."""
+    params, _gm = make_mestre8_params()
+    g1, g2 = params.gens[:2]
+    return dataclasses.replace(
+        params, gens=(g1, g2, add_fp(params.curve, g1, g2)), r=3)
 
 
 def test_mitm_finds_order_relations_p97():
@@ -59,14 +60,14 @@ def test_mitm_matches_brute_force_oracle():
         report = relation_search(params, bound)
         assert report.relations == _brute_relations(params, bound)
     # r = 1: the table holds only infinity; P1 mod 97 has order 103
-    params1 = _r1_params()
+    params1 = dataclasses.replace(params, gens=params.gens[:1], r=1)
     for bound in (0, 1, 102, 103, 150):
         report = relation_search(params1, bound)
         assert report.relations == _brute_relations(params1, bound)
         assert all(report.trivial_flags)
     assert relation_search(params1, 103).relations == ((-103,), (103,))
     # r = 3: G3 = G1 + G2, so (1, 1, -1) and its multiples are relations
-    params3 = make_r3_params()[0]
+    params3 = _relation_params()
     for bound in range(7):
         report = relation_search(params3, bound)
         assert report.relations == _brute_relations(params3, bound)
@@ -119,7 +120,7 @@ def test_guards():
     # refused before the orders and the walk; one bound less is allowed
     assert 2 * 499999 + 1 <= assumption_lab.SEARCH_GUARD < 2 * 500000 + 1
     assert 999 ** 2 <= assumption_lab.SEARCH_GUARD < 1001 ** 2
-    for params, bound in ((params, 500000), (make_r3_params()[0], 500)):
+    for params, bound in ((params, 500000), (_relation_params(), 500)):
         started = time.perf_counter()
         with pytest.raises(ValueError, match="probe steps"):
             relation_search(params, bound)

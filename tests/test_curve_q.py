@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hrpks import modmath
+from hrpks.curve_fp import reduce_curve, reduce_point, scalar_mul_fp
 from hrpks.curve_q import (CurveQ, RationalPoint, add_q, catalog,
                            discriminant_coeffs, discriminant_q, neg_q,
                            on_curve_q, scalar_mul_q)
@@ -166,6 +169,122 @@ def test_discriminant_values():
     assert discriminant_q(catalog("rank14")) != 0
     # cusp y^2 = x^3
     assert discriminant_coeffs(0, 0, 0, 0, 0) == 0
+
+
+# --- mestre8: Mestre's degree-8 construction and its rank certificate -------
+
+MESTRE_A = (-4, -3, -2, -1, 1, 2, 3, 5)
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mestre_model(a_values, extra_x, u=32):
+    """Mestre's construction (C. R. Acad. Sci. Paris 295, 1982), rebuilt:
+    P = prod (x - a), g the monic quartic with deg(g^2 - P) <= 3 and
+    h = g^2 - P = c3 x^3 + c2 x^2 + c1 x + c0, so y^2 = h(x) passes through
+    every (a, g(a)). (X, Y) = (c3 u^2 x, c3 u^3 y) maps it to Y^2 = X^3 +
+    c2 u^2 X^2 + c1 c3 u^4 X + c0 c3^2 u^6, and Y = y' + X + 1 to long
+    form. Returns (a1, a2, a3, a4, a6) and the images of the points
+    (a, g(a)), then of (extra_x, +sqrt(h(extra_x)))."""
+    P = [F(1)]
+    for a in a_values:
+        P = _poly_mul(P, [F(-a), F(1)])
+    g = [F(0)] * 4 + [F(1)]
+    for k in (3, 2, 1, 0):  # match the x^(4 + k) terms of g^2 and P
+        g[k] = (P[4 + k] - _poly_mul(g, g)[4 + k]) / 2
+    h = [s - t for s, t in zip(_poly_mul(g, g), P)]
+    assert h[4:] == [0] * 5
+    c0, c1, c2, c3 = h[:4]
+    coeffs = (2, c2 * u ** 2 - 1, 2, c1 * c3 * u ** 4 - 2,
+              c0 * c3 ** 2 * u ** 6 - 1)
+
+    def image(x, y):
+        big_x = c3 * u ** 2 * x
+        return (big_x, c3 * u ** 3 * y - big_x - 1)
+
+    def at(poly, x):
+        return sum(c * x ** i for i, c in enumerate(poly))
+
+    square = at(h, F(extra_x))
+    root = F(math.isqrt(square.numerator), math.isqrt(square.denominator))
+    assert root * root == square
+    return coeffs, [image(a, at(g, a)) for a in a_values] + \
+        [image(extra_x, root)]
+
+
+def _points_mod_ell(curve, points, ell, primes=8):
+    """The rank over F_ell of the points' images in E(F_p) / ell E(F_p),
+    stacked over the first `primes` primes p > 100 of good reduction with
+    ell || #E(F_p), and the gcd of #E(F_p) over every good p tried.
+
+    There E(F_p) / ell E(F_p) is Z/ell, and P -> (#E / ell) P sends it onto
+    the order-ell subgroup. A relation sum n_i P_i = O over Z with some n_i
+    prime to ell (divide out ell first: E(Q) has no ell-torsion when ell is
+    prime to the gcd) is a kernel vector of the matrix mod ell, so rank
+    len(points) proves the points independent."""
+    disc = discriminant_q(curve)
+    rows, gcd, p = [], 0, 100
+    while len(rows) < primes:
+        p += 1
+        if not modmath.is_probable_prime(p) or disc % p == 0:
+            continue
+        red = reduce_curve(curve, p)
+        n = 1  # infinity, then the y solving y^2 + b y = f(x) for each x
+        for x in range(p):
+            b = (red.a1 * x + red.a3) % p
+            f = (x ** 3 + red.a2 * x * x + red.a4 * x + red.a6) % p
+            d = (b * b + 4 * f) % p
+            n += 1 if d == 0 else 2 if pow(d, (p - 1) // 2, p) == 1 else 0
+        gcd = math.gcd(gcd, n)
+        if n % ell or n % (ell * ell) == 0:
+            continue
+        images = [scalar_mul_fp(red, n // ell, reduce_point(red, P))
+                  for P in points]
+        base = next((Q for Q in images if not Q.is_infinity), None)
+        if base is None:
+            continue
+        logs = [scalar_mul_fp(red, k, base) for k in range(ell)]
+        rows.append([logs.index(Q) for Q in images])
+    return modmath.rank_mod(rows, ell), gcd
+
+
+def test_mestre8_is_mestres_construction():
+    c = catalog("mestre8")
+    coeffs, points = _mestre_model(MESTRE_A, 172)
+    assert (c.a1, c.a2, c.a3, c.a4, c.a6) == coeffs == (
+        2, 443645, 2, -8007831722, -3354540569415901)
+    # y - g(x) vanishes at all eight (a, g(a)), so they sum to O: the
+    # catalog keeps seven of them and the point at x = 172
+    total = RationalPoint.infinity()
+    for x, y in points[:8]:
+        total = add_q(c, total, RationalPoint.affine(x, y))
+    assert total.is_infinity
+    assert [(P.x, P.y) for P in c.generators] == points[:7] + points[8:]
+    assert c.declared_rank == len(c.generators) == 8
+    assert "no torsion" in c.torsion_note
+
+
+def test_mestre8_generators_are_independent():
+    c = catalog("mestre8")
+    for ell in (3, 5):
+        rank, torsion_gcd = _points_mod_ell(c, c.generators, ell)
+        assert (rank, torsion_gcd) == (8, 1)
+    # the certificate can fail: the eight Mestre points are dependent
+    _coeffs, points = _mestre_model(MESTRE_A, 172)
+    dependent = [RationalPoint.affine(x, y) for x, y in points[:8]]
+    assert _points_mod_ell(c, dependent, 3)[0] == 7
+    # good reduction, with 8 distinct finite generators, where the tests
+    # and the README run it
+    for p in (97, 257, 10007, 3123456773, (1 << 127) - 1):
+        red = reduce_curve(c, p)
+        gens = {reduce_point(red, P) for P in c.generators}
+        assert len(gens) == 8 and not any(G.is_infinity for G in gens)
 
 
 def test_singular_curve_rejected():

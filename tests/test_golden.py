@@ -2,10 +2,12 @@
 
 The digests were first captured with the affine double-and-add group law,
 before E(F_p) arithmetic moved to Jacobian coordinates and windowed Straus,
-and re-pinned once for wire format v2, which drops the collapsed
-commitments from nonzero proofs and from the challenge. Any change to curve
-arithmetic, encoding or serialization that alters a single output byte
-under a fixed seed fails here.
+re-pinned once for wire format v2, which drops the collapsed commitments
+from nonzero proofs and from the challenge. The two library worlds were
+re-pinned once more when they moved from random points of rank28 to
+mestre8's catalog generators. Any change to curve arithmetic, encoding or
+serialization that alters a single output byte under a fixed seed fails
+here.
 """
 
 import hashlib
@@ -14,17 +16,17 @@ import random
 from hrpks import hierarchy, revocation, serial, sigma
 from hrpks.cli import main
 
-from conftest import make_rank28_params
+from conftest import MERSENNE_89, MERSENNE_127, quiet_setup
 
 TOY = ["--curve", "toy17", "--p", "3123456773", "--q", "3123456773"]
 
 GOLDEN = {
     "cli_toy17":
         "875c0142e9ab35f8c389bf637b35ce2d5035e32b46df58a16b101d8b647a47c8",
-    "rank28_empty_rl":
-        "61dac6d1309c327f40a566bfa116a43e0cff59477f5dfccb2c2c0ff4357a8672",
-    "rank28_revoked_dept":
-        "eb1386e080e46700d86539675c50a6a4b25257533b39527c7b0c0f714ba3c6c5",
+    "mestre8_empty_rl":
+        "bda05c58bfbf6d021ecb0032c25b95a5bcfd9412e660cbd78e2174ea980f3af1",
+    "mestre8_revoked_dept":
+        "7bc65d5cb45c1ffae413cb6f84054cb6678f8976c953ff9e14b1ac0e8bdc820c",
 }
 
 
@@ -65,11 +67,11 @@ def test_golden_cli_toy17_walkthrough(tmp_path, capsys):
         == GOLDEN["cli_toy17"]
 
 
-def _rank28_world(seed):
-    """rank28 mod 2^127-1 with r = 4 (`make_rank28_params`), two sibling
+def _mestre8_world(seed):
+    """mestre8 (r = 8) mod 2^127-1 with q = 2^89-1, two sibling
     departments and one member in each."""
     rng = random.Random(seed)
-    params, gm_sk = make_rank28_params(rng, 4)
+    params, gm_sk = quiet_setup("mestre8", MERSENNE_127, MERSENNE_89, rng)
     root = hierarchy.new_root()
     fin = hierarchy.add_department(params, root, rng, name="financial")
     hr = hierarchy.add_department(params, root, rng, name="hr")
@@ -87,21 +89,21 @@ def _library_blobs(params, keypair, rl, sig):
             ("sig", serial.serialize_artifact("signature", sig).encode())]
 
 
-def test_golden_rank28_join_sign():
-    params, _, alice, _, rng = _rank28_world(2024)
+def test_golden_mestre8_join_sign():
+    params, _, alice, _, rng = _mestre8_world(2024)
     rl = revocation.empty_rl()
     sig = sigma.sign(params, *alice, rl, b"quarterly report", rng)
     assert sigma.verify(params, alice[1], rl, b"quarterly report",
                         sig).accepted
     assert _digest(_library_blobs(params, alice, rl, sig)) \
-        == GOLDEN["rank28_empty_rl"]
+        == GOLDEN["mestre8_empty_rl"]
 
 
-def test_golden_rank28_sign_past_revoked_department():
-    params, fin, _, carol, rng = _rank28_world(2025)
+def test_golden_mestre8_sign_past_revoked_department():
+    params, fin, _, carol, rng = _mestre8_world(2025)
     rl = revocation.revoke_group(revocation.empty_rl(), fin)
     sig = sigma.sign(params, *carol, rl, b"payroll run", rng)
     assert sig.nonzero_proofs
     assert sigma.verify(params, carol[1], rl, b"payroll run", sig).accepted
     assert _digest(_library_blobs(params, carol, rl, sig)) \
-        == GOLDEN["rank28_revoked_dept"]
+        == GOLDEN["mestre8_revoked_dept"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import warnings
 
@@ -6,14 +7,14 @@ import pytest
 
 from hrpks import curve_fp, hierarchy, modmath, serial
 from hrpks.curve_fp import ModPoint, msm, neg_fp
-from hrpks.errors import InvariantError
+from hrpks.errors import InvariantError, SignerRevoked
 from hrpks.hierarchy import (Hyperplane, add_department, find_dept, join,
                              new_root, setup, solve_member_vector,
                              verify_cert)
-from hrpks.revocation import empty_rl
+from hrpks.revocation import coalesce, empty_rl, revoke_group
 from hrpks.sigma import sign, verify
 
-from conftest import TOY_P, TOY_Q, make_r3_params, make_toy_params
+from conftest import TOY_P, TOY_Q, make_mestre8_params, make_toy_params
 
 FINANCIAL = Hyperplane((123, 48, 79))
 HR = Hyperplane((752, 36, 139))
@@ -136,15 +137,15 @@ def test_add_department_paths_and_names():
         find_dept(root, "/nowhere")
 
 
-def _independent_2x3(rows, q):
-    """Rank-2 oracle for two rows of width 3: some 2x2 minor is nonzero."""
-    (a1, a2, a3), (b1, b2, b3) = rows
-    minors = (a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
-    return any(m % q != 0 for m in minors)
+def _independent_pair(rows, q):
+    """Rank-2 oracle for two rows: some 2x2 minor is nonzero."""
+    a, b = rows
+    return any((a[i] * b[j] - a[j] * b[i]) % q != 0
+               for i, j in itertools.combinations(range(len(a)), 2))
 
 
 def test_add_department_level2_independent():
-    params, _gm = make_r3_params()
+    params, _gm = make_mestre8_params()
     rng = random.Random(8)
     root = new_root()
     for trial in range(10):
@@ -152,21 +153,51 @@ def test_add_department_level2_independent():
         l2 = add_department(params, l1, rng)
         assert l2.level == 2 and len(l2.constraints) == 2
         rows = [hp.linear for hp in l2.constraints]
-        assert _independent_2x3(rows, params.q)  # oracle
+        assert _independent_pair(rows, params.q)  # oracle
         assert modmath.rank_mod(rows, params.q) == 2
-        with pytest.raises(ValueError, match="depth"):
-            add_department(params, l2, rng)
+
+
+def test_add_department_depth_limit_mestre8():
+    # r = 8: a chain reaches level 7 = r - 1 and no further, a member at
+    # level 7 is revoked with any ancestor, and a complete revoked family
+    # at level 6 coalesces into its level-5 parent
+    params, gm = make_mestre8_params()
+    rng = random.Random(10)
+    chain = [new_root()]
+    for level in range(1, 8):
+        chain.append(add_department(params, chain[-1], rng))
+        assert chain[-1].level == len(chain[-1].constraints) == level
+    with pytest.raises(ValueError, match="depth"):
+        add_department(params, chain[-1], rng)
+    sk, pk = join(params, gm, chain[7], "deep", rng)
+    with pytest.raises(SignerRevoked):
+        sign(params, sk, pk, revoke_group(empty_rl(), chain[3]), b"m", rng)
+
+    open_sk, open_pk = join(
+        params, gm, add_department(params, chain[4], rng), "open", rng)
+    family = [chain[6]] + [add_department(params, chain[5], rng)
+                           for _ in range(2)]
+    rl = empty_rl()
+    for node in family:
+        rl = revoke_group(rl, node)
+    out = coalesce(rl, chain[0])
+    assert [g.path for g in out.groups] == [chain[5].path]
+    assert out.groups[0].constraints == chain[5].constraints
+    with pytest.raises(SignerRevoked):
+        sign(params, sk, pk, out, b"m", rng)
+    sig = sign(params, open_sk, open_pk, out, b"m", rng)
+    assert verify(params, open_pk, out, b"m", sig).accepted
 
 
 def test_add_department_rejects_dependent_pin():
-    params, _gm = make_r3_params()
+    params, _gm = make_mestre8_params()
     rng = random.Random(9)
     root = new_root()
     l1 = add_department(params, root, rng,
-                        constraint=Hyperplane((5, 1, 2, 3)))
+                        constraint=Hyperplane((5, *range(1, 9))))
     with pytest.raises(ValueError, match="dependent"):
         add_department(params, l1, rng,
-                       constraint=Hyperplane((7, 2, 4, 6)))
+                       constraint=Hyperplane((7, *range(2, 18, 2))))
 
 
 def test_join_reproduces_published_keys():
@@ -191,7 +222,7 @@ def test_join_reproduces_published_keys():
 
 
 def test_join_satisfies_all_constraints():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(13)
     root = new_root()
     l1 = add_department(params, root, rng)
@@ -212,21 +243,21 @@ def test_join_rejects_root():
 
 
 def test_hyperplanes_not_r_plus_1_wide_are_value_errors():
-    # a hand-edited tree can stack hyperplanes of any width; at r = 3 a
-    # narrow one made add_department sample forever and join raise
-    # IndexError, and a wide one let add_department attach a child
-    params, gm = make_r3_params()
+    # a hand-edited tree can stack hyperplanes of any width; a narrow one
+    # made add_department sample forever and join raise IndexError, and a
+    # wide one let add_department attach a child
+    params, gm = make_mestre8_params()
     rng = random.Random(14)
     a = add_department(params, new_root(), rng, name="a")
-    for coeffs in ((1, 2), (1, 2, 3), (1, 2, 3, 4, 5)):
+    for coeffs in ((1, 2), tuple(range(1, 9)), tuple(range(1, 11))):
         hp = Hyperplane(coeffs)
         top = hierarchy.DeptNode(path="/x", level=1, constraints=(hp,))
         below = hierarchy.DeptNode(path="/a/x", level=2,
                                    constraints=a.constraints + (hp,))
-        with pytest.raises(ValueError, match="not r \\+ 1 = 4 wide"):
+        with pytest.raises(ValueError, match="not r \\+ 1 = 9 wide"):
             add_department(params, top, rng)
         for dept in (top, below):
-            with pytest.raises(ValueError, match="not r \\+ 1 = 4 wide"):
+            with pytest.raises(ValueError, match="not r \\+ 1 = 9 wide"):
                 join(params, gm, dept, "m", rng)
 
 
@@ -366,7 +397,7 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     assert calls == [params.r, params.r]
 
 
-@pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
+@pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
 def test_one_comb_table_per_system(make):
     # join, sign, a member's verify and a cold certificate check all read
     # one table over G_1..G_r; none builds a second

@@ -13,7 +13,7 @@ from hrpks.revocation import (RevocationList, RevokedMember, coalesce,
                               revoke_member, rl_hash)
 from hrpks.sigma import sign, verify
 
-from conftest import make_r3_params, make_toy_params
+from conftest import make_mestre8_params, make_toy_params
 
 FINANCIAL = Hyperplane((123, 48, 79))
 
@@ -50,7 +50,7 @@ def test_revoked_member_verifications_reject():
 
 
 def test_revoke_group_basic():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(63)
     root = new_root()
     l1 = add_department(params, root, rng)
@@ -93,7 +93,7 @@ def test_rl_hash_insertion_order_independent():
 
 
 def test_rl_hash_mutation_scan():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(67)
     root = new_root()
     l1 = add_department(params, root, rng)
@@ -114,7 +114,7 @@ def test_rl_hash_mutation_scan():
 
 
 def test_version_monotonicity():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(69)
     root = new_root()
     depts = [add_department(params, root, rng) for _ in range(3)]
@@ -134,7 +134,7 @@ def test_version_monotonicity():
 
 
 def test_coalesce_complete_family():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(71)
     root = new_root()
     l1 = add_department(params, root, rng, name="ops")
@@ -150,7 +150,7 @@ def test_coalesce_complete_family():
 
 
 def test_coalesce_noop_when_family_incomplete():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(73)
     root = new_root()
     l1 = add_department(params, root, rng)
@@ -162,8 +162,8 @@ def test_coalesce_noop_when_family_incomplete():
 
 
 def test_coalesce_cascades_two_levels():
-    # not reachable with r = 3 (depth cap); simulate r = 4 shape by checking
-    # the fixpoint over an artificial tree without params involvement
+    # the fixpoint over a hand-built tree of width-5 hyperplanes (r = 4),
+    # without params: coalesce reads only the tree and the list
     from hrpks.hierarchy import DeptNode
 
     root = new_root()
@@ -188,7 +188,7 @@ def test_coalesce_cascades_two_levels():
 
 
 def test_coalesce_preserves_blocked_set():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(75)
     root = new_root()
     l1 = add_department(params, root, rng, name="ops")
@@ -231,7 +231,7 @@ def _sign_outcome(params, sk, pk, rl, rng):
 def _lists_of_every_origin():
     """Lists made by revoke_member, revoke_group, coalesce and the loader,
     including two that share a version but not their contents."""
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(77)
     root = new_root()
     ops = add_department(params, root, rng, name="ops")

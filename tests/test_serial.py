@@ -13,7 +13,7 @@ from hrpks.revocation import (ConstraintSet, RevocationList, RevokedMember,
                               empty_rl, revoke_group, revoke_member)
 from hrpks.sigma import sign
 
-from conftest import make_r3_params, make_toy_params
+from conftest import make_mestre8_params, make_toy_params
 
 # pinned once from the first implementation run; canonical form must not
 # drift, since revocation-list hashes and certificates sign these bytes
@@ -227,7 +227,7 @@ def test_unknown_kind_serialize():
 
 
 def test_tree_round_trip_preserves_structure():
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(85)
     root = new_root()
     a = add_department(params, root, rng, name="a")
@@ -286,7 +286,7 @@ def test_composite_aux_modulus_rejected_on_load():
 def test_params_load_checks_each_prime_once(monkeypatch):
     from hrpks import modmath
 
-    params, _gm = make_r3_params()
+    params, _gm = make_mestre8_params()
     assert params.p != params.q
     tested = []
     real = modmath.is_probable_prime

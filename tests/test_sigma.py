@@ -1,11 +1,10 @@
 import dataclasses
 import json
 import random
-import warnings
 
 import pytest
 
-from hrpks import curve_fp, curve_q, hierarchy, revocation, serial, sigma
+from hrpks import curve_fp, hierarchy, revocation, serial, sigma
 from hrpks.curve_fp import ModPoint, msm, point_order
 from hrpks.errors import InvariantError, RetryExhausted, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
@@ -14,8 +13,8 @@ from hrpks.revocation import empty_rl, revoke_group, revoke_member
 from hrpks.sigma import (Signature, collapse_constraints, pedersen_commit,
                          sign, verify)
 
-from conftest import (TOY_P, make_r3_params, make_rank28_params,
-                      make_small_params, make_toy_params)
+from conftest import (MERSENNE_89, MERSENNE_127, TOY_P, make_mestre8_params,
+                      make_small_params, make_toy_params, quiet_setup)
 
 FINANCIAL = Hyperplane((123, 48, 79))
 HR = Hyperplane((752, 36, 139))
@@ -383,7 +382,7 @@ def test_collapse_singleton_identity():
 
 
 def test_collapse_linearity_on_common_solutions():
-    params, _gm = make_r3_params()
+    params, _gm = make_mestre8_params()
     q = params.q
     rng = random.Random(37)
     h1 = Hyperplane((1, 2, 3, 4))
@@ -429,13 +428,13 @@ def test_collapse_input_validation():
 
 # --- completeness across tree shapes ----------------------------------------
 
-def test_completeness_randomized_r2_r3():
+def test_completeness_randomized_r2_r8():
     for params, gm, seed in [(*make_small_params(), 41),
-                             (*make_r3_params(), 43)]:
+                             (*make_mestre8_params(), 43)]:
         rng = random.Random(seed)
         root = new_root()
         depts = [add_department(params, root, rng) for _ in range(3)]
-        if params.r == 3:
+        if params.r == 8:
             depts.append(add_department(params, depts[0], rng))
         members = [join(params, gm, d, f"m{i}", rng)
                    for i, d in enumerate(depts)]
@@ -487,7 +486,7 @@ def _craft_key_hitting_zero_collapse():
     from hrpks.modmath import rank_mod, solve_affine_mod
     from hrpks.revocation import rl_hash
 
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     q = params.q
     rng = random.Random(59)
     root = new_root()
@@ -499,7 +498,7 @@ def _craft_key_hitting_zero_collapse():
     g = mine.constraints[0]
     f1, f2 = line.constraints
     rows = [g.linear, f1.linear, f2.linear]
-    assert rank_mod(rows, q) == 3  # seed chosen so the system is square
+    assert rank_mod(rows, q) == 3  # seed chosen so the rows are independent
 
     gammas = sigma._derive_gammas(params, rl_hash(rl), 0, 2, retry=0)
     t = -gammas[0] * pow(gammas[1], -1, q) % q
@@ -519,6 +518,10 @@ def _craft_key_hitting_zero_collapse():
     sk = SecretKey(x=x, member_id="crafted", dept=mine.path)
     pk = PublicKey(point=msm(params.curve, x, params.gens),
                    member_id="crafted", dept=mine.path)
+    # certified by the GM, as a key on mine's plane, so verify reaches the
+    # proof
+    pk = dataclasses.replace(pk, cert=hierarchy.gm_certify(params, gm, pk,
+                                                           rng))
     return params, sk, pk, rl, rng
 
 
@@ -716,6 +719,8 @@ def test_structural_rejections():
     # off-curve public key never raises, only rejects
     from hrpks.curve_fp import ModPoint
     crooked_pk = PublicKey(point=ModPoint(1, 1), member_id="x", dept="/y")
+    crooked_pk = dataclasses.replace(
+        crooked_pk, cert=hierarchy.gm_certify(params, gm, crooked_pk, rng))
     assert verify(params, crooked_pk, rl, b"m", sig).reason == "MALFORMED"
     # revocation entry with the wrong dimensionality rejects cleanly too
     from hrpks.revocation import ConstraintSet, RevocationList
@@ -780,19 +785,13 @@ def test_forged_random_transcripts_rejected():
         assert not verify(params, pk, rl, b"forged", forged).accepted
 
 
-def _q127_world(r, seed):
-    """toy17 mod TOY_P with q = 2^127 - 1 and r generators (P1, P2, then
-    each the sum of the two before), a signer in /mine and revoked sets
-    of one to three constraints."""
-    curve = curve_q.catalog("toy17")
-    gens = list(curve.generators)
-    while len(gens) < r:
-        gens.append(curve_q.add_q(curve, gens[-2], gens[-1]))
+def _q127_world(curve_id, seed):
+    """A catalog curve mod TOY_P with q = 2^127 - 1 and r = its number of
+    generators, a signer in /mine and revoked sets of one constraint up to
+    min(r - 1, 3) constraints."""
     rng = random.Random(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # q above the Hasse floor of TOY_P
-        params, gm = hierarchy.setup("toy17", TOY_P, (1 << 127) - 1, rng,
-                                     generators=gens[:r])
+    params, gm = quiet_setup(curve_id, TOY_P, MERSENNE_127, rng)
+    r = params.r
     root = new_root()
     mine = add_department(params, root, rng, name="mine")
     sk, pk = join(params, gm, mine, "signer", rng)
@@ -814,13 +813,14 @@ def _oracle_world(kind):
         params, sk, pk, rl, _rng = _craft_key_hitting_zero_collapse()
         return params, sk, pk, rl
     if kind == "empty-rl":
-        params, sk, pk, _rl = _q127_world(8, seed=95)
+        params, sk, pk, _rl = _q127_world("mestre8", seed=95)
         return params, sk, pk, empty_rl()
-    return _q127_world(int(kind.rsplit("r", 1)[1]), seed=93)
+    return _q127_world({"q127-r2": "toy17", "q127-r8": "mestre8"}[kind],
+                       seed=93)
 
 
-@pytest.mark.parametrize("kind", ["toy17-q32", "q127-r2", "q127-r3",
-                                  "q127-r8", "empty-rl", "retry"])
+@pytest.mark.parametrize("kind", ["toy17-q32", "q127-r2", "q127-r8",
+                                  "empty-rl", "retry"])
 def test_sign_announcements_are_verify_equations_at_c0(kind, monkeypatch):
     # `sign` makes R, C_i, A_i and B_j from its openings; `_rebuild_challenge`
     # (verify's equations) at c = 0 with the nonces as responses is the oracle
@@ -919,10 +919,6 @@ def test_generator_order_shift_is_rejected(monkeypatch):
     assert not verify(params, pk, rl, b"shifted", sig).accepted
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1: verify checks no certificate, so an uncertified key "
-    "labelled with a revoked department and lying off its plane is "
-    "accepted"))
 def test_uncertified_key_in_a_revoked_department_is_rejected():
     params, _gm, rng, _root, _fin, hr, _eng = _toy_world(seed=141)
     rl = revoke_group(empty_rl(), hr)
@@ -935,7 +931,27 @@ def test_uncertified_key_in_a_revoked_department_is_rejected():
     if hierarchy.verify_cert(params, pk):
         pytest.fail("the uncertified key has a valid certificate")
     sig = sign(params, sk, pk, rl, b"uncertified", rng)
-    assert not verify(params, pk, rl, b"uncertified", sig).accepted
+    assert verify(params, pk, rl, b"uncertified", sig).reason == \
+        "UNCERTIFIED"
+
+
+def test_keys_without_their_own_certificate_are_uncertified():
+    # the GM's key has no certificate, and a member's certificate does not
+    # vouch for another member id, though both signatures are sound proofs
+    params, gm, rng, _root, fin, _hr, _eng = _toy_world(seed=145)
+    sk00, m00 = join(params, gm, fin, "m00", rng)
+    sig = sign(params, gm, params.gm_pub, empty_rl(), b"gm", rng)
+    assert sigma._verify_proof(params, params.gm_pub, empty_rl(), b"gm",
+                               sig).accepted
+    assert verify(params, params.gm_pub, empty_rl(), b"gm",
+                  sig).reason == "UNCERTIFIED"
+    sk01 = hierarchy.SecretKey(x=sk00.x, member_id="m01", dept=fin.path)
+    m01 = dataclasses.replace(m00, member_id="m01")
+    sig = sign(params, sk01, m01, empty_rl(), b"m01", rng)
+    assert sigma._verify_proof(params, m01, empty_rl(), b"m01",
+                               sig).accepted
+    assert verify(params, m01, empty_rl(), b"m01", sig).reason == \
+        "UNCERTIFIED"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -1036,6 +1052,7 @@ def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
     rl = revoke_group(revoke_group(empty_rl(), hr), eng)
     r, m = params.r, len(rl.groups)
     empty_sig = sign(params, sk, pk, empty_rl(), b"m", rng)
+    assert hierarchy.verify_cert(params, pk)  # verify reads a kept verdict
     exponents, hashes, products = [], [], []
     real_hash, real_product = sigma.hash_to_challenge, sigma._aux_product
 
@@ -1079,7 +1096,8 @@ def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     # sums 8 comb rows in 3 levels, and a warm verify sums those and the
     # key's comb row in 4; a key's first verify also builds its table, a
     # normalisation and t - 1 levels of subset sums for t = 4 teeth
-    params, gm = make_rank28_params(random.Random(173), 8)
+    params, gm = quiet_setup("mestre8", MERSENNE_127, MERSENNE_89,
+                             random.Random(173))
     assert params.r == 8 and params.p.bit_length() == 127
     d = -(-params.mask_bits // curve_fp.COMB_TEETH)
     assert (d, -(-params.l_c // d)) == (27, 4)
@@ -1096,6 +1114,7 @@ def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     # join built the system's table and recorded the key match: sign is warm
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
     assert inversions == [params.p] * 4
+    assert hierarchy.verify_cert(params, pk)  # verify reads a kept verdict
     curve_fp._key_table.cache_clear()
     for expected in (4 + 5, 5):  # the key's first verify, then a warm one
         inversions.clear()
@@ -1158,7 +1177,7 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     assert msms == [(r, r + 1)] and len(doublings) == d
 
 
-@pytest.mark.parametrize("make", [make_toy_params, make_r3_params])
+@pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
 def test_key_comb_matches_the_naf_path(make):
     # a verify's -c * pk, the GM's in a certificate check as a member's,
     # runs as c * (-pk) on a cached comb of -pk alone; cold or warm it

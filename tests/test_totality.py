@@ -22,7 +22,7 @@ from hrpks.hierarchy import add_department, join, new_root, verify_cert
 from hrpks.revocation import empty_rl, revoke_group, revoke_member
 from hrpks.sigma import VerifyResult, sign, verify
 
-from conftest import make_r3_params
+from conftest import make_mestre8_params
 
 MESSAGE = b"totality"
 # a value of every JSON type, plus strings a codec might half-accept and
@@ -38,10 +38,10 @@ def world():
 
 
 def make_world():
-    """r = 3 parameters, a two-level tree, a member of /a/one, and an RL
+    """mestre8 parameters (r = 8), a two-level tree, a member of /a/one, and an RL
     with one revoked department and one revoked member, so the signature
     carries commitments and a nonzero proof."""
-    params, gm = make_r3_params()
+    params, gm = make_mestre8_params()
     rng = random.Random(5)
     root = new_root()
     a = add_department(params, root, rng, name="a")
