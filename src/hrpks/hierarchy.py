@@ -295,7 +295,11 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     curve = curve_q.catalog(curve_id)
     if not curve.generators:
         raise ValueError(f"curve {curve_id!r} lists no generators")
-    reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
+    try:
+        reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
+    except InvariantError as e:
+        # bad reduction at the caller's p: a usage error, as below
+        raise ValueError(str(e)) from e
     if not modmath.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
     gens = tuple(reduce_point(reduced, g) for g in curve.generators)

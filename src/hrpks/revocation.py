@@ -43,6 +43,8 @@ class ConstraintSet:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise InvariantError("empty constraint set")
+        if not all(isinstance(hp, Hyperplane) for hp in self.constraints):
+            raise InvariantError("constraint set holds a non-Hyperplane")
 
 
 def _point_key(entry):

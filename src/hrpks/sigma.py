@@ -155,7 +155,7 @@ def _aux_product(aux: AuxGroup, a: int, b: int, terms=()) -> int:
 
     a, b and each e are reduced mod q first, so they may be negative or
     exceed q; that is valid only because every base has order dividing q:
-    g and h, which `AuxGroup` checks, and the C_i, once `_structural_ok`
+    g and h, which `AuxGroup` checks, and the C_i, once `_reject_reason`
     has checked C_i^q = 1, which verify runs before any product. On any
     other base the result is wrong.
     """
@@ -225,13 +225,6 @@ def _challenge(params: SystemParams, pk: PublicKey, rlh: bytes, retry: int,
     parts = [params.digest(), _key_parts(pk), rlh, retry, big_r,
              list(commitments), list(announcements), list(bs), message]
     return hash_to_challenge(CHALLENGE_TAG, parts, params.l_c)
-
-
-def _retry_ok(retry) -> bool:
-    """Whether `retry` is a collapse attempt `sign` may make. `verify`
-    rejects every other value before it collapses, which also bounds each
-    list's memo of `_collapse_all` results."""
-    return isinstance(retry, int) and 0 <= retry < MAX_COLLAPSE_ATTEMPTS
 
 
 def _collapse_all(params: SystemParams, rl: RevocationList, retry: int):
@@ -316,17 +309,15 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
             us.append(rng.randrange(q))
             commitments.append(pedersen_commit(params, xi, ts[-1]))
 
-    retry = 0
-    while True:
-        if not _retry_ok(retry):
-            raise RetryExhausted(
-                f"collapse evaluated to zero {MAX_COLLAPSE_ATTEMPTS} "
-                "times; check the RNG and the size of q")
+    for retry in range(MAX_COLLAPSE_ATTEMPTS):
         collapsed = _collapse_all(params, rl, retry)
         vs = [hp.evaluate(sk.x, q) for hp in collapsed]
         if all(vs):
             break
-        retry += 1
+    else:
+        raise RetryExhausted(
+            f"collapse evaluated to zero {MAX_COLLAPSE_ATTEMPTS} "
+            "times; check the RNG and the size of q")
 
     nonces = [(rng.randrange(q), rng.randrange(q))
               for _ in collapsed]  # (kw_j, ku_j)
@@ -352,34 +343,43 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
                      retry=retry, rl_version=rl.version)
 
 
-def _structural_ok(params: SystemParams, rl: RevocationList,
-                   sig: Signature) -> bool:
-    q, aux = params.q, params.aux
-    if not _retry_ok(sig.retry):
-        return False
-    if not 0 <= sig.challenge < (1 << params.l_c):
-        return False
-    if len(sig.s) != params.r:
-        return False
-    if rl.groups:
-        if len(sig.commitments) != params.r:
-            return False
-        if len(sig.commitment_responses) != params.r:
-            return False
-        if len(sig.nonzero_proofs) != len(rl.groups):
-            return False
-        for c in sig.commitments:
-            if not 1 <= c < aux.rho or pow(c, q, aux.rho) != 1:
-                return False
-        if any(not 0 <= v < q for v in sig.commitment_responses):
-            return False
-        for proof in sig.nonzero_proofs:
-            if not 0 <= proof.sw < q or not 0 <= proof.su < q:
-                return False
-    else:
-        if sig.commitments or sig.commitment_responses or sig.nonzero_proofs:
-            return False
-    return True
+def _int_in(v, lo: int, hi: int) -> bool:
+    """Whether v is an int, not a bool, in [lo, hi): the one test of every
+    numeric signature field."""
+    return type(v) is int and lo <= v < hi
+
+
+def _reject_reason(params: SystemParams, rl: RevocationList, pk: PublicKey,
+                   sig: Signature) -> Optional[str]:
+    """The reason `verify` rejects `sig` before any group arithmetic, or
+    None. Decided for any `Signature` value, loaded or built in code: every
+    field is tested before anything reads it. A retry counter `sign` may
+    not use is refused here, which also bounds each list's memo of
+    `_collapse_all` results, and every C_i is checked to lie in the
+    order-q subgroup, as `_aux_product` requires of its bases."""
+    q, rho = params.q, params.aux.rho
+    # an int equal to the list's version
+    if not _int_in(sig.rl_version, rl.version, rl.version + 1):
+        return RL_MISMATCH
+    if not on_curve_fp(params.curve, pk.point):
+        return MALFORMED
+    if not all(_int_in(v, 0, 1 << params.mask_bits) for v in sig.s):
+        return RANGE
+    width = params.r if rl.groups else 0  # no C_i unless RL has groups
+    proofs = sig.nonzero_proofs
+    if (not _int_in(sig.retry, 0, MAX_COLLAPSE_ATTEMPTS)
+            or not _int_in(sig.challenge, 0, 1 << params.l_c)
+            or len(sig.s) != params.r
+            or len(sig.commitments) != width
+            or len(sig.commitment_responses) != width
+            or len(proofs) != len(rl.groups)
+            or not all(_int_in(c, 1, rho) and pow(c, q, rho) == 1
+                       for c in sig.commitments)
+            or not all(_int_in(v, 0, q) for v in sig.commitment_responses)
+            or not all(isinstance(nz, NonzeroProof) and _int_in(nz.sw, 0, q)
+                       and _int_in(nz.su, 0, q) for nz in proofs)):
+        return MALFORMED
+    return None
 
 
 def verify(params: SystemParams, pk: PublicKey, rl: RevocationList,
@@ -400,17 +400,9 @@ def _verify_proof(params: SystemParams, pk: PublicKey, rl: RevocationList,
     """`verify` without the list's member check and the certificate
     check: the proof alone, as a certificate check runs it on the GM key,
     which has no certificate."""
-    curve = params.curve
-    if sig.rl_version != rl.version:
-        return VerifyResult(False, RL_MISMATCH)
-    if not on_curve_fp(curve, pk.point):
-        return VerifyResult(False, MALFORMED)
-    if any(not isinstance(v, int) or v < 0 or v >= (1 << params.mask_bits)
-           for v in sig.s):
-        return VerifyResult(False, RANGE)
-    if not _structural_ok(params, rl, sig):
-        return VerifyResult(False, MALFORMED)
-
+    reason = _reject_reason(params, rl, pk, sig)
+    if reason is not None:
+        return VerifyResult(False, reason)
     try:
         collapsed = _collapse_all(params, rl, sig.retry)
     except (InvariantError, ValueError):

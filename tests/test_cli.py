@@ -269,6 +269,15 @@ def test_usage_errors(tmp_path, capsys):
         assert code == 2 and what in err, (flag, value, err)
     assert not (tmp_path / "x.params").exists()
 
+    # a prime of bad reduction is a bad argument too, not an invariant
+    # violation, and setup writes nothing
+    code, _, err = run(capsys, "setup", "--curve", "toy17", "--p", "17",
+                       "--q", "257", "--params-out",
+                       str(tmp_path / "x.params"),
+                       "--gm-key-out", str(tmp_path / "x.key"))
+    assert code == 2 and "bad reduction" in err, err
+    assert not any(tmp_path.iterdir())
+
     code, _, err = run(capsys, "verify", "--params",
                        str(tmp_path / "missing.params"), "--pub", "x",
                        "--rl", "y", "--msg-file", "z", "--sig", "w")

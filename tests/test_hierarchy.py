@@ -49,7 +49,7 @@ def test_setup_rejects_bad_inputs():
         setup("rank14", TOY_P, TOY_Q, rng)  # catalog lists no generators
     with pytest.raises(ValueError):
         setup("toy17", TOY_P, 251, rng)  # 2^l_c < q needs q >= 257
-    with pytest.raises(InvariantError):
+    with pytest.raises(ValueError, match="bad reduction"):
         setup("toy17", 2, TOY_Q, rng)  # bad reduction
     # SystemParams' checks of setup's own arguments are usage errors too
     for l_s in (0, hierarchy.MAX_STAT_GAP_BITS + 1):

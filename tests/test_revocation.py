@@ -5,10 +5,11 @@ import pytest
 
 from hrpks import serial, sigma
 from hrpks.curve_fp import ModPoint
-from hrpks.errors import SignerRevoked
+from hrpks.errors import InvariantError, SignerRevoked
 from hrpks.hierarchy import Hyperplane, PublicKey, add_department, join, \
     new_root
-from hrpks.revocation import (RevocationList, RevokedMember, coalesce,
+from hrpks.revocation import (ConstraintSet, RevocationList, RevokedMember,
+                              coalesce,
                               empty_rl, is_member_revoked, revoke_group,
                               revoke_member, rl_hash)
 from hrpks.sigma import sign, verify
@@ -389,3 +390,12 @@ def test_member_order_keeps_infinity_apart_from_the_origin():
             rl = revoke_member(rl, _member_pk(m.point, m.member_id))
         assert rl.members == (inf, origin)
         _assert_canonical(rl)
+
+
+def test_constraint_set_holds_only_hyperplanes():
+    # the RL codec refuses such sets on load; one built in code must not
+    # reach sign's evaluate or verify's collapse either
+    for constraints in ((5,), (FINANCIAL, (123, 48, 79)), (FINANCIAL, None)):
+        with pytest.raises(InvariantError, match="non-Hyperplane"):
+            ConstraintSet("/b", constraints)
+    assert ConstraintSet("/b", [FINANCIAL]).constraints == (FINANCIAL,)

@@ -1,7 +1,8 @@
 """Loader and verifier totality: whatever the bytes, `deserialize_artifact`
 returns a value or raises ParseError / InvariantError, and whatever it
 returns, `sigma.verify` answers with a VerifyResult and
-`hierarchy.verify_cert` with a bool.
+`hierarchy.verify_cert` with a bool. `sigma.verify` rejects any
+`Signature` value built in code as well.
 
 Seeded mutations of one valid artifact of every kind: field-wise (each
 leaf or subtree replaced by a value of another JSON type, or removed) and
@@ -15,12 +16,12 @@ import random
 
 import pytest
 
-from hrpks import cli, hierarchy, serial
+from hrpks import cli, hierarchy, serial, sigma
 from hrpks.assumption_lab import RelationReport, order_report
 from hrpks.errors import InvariantError, ParseError
 from hrpks.hierarchy import add_department, join, new_root, verify_cert
 from hrpks.revocation import empty_rl, revoke_group, revoke_member
-from hrpks.sigma import VerifyResult, sign, verify
+from hrpks.sigma import NonzeroProof, VerifyResult, sign, verify
 
 from conftest import make_mestre8_params
 
@@ -30,6 +31,11 @@ MESSAGE = b"totality"
 REPLACEMENTS = (7, 1.5, None, [], ["7", "7"], {}, {"x": "7"}, "x", "123",
                 "-1", "", "inf", "1_0", " 5", "9" * 30)
 BYTE_MUTATIONS = 150
+# values a `Signature` built in code may hold where the codec admits only
+# ints of one range: other Python types, out-of-range ints, and tuples and
+# nonzero proofs holding them
+SIG_VALUES = (True, 1.5, None, "7", -1, 1 << 400, (), (7,), ("7",), (1.5,),
+              (True,), (None,), NonzeroProof(1.5, 2), NonzeroProof(True, None))
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +165,41 @@ def test_byte_mutations_load_or_raise_only_parse_or_invariant(world):
     for kind, value in world[4]:
         text = serial.serialize_artifact(kind, value)
         _run_mutants(world, _byte_mutants(text, rng), kind)
+
+
+def _signature_mutants(sig):
+    """(description, field changes): each field of sig replaced whole, and
+    element 0 of each tuple field, by each of SIG_VALUES."""
+    for field in dataclasses.fields(sig):
+        old = getattr(sig, field.name)
+        for value in SIG_VALUES:
+            yield f"{field.name} = {value!r}", {field.name: value}
+            if isinstance(old, tuple):
+                yield (f"{field.name}[0] = {value!r}",
+                       {field.name: (value,) + old[1:]})
+
+
+def test_signatures_built_in_code_are_rejected(world):
+    """No codec stands between a `Signature` built in code and verify: every
+    mutant the constructor takes is a Reject, through the public verify
+    and through the bare proof check on the GM key, which certificate
+    checks run."""
+    params, pk, rl, sig, _ = world
+    built = 0
+    for what, changes in _signature_mutants(sig):
+        try:
+            mutant = dataclasses.replace(sig, **changes)
+        except TypeError:
+            continue  # the constructor refuses it: there is nothing to verify
+        built += 1
+        for key, check in ((pk, verify), (params.gm_pub, sigma._verify_proof)):
+            try:
+                result = check(params, key, rl, MESSAGE, mutant)
+            except Exception as e:
+                pytest.fail(f"{what}: {type(e).__name__}: {e}")
+            assert isinstance(result, VerifyResult), what
+            assert not result.accepted, what
+    assert built > 100, built
 
 
 # -- one test per leak the mutation suite was written to close -------------
