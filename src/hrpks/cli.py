@@ -161,6 +161,10 @@ def cmd_revoke_group(args):
 def cmd_rl_coalesce(args):
     params = _load(args.params, "params")
     root = _load(args.tree, "tree")
+    # a family folds into its parent's entry, so every node must be r + 1
+    # wide, as for `revoke group`
+    for node in hierarchy.walk(root):
+        hierarchy._require_r_wide(params, node)
     rl = _load(args.rl, "rl", params)
     before = rl.version
     rl = revocation.coalesce(rl, root)

@@ -14,7 +14,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import curve_fp, curve_q, modmath
 from .curve_fp import (CurveFp, ModPoint, msm, neg_fp, reduce_curve,
@@ -75,6 +75,9 @@ class Hyperplane:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if any(type(c) is not int for c in self.coeffs):
+            # bools and floats too: the group arithmetic takes ints only
+            raise InvariantError("hyperplane coefficients must be ints")
         if len(self.coeffs) < 2:
             raise InvariantError("hyperplane needs a constant and >=1 coefficient")
         if all(c == 0 for c in self.coeffs[1:]):
@@ -100,19 +103,42 @@ class DeptNode:
     a level-k node carries k constraints (its own last)."""
 
     path: str
-    level: int
     constraints: Tuple[Hyperplane, ...] = ()
-    children: List["DeptNode"] = field(default_factory=list)
+    # name -> child in attach order: `attach` is the only writer, and finds
+    # a taken name without scanning the siblings
+    _children: Dict[str, "DeptNode"] = field(default_factory=dict, init=False)
+
+    @property
+    def level(self) -> int:
+        return len(self.constraints)
+
+    @property
+    def children(self) -> Tuple["DeptNode", ...]:
+        return tuple(self._children.values())
 
     def child(self, name: str) -> Optional["DeptNode"]:
-        for c in self.children:
-            if c.path.rsplit("/", 1)[-1] == name:
-                return c
-        return None
+        return self._children.get(name)
+
+    def attach(self, name: str, hyperplane: Hyperplane) -> "DeptNode":
+        """Append and return the child `name`, with `hyperplane` stacked on
+        this node's constraints: the one place a child department is made,
+        by `add_department` and the tree loader alike. The name must be
+        nonempty, slash-free and not taken here, so `find_dept` reaches
+        every node."""
+        if not name or "/" in name:
+            raise ValueError(f"department name {name!r} is empty or holds "
+                             "a slash")
+        if name in self._children:
+            raise ValueError(f"duplicate child names: {name!r} already "
+                             f"exists under {self.path or '/'}")
+        node = self._children[name] = DeptNode(
+            path=f"{self.path}/{name}",
+            constraints=self.constraints + (hyperplane,))
+        return node
 
 
 def new_root() -> DeptNode:
-    return DeptNode(path="", level=0)
+    return DeptNode(path="")
 
 
 def find_dept(root: DeptNode, path: str) -> DeptNode:
@@ -369,54 +395,27 @@ def add_department(params: SystemParams, parent: DeptNode, rng,
         raise ValueError(
             f"depth limit: level-{parent.level} department cannot have "
             f"children when r = {r} (max level is r - 1)")
+    if constraint is not None and len(constraint.coeffs) != r + 1:
+        raise ValueError("constraint dimension disagrees with r")
     if name is None:
         name = f"d{len(parent.children)}"
-    if "/" in name or not name:
-        raise ValueError("department names must be nonempty and slash-free")
-    if parent.child(name) is not None:
-        raise ValueError(f"department {name!r} already exists under "
-                         f"{parent.path or '/'}")
-
     parent_rows = [hp.linear for hp in parent.constraints]
-    if constraint is not None:
-        if len(constraint.coeffs) != r + 1:
-            raise ValueError("constraint dimension disagrees with r")
-        coeffs = tuple(c % q for c in constraint.coeffs)
-        if modmath.rank_mod(parent_rows + [coeffs[1:]], q) \
-                != len(parent_rows) + 1:
-            raise ValueError("pinned constraint is dependent on the "
-                             "parent's constraints")
-    else:
-        while True:
+    while True:
+        if constraint is None:
             coeffs = tuple(rng.randrange(q) for _ in range(r + 1))
-            linear = coeffs[1:]
-            if all(c == 0 for c in linear):
-                continue
-            if modmath.rank_mod(parent_rows + [linear], q) \
-                    == len(parent_rows) + 1:
-                break
-    hp = Hyperplane(coeffs)
-    node = DeptNode(path=f"{parent.path}/{name}", level=parent.level + 1,
-                    constraints=parent.constraints + (hp,))
-    parent.children.append(node)
-    return node
-
-
-def solve_member_vector(params: SystemParams, dept: DeptNode, rng,
-                        pinned: Optional[Dict[int, int]] = None) -> Tuple[int, ...]:
-    """A vector in [0,q)^r on every constraint of `dept`. Coordinates listed
-    in `pinned` are fixed; the remaining free ones are drawn from rng."""
-    q = params.q
-    rows = [hp.linear for hp in dept.constraints]
-    rhs = [-hp.a0 for hp in dept.constraints]
-    x = modmath.solve_affine_mod(rows, rhs, q, fill=lambda _j: rng.randrange(q),
-                                 pinned=pinned)
-    return tuple(x)
+        else:
+            coeffs = tuple(c % q for c in constraint.coeffs)
+        # a zero linear part adds no rank either
+        if modmath.rank_mod(parent_rows + [coeffs[1:]], q) \
+                == len(parent_rows) + 1:
+            return parent.attach(name, Hyperplane(coeffs))
+        if constraint is not None:
+            raise ValueError("the given constraint is dependent on the "
+                             "parent's constraints")
 
 
 def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
-         member_id: str, rng,
-         pinned: Optional[Dict[int, int]] = None):
+         member_id: str, rng):
     """Generate a member keypair on the department's constraint subspace
     and certify the public key.
 
@@ -425,9 +424,13 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
     if dept.level < 1:
         raise ValueError("members join departments, not the root")
     _require_r_wide(params, dept)
-    x = solve_member_vector(params, dept, rng, pinned=pinned)
+    q = params.q
+    x = tuple(modmath.solve_affine_mod(
+        [hp.linear for hp in dept.constraints],
+        [-hp.a0 for hp in dept.constraints], q,
+        fill=lambda _j: rng.randrange(q)))
     for hp in dept.constraints:
-        if hp.evaluate(x, params.q) != 0:
+        if hp.evaluate(x, q) != 0:
             raise InvariantError("solved key misses a constraint; "
                                  "department state is corrupt")
     point = params.gens_msm(x)

@@ -186,52 +186,34 @@ def rank_mod(rows, q: int) -> int:
     return len(_row_reduce(mat, len(mat[0]) if mat else 0, q))
 
 
-def solve_affine_mod(rows, rhs, q: int, fill, pinned=None):
+def solve_affine_mod(rows, rhs, q: int, fill):
     """Solve A*x = rhs (mod prime q) with chosen values for free variables.
 
     rows: k sequences of n coefficients; rhs: k values.
-    pinned: optional {column: value} assignments fixed up front.
-    fill: callable(column) -> value, invoked for every remaining free column.
+    fill: callable(column) -> value, invoked for every free column.
 
     Returns the full solution vector (length n). Raises ValueError if the
-    system (with the pinned values substituted) is inconsistent.
+    system is inconsistent.
     """
-    pinned = dict(pinned or {})
     k = len(rows)
     n = len(rows[0]) if k else 0
-    if any(not 0 <= j < n for j in pinned):
-        raise ValueError("pinned column index out of range")
-    free_cols = [j for j in range(n) if j not in pinned]
-    # move pinned columns to the right-hand side
-    aug = []
-    for i in range(k):
-        b = rhs[i] % q
-        for j, v in pinned.items():
-            b = (b - rows[i][j] * v) % q
-        aug.append([rows[i][j] % q for j in free_cols] + [b])
-
-    m = len(free_cols)
-    # pivot column (an index into free_cols) -> its row
-    pivots = {col: row for row, col in enumerate(_row_reduce(aug, m, q))}
+    aug = [[v % q for v in row] + [b % q]
+           for row, b in zip(rows, rhs, strict=True)]
+    # pivot column -> its row
+    pivots = {col: row for row, col in enumerate(_row_reduce(aug, n, q))}
     # zero rows must have zero rhs
     for i in range(len(pivots), k):
-        if aug[i][m] != 0:
+        if aug[i][n] != 0:
             raise ValueError("inconsistent linear system mod q")
 
-    values = [None] * m
-    for col in range(m):
+    x = [None] * n
+    for col in range(n):
         if col not in pivots:
-            values[col] = fill(free_cols[col]) % q
+            x[col] = fill(col) % q
     for col, r in sorted(pivots.items(), reverse=True):
-        acc = aug[r][m]
-        for j in range(col + 1, m):
+        acc = aug[r][n]
+        for j in range(col + 1, n):
             if aug[r][j] != 0:
-                acc = (acc - aug[r][j] * values[j]) % q
-        values[col] = acc
-
-    x = [0] * n
-    for j, v in pinned.items():
-        x[j] = v % q
-    for idx, j in enumerate(free_cols):
-        x[j] = values[idx]
+                acc = (acc - aug[r][j] * x[j]) % q
+        x[col] = acc
     return x

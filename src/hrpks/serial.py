@@ -240,21 +240,16 @@ def _load_node(doc, parent: Optional[DeptNode] = None) -> DeptNode:
             raise InvariantError("the tree root must have an empty name")
         node = new_root()
     else:
-        # the rule `add_department` keeps, so `find_dept` reaches every node
-        if not name or "/" in name:
-            raise InvariantError(f"department name {name!r} is empty or "
-                                 "holds a slash")
-        node = DeptNode(path=f"{parent.path}/{name}", level=parent.level + 1,
-                        constraints=parent.constraints
-                        + (_HYPERPLANE.load(doc["hyperplane"]),))
+        hyperplane = _HYPERPLANE.load(doc["hyperplane"])
+        try:
+            node = parent.attach(name, hyperplane)
+        except ValueError as e:
+            raise InvariantError(str(e)) from e
     children = doc["children"]
     if type(children) is not list:
         raise _shape_error("a list of child nodes", children)
     for child in children:
-        node.children.append(_load_node(child, node))
-    names = [child.path for child in node.children]
-    if len(set(names)) != len(names):
-        raise InvariantError(f"duplicate child names under {node.path or '/'}")
+        _load_node(child, node)
     return node
 
 

@@ -239,13 +239,13 @@ def _collapse_all(params: SystemParams, rl: RevocationList, retry: int):
         rlh = rl_hash(rl)
         collapsed = []
         for j, entry in enumerate(rl.groups):
-            if any(len(hp.coeffs) != params.r + 1
-                   for hp in entry.constraints):
-                raise ValueError("constraint dimension disagrees with r")
             gammas = _derive_gammas(params, rlh, j, len(entry.constraints),
                                     retry)
-            collapsed.append(collapse_constraints(entry.constraints, gammas,
-                                                  params.q))
+            # the collapse refuses mixed widths, so one width is left
+            hp = collapse_constraints(entry.constraints, gammas, params.q)
+            if len(hp.coeffs) != params.r + 1:
+                raise ValueError("constraint dimension disagrees with r")
+            collapsed.append(hp)
         memo[key] = tuple(collapsed)
     return memo[key]
 

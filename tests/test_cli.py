@@ -343,6 +343,51 @@ def test_revoke_group_of_a_narrow_department_exits_2(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_coalesce_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path,
+                                                              capsys):
+    # mestre8 (r = 8) with /a/x and /a/y revoked, then /a's hyperplane
+    # hand-edited to 2 wide: folding the family would list that plane and
+    # make every later sign exit 2, so coalesce refuses and leaves the list
+    # as it was
+    params, gm_key = tmp_path / "gm.params", tmp_path / "gm.key"
+    code, _, err = run(capsys, "setup", "--curve", "mestre8", *TOY[2:],
+                       "--seed", "1", "--params-out", str(params),
+                       "--gm-key-out", str(gm_key))
+    assert code == 0, err
+    tree = tmp_path / "org.tree"
+    for seed, path in enumerate(["/a", "/a/x", "/a/y", "/b"], start=2):
+        parent, name = path.rsplit("/", 1)
+        code, _, err = run(capsys, "dept", "add", "--params", str(params),
+                           "--tree", str(tree), "--parent", parent or "/",
+                           "--name", name, "--seed", str(seed))
+        assert code == 0, err
+    rl = _write_empty_rl(tmp_path, params)
+    for dept in ("/a/x", "/a/y"):
+        code, _, err = run(capsys, "revoke", "group", "--params", str(params),
+                           "--rl", str(rl), "--tree", str(tree),
+                           "--dept", dept)
+        assert code == 0, err
+    doc = json.loads(tree.read_text())
+    doc["root"]["children"][0]["hyperplane"] = ["1", "2"]
+    bad_tree = tmp_path / "bad.tree"
+    bad_tree.write_text(json.dumps(doc))
+    before = rl.read_bytes()
+    other = tmp_path / "other.rl"
+    for out in ([], ["--out", str(other)]):
+        code, _, err = run(capsys, "rl", "coalesce", "--params", str(params),
+                           "--rl", str(rl), "--tree", str(bad_tree), *out)
+        assert code == 2 and "/a has a hyperplane" in err
+        assert "not r + 1 = 9 wide" in err and "Traceback" not in err
+    assert rl.read_bytes() == before
+    assert not other.exists()
+    # the unedited tree folds the same family
+    code, out, err = run(capsys, "rl", "coalesce", "--params", str(params),
+                         "--rl", str(rl), "--tree", str(tree),
+                         "--out", str(other))
+    assert code == 0 and "coalesced" in out, err
+    assert [g.path for g in serial.load_artifact(other).groups] == ["/a"]
+
+
 def test_corrupt_artifact_exit_code(tmp_path, capsys):
     d = tmp_path
     params, gm_key, tree, members, rl, msg = _full_world(capsys, d)

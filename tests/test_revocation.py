@@ -165,17 +165,12 @@ def test_coalesce_noop_when_family_incomplete():
 def test_coalesce_cascades_two_levels():
     # the fixpoint over a hand-built tree of width-5 hyperplanes (r = 4),
     # without params: coalesce reads only the tree and the list
-    from hrpks.hierarchy import DeptNode
-
     root = new_root()
     h = lambda *c: Hyperplane(tuple(c))
-    a = DeptNode("/a", 1, (h(1, 1, 0, 0, 0),))
-    a1 = DeptNode("/a/1", 2, a.constraints + (h(2, 0, 1, 0, 0),))
-    a2 = DeptNode("/a/2", 2, a.constraints + (h(3, 0, 0, 1, 0),))
-    a11 = DeptNode("/a/1/x", 3, a1.constraints + (h(4, 0, 0, 0, 1),))
-    root.children.append(a)
-    a.children.extend([a1, a2])
-    a1.children.append(a11)
+    a = root.attach("a", h(1, 1, 0, 0, 0))
+    a1 = a.attach("1", h(2, 0, 1, 0, 0))
+    a2 = a.attach("2", h(3, 0, 0, 1, 0))
+    a11 = a1.attach("x", h(4, 0, 0, 0, 1))
 
     rl = empty_rl()
     for node in (a11, a2):
@@ -320,8 +315,6 @@ def _random_tree(rng):
     """A tree of up to three levels with shuffled names, built without
     params: coalesce and revoke_group read only paths, levels and
     constraints."""
-    from hrpks.hierarchy import DeptNode
-
     root = new_root()
     nodes = []
     frontier = [root]
@@ -329,11 +322,7 @@ def _random_tree(rng):
         nxt = []
         for parent in frontier:
             for name in rng.sample("pqrstuvw", rng.randrange(1, 4)):
-                node = DeptNode(f"{parent.path}/{name}", level,
-                                parent.constraints
-                                + (Hyperplane((level, 1, 0, 0)),))
-                parent.children.append(node)
-                nxt.append(node)
+                nxt.append(parent.attach(name, Hyperplane((level, 1, 0, 0))))
         nodes += nxt
         frontier = rng.sample(nxt, min(len(nxt), 2))
     return root, nodes

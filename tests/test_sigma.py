@@ -44,10 +44,9 @@ def test_sign_verify_empty_rl():
 
 def test_sign_verify_with_nonzero_proof():
     params, gm, rng, root, fin, hr, _eng = _toy_world()
-    # the worked-example financial key; confirmed off the HR plane first
-    sk, pk = join(params, gm, fin, "emp2", rng, pinned={0: 6789})
-    assert HR.evaluate(sk.x, params.q) == \
-        (36 * 6789 + 139 * 118608156 + 752) % TOY_P != 0
+    # a financial key, confirmed off the HR plane first
+    sk, pk = join(params, gm, fin, "emp2", rng)
+    assert HR.evaluate(sk.x, params.q) != 0
     rl = revoke_group(empty_rl(), hr)
     sig = sign(params, sk, pk, rl, b"hello", rng)
     assert len(sig.nonzero_proofs) == 1
@@ -604,15 +603,18 @@ def test_collapse_errors_are_not_kept():
     params, gm, rng, root, fin, hr, _eng = _toy_world(seed=85)
     sk, pk = join(params, gm, fin, "alice", rng)
     sig = sign(params, sk, pk, revoke_group(empty_rl(), hr), b"m", rng)
-    # the key is off HR, so sign's revoked-set check stops there and the
-    # wide plane is first met by the collapse
-    bad = RevocationList(groups=(ConstraintSet(
-        path="/hr", constraints=(HR, Hyperplane((1, 2, 3, 4)))),),
-        version=sig.rl_version)
-    for _ in range(2):
-        assert verify(params, pk, bad, b"m", sig).reason == "MALFORMED"
-        with pytest.raises(ValueError):
-            sign(params, sk, pk, bad, b"m", rng)
+    # a wide plane beside HR (mixed widths) or alone (one width that is
+    # not r + 1): verify first meets it in the collapse; sign's revoked-set
+    # check stops at HR, which the key is off, or at the wide plane alone
+    wide = Hyperplane((1, 2, 3, 4))
+    for planes in ((HR, wide), (wide,)):
+        bad = RevocationList(groups=(ConstraintSet(
+            path="/hr", constraints=planes),), version=sig.rl_version)
+        for _ in range(2):
+            assert verify(params, pk, bad, b"m", sig).reason == "MALFORMED"
+            with pytest.raises(ValueError):
+                sign(params, sk, pk, bad, b"m", rng)
+        assert not bad._collapse_memo
 
 
 # --- transcript binding -----------------------------------------------------

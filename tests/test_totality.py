@@ -202,6 +202,17 @@ def test_signatures_built_in_code_are_rejected(world):
     assert built > 100, built
 
 
+def test_hyperplanes_built_in_code_take_only_int_coefficients(world):
+    """A revoked set built in code reaches verify without the codec's
+    canonical integers, so the constructor refuses any other coefficient,
+    as constant or as linear part."""
+    r = world[0].r
+    for value in (1.5, True, None, "7"):
+        for coeffs in ((value,) + (1,) * r, (1, value) + (1,) * (r - 1)):
+            with pytest.raises(InvariantError, match="must be ints"):
+                hierarchy.Hyperplane(coeffs)
+
+
 # -- one test per leak the mutation suite was written to close -------------
 
 
