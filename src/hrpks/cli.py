@@ -148,8 +148,9 @@ def cmd_revoke_group(args):
     root = _load(args.tree, "tree")
     dept = find_dept(root, args.dept)
     # the list does not know r: a hyperplane of another width would make
-    # every later sign against it fail
-    hierarchy._require_r_wide(params, dept)
+    # every later sign against it fail, and a department deeper than r - 1
+    # is refused as in `member join`
+    hierarchy._require_fits(params, dept)
     rl = _load(args.rl, "rl", params)
     rl = revocation.revoke_group(rl, dept)
     out = args.out or args.rl
@@ -161,10 +162,10 @@ def cmd_revoke_group(args):
 def cmd_rl_coalesce(args):
     params = _load(args.params, "params")
     root = _load(args.tree, "tree")
-    # a family folds into its parent's entry, so every node must be r + 1
-    # wide, as for `revoke group`
+    # a family folds into its parent's entry, so every node must fit r,
+    # as for `revoke group`
     for node in hierarchy.walk(root):
-        hierarchy._require_r_wide(params, node)
+        hierarchy._require_fits(params, node)
     rl = _load(args.rl, "rl", params)
     before = rl.version
     rl = revocation.coalesce(rl, root)

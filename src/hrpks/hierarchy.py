@@ -9,6 +9,7 @@ from the department's solution space mod q.
 
 import collections
 import hashlib
+import itertools
 import math
 import warnings
 import weakref
@@ -371,47 +372,45 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     return params, SecretKey(x=gm_x, member_id="gm", dept="")
 
 
-def _require_r_wide(params: SystemParams, node: DeptNode):
+def _require_fits(params: SystemParams, node: DeptNode):
     """A tree is loaded without params, so a hand-edited one can stack
-    hyperplanes of any width; every one must be r + 1 wide."""
+    hyperplanes of any width, and any number of them: every one must be
+    r + 1 wide, and the node at most r - 1 deep, or its members' keys
+    have no free coordinate left and all come out the same."""
     if any(len(hp.coeffs) != params.r + 1 for hp in node.constraints):
         raise ValueError(f"department {node.path or '/'} has a hyperplane "
                          f"that is not r + 1 = {params.r + 1} wide")
+    if node.level > params.r - 1:
+        raise ValueError(f"department {node.path} is at level {node.level}, "
+                         f"deeper than r - 1 = {params.r - 1}")
 
 
 def add_department(params: SystemParams, parent: DeptNode, rng,
-                   name: Optional[str] = None,
-                   constraint: Optional[Hyperplane] = None) -> DeptNode:
-    """Attach a child department one level below `parent`.
+                   name: Optional[str] = None) -> DeptNode:
+    """Attach a child department one level below `parent`, named `name` or
+    else the first free d<k>.
 
     Samples a fresh hyperplane until its linear part is independent of the
     parent's stacked constraint rows mod q, so the child's solution space
-    has dimension exactly r - level >= 1. Pass `constraint` to pin the
-    hyperplane instead of sampling (it must still be independent).
+    has dimension exactly r - level >= 1. A chosen hyperplane goes in
+    through `parent.attach` instead.
     """
     q, r = params.q, params.r
-    _require_r_wide(params, parent)
+    _require_fits(params, parent)
     if parent.level >= r - 1:
         raise ValueError(
             f"depth limit: level-{parent.level} department cannot have "
             f"children when r = {r} (max level is r - 1)")
-    if constraint is not None and len(constraint.coeffs) != r + 1:
-        raise ValueError("constraint dimension disagrees with r")
     if name is None:
-        name = f"d{len(parent.children)}"
+        name = next(f"d{k}" for k in itertools.count()
+                    if parent.child(f"d{k}") is None)
     parent_rows = [hp.linear for hp in parent.constraints]
     while True:
-        if constraint is None:
-            coeffs = tuple(rng.randrange(q) for _ in range(r + 1))
-        else:
-            coeffs = tuple(c % q for c in constraint.coeffs)
+        coeffs = tuple(rng.randrange(q) for _ in range(r + 1))
         # a zero linear part adds no rank either
         if modmath.rank_mod(parent_rows + [coeffs[1:]], q) \
                 == len(parent_rows) + 1:
             return parent.attach(name, Hyperplane(coeffs))
-        if constraint is not None:
-            raise ValueError("the given constraint is dependent on the "
-                             "parent's constraints")
 
 
 def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
@@ -423,7 +422,7 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
     """
     if dept.level < 1:
         raise ValueError("members join departments, not the root")
-    _require_r_wide(params, dept)
+    _require_fits(params, dept)
     q = params.q
     x = tuple(modmath.solve_affine_mod(
         [hp.linear for hp in dept.constraints],

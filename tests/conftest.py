@@ -1,12 +1,18 @@
 import random
 import warnings
 
-from hrpks import hierarchy
+from hrpks import hierarchy, toydata
+from hrpks.hierarchy import Hyperplane
 
 TOY_P = 3123456773
 TOY_Q = 3123456773
 MERSENNE_127 = (1 << 127) - 1
 MERSENNE_89 = (1 << 89) - 1
+
+# the worked example's department planes, (a0, a1, a2)
+FINANCIAL = Hyperplane(toydata.FINANCIAL_PLANE)
+HR = Hyperplane((752, 36, 139))
+ENGINEERING = Hyperplane((937, 58, 32))
 
 
 def quiet_setup(curve_id, p, q, rng, **kwargs):

@@ -19,11 +19,12 @@ from hrpks.curve_fp import (ModPoint, add_fp, msm, on_curve_fp, point_order,
                             reduce_curve, reduce_point, scalar_mul_fp)
 from hrpks.curve_q import RationalPoint, catalog, scalar_mul_q
 from hrpks.errors import SignerRevoked
-from hrpks.hierarchy import Hyperplane, add_department, join, new_root
+from hrpks.hierarchy import add_department, join, new_root
 from hrpks.revocation import coalesce, empty_rl, revoke_group, revoke_member
 from hrpks.sigma import Signature, sign, verify
 
-from conftest import TOY_P, make_mestre8_params, make_toy_params
+from conftest import (ENGINEERING, FINANCIAL, HR, TOY_P, make_mestre8_params,
+                      make_toy_params)
 
 F = Fraction
 
@@ -71,11 +72,6 @@ P2_TABLE_MOD = [
     (1188080486, 863393529), (842290081, 2500317348),
     (2145964735, 2073955284), (759645483, 758431348),
 ]
-
-FINANCIAL = Hyperplane((123, 48, 79))
-HR = Hyperplane((752, 36, 139))
-ENGINEERING = Hyperplane((937, 58, 32))
-
 
 def test_criterion_1_rational_multiples():
     with criterion(1, "seven rational multiples of P1, exact"):
@@ -149,11 +145,9 @@ def test_criterion_5_end_to_end_scheme():
         params, gm = make_toy_params(seed=4001)
         rng = random.Random(4002)
         root = new_root()
-        fin = add_department(params, root, rng, name="financial",
-                             constraint=FINANCIAL)
-        hr = add_department(params, root, rng, name="hr", constraint=HR)
-        eng = add_department(params, root, rng, name="engineering",
-                             constraint=ENGINEERING)
+        fin = root.attach("financial", FINANCIAL)
+        hr = root.attach("hr", HR)
+        eng = root.attach("engineering", ENGINEERING)
         alice = join(params, gm, fin, "alice", rng)
         bob = join(params, gm, fin, "bob", rng)
         carol = join(params, gm, hr, "carol", rng)
@@ -203,11 +197,9 @@ def test_criterion_6_forgery_resistance():
         params, gm = make_toy_params(seed=4005)
         rng = random.Random(4006)
         root = new_root()
-        fin = add_department(params, root, rng, name="financial",
-                             constraint=FINANCIAL)
-        hr = add_department(params, root, rng, name="hr", constraint=HR)
-        eng = add_department(params, root, rng, name="engineering",
-                             constraint=ENGINEERING)
+        fin = root.attach("financial", FINANCIAL)
+        hr = root.attach("hr", HR)
+        eng = root.attach("engineering", ENGINEERING)
         sk, pk = join(params, gm, fin, "alice", rng)
         rl = revoke_group(revoke_group(empty_rl(), hr), eng)
         msg = b"forgery target"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hrpks
-from hrpks import serial
+from hrpks import serial, sigma
 from hrpks.cli import COMMANDS, build_parser, main
 from hrpks.hierarchy import verify_cert
 
@@ -284,25 +284,54 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
-def test_join_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path, capsys):
-    # a hand-edited tree: /a/b stacks a 2-wide hyperplane on /a's 3-wide one
-    params, gm_key = _setup(capsys, tmp_path)
-    tree = tmp_path / "org.tree"
+def _join_hand_edited_b(capsys, d, hyperplane):
+    """On toy17 (r = 2), add /a, hand-edit /a/b with `hyperplane` into the
+    tree, and join member x there: (exit code, stderr)."""
+    params, gm_key = _setup(capsys, d)
+    tree = d / "org.tree"
     code, _, _ = run(capsys, "dept", "add", "--params", str(params),
                      "--tree", str(tree), "--parent", "/", "--name", "a",
                      "--seed", "2")
     assert code == 0
     doc = json.loads(tree.read_text())
     doc["root"]["children"][0]["children"].append(
-        {"children": [], "hyperplane": ["1", "2"], "name": "b"})
+        {"children": [], "hyperplane": hyperplane, "name": "b"})
     tree.write_text(json.dumps(doc))
     code, _, err = run(capsys, "member", "join", "--params", str(params),
                        "--tree", str(tree), "--gm-key", str(gm_key),
                        "--dept", "/a/b", "--id", "x",
-                       "--key-out", str(tmp_path / "x.key"),
-                       "--pub-out", str(tmp_path / "x.pub"), "--seed", "3")
+                       "--key-out", str(d / "x.key"),
+                       "--pub-out", str(d / "x.pub"), "--seed", "3")
+    return code, err
+
+
+def test_join_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path, capsys):
+    # /a/b stacks a 2-wide hyperplane on /a's 3-wide one
+    code, err = _join_hand_edited_b(capsys, tmp_path, ["1", "2"])
     assert code == 2 and "not r + 1 = 3 wide" in err
     assert "Traceback" not in err
+
+
+def test_join_into_a_department_deeper_than_r_minus_1_exits_2(tmp_path,
+                                                             capsys):
+    # /a/b holds two independent planes, so every member joined there
+    # would get their one common point
+    code, err = _join_hand_edited_b(capsys, tmp_path, ["5", "7", "11"])
+    assert code == 2 and "deeper than r - 1 = 1" in err
+    assert not (tmp_path / "x.key").exists()
+    assert not (tmp_path / "x.pub").exists()
+
+
+def test_dept_add_without_a_name_takes_the_first_free_d_k(tmp_path, capsys):
+    params, _ = _setup(capsys, tmp_path)
+    paths = []
+    for name in (["--name", "d1"], [], []):
+        code, out, err = run(capsys, "dept", "add", "--params", str(params),
+                             "--tree", str(tmp_path / "org.tree"), *name,
+                             "--seed", "2")
+        assert code == 0, err
+        paths.append(out.strip())
+    assert paths == ["/d1", "/d0", "/d2"]
 
 
 def test_revoke_group_of_a_narrow_department_exits_2(tmp_path, capsys):
@@ -411,6 +440,19 @@ def test_corrupt_artifact_exit_code(tmp_path, capsys):
     assert code == 2 and "does not hold a public key" in err
 
 
+def test_sign_maps_retry_exhausted_to_exit_4(tmp_path, capsys,
+                                            monkeypatch):
+    params, _gm_key, _tree, members, rl, msg = _full_world(capsys, tmp_path)
+    monkeypatch.setattr(sigma, "MAX_COLLAPSE_ATTEMPTS", 0)
+    out = tmp_path / "msg.sig"
+    code, _, err = run(capsys, "sign", "--params", str(params),
+                       "--key", str(members["alice"][0]), "--rl", str(rl),
+                       "--msg-file", str(msg), "--out", str(out),
+                       "--seed", "6")
+    assert code == 4 and "retry exhausted" in err
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     # both the cli module and the package are executable directly; this
     # exercises their __main__ paths
@@ -491,6 +533,15 @@ def test_verify_cert_refuses_a_format_v1_certificate(tmp_path, capsys):
     relabeled = v1_cert.replace(b'"version":"1"', b'"version":"2"')
     assert verify_cert(params, dataclasses.replace(pk, cert=relabeled)) \
         is False
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library surface", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    # toy17's generator orders are below 2^mask_bits, and setup says so
+    with pytest.warns(UserWarning, match="orders"):
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def _readme_walkthrough():

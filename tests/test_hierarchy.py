@@ -14,11 +14,8 @@ from hrpks.hierarchy import (Hyperplane, add_department, find_dept, join,
 from hrpks.revocation import coalesce, empty_rl, revoke_group
 from hrpks.sigma import sign, verify
 
-from conftest import TOY_P, TOY_Q, make_mestre8_params, make_toy_params
-
-FINANCIAL = Hyperplane((123, 48, 79))
-HR = Hyperplane((752, 36, 139))
-ENGINEERING = Hyperplane((937, 58, 32))
+from conftest import (ENGINEERING, FINANCIAL, HR, TOY_P, TOY_Q,
+                      make_mestre8_params, make_toy_params)
 
 
 def test_setup_toy_generators():
@@ -104,13 +101,11 @@ def test_warm_and_cold_params_are_indistinguishable():
     assert cold.digest() == warm.digest()
 
 
-def _toy_tree(params, rng):
+def _toy_tree():
     root = new_root()
-    fin = add_department(params, root, rng, name="financial",
-                         constraint=FINANCIAL)
-    hr = add_department(params, root, rng, name="hr", constraint=HR)
-    eng = add_department(params, root, rng, name="engineering",
-                         constraint=ENGINEERING)
+    fin = root.attach("financial", FINANCIAL)
+    hr = root.attach("hr", HR)
+    eng = root.attach("engineering", ENGINEERING)
     return root, fin, hr, eng
 
 
@@ -122,6 +117,26 @@ def test_add_department_depth_limit_r2():
     assert child.level == 1 and len(child.constraints) == 1
     with pytest.raises(ValueError, match="depth"):
         add_department(params, child, rng)
+
+
+def test_join_refuses_a_department_deeper_than_r_minus_1():
+    # `attach` knows no r, so a tree can stack r = 2 planes on toy17; each
+    # member's key would be their one common point
+    params, gm = make_toy_params()
+    rng = random.Random(5)
+    deep = new_root().attach("a", FINANCIAL).attach("b",
+                                                     Hyperplane((5, 7, 11)))
+    with pytest.raises(ValueError, match="deeper than r - 1 = 1"):
+        join(params, gm, deep, "x", rng)
+
+
+def test_add_department_names_a_child_the_first_free_d_k():
+    params, _ = make_toy_params()
+    rng = random.Random(6)
+    root = new_root()
+    add_department(params, root, rng, name="d1")
+    assert [add_department(params, root, rng).path
+            for _ in range(2)] == ["/d0", "/d2"]
 
 
 def test_add_department_paths_and_names():
@@ -208,17 +223,6 @@ def test_add_department_depth_limit_mestre8():
     assert verify(params, open_pk, out, b"m", sig).accepted
 
 
-def test_add_department_rejects_dependent_pin():
-    params, _gm = make_mestre8_params()
-    rng = random.Random(9)
-    root = new_root()
-    l1 = add_department(params, root, rng,
-                        constraint=Hyperplane((5, *range(1, 9))))
-    with pytest.raises(ValueError, match="dependent"):
-        add_department(params, l1, rng,
-                       constraint=Hyperplane((7, *range(2, 18, 2))))
-
-
 def test_join_reproduces_published_keys():
     # the worked example's keys, checked directly: a joined key is drawn
     # on the plane, and these are points of it
@@ -274,7 +278,7 @@ def test_hyperplanes_not_r_plus_1_wide_are_value_errors():
 def test_sibling_departments_disjoint_constraints():
     params, gm = make_toy_params()
     rng = random.Random(17)
-    root, fin, hr, _eng = _toy_tree(params, rng)
+    root, fin, hr, _eng = _toy_tree()
     sk_f, _ = join(params, gm, fin, "f", rng)
     sk_h, _ = join(params, gm, hr, "h", rng)
     # each key fails the sibling's plane (fixed seed; failure probability
@@ -286,7 +290,7 @@ def test_sibling_departments_disjoint_constraints():
 def test_certificates():
     params, gm = make_toy_params()
     rng = random.Random(19)
-    root, fin, _hr, _eng = _toy_tree(params, rng)
+    root, fin, _hr, _eng = _toy_tree()
     sk, pk = join(params, gm, fin, "alice", rng)
     assert pk.cert is not None
     assert verify_cert(params, pk)
@@ -317,8 +321,7 @@ def test_cert_rejected_under_other_params():
     params_b, _gm_b = make_toy_params(seed=24)
     rng = random.Random(25)
     root = new_root()
-    fin = add_department(params_a, root, rng, constraint=FINANCIAL,
-                         name="financial")
+    fin = root.attach("financial", FINANCIAL)
     _sk, pk = join(params_a, gm_a, fin, "alice", rng)
     assert verify_cert(params_a, pk)
     # same structure, different GM key -> challenge domain separates
@@ -390,8 +393,7 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     params, gm = make_toy_params()
     rng = random.Random(29)
     root = hierarchy.new_root()
-    fin = add_department(params, root, rng, name="financial",
-                         constraint=FINANCIAL)
+    fin = root.attach("financial", FINANCIAL)
     join(params, gm, fin, "first", rng)
     calls = []
     real = hierarchy.msm
@@ -439,7 +441,7 @@ def test_one_comb_table_per_system(make):
 def test_cert_verdict_cache_answers_as_an_uncached_check():
     params, gm = make_toy_params()
     rng = random.Random(31)
-    root, fin, _hr, _eng = _toy_tree(params, rng)
+    root, fin, _hr, _eng = _toy_tree()
     _sk, pk = join(params, gm, fin, "alice", rng)
     hierarchy._CERT_VERDICTS.clear()
     assert verify_cert(params, pk) is True  # kept under params' digest

@@ -1,6 +1,8 @@
 import bisect
 import random
 
+import pytest
+
 from hrpks import modmath
 from hrpks.modmath import is_probable_prime
 
@@ -152,3 +154,10 @@ def test_agrees_with_random_bases_on_a_seeded_sample():
     assert len(primes) > 60
     for n in sample:
         assert is_probable_prime(n) == _random_bases_prime(n), n
+
+
+def test_solve_affine_mod_refuses_an_inconsistent_system():
+    # the second row is twice the first, but 3 is not twice 1 mod 7
+    with pytest.raises(ValueError, match="inconsistent"):
+        modmath.solve_affine_mod([(1, 1), (2, 2)], [1, 3], 7,
+                                 fill=lambda _j: 0)

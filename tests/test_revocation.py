@@ -14,9 +14,7 @@ from hrpks.revocation import (ConstraintSet, RevocationList, RevokedMember,
                               revoke_member, rl_hash)
 from hrpks.sigma import sign, verify
 
-from conftest import make_mestre8_params, make_toy_params
-
-FINANCIAL = Hyperplane((123, 48, 79))
+from conftest import FINANCIAL, make_mestre8_params, make_toy_params
 
 
 def _pk(x=1385928692, y=2187054458, member="emp1"):
@@ -39,8 +37,7 @@ def test_revoked_member_verifications_reject():
     params, gm = make_toy_params()
     rng = random.Random(61)
     root = new_root()
-    fin = add_department(params, root, rng, name="financial",
-                         constraint=FINANCIAL)
+    fin = root.attach("financial", FINANCIAL)
     sk, pk = join(params, gm, fin, "emp1", rng)
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
     assert verify(params, pk, empty_rl(), b"m", sig).accepted
@@ -71,8 +68,7 @@ def test_group_revocation_blocks_and_spares():
     params, gm = make_toy_params()
     rng = random.Random(65)
     root = new_root()
-    fin = add_department(params, root, rng, name="financial",
-                         constraint=FINANCIAL)
+    fin = root.attach("financial", FINANCIAL)
     hr = add_department(params, root, rng, name="hr")
     sk_f, pk_f = join(params, gm, fin, "f", rng)
     sk_h, pk_h = join(params, gm, hr, "h", rng)

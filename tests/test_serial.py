@@ -13,7 +13,7 @@ from hrpks.revocation import (ConstraintSet, RevocationList, RevokedMember,
                               empty_rl, revoke_group, revoke_member)
 from hrpks.sigma import sign
 
-from conftest import make_mestre8_params, make_toy_params
+from conftest import FINANCIAL, make_mestre8_params, make_toy_params
 
 # pinned once from the first implementation run; canonical form must not
 # drift, since revocation-list hashes and certificates sign these bytes
@@ -28,8 +28,7 @@ def _world(seed=81):
     params, gm = make_toy_params()
     rng = random.Random(seed)
     root = new_root()
-    fin = add_department(params, root, rng, name="financial",
-                         constraint=Hyperplane((123, 48, 79)))
+    fin = root.attach("financial", FINANCIAL)
     hr = add_department(params, root, rng, name="hr")
     sk, pk = join(params, gm, fin, "alice", rng)
     return params, gm, rng, root, fin, hr, sk, pk

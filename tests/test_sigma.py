@@ -13,23 +13,18 @@ from hrpks.revocation import empty_rl, revoke_group, revoke_member
 from hrpks.sigma import (Signature, collapse_constraints, pedersen_commit,
                          sign, verify)
 
-from conftest import (MERSENNE_89, MERSENNE_127, TOY_P, make_mestre8_params,
-                      make_small_params, make_toy_params, quiet_setup)
-
-FINANCIAL = Hyperplane((123, 48, 79))
-HR = Hyperplane((752, 36, 139))
-ENGINEERING = Hyperplane((937, 58, 32))
+from conftest import (ENGINEERING, FINANCIAL, HR, MERSENNE_89, MERSENNE_127,
+                      TOY_P, make_mestre8_params, make_small_params,
+                      make_toy_params, quiet_setup)
 
 
 def _toy_world(seed=101):
     params, gm = make_toy_params()
     rng = random.Random(seed)
     root = new_root()
-    fin = add_department(params, root, rng, name="financial",
-                         constraint=FINANCIAL)
-    hr = add_department(params, root, rng, name="hr", constraint=HR)
-    eng = add_department(params, root, rng, name="engineering",
-                         constraint=ENGINEERING)
+    fin = root.attach("financial", FINANCIAL)
+    hr = root.attach("hr", HR)
+    eng = root.attach("engineering", ENGINEERING)
     return params, gm, rng, root, fin, hr, eng
 
 
@@ -904,8 +899,7 @@ def test_generator_order_shift_is_rejected(monkeypatch):
         params, gm = hierarchy.setup("toy17", TOY_P, TOY_P,
                                      random.Random(12345))
     rng = random.Random(71)
-    fin = add_department(params, new_root(), rng, name="financial",
-                         constraint=FINANCIAL)
+    fin = new_root().attach("financial", FINANCIAL)
     sk, pk = join(params, gm, fin, "mallory", rng)
     if not hierarchy.verify_cert(params, pk):
         pytest.fail("the member's certificate does not verify")
