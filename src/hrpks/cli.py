@@ -149,8 +149,10 @@ def cmd_revoke_group(args):
     dept = find_dept(root, args.dept)
     # the list does not know r: a hyperplane of another width would make
     # every later sign against it fail, and a department deeper than r - 1
-    # is refused as in `member join`
+    # is refused as in `member join`; so is one whose hyperplanes are
+    # dependent, which would revoke its siblings' members too
     hierarchy._require_fits(params, dept)
+    hierarchy._require_independent(params, dept)
     rl = _load(args.rl, "rl", params)
     rl = revocation.revoke_group(rl, dept)
     out = args.out or args.rl

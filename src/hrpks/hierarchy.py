@@ -385,6 +385,17 @@ def _require_fits(params: SystemParams, node: DeptNode):
                          f"deeper than r - 1 = {params.r - 1}")
 
 
+def _require_independent(params: SystemParams, node: DeptNode):
+    """A hand-edited tree can stack a hyperplane whose linear part its
+    ancestors' already span mod q. The node's space is then its parent's
+    (or empty), so revoking it revokes its siblings' members too, and
+    `add_department` would sample children under it forever."""
+    rank = modmath.rank_mod([hp.linear for hp in node.constraints], params.q)
+    if rank < node.level:
+        raise ValueError(f"department {node.path} stacks {node.level} "
+                         f"hyperplanes of rank {rank} mod q")
+
+
 def add_department(params: SystemParams, parent: DeptNode, rng,
                    name: Optional[str] = None) -> DeptNode:
     """Attach a child department one level below `parent`, named `name` or
@@ -411,6 +422,8 @@ def add_department(params: SystemParams, parent: DeptNode, rng,
         if modmath.rank_mod(parent_rows + [coeffs[1:]], q) \
                 == len(parent_rows) + 1:
             return parent.attach(name, Hyperplane(coeffs))
+        # no draw can succeed under dependent parent rows
+        _require_independent(params, parent)
 
 
 def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
@@ -424,10 +437,13 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
         raise ValueError("members join departments, not the root")
     _require_fits(params, dept)
     q = params.q
-    x = tuple(modmath.solve_affine_mod(
-        [hp.linear for hp in dept.constraints],
-        [-hp.a0 for hp in dept.constraints], q,
-        fill=lambda _j: rng.randrange(q)))
+    try:
+        x = tuple(modmath.solve_affine_mod(
+            [hp.linear for hp in dept.constraints],
+            [-hp.a0 for hp in dept.constraints], q,
+            fill=lambda _j: rng.randrange(q)))
+    except ValueError as e:  # dependent or inconsistent hyperplanes
+        raise ValueError(f"department {dept.path}: {e}") from None
     for hp in dept.constraints:
         if hp.evaluate(x, q) != 0:
             raise InvariantError("solved key misses a constraint; "

@@ -193,7 +193,9 @@ def solve_affine_mod(rows, rhs, q: int, fill):
     fill: callable(column) -> value, invoked for every free column.
 
     Returns the full solution vector (length n). Raises ValueError if the
-    system is inconsistent.
+    system is inconsistent, or else if its rows are dependent: a row the
+    others already imply constrains nothing, so the solutions would not
+    have the dimension n - k a caller counts on.
     """
     k = len(rows)
     n = len(rows[0]) if k else 0
@@ -205,6 +207,9 @@ def solve_affine_mod(rows, rhs, q: int, fill):
     for i in range(len(pivots), k):
         if aug[i][n] != 0:
             raise ValueError("inconsistent linear system mod q")
+    if len(pivots) < k:
+        raise ValueError(f"dependent linear system mod q: rank "
+                         f"{len(pivots)} of {k} rows")
 
     x = [None] * n
     for col in range(n):

@@ -28,10 +28,11 @@ on the list, so signatures checked against one published list share them.
 Every auxiliary-group value either side makes is one `_aux_product`,
 g^a h^b prod C_i^e_i: g and h from the fixed-base table of their powers,
 which is built once per aux group and kept across calls, with no
-squaring, and the C_i, if any, on one Straus chain over window tables
-built once per call. `sign` knows the opening of every value it makes,
+squaring, and the C_i, if any, on one chain over their combs (Lim and
+Lee), which `verify` builds once per call and also reads for its check
+C_i^q = 1. `sign` knows the opening of every value it makes,
 C_i = g^x_i h^t_i, A_i = g^k_i h^u_i and, since D_j = g^v_j h^tau_j,
-B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j), so it makes no chain. `verify`
+B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j), so it makes no comb. `verify`
 has no openings: it checks each A_i = g^s_i h^st_i C_i^-c and, expanding
 D_j, each B_j = g^(a0 sw - c) h^su prod C_i^(a_i sw) as one product.
 Signer and verifier hash their transcript through the one `_challenge`,
@@ -52,7 +53,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .curve_fp import ModPoint, on_curve_fp
+from .curve_fp import ModPoint, _comb_index, on_curve_fp
 from .encoding import hash_to_challenge
 from .errors import InvariantError, RetryExhausted, SignerRevoked
 from .hierarchy import (AuxGroup, Hyperplane, PublicKey, SecretKey,
@@ -63,18 +64,28 @@ from .revocation import RevocationList, is_member_revoked, rl_hash
 CHALLENGE_TAG = b"HRPKS-v1/chal"
 GAMMA_TAG = b"HRPKS-v1/gamma"
 MAX_COLLAPSE_ATTEMPTS = 64
-# Window width of both aux table kinds that `_aux_product` reads: the
-# rows of the cached g and h table and the per-call tables of the C_i. By
-# measurement (min of 60 interleaved runs, Python 3.11, shared 2-vCPU
-# host), for q = 2^127 - 1, r = 8 and 16 revoked sets: sign 2.32, 2.30 and
-# 2.16 ms, verify 5.82, 5.41 and 5.15 ms at w = 4, 5, 6, while the g and h
-# table, which every fresh process builds on its first sign or verify,
-# takes 54, 86 and 144 KiB and 0.40, 0.65 and 1.11 ms; for the 32-bit toy
-# q, r = 2 and 3 sets: sign 0.43, 0.41 and 0.43 ms, verify 0.62, 0.62 and
-# 0.64 ms.
+# Window width of the rows of the cached g and h table, which sign and
+# verify both read (the C_i use combs, `_AUX_TEETH`). By measurement
+# (min of 60 interleaved runs, Python 3.11, shared 2-vCPU host), for
+# q = 2^127 - 1, r = 8 and 16 revoked sets: sign 2.32, 2.30 and 2.16 ms at
+# w = 4, 5, 6, while the table, which every fresh process builds on its
+# first sign or verify, takes 54, 86 and 144 KiB and 0.40, 0.65 and
+# 1.11 ms; for the 32-bit toy q, r = 2 and 3 sets: sign 0.43, 0.41 and
+# 0.43 ms.
 _AUX_WINDOW = 5
 # How many aux groups' g and h tables `_gh_table` keeps.
 _GH_CACHE_SIZE = 8
+# Teeth of the comb `verify` builds of each C_i, once per call: 2^t
+# entries after (t - 1) d squarings and 2^t - 1 multiplications, with
+# d = ceil(bitlen(q) / t) columns, so each product the comb serves makes d
+# squarings. For q = 2^127 - 1, r = 8 and 16 revoked sets, the combs, the
+# r order checks and the r + 16 products of one verify took 2.41, 2.36 and
+# 2.44 ms at t = 5, 6 and 7, where the window tables, `pow` checks and
+# Straus chains they replace took 2.77 ms (in-process, best of four
+# readings of the min of 5 x 200 runs, Python 3.11, shared 2-vCPU host).
+# On the 32-bit toy q, with r = 2, the combs cost about 20 us more per
+# verify than the window tables did (BENCH_30.json).
+_AUX_TEETH = 6
 
 
 @dataclass(frozen=True)
@@ -120,8 +131,8 @@ UNCERTIFIED = "UNCERTIFIED"
 
 
 def _aux_table(aux: AuxGroup, base: int):
-    """base^0, base^1, ..., base^(2^w - 1) mod rho: one base's window table
-    for `_aux_product`, and one row of a fixed-base table."""
+    """base^0, base^1, ..., base^(2^w - 1) mod rho: one row of the
+    fixed-base table of g and h."""
     table = [1, base % aux.rho]
     for _ in range(2, 1 << _AUX_WINDOW):
         table.append(table[-1] * base % aux.rho)
@@ -143,35 +154,73 @@ def _gh_table(aux: AuxGroup):
     return tuple(rows)
 
 
-def _aux_product(aux: AuxGroup, a: int, b: int, terms=()) -> int:
-    """g^a h^b prod base^e mod rho, over (window table of base, e) terms.
+def _comb_columns(aux: AuxGroup) -> int:
+    """d = ceil(bitlen(q) / t): the columns of an `_aux_comb`, so that
+    every exponent below q, and q itself, is below 2^(d t)."""
+    return -(-aux.q.bit_length() // _AUX_TEETH)
 
-    The terms share one Straus chain: w squarings per window, then the
-    window's table entries of every term, reduced once. With no terms there
-    is no chain. g and h then take one entry per digit from every row of
-    the cached `_gh_table`, with no squarings (Brickell, Gordon, McCurley
-    and Wilson, "Fast Exponentiation with Precomputation", EUROCRYPT 1992),
+
+def _aux_comb(aux: AuxGroup, base: int):
+    """The comb of one base (Lim and Lee, "More Flexible Exponentiation
+    with Precomputation", CRYPTO 1994): entry m is the product of the
+    teeth base^(2^(d k)), k < t, over the set bits k of m. Made with
+    (t - 1) d squarings for the teeth, then one multiplication per entry
+    past the first: entries 2^k .. 2^(k+1) - 1 are entries 0 .. 2^k - 1
+    times tooth k."""
+    rho, d = aux.rho, _comb_columns(aux)
+    teeth = [base % rho]
+    for _ in range(_AUX_TEETH - 1):
+        tooth = teeth[-1]
+        for _ in range(d):
+            tooth = tooth * tooth % rho
+        teeth.append(tooth)
+    table = [1]
+    for tooth in teeth:
+        table += [entry * tooth % rho for entry in table]
+    return tuple(table)
+
+
+def _comb_product(aux: AuxGroup, terms) -> int:
+    """prod base^e mod rho over (`_aux_comb` of base, e) terms, each
+    0 <= e < 2^(d t), on one chain: per column, top column first, one
+    squaring, then the column's entry of every term, reduced once. e is
+    taken as given, not reduced mod q, so the result is exact for any
+    base: C_i^q on C_i's comb is verify's subgroup check."""
+    rho, d = aux.rho, _comb_columns(aux)
+    digits, index = f"0{d * _AUX_TEETH}b", _comb_index(_AUX_TEETH)
+    rows = []
+    for comb, e in terms:
+        # column k gathers bit d*j + (d - 1 - k) of e into bit j
+        bits = format(e, digits)
+        rows.append([comb[index[bits[k::d]]] for k in range(d)])
+    acc = 1
+    for column in zip(*rows):
+        acc = acc * acc % rho
+        for entry in column:
+            acc *= entry
+        acc %= rho
+    return acc
+
+
+def _aux_product(aux: AuxGroup, a: int, b: int, terms=()) -> int:
+    """g^a h^b prod base^e mod rho, over (`_aux_comb` of base, e) terms.
+
+    The terms share one `_comb_product` chain; with no terms there is
+    none. g and h then take one entry per digit from every row of the
+    cached `_gh_table`, with no squarings (Brickell, Gordon, McCurley and
+    Wilson, "Fast Exponentiation with Precomputation", EUROCRYPT 1992),
     both entries of a row reduced once.
 
     a, b and each e are reduced mod q first, so they may be negative or
     exceed q; that is valid only because every base has order dividing q:
-    g and h, which `AuxGroup` checks, and the C_i, once `_reject_reason`
-    has checked C_i^q = 1, which verify runs before any product. On any
-    other base the result is wrong.
+    g and h, which `AuxGroup` checks, and the C_i, once `_verify_proof`
+    has checked C_i^q = 1, before any product. On any other base the
+    result is wrong.
     """
     q, rho, w = aux.q, aux.rho, _AUX_WINDOW
     mask = (1 << w) - 1
-    acc = 1
-    if terms:
-        terms = [(table, e % q) for table, e in terms]
-        top = max(e.bit_length() for _, e in terms)
-        for shift in range((top - 1) // w * w, -1, -w):
-            if acc != 1:  # no squarings before the first nonzero digit
-                for _ in range(w):
-                    acc = acc * acc % rho
-            for table, e in terms:
-                acc *= table[(e >> shift) & mask]
-            acc %= rho
+    acc = _comb_product(aux, [(comb, e % q) for comb, e in terms]) \
+        if terms else 1
     a, b = a % q, b % q
     for g_row, h_row in _gh_table(aux):
         acc = acc * g_row[a & mask] * h_row[b & mask] % rho
@@ -251,26 +300,23 @@ def _collapse_all(params: SystemParams, rl: RevocationList, retry: int):
 
 
 def _rebuild_challenge(params: SystemParams, pk: PublicKey, rlh: bytes,
-                       retry: int, collapsed, c: int, s, commitments, st,
-                       proofs, message: bytes) -> int:
+                       retry: int, collapsed, c: int, s, commitments, combs,
+                       st, proofs, message: bytes) -> int:
     """The challenge over verify's equations R = sum s_i G_i - c pk,
     A_i = g^s_i h^st_i C_i^-c and B_j = D_j^sw_j h^su_j g^-c. At c = 0,
     with nonces in place of the responses, they are sign's announcements.
 
-    Every C_i must already be in the order-q subgroup, as `_aux_product`
-    requires of its bases."""
+    `combs` holds the `_aux_comb` of each C_i, and every C_i must already
+    be in the order-q subgroup, as `_aux_product` requires of its bases."""
     aux = params.aux
     big_r = params.gens_msm(s, ((-c, pk.point),))
-    announcements = bs = ()
-    if commitments:
-        c_tables = [_aux_table(aux, c_i) for c_i in commitments]
-        announcements = [_aux_product(aux, s_i, st_i, [(c_table, -c)])
-                         for s_i, st_i, c_table in zip(s, st, c_tables)]
-        # D_j expanded: B_j = g^(a0 sw - c) h^su prod C_i^(a_i sw)
-        bs = [_aux_product(aux, hp.a0 * proof.sw - c, proof.su,
-                           [(c_table, a * proof.sw)
-                            for c_table, a in zip(c_tables, hp.linear)])
-              for hp, proof in zip(collapsed, proofs)]
+    announcements = [_aux_product(aux, s_i, st_i, [(comb, -c)])
+                     for s_i, st_i, comb in zip(s, st, combs)]
+    # D_j expanded: B_j = g^(a0 sw - c) h^su prod C_i^(a_i sw)
+    bs = [_aux_product(aux, hp.a0 * proof.sw - c, proof.su,
+                       [(comb, a * proof.sw)
+                        for comb, a in zip(combs, hp.linear)])
+          for hp, proof in zip(collapsed, proofs)]
     return _challenge(params, pk, rlh, retry, big_r, commitments,
                       announcements, bs, message)
 
@@ -355,8 +401,9 @@ def _reject_reason(params: SystemParams, rl: RevocationList, pk: PublicKey,
     None. Decided for any `Signature` value, loaded or built in code: every
     field is tested before anything reads it. A retry counter `sign` may
     not use is refused here, which also bounds each list's memo of
-    `_collapse_all` results, and every C_i is checked to lie in the
-    order-q subgroup, as `_aux_product` requires of its bases."""
+    `_collapse_all` results. Whether each C_i lies in the order-q
+    subgroup is left to `_verify_proof`, which decides it on the comb it
+    builds of C_i anyway."""
     q, rho = params.q, params.aux.rho
     # an int equal to the list's version
     if not _int_in(sig.rl_version, rl.version, rl.version + 1):
@@ -373,8 +420,7 @@ def _reject_reason(params: SystemParams, rl: RevocationList, pk: PublicKey,
             or len(sig.commitments) != width
             or len(sig.commitment_responses) != width
             or len(proofs) != len(rl.groups)
-            or not all(_int_in(c, 1, rho) and pow(c, q, rho) == 1
-                       for c in sig.commitments)
+            or not all(_int_in(c, 1, rho) for c in sig.commitments)
             or not all(_int_in(v, 0, q) for v in sig.commitment_responses)
             or not all(isinstance(nz, NonzeroProof) and _int_in(nz.sw, 0, q)
                        and _int_in(nz.su, 0, q) for nz in proofs)):
@@ -403,14 +449,19 @@ def _verify_proof(params: SystemParams, pk: PublicKey, rl: RevocationList,
     reason = _reject_reason(params, rl, pk, sig)
     if reason is not None:
         return VerifyResult(False, reason)
+    aux = params.aux
+    combs = [_aux_comb(aux, c) for c in sig.commitments]
+    # C_i^q with q unreduced, below 2^(d t): exact for any C_i
+    if any(_comb_product(aux, [(comb, params.q)]) != 1 for comb in combs):
+        return VerifyResult(False, MALFORMED)
     try:
         collapsed = _collapse_all(params, rl, sig.retry)
     except (InvariantError, ValueError):
         return VerifyResult(False, MALFORMED)
     expected = _rebuild_challenge(
         params, pk, rl_hash(rl), sig.retry, collapsed, sig.challenge, sig.s,
-        sig.commitments, sig.commitment_responses, sig.nonzero_proofs,
-        message)
+        sig.commitments, combs, sig.commitment_responses,
+        sig.nonzero_proofs, message)
     if expected != sig.challenge:
         return VerifyResult(False, BAD_CHALLENGE)
     return VerifyResult(True)

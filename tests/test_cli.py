@@ -372,6 +372,68 @@ def test_revoke_group_of_a_narrow_department_exits_2(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_dependent_department_is_refused_and_its_sibling_signs(tmp_path,
+                                                               capsys):
+    # mestre8 (r = 8): /a/b hand-edited with twice /a's hyperplane has /a's
+    # whole space, so listing it would revoke /a/x's member too; join, dept
+    # add and revoke group refuse it, and the member signs on
+    params, gm_key = tmp_path / "gm.params", tmp_path / "gm.key"
+    code, _, err = run(capsys, "setup", "--curve", "mestre8", *TOY[2:],
+                       "--seed", "1", "--params-out", str(params),
+                       "--gm-key-out", str(gm_key))
+    assert code == 0, err
+    tree = tmp_path / "org.tree"
+    for seed, (parent, name) in enumerate([("/", "a"), ("/a", "x")], 2):
+        code, _, err = run(capsys, "dept", "add", "--params", str(params),
+                           "--tree", str(tree), "--parent", parent,
+                           "--name", name, "--seed", str(seed))
+        assert code == 0, err
+    key, pub = tmp_path / "sib.key", tmp_path / "sib.pub"
+    code, _, err = run(capsys, "member", "join", "--params", str(params),
+                       "--tree", str(tree), "--gm-key", str(gm_key),
+                       "--dept", "/a/x", "--id", "sib", "--key-out", str(key),
+                       "--pub-out", str(pub), "--seed", "4")
+    assert code == 0, err
+    q = serial.load_artifact(params).q
+    doc = json.loads(tree.read_text())
+    a = doc["root"]["children"][0]
+    a["children"].append({"children": [], "name": "b", "hyperplane": [
+        str(2 * int(v) % q) for v in a["hyperplane"]]})
+    tree.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "member", "join", "--params", str(params),
+                       "--tree", str(tree), "--gm-key", str(gm_key),
+                       "--dept", "/a/b", "--id", "eve",
+                       "--key-out", str(tmp_path / "eve.key"),
+                       "--pub-out", str(tmp_path / "eve.pub"), "--seed", "5")
+    assert code == 2 and "rank 1 of 2 rows" in err
+    assert not (tmp_path / "eve.key").exists()
+    code, _, err = run(capsys, "dept", "add", "--params", str(params),
+                       "--tree", str(tree), "--parent", "/a/b",
+                       "--seed", "6")
+    assert code == 2 and "/a/b stacks 2 hyperplanes of rank 1" in err
+    rl = _write_empty_rl(tmp_path, params)
+    before = rl.read_bytes()
+    other = tmp_path / "other.rl"
+    for out in ([], ["--out", str(other)]):
+        code, _, err = run(capsys, "revoke", "group", "--params", str(params),
+                           "--rl", str(rl), "--tree", str(tree),
+                           "--dept", "/a/b", *out)
+        assert code == 2 and "/a/b stacks 2 hyperplanes of rank 1" in err
+        assert "Traceback" not in err
+    assert rl.read_bytes() == before
+    assert not other.exists()
+    msg, sig = tmp_path / "msg.bin", tmp_path / "msg.sig"
+    msg.write_bytes(b"still signs")
+    code, _, err = run(capsys, "sign", "--params", str(params), "--key",
+                       str(key), "--rl", str(rl), "--msg-file", str(msg),
+                       "--out", str(sig), "--seed", "7")
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", "--params", str(params), "--pub",
+                         str(pub), "--rl", str(rl), "--msg-file", str(msg),
+                         "--sig", str(sig))
+    assert code == 0 and out.strip() == "Accept", err
+
+
 def test_coalesce_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path,
                                                               capsys):
     # mestre8 (r = 8) with /a/x and /a/y revoked, then /a's hyperplane

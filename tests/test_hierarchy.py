@@ -275,6 +275,42 @@ def test_hyperplanes_not_r_plus_1_wide_are_value_errors():
                 join(params, gm, dept, "m", rng)
 
 
+def _dependent_child():
+    """mestre8 with /a and /a/x sampled, and /a/b attached by hand with
+    twice /a's hyperplane: /a/b's space is /a's, /a/x's included."""
+    params, gm = make_mestre8_params()
+    rng = random.Random(15)
+    a = add_department(params, new_root(), rng, name="a")
+    x = add_department(params, a, rng, name="x")
+    twice = Hyperplane(tuple(2 * v % params.q
+                             for v in a.constraints[0].coeffs))
+    return params, gm, rng, a, x, a.attach("b", twice)
+
+
+def test_join_and_add_department_refuse_dependent_hyperplanes():
+    # a member joined into /a/b would be a member of all of /a, and a child
+    # of /a/b could never be sampled independent of its planes
+    params, gm, rng, a, x, b = _dependent_child()
+    with pytest.raises(ValueError, match="department /a/b: dependent linear "
+                                         "system mod q: rank 1 of 2 rows"):
+        join(params, gm, b, "eve", rng)
+    with pytest.raises(ValueError, match="/a/b stacks 2 hyperplanes of rank "
+                                         "1 mod q"):
+        add_department(params, b, rng)
+    with pytest.raises(ValueError, match="/a/b stacks 2"):
+        hierarchy._require_independent(params, b)
+    # the sampled departments pass, and /a/x's member is on /a/b's planes,
+    # so listing /a/b would revoke them: `hrpks revoke group` refuses it
+    for node in (new_root(), a, x):
+        hierarchy._require_independent(params, node)
+    sk, pk = join(params, gm, x, "sib", rng)
+    assert all(hp.evaluate(sk.x, params.q) == 0 for hp in b.constraints)
+    with pytest.raises(SignerRevoked, match="'/a/b'"):
+        sign(params, sk, pk, revoke_group(empty_rl(), b), b"m", rng)
+    assert verify(params, pk, empty_rl(), b"m",
+                  sign(params, sk, pk, empty_rl(), b"m", rng)).accepted
+
+
 def test_sibling_departments_disjoint_constraints():
     params, gm = make_toy_params()
     rng = random.Random(17)

@@ -161,3 +161,16 @@ def test_solve_affine_mod_refuses_an_inconsistent_system():
     with pytest.raises(ValueError, match="inconsistent"):
         modmath.solve_affine_mod([(1, 1), (2, 2)], [1, 3], 7,
                                  fill=lambda _j: 0)
+
+
+def test_solve_affine_mod_refuses_dependent_rows():
+    # consistent, but the second row is twice the first: the solutions are
+    # a line, not the point two rows promise
+    with pytest.raises(ValueError, match="dependent linear system mod q: "
+                                         "rank 1 of 2 rows"):
+        modmath.solve_affine_mod([(1, 1), (2, 2)], [1, 2], 7,
+                                 fill=lambda _j: 0)
+    # independent rows still solve
+    x = modmath.solve_affine_mod([(1, 1), (1, 2)], [1, 2], 7,
+                                 fill=lambda _j: 0)
+    assert [(x[0] + x[1]) % 7, (x[0] + 2 * x[1]) % 7] == [1, 2]

@@ -227,7 +227,7 @@ def test_aux_product_matches_plain_pow(make_aux):
     aux = make_aux()
     rng = random.Random(aux.q.bit_length())
     for a, b, bases, exps in _aux_product_cases(aux, rng):
-        terms = [(sigma._aux_table(aux, base), e)
+        terms = [(sigma._aux_comb(aux, base), e)
                  for base, e in zip(bases, exps)]
         got = sigma._aux_product(aux, a, b, terms)
         assert got == _reference_aux_product(aux, a, b, bases, exps), \
@@ -314,11 +314,10 @@ def test_nonzero_b_is_one_product_equal_to_plain_pow(make_aux):
     rng = random.Random(aux.q.bit_length() + 1)
     for commitments, coeffs, e, f, x in _nonzero_b_cases(aux, rng):
         collapsed = Hyperplane(coeffs)
-        c_tables = [sigma._aux_table(aux, c) for c in commitments]
+        combs = [sigma._aux_comb(aux, c) for c in commitments]
         got = sigma._aux_product(
             aux, collapsed.a0 * e + x, f,
-            [(c_table, a * e)
-             for c_table, a in zip(c_tables, collapsed.linear)])
+            [(comb, a * e) for comb, a in zip(combs, collapsed.linear)])
         assert got == _reference_nonzero_b(aux, commitments, collapsed,
                                            e, f, x), (coeffs, e, f, x)
 
@@ -343,6 +342,65 @@ def test_aux_table_holds_every_window_digit():
         assert all(isinstance(row, tuple) for pair in rows for row in pair)
 
 
+def _comb_bases(aux):
+    """g, h, 2 and an element of order 2q: rho = k q + 1 with k even on
+    both aux groups, so -g has order 2q."""
+    assert (aux.rho - 1) // aux.q % 2 == 0
+    minus_g = aux.rho - aux.g
+    assert pow(minus_g, aux.q, aux.rho) == aux.rho - 1
+    return [aux.g, aux.h, 2, minus_g]
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_aux_comb_entry_m_is_the_product_of_its_teeth(make_aux):
+    aux = make_aux()
+    rho, t = aux.rho, sigma._AUX_TEETH
+    d = sigma._comb_columns(aux)
+    assert d * t >= aux.q.bit_length() > (d - 1) * t
+    for base in _comb_bases(aux):
+        comb = sigma._aux_comb(aux, base)
+        assert isinstance(comb, tuple) and len(comb) == 1 << t
+        teeth = [pow(base, 1 << (d * k), rho) for k in range(t)]
+        for m, entry in enumerate(comb):
+            want = 1
+            for k in range(t):
+                if m >> k & 1:
+                    want = want * teeth[k] % rho
+            assert entry == want, (base, m)
+
+
+@pytest.mark.parametrize("make_aux", [
+    lambda: make_toy_params()[0].aux,                # toy17: 32-bit q
+    lambda: hierarchy._build_aux_group((1 << 127) - 1),
+], ids=["toy17-q32", "q127"])
+def test_comb_product_is_exact_below_2_to_the_d_t(make_aux):
+    # exponents are taken as given, so the chain equals plain `pow` on any
+    # base, in the order-q subgroup or not: C_i^q on the comb is the
+    # subgroup check
+    aux = make_aux()
+    q, rho = aux.q, aux.rho
+    top = 1 << (sigma._comb_columns(aux) * sigma._AUX_TEETH)
+    rng = random.Random(aux.q.bit_length() + 3)
+    exps = [0, 1, q - 1, q, top - 1, rng.randrange(top)]
+    bases = _comb_bases(aux) + [pow(aux.g, rng.randrange(1, q), rho)]
+    combs = [sigma._aux_comb(aux, base) for base in bases]
+    for base, comb in zip(bases, combs):
+        for e in exps:
+            assert sigma._comb_product(aux, [(comb, e)]) == \
+                pow(base, e, rho), (base, e)
+    # g, h and the random element pass the check, -g does not
+    assert [sigma._comb_product(aux, [(comb, q)]) == 1
+            for comb in combs] == [True, True, pow(2, q, rho) == 1, False,
+                                   True]
+    # all bases on one chain
+    got = sigma._comb_product(aux, list(zip(combs, exps)))
+    assert got == _reference_aux_product(aux, 0, 0, bases, exps)
+    assert sigma._comb_product(aux, []) == 1
+
+
 def test_verify_rejects_commitment_of_order_2q():
     # rho = k*q + 1 with k even, so -C_1 has order 2q. Its exponents may
     # not be reduced mod q: the subgroup check has to reject it before any
@@ -365,6 +423,10 @@ def test_verify_rejects_commitment_of_order_2q():
         nonzero_proofs=sig.nonzero_proofs, retry=sig.retry,
         rl_version=sig.rl_version)
     assert verify(params, pk, rl, b"m", forged).reason == "MALFORMED"
+    # a response out of range still comes first
+    top = 1 << params.mask_bits
+    assert verify(params, pk, rl, b"m", dataclasses.replace(
+        forged, s=(top,) + sig.s[1:])).reason == "RANGE"
 
 
 # --- constraint collapse ----------------------------------------------------
@@ -852,9 +914,10 @@ def test_sign_announcements_are_verify_equations_at_c0(kind, monkeypatch):
         for x, t in zip(sk.x, ts))
 
     collapsed = sigma._collapse_all(params, rl, sig.retry)
+    combs = [sigma._aux_comb(aux, c_i) for c_i in sig.commitments]
     c = sigma._rebuild_challenge(params, pk, revocation.rl_hash(rl),
                                  sig.retry, collapsed, 0, ks,
-                                 sig.commitments, us, nonces, msg)
+                                 sig.commitments, combs, us, nonces, msg)
     assert c == sig.challenge
     signed, oracle = hashed
     names = ("params", "pk", "rlh", "retry", "R", "C", "A", "B", "message")
@@ -1040,17 +1103,19 @@ def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
 
 
 def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
-    # noise-free costs beside the timings: sign inverts each v_j, verify
-    # checks each C_i^q = 1, and a list's gammas are hashed once; sign
-    # makes one aux product per C_i, A_i and B_j, verify one per A_i and B_j
+    # noise-free costs beside the timings: sign inverts each v_j and a
+    # list's gammas are hashed once; sign makes one aux product per C_i,
+    # A_i and B_j and no comb, verify one comb per C_i, which also decides
+    # C_i^q = 1 with no `pow`, and one product per A_i and B_j
     params, gm, rng, _root, fin, hr, eng = _toy_world(seed=151)
     sk, pk = join(params, gm, fin, "alice", rng)
     rl = revoke_group(revoke_group(empty_rl(), hr), eng)
     r, m = params.r, len(rl.groups)
     empty_sig = sign(params, sk, pk, empty_rl(), b"m", rng)
     assert hierarchy.verify_cert(params, pk)  # verify reads a kept verdict
-    exponents, hashes, products = [], [], []
+    exponents, hashes, products, combs = [], [], [], []
     real_hash, real_product = sigma.hash_to_challenge, sigma._aux_product
+    real_comb = sigma._aux_comb
 
     def counting_pow(*args):
         exponents.append(args[1])
@@ -1064,26 +1129,32 @@ def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
         products.append(args[0])
         return real_product(*args)
 
+    def counting_comb(*args):
+        combs.append(args[1])
+        return real_comb(*args)
+
     monkeypatch.setattr(sigma, "pow", counting_pow, raising=False)
     monkeypatch.setattr(sigma, "hash_to_challenge", counting_hash)
     monkeypatch.setattr(sigma, "_aux_product", counting_product)
+    monkeypatch.setattr(sigma, "_aux_comb", counting_comb)
 
     def counts(run):
-        exponents.clear()
-        hashes.clear()
-        products.clear()
+        for kept in (exponents, hashes, products, combs):
+            kept.clear()
         result = run()
-        return result, list(exponents), len(hashes), len(products)
+        return result, list(exponents), len(hashes), len(products), \
+            list(combs)
 
     sig, *cold = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
-    assert cold == [[-1, -1], 3, 2 * r + m]
+    assert cold == [[-1, -1], 3, 2 * r + m, []]
     sig, *warm = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
-    assert warm == [[-1, -1], 1, 2 * r + m]
+    assert warm == [[-1, -1], 1, 2 * r + m, []]
     result, *checked = counts(lambda: verify(params, pk, rl, b"m", sig))
-    assert result.accepted and checked == [[params.q, params.q], 1, r + m]
+    assert result.accepted
+    assert checked == [[], 1, r + m, list(sig.commitments)]
     result, *bare = counts(
         lambda: verify(params, pk, empty_rl(), b"m", empty_sig))
-    assert result.accepted and bare == [[], 1, 0]
+    assert result.accepted and bare == [[], 1, 0, []]
 
 
 def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
