@@ -38,15 +38,19 @@ long-lived bases, with t = COMB_TEETH teeth and d = ceil(nbits / t)
 columns; their scalars outside [0, 2^(d*t)) become NAF rows like every
 other term. Their table is kept in a small LRU keyed by the content
 (curve, bases, nbits), so freshly loaded copies of the same parameters
-share it; a system's one such table covers its r generators. With
-`keyed_bits=l_c`, each other point is a key: its scalar in [1, 2^(d*t'))
-runs on a comb of that point alone, in the same d columns with t' =
-ceil(l_c / d) teeth, kept in a second LRU of KEY_CACHE_SIZE tables keyed
-by (curve, point, d, t'), so a key loaded afresh still hits.
-`SystemParams.gens_msm` runs every key's -c * pk as c * (-pk) there, a
-member's in a verify and the GM's in a certificate check alike, so that
-chain is d columns long too, not l_c + 1; a scalar the key's table
-cannot take, 0 among them, is a NAF row.
+share it. A system keeps two such tables over its r generators:
+`SystemParams.key_point` reads the one sized to q, d = ceil(bitlen(q) /
+t) columns, for key coordinates (join's member point, the key check),
+and `SystemParams.gens_msm` the one sized to responses, d =
+ceil(mask_bits / t) columns, for sign, verify and certificate checks.
+With `keyed_bits=l_c`, each other point is a key: its scalar in [1,
+2^(d*t')) runs on a comb of that point alone, in the same d columns with
+t' = ceil(l_c / d) teeth, kept in a second LRU of KEY_CACHE_SIZE tables
+keyed by (curve, point, d, t'), so a key loaded afresh still hits.
+`gens_msm` runs every key's -c * pk as c * (-pk) there, a member's in a
+verify and the GM's in a certificate check alike, so that chain is d
+columns long too, not l_c + 1; a scalar the key's table cannot take, 0
+among them, is a NAF row.
 
 None of this is constant-time; the package is a research artifact for
 desk-scale parameters, not a hardened signing stack.
@@ -260,14 +264,15 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
 _JAC_INF = (1, 1, 0)
 
 # Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
-# doublings and column sums per call), and how many base sets the LRU of
-# tables holds. On the shape of a verify at r = 8 (eight generators and a
-# key row, 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM, best of
-# three runs on a noisy host), t = 8, 9 and 10 took 1.04, 0.90 and 0.87
-# ms per msm, and the eight-base table 15, 20 and 31 ms to build, holding
-# 0.19, 0.49 and 1.28 MiB by tracemalloc. t = 10 would save 3% more per
-# msm for 1.6 times the build and 2.6 times the memory, which `setup` and
-# every fresh process pay, so t stops at 9.
+# doublings and column sums per call), and how many tables the LRU holds:
+# two per system, one sized to q and one to mask_bits, so four systems.
+# On the shape of a verify at r = 8 (eight generators and a key row,
+# 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM, best of three
+# runs on a noisy host), t = 8, 9 and 10 took 1.04, 0.90 and 0.87 ms per
+# msm, and the eight-base table 15, 20 and 31 ms to build, holding 0.19,
+# 0.49 and 1.28 MiB by tracemalloc. t = 10 would save 3% more per msm for
+# 1.6 times the build and 2.6 times the memory, which every fresh process
+# pays, so t stops at 9.
 COMB_TEETH = 9
 COMB_CACHE_SIZE = 8
 # How many key combs `msm` keeps for `keyed_bits` terms, the least
@@ -397,18 +402,35 @@ def _sum_rows(curve: CurveFp, rows):
     return rows[0] if rows else []
 
 
+# New entries per `_sum_rows` call of a `_progression` level. The call
+# keeps one pending-pair record per entry until its inversion, about 1.8
+# times the entry's own size, so a longer level is added in chunks of this
+# many: a long walk's peak stays near the size of its row.
+PROGRESSION_CHUNK = 1 << 12
+
+
 def _progression(curve: CurveFp, start: ModPoint, step: ModPoint,
                  count: int):
     """start + k * step for k < count as `_sum_rows` row entries, for
     points on the curve: each level adds n * step to the n entries so far
-    and doubles n * step, ceil(log2 count) levels of one inversion."""
+    and doubles n * step, ceil(log2 count) levels. A level makes one
+    inversion per PROGRESSION_CHUNK new entries, its last chunk doubling
+    the stride too, so a walk of at most 2 * PROGRESSION_CHUNK entries
+    makes one per level."""
     row, stride = [_entry(start)], _entry(step)
     while len(row) < count:
         n = min(len(row), count - len(row))
-        sums = _sum_rows(curve, [row[:n] + [stride], [stride] * (n + 1)])
-        stride = sums.pop()
-        row += sums
-    return row[:count]
+        for i in range(0, n, PROGRESSION_CHUNK):
+            part = row[i:min(i + PROGRESSION_CHUNK, n)]
+            last = i + len(part) == n
+            if last:
+                part.append(stride)
+            sums = _sum_rows(curve, [part, [stride] * len(part)])
+            if last:
+                stride = sums.pop()
+            row += sums
+    del row[count:]
+    return row
 
 
 class _Comb:

@@ -251,14 +251,25 @@ class SystemParams:
     def mask_bits(self) -> int:
         return self.q.bit_length() + self.l_c + self.l_s
 
+    def key_point(self, x: Sequence[int]) -> ModPoint:
+        """sum x[i] * gens[i] for key coordinates x, as `join` certifies
+        and `require_key_pair` checks: on the cached comb of the
+        generators sized to q, d = ceil(bitlen(q) / COMB_TEETH) columns.
+        A coordinate outside [0, 2^(d * COMB_TEETH)), such as a
+        hand-edited key's, is a NAF row; the sum is the same."""
+        return msm(self.curve, x, self.gens, fixed=self.r,
+                   fixed_bits=self.q.bit_length())
+
     def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
         """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`,
-        on the system's one cached comb table over the generators, for
-        scalars in [0, 2^mask_bits). Each extra term, a member verify's
-        -c * pk or a certificate check's -c * GM, runs as (-n) * (-P) on a
-        cached comb of -P alone in the table's d columns (`msm`'s
-        `keyed_bits` = l_c), which takes every nonzero challenge, or else
-        as a NAF row. The sum is the same."""
+        on the cached comb of the generators sized to responses, d =
+        ceil(mask_bits / COMB_TEETH) columns, for scalars in [0,
+        2^mask_bits): sign's R, verify's R - c * pk and a certificate
+        check's. Each extra term, a member verify's -c * pk or a
+        certificate check's -c * GM, runs as (-n) * (-P) on a cached comb
+        of -P alone in the table's d columns (`msm`'s `keyed_bits` =
+        l_c), which takes every nonzero challenge, or else as a NAF row.
+        The sum is the same."""
         return msm(self.curve, [*scalars, *(-n for n, _ in extra)],
                    self.gens + tuple(neg_fp(self.curve, P) for _, P in extra),
                    fixed=self.r, fixed_bits=self.mask_bits,
@@ -278,7 +289,7 @@ def require_key_pair(params: SystemParams, sk: SecretKey, pk: PublicKey):
     match = (params.curve, params.gens, pk.point)
     if _KEY_MATCHES.get(sk) == match:
         return
-    if params.gens_msm(sk.x) != pk.point:
+    if params.key_point(sk.x) != pk.point:
         raise ValueError("secret key does not match the public key")
     _KEY_MATCHES[sk] = match
 
@@ -448,7 +459,7 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
         if hp.evaluate(x, q) != 0:
             raise InvariantError("solved key misses a constraint; "
                                  "department state is corrupt")
-    point = params.gens_msm(x)
+    point = params.key_point(x)
     sk = SecretKey(x=x, member_id=member_id, dept=dept.path)
     _KEY_MATCHES[sk] = (params.curve, params.gens, point)
     bare = PublicKey(point=point, member_id=member_id, dept=dept.path)

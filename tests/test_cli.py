@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hrpks
-from hrpks import serial, sigma
+from hrpks import curve_fp, serial, sigma
 from hrpks.cli import COMMANDS, build_parser, main
 from hrpks.hierarchy import verify_cert
 
@@ -73,6 +73,14 @@ def _full_world(capsys, d, seed="11"):
     msg = d / "msg.bin"
     msg.write_bytes(b"wire transfer #42\n")
     return params, gm_key, tree, members, rl, msg
+
+
+def test_setup_builds_no_comb_table(tmp_path, capsys):
+    # setup's one msm, the GM point, runs without a table, so a one-shot
+    # `hrpks setup` pays for neither comb over the generators
+    curve_fp._comb_table.cache_clear()
+    _setup(capsys, tmp_path)
+    assert curve_fp._comb_table.cache_info().misses == 0
 
 
 def test_workflow_sign_verify_revoke(tmp_path, capsys):

@@ -828,6 +828,40 @@ def test_progression_matches_affine_law():
                     assert _progression(c, start, step, count) == want
 
 
+def test_long_progression_peaks_near_its_row(monkeypatch):
+    # a level is added PROGRESSION_CHUNK new entries at a time, one
+    # inversion each, so one chunk's pending pairs are all a walk holds
+    # beyond its row; cut to 2^6 here, a walk of 2^12 points spans 32
+    # chunks at its last level, and a tenth over the row bounds its peak
+    # (the unchunked level, as at the default chunk, peaks near 1.5 times)
+    import tracemalloc
+
+    from hrpks import curve_fp
+    from hrpks.curve_fp import _progression
+
+    c = toy_reduced()
+    start, step = ModPoint(*P1_MOD[0]), ModPoint(*P2_MOD[0])
+    count, chunk = 1 << 12, 1 << 6
+    whole = _progression(c, start, step, count)  # one call per level
+    monkeypatch.setattr(curve_fp, "PROGRESSION_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        row = _progression(c, start, step, count)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row == whole
+    assert peak < 1.1 * size, (peak, size)
+    inversions = []
+
+    def counting(*args):
+        inversions.append(args)
+        return pow(*args)
+    monkeypatch.setattr(curve_fp, "pow", counting, raising=False)
+    assert _progression(c, start, step, count) == whole
+    assert len(inversions) == sum(-(-(1 << k) // chunk) for k in range(12))
+
+
 def test_sum_rows_one_inversion_per_level(monkeypatch):
     from hrpks import curve_fp
 

@@ -435,26 +435,44 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     real = hierarchy.msm
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("fixed", 0))
+        calls.append((kwargs.get("fixed", 0), kwargs.get("fixed_bits", 0)))
         return real(*args, **kwargs)
     monkeypatch.setattr(hierarchy, "msm", counting)
     join(params, gm, fin, "second", rng)
-    # the member's point and the certificate's commitment, both on the
-    # system's one comb over G_1..G_r; the GM key check was cached by the
-    # first join
-    assert calls == [params.r, params.r]
+    # the member's point on the comb over G_1..G_r sized to q, and the
+    # certificate's commitment on the one sized to responses; the GM key
+    # check was cached by the first join
+    r = params.r
+    assert calls == [(r, params.q.bit_length()), (r, params.mask_bits)]
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
-def test_one_comb_table_per_system(make):
-    # join, sign, a member's verify and a cold certificate check all read
-    # one table over G_1..G_r; none builds a second
+def test_two_comb_tables_per_system(make):
+    # a system keeps two tables over G_1..G_r: the key check and join's
+    # member point read the one sized to q, sign, verify and a cold
+    # certificate check the one sized to responses; none builds a third
     params, gm = make()
     rng = random.Random(37)
-    curve_fp._comb_table.cache_clear()
     dept = add_department(params, new_root(), rng)
     sk, pk = join(params, gm, dept, "alice", rng)
+    tables = curve_fp._comb_table
+
+    def cached(nbits):
+        # (misses so far, columns, rows) of the table for nbits, which
+        # must already be built: the lookup is a hit
+        misses = tables.cache_info().misses
+        table = tables(params.curve, params.gens, nbits)
+        assert tables.cache_info().misses == misses
+        return misses, table.d, len(table.rows)
+
+    tables.cache_clear()
+    hierarchy._KEY_MATCHES.clear()
+    d_q = -(-params.q.bit_length() // curve_fp.COMB_TEETH)
+    d_mask = -(-params.mask_bits // curve_fp.COMB_TEETH)
+    hierarchy.require_key_pair(params, sk, pk)
+    assert cached(params.q.bit_length()) == (1, d_q, params.r)
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
+    assert cached(params.mask_bits) == (2, d_mask, params.r)
     assert verify(params, pk, empty_rl(), b"m", sig).accepted
     # a cold certificate check runs -c * GM on a key comb of -GM alone,
     # the one key table it builds
@@ -463,15 +481,62 @@ def test_one_comb_table_per_system(make):
     assert verify_cert(params, pk) is True
     keys = curve_fp._key_table.cache_info()
     assert (keys.misses, keys.currsize) == (1, 1)
-    d = -(-params.mask_bits // curve_fp.COMB_TEETH)
     minus_gm = neg_fp(params.curve, params.gm_pub.point)
-    curve_fp._key_table(params.curve, minus_gm, d, -(-params.l_c // d))
+    curve_fp._key_table(params.curve, minus_gm, d_mask,
+                        -(-params.l_c // d_mask))
     assert curve_fp._key_table.cache_info().misses == 1  # -GM's: a hit
-    assert curve_fp._comb_table.cache_info().misses == 1
-    table = curve_fp._comb_table(params.curve, params.gens, params.mask_bits)
-    info = curve_fp._comb_table.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)  # the lookup was a hit
-    assert len(table.rows) == params.r
+    join(params, gm, dept, "bob", rng)
+    info = tables.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+@pytest.mark.parametrize("make, d", [(make_toy_params, 4),
+                                     (make_mestre8_params, 2)])
+def test_key_point_makes_one_doubling_per_column_of_q(make, d, monkeypatch,
+                                                      tmp_path):
+    # key coordinates run on the comb sized to q, so a warm key_point is a
+    # chain of d = ceil(bitlen(q) / t) doublings, not ceil(mask_bits / t),
+    # and sums to the Straus msm; a coordinate at 2^(d*t) or past it, or
+    # below 0, is a NAF row and gives the exact point too
+    params, gm = make()
+    q, r = params.q, params.r
+    assert -(-q.bit_length() // curve_fp.COMB_TEETH) == d
+    assert -(-params.mask_bits // curve_fp.COMB_TEETH) > d
+    rng = random.Random(47)
+    x = [rng.randrange(q) for _ in range(r)]
+    params.key_point(x)  # builds the table
+    doublings = []
+    real = curve_fp._jac_double
+
+    def counting(*args):
+        doublings.append(1)
+        return real(*args)
+    monkeypatch.setattr(curve_fp, "_jac_double", counting)
+    top = 1 << d * curve_fp.COMB_TEETH
+    for coords, columns in (([0] * r, 0), ([1] * r, d), ([q - 1] * r, d),
+                            (x, d), ([q] + x[1:], d),
+                            ([top] + x[1:], None), ([-1] + x[1:], None)):
+        want = msm(params.curve, coords, params.gens)
+        doublings.clear()
+        assert params.key_point(coords) == want, coords
+        if columns is not None:
+            assert len(doublings) == columns, coords
+    monkeypatch.undo()
+    # a key loaded fresh from disk is checked on the same table, and a
+    # mismatched pair still raises
+    dept = add_department(params, new_root(), rng)
+    pairs = [join(params, gm, dept, name, rng) for name in ("alice", "bob")]
+    for i, pair in enumerate(pairs):
+        serial.save_artifact(tmp_path / f"{i}.key", "keypair", pair)
+    (alice_sk, alice), (bob_sk, bob) = (
+        serial.load_artifact(tmp_path / f"{i}.key") for i in range(2))
+    hierarchy._KEY_MATCHES.clear()
+    misses = curve_fp._comb_table.cache_info().misses
+    hierarchy.require_key_pair(params, alice_sk, alice)
+    for sk, pk in ((alice_sk, bob), (bob_sk, alice)):
+        with pytest.raises(ValueError, match="does not match"):
+            hierarchy.require_key_pair(params, sk, pk)
+    assert curve_fp._comb_table.cache_info().misses == misses
 
 
 def test_cert_verdict_cache_answers_as_an_uncached_check():
