@@ -27,14 +27,15 @@ on the list, so signatures checked against one published list share them.
 
 Every auxiliary-group value either side makes is one `_aux_product`,
 g^a h^b prod C_i^e_i: g and h from the fixed-base table of their powers,
-which is built once per aux group and kept across calls, with no
-squaring, and the C_i, if any, on one chain over their combs (Lim and
-Lee), which `verify` builds once per call and also reads for its check
-C_i^q = 1. `sign` knows the opening of every value it makes,
-C_i = g^x_i h^t_i, A_i = g^k_i h^u_i and, since D_j = g^v_j h^tau_j,
-B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j), so it makes no comb. `verify`
-has no openings: it checks each A_i = g^s_i h^st_i C_i^-c and, expanding
-D_j, each B_j = g^(a0 sw - c) h^su prod C_i^(a_i sw) as one product.
+one row per byte of the exponent, which is built once per aux group and
+kept across calls, with no squaring, and the C_i, if any, on one chain
+over their combs (Lim and Lee), which `verify` builds once per call and
+also reads for its check C_i^q = 1. `sign` knows the opening of every
+value it makes, C_i = g^x_i h^t_i, A_i = g^k_i h^u_i and, since
+D_j = g^v_j h^tau_j, B_j = g^(v_j kw_j) h^(tau_j kw_j + ku_j), so it makes
+no comb. `verify` has no openings: it checks each A_i = g^s_i h^st_i
+C_i^-c and, expanding D_j, each B_j = g^(a0 sw - c) h^su prod
+C_i^(a_i sw) as one product.
 Signer and verifier hash their transcript through the one `_challenge`,
 and a test checks that sign's announcements are verify's equations at
 c = 0 with the nonces in place of the responses.
@@ -51,6 +52,7 @@ Nothing here is constant-time.
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Optional, Sequence, Tuple
 
 from .curve_fp import ModPoint, _comb_index, on_curve_fp
@@ -64,15 +66,15 @@ from .revocation import RevocationList, is_member_revoked, rl_hash
 CHALLENGE_TAG = b"HRPKS-v1/chal"
 GAMMA_TAG = b"HRPKS-v1/gamma"
 MAX_COLLAPSE_ATTEMPTS = 64
-# Window width of the rows of the cached g and h table, which sign and
-# verify both read (the C_i use combs, `_AUX_TEETH`). By measurement
-# (min of 60 interleaved runs, Python 3.11, shared 2-vCPU host), for
-# q = 2^127 - 1, r = 8 and 16 revoked sets: sign 2.32, 2.30 and 2.16 ms at
-# w = 4, 5, 6, while the table, which every fresh process builds on its
-# first sign or verify, takes 54, 86 and 144 KiB and 0.40, 0.65 and
-# 1.11 ms; for the 32-bit toy q, r = 2 and 3 sets: sign 0.43, 0.41 and
-# 0.43 ms.
-_AUX_WINDOW = 5
+# The cached g and h table has one row of 256 entries per byte of an
+# exponent below q, which sign and verify both read (the C_i use combs,
+# `_AUX_TEETH`). By measurement (min of 100 signs in one process, best of
+# two alternating runs, Python 3.11, shared 2-vCPU host), for
+# q = 2^127 - 1, r = 8 and 16 revoked sets: sign 1.09 ms, against 1.29 ms
+# on rows of 5-bit digits, while the table, which a fresh process builds
+# on its first product, takes 417 instead of 85 KiB and 2.3 instead of
+# 0.5 ms; for the 32-bit toy q, r = 2 and 3 sets: sign 0.18 against
+# 0.20 ms, 80 instead of 18 KiB and 0.37 instead of 0.08 ms.
 # How many aux groups' g and h tables `_gh_table` keeps.
 _GH_CACHE_SIZE = 8
 # Teeth of the comb `verify` builds of each C_i, once per call: 2^t
@@ -130,27 +132,20 @@ BAD_CHALLENGE = "BAD_CHALLENGE"
 UNCERTIFIED = "UNCERTIFIED"
 
 
-def _aux_table(aux: AuxGroup, base: int):
-    """base^0, base^1, ..., base^(2^w - 1) mod rho: one row of the
-    fixed-base table of g and h."""
-    table = [1, base % aux.rho]
-    for _ in range(2, 1 << _AUX_WINDOW):
-        table.append(table[-1] * base % aux.rho)
-    return tuple(table)
-
-
 @functools.lru_cache(maxsize=_GH_CACHE_SIZE)
 def _gh_table(aux: AuxGroup):
     """The fixed-base table of g and h, cached by aux group: row k pairs
-    the `_aux_table` of g^(2^(w k)) with that of h^(2^(w k)), for the
-    ceil(bitlen(q) / w) rows an exponent below q needs. Built with plain
+    the powers 0 .. 255 of g^(256^k) with those of h^(256^k), for the
+    ceil(bitlen(q) / 8) bytes of an exponent below q. Built with plain
     multiplications: the first power of row k + 1 is the last of row k
     times its first."""
-    rows, g, h, rho = [], aux.g, aux.h, aux.rho
-    for _ in range(-(-aux.q.bit_length() // _AUX_WINDOW)):
-        g_row, h_row = _aux_table(aux, g), _aux_table(aux, h)
-        rows.append((g_row, h_row))
-        g, h = g_row[-1] * g % rho, h_row[-1] * h % rho
+    rows, bases, rho = [], (aux.g, aux.h), aux.rho
+    for _ in range(-(-aux.q.bit_length() // 8)):
+        pair = tuple(tuple(accumulate(repeat(base, 255),
+                                      lambda acc, b: acc * b % rho, initial=1))
+                     for base in bases)
+        rows.append(pair)
+        bases = [row[-1] * row[1] % rho for row in pair]
     return tuple(rows)
 
 
@@ -207,9 +202,9 @@ def _aux_product(aux: AuxGroup, a: int, b: int, terms=()) -> int:
 
     The terms share one `_comb_product` chain; with no terms there is
     none. g and h then take one entry per digit from every row of the
-    cached `_gh_table`, with no squarings (Brickell, Gordon, McCurley and
-    Wilson, "Fast Exponentiation with Precomputation", EUROCRYPT 1992),
-    both entries of a row reduced once.
+    cached `_gh_table`, one per byte of a and of b, with no squarings
+    (Brickell, Gordon, McCurley and Wilson, "Fast Exponentiation with
+    Precomputation", EUROCRYPT 1992), both entries of a row reduced once.
 
     a, b and each e are reduced mod q first, so they may be negative or
     exceed q; that is valid only because every base has order dividing q:
@@ -217,15 +212,13 @@ def _aux_product(aux: AuxGroup, a: int, b: int, terms=()) -> int:
     has checked C_i^q = 1, before any product. On any other base the
     result is wrong.
     """
-    q, rho, w = aux.q, aux.rho, _AUX_WINDOW
-    mask = (1 << w) - 1
+    q, rho, table = aux.q, aux.rho, _gh_table(aux)
     acc = _comb_product(aux, [(comb, e % q) for comb, e in terms]) \
         if terms else 1
-    a, b = a % q, b % q
-    for g_row, h_row in _gh_table(aux):
-        acc = acc * g_row[a & mask] * h_row[b & mask] % rho
-        a >>= w
-        b >>= w
+    n = len(table)
+    for (g_row, h_row), da, db in zip(table, (a % q).to_bytes(n, "little"),
+                                      (b % q).to_bytes(n, "little")):
+        acc = acc * g_row[da] * h_row[db] % rho
     return acc
 
 
@@ -337,11 +330,22 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
     require_key_pair(params, sk, pk)
     if is_member_revoked(rl, pk):
         raise SignerRevoked("public key is on the revocation list")
-    for entry in rl.groups:
-        if all(hp.evaluate(sk.x, q) == 0 for hp in entry.constraints):
+    # A key on every plane of set j makes v_j = sum gamma_l f_l(x) = 0 at
+    # retry 0, so only sets with v_j = 0 are checked plane by plane; with no
+    # collapse all are, and then the collapse's error is raised.
+    try:
+        collapsed = _collapse_all(params, rl, 0)
+        vs, error = [hp.evaluate(sk.x, q) for hp in collapsed], None
+    except (InvariantError, ValueError) as exc:
+        vs, error = [0] * len(rl.groups), exc
+    for entry, v in zip(rl.groups, vs):
+        if not v and all(hp.evaluate(sk.x, q) == 0
+                         for hp in entry.constraints):
             raise SignerRevoked(
                 f"secret key lies on revoked constraint set {entry.path!r}",
                 entry=entry.path)
+    if error is not None:
+        raise error
 
     # Masks are shaved by 2^(bitlen(q)+l_c) so s = k + c*x always stays
     # below the verifier's 2^(bitlen(q)+l_c+l_s) range bound.
@@ -356,8 +360,9 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
             commitments.append(pedersen_commit(params, xi, ts[-1]))
 
     for retry in range(MAX_COLLAPSE_ATTEMPTS):
-        collapsed = _collapse_all(params, rl, retry)
-        vs = [hp.evaluate(sk.x, q) for hp in collapsed]
+        if retry:
+            collapsed = _collapse_all(params, rl, retry)
+            vs = [hp.evaluate(sk.x, q) for hp in collapsed]
         if all(vs):
             break
     else:
@@ -378,12 +383,17 @@ def sign(params: SystemParams, sk: SecretKey, pk: PublicKey,
 
     s = tuple(k + c * x for k, x in zip(ks, sk.x))
     st = tuple((u + c * t) % q for u, t in zip(us, ts))
-    proofs = []
-    for v, tau, (kw, ku) in zip(vs, taus, nonces):
-        # w = 1/v opens g in base (D_j, h): D_j^w h^(-tau w) = g
-        w = pow(v, -1, q)
-        proofs.append(NonzeroProof(sw=(kw + c * w) % q,
-                                   su=(ku - c * tau * w) % q))
+    # w_j = 1/v_j opens g in base (D_j, h): D_j^w h^(-tau w) = g. One
+    # inversion serves every w_j (Montgomery's trick, Math. Comp. 1987):
+    # walking back from j = m, inv is 1/(v_1 ... v_j), so w_j is inv times
+    # the product of the v below j.
+    below = list(accumulate(vs, lambda acc, v: acc * v % q, initial=1))
+    inv, ws = pow(below.pop(), -1, q) if vs else 0, []
+    for v, before in zip(reversed(vs), reversed(below)):
+        ws.append(inv * before % q)
+        inv = inv * v % q
+    proofs = [NonzeroProof(sw=(kw + c * w) % q, su=(ku - c * tau * w) % q)
+              for w, tau, (kw, ku) in zip(reversed(ws), taus, nonces)]
     return Signature(challenge=c, s=s, commitments=tuple(commitments),
                      commitment_responses=st, nonzero_proofs=proofs,
                      retry=retry, rl_version=rl.version)

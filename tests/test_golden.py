@@ -1,4 +1,4 @@
-"""Golden seeded artifacts: SHA-256 pins of three deterministic runs.
+"""Golden seeded artifacts: SHA-256 pins of four deterministic runs.
 
 The digests were first captured with the affine double-and-add group law,
 before E(F_p) arithmetic moved to Jacobian coordinates and windowed Straus,
@@ -27,6 +27,8 @@ GOLDEN = {
         "bda05c58bfbf6d021ecb0032c25b95a5bcfd9412e660cbd78e2174ea980f3af1",
     "mestre8_revoked_dept":
         "7bc65d5cb45c1ffae413cb6f84054cb6678f8976c953ff9e14b1ac0e8bdc820c",
+    "mestre8_three_revoked_sets":
+        "61a4f6293f8dd62511e009cd2f9c5f8c029352ac013646f2aa3a122080b83f32",
 }
 
 
@@ -107,3 +109,19 @@ def test_golden_mestre8_sign_past_revoked_department():
     assert sigma.verify(params, carol[1], rl, b"payroll run", sig).accepted
     assert _digest(_library_blobs(params, carol, rl, sig)) \
         == GOLDEN["mestre8_revoked_dept"]
+
+
+def test_golden_mestre8_sign_past_three_revoked_sets():
+    # three sets, two of them two planes deep: one signature whose three
+    # v_j share one batched inversion
+    params, fin, _, carol, rng = _mestre8_world(2026)
+    rl = revocation.revoke_group(revocation.empty_rl(), fin)
+    for name in ("audit", "tax"):
+        dept = hierarchy.add_department(params, fin, rng, name=name)
+        rl = revocation.revoke_group(rl, dept)
+    sig = sigma.sign(params, *carol, rl, b"year-end close", rng)
+    assert len(sig.nonzero_proofs) == 3
+    assert sigma.verify(params, carol[1], rl, b"year-end close",
+                        sig).accepted
+    assert _digest(_library_blobs(params, carol, rl, sig)) \
+        == GOLDEN["mestre8_three_revoked_sets"]

@@ -58,6 +58,55 @@ def test_sign_fails_for_revoked_department():
     assert exc.value.entry == "/financial"
 
 
+def _mestre8_key_under_two_levels(seed):
+    """A mestre8 key in /x/y beside an unrelated /w, which sorts first."""
+    params, gm = make_mestre8_params()
+    rng = random.Random(seed)
+    root = new_root()
+    w = add_department(params, root, rng, name="w")
+    x = add_department(params, root, rng, name="x")
+    y = add_department(params, x, rng, name="y")
+    sk, pk = join(params, gm, y, "m", rng)
+    return params, sk, pk, (w, x, y), rng
+
+
+def test_sign_names_the_first_revoked_set_in_list_order():
+    # the key lies on /x and on /x/y; /w, first in the list, it is off
+    params, sk, pk, depts, rng = _mestre8_key_under_two_levels(61)
+    rl = empty_rl()
+    for dept in reversed(depts):
+        rl = revoke_group(rl, dept)
+    assert [g.path for g in rl.groups] == ["/w", "/x", "/x/y"]
+    with pytest.raises(SignerRevoked) as exc:
+        sign(params, sk, pk, rl, b"m", rng)
+    assert exc.value.entry == "/x"
+
+
+def test_sign_raises_as_the_revoked_set_check_meets_a_bad_entry():
+    # an entry whose plane is not r + 1 wide: one that revokes the key and
+    # sorts before it decides, one that sorts after it does not
+    from hrpks.revocation import ConstraintSet, RevocationList
+
+    params, sk, pk, (_w, x, _y), rng = _mestre8_key_under_two_levels(67)
+    narrow = (Hyperplane((1, 2)),)
+    before = RevocationList(groups=(ConstraintSet("/x", x.constraints),
+                                    ConstraintSet("/z", narrow)))
+    with pytest.raises(SignerRevoked) as exc:
+        sign(params, sk, pk, before, b"m", rng)
+    assert exc.value.entry == "/x"
+    after = RevocationList(groups=(ConstraintSet("/a", narrow),
+                                   ConstraintSet("/x", x.constraints)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sign(params, sk, pk, after, b"m", rng)
+    # a plane zero at every key, all-zero mod q in its linear part, has no
+    # collapse, and still revokes the key
+    flat = RevocationList(groups=(ConstraintSet(
+        "/flat", (Hyperplane((0, params.q) + (0,) * (params.r - 1)),)),))
+    with pytest.raises(SignerRevoked) as exc:
+        sign(params, sk, pk, flat, b"m", rng)
+    assert exc.value.entry == "/flat"
+
+
 def test_sign_fails_for_revoked_member():
     params, gm, rng, root, fin, _hr, _eng = _toy_world()
     sk, pk = join(params, gm, fin, "emp", rng)
@@ -182,12 +231,13 @@ def _reference_aux_product(aux, a, b, bases, exps):
 
 
 def _aux_edges(aux, rng):
-    q, w = aux.q, sigma._AUX_WINDOW
+    q, rows = aux.q, len(sigma._gh_table(aux))
     top = 1 << q.bit_length()
-    return [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q + 5, (1 << w) - 1,
-            1 << w, (1 << (3 * w)) - 1, top - 1, top, top + 1, 3 * top + 5,
-            rng.getrandbits(317), rng.randrange(q), -1, -q, -(q + 1),
-            -(3 * q) - 2, -rng.getrandbits(64), -rng.getrandbits(200)]
+    return [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q + 5, 255, 256,
+            (1 << 16) - 1, (1 << (8 * rows)) - 1, top - 1, top, top + 1,
+            3 * top + 5, rng.getrandbits(317), rng.randrange(q), -1, -q,
+            -(q + 1), -(3 * q) - 2, -rng.getrandbits(64),
+            -rng.getrandbits(200)]
 
 
 def _aux_product_cases(aux, rng):
@@ -235,17 +285,16 @@ def test_aux_product_matches_plain_pow(make_aux):
 
 
 def _gh_cases(aux, rng):
-    q, w = aux.q, sigma._AUX_WINDOW
-    top = 1 << q.bit_length()
+    top = 1 << aux.q.bit_length()
     edges = _aux_edges(aux, rng)
     for a in edges:
         for b in edges:
             yield a, b
-    # every digit of every row, of either base, next to a random other one
+    # every byte digit of every row, of either base, the other base's
+    # digit in the same row its complement
     for k in range(len(sigma._gh_table(aux))):
-        for d in range(1 << w):
-            yield d << (w * k), rng.randrange(q)
-            yield rng.randrange(q), d << (w * k)
+        for d in range(256):
+            yield d << (8 * k), (255 - d) << (8 * k)
     for _ in range(50):
         yield rng.randrange(-top, 2 * top), rng.randrange(-top, 2 * top)
 
@@ -323,23 +372,24 @@ def test_nonzero_b_is_one_product_equal_to_plain_pow(make_aux):
 
 
 def test_aux_table_holds_every_window_digit():
+    # the window is one byte: row k of the fixed-base table holds
+    # base^(d * 256^k) for every digit d < 256, in as many rows as an
+    # exponent below q has bytes
     params, _ = make_toy_params()
-    w = sigma._AUX_WINDOW
     for aux in (params.aux, hierarchy._build_aux_group((1 << 127) - 1)):
-        table = sigma._aux_table(aux, aux.h)
-        assert table == tuple(pow(aux.h, k, aux.rho) for k in range(1 << w))
-        # row k of the fixed-base table holds base^(d * 2^(w k)) for every
-        # digit d, in as many rows as an exponent below q has digits
         rows = sigma._gh_table(aux)
-        assert len(rows) == -(-aux.q.bit_length() // w)
+        assert len(rows) == -(-aux.q.bit_length() // 8)
+        assert len(rows) == (4 if aux is params.aux else 16)
         for k, (g_row, h_row) in enumerate(rows):
             for base, row in ((aux.g, g_row), (aux.h, h_row)):
-                assert row == tuple(pow(base, d << (w * k), aux.rho)
-                                    for d in range(1 << w)), (base, k)
+                assert row == tuple(pow(base, d << (8 * k), aux.rho)
+                                    for d in range(256)), (base, k)
         # tuples, so a cached table cannot be changed by one caller under
         # another
-        assert isinstance(table, tuple) and isinstance(rows, tuple)
-        assert all(isinstance(row, tuple) for pair in rows for row in pair)
+        assert isinstance(rows, tuple)
+        assert all(isinstance(pair, tuple) and len(pair) == 2
+                   and all(isinstance(row, tuple) for row in pair)
+                   for pair in rows)
 
 
 def _comb_bases(aux):
@@ -1103,9 +1153,9 @@ def test_sign_caches_the_key_check_per_secret_key(monkeypatch):
 
 
 def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
-    # noise-free costs beside the timings: sign inverts each v_j and a
-    # list's gammas are hashed once; sign makes one aux product per C_i,
-    # A_i and B_j and no comb, verify one comb per C_i, which also decides
+    # noise-free costs beside the timings: sign inverts all v_j at once
+    # and a list's gammas are hashed once; sign makes one aux product per
+    # C_i, A_i and B_j and no comb, verify one comb per C_i, which also decides
     # C_i^q = 1 with no `pow`, and one product per A_i and B_j
     params, gm, rng, _root, fin, hr, eng = _toy_world(seed=151)
     sk, pk = join(params, gm, fin, "alice", rng)
@@ -1146,15 +1196,56 @@ def test_sign_and_verify_make_exact_pow_and_hash_counts(monkeypatch):
             list(combs)
 
     sig, *cold = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
-    assert cold == [[-1, -1], 3, 2 * r + m, []]
+    assert cold == [[-1], 3, 2 * r + m, []]
     sig, *warm = counts(lambda: sign(params, sk, pk, rl, b"m", rng))
-    assert warm == [[-1, -1], 1, 2 * r + m, []]
+    assert warm == [[-1], 1, 2 * r + m, []]
     result, *checked = counts(lambda: verify(params, pk, rl, b"m", sig))
     assert result.accepted
     assert checked == [[], 1, r + m, list(sig.commitments)]
     result, *bare = counts(
         lambda: verify(params, pk, empty_rl(), b"m", empty_sig))
     assert result.accepted and bare == [[], 1, 0, []]
+
+
+def test_sign_past_three_sets_inverts_once_and_reads_the_collapse(
+        monkeypatch):
+    # m = 3 sets, one two planes deep, the key off all of them: one
+    # pow(., -1, q) for every v_j, 2r + m aux products, and, once the
+    # collapse is kept on the list, only the m collapsed hyperplanes are
+    # evaluated at the key, not the planes of the sets
+    params, sk, pk, (w, _x, _y), rng = _mestre8_key_under_two_levels(71)
+    rl = empty_rl()
+    for dept in (w, add_department(params, w, rng, name="a"),
+                 add_department(params, new_root(), rng, name="v")):
+        rl = revoke_group(rl, dept)
+    r, m = params.r, len(rl.groups)
+    assert m == 3 and sum(len(g.constraints) for g in rl.groups) == 4
+    sign(params, sk, pk, rl, b"cold", rng)
+    inversions, products, evaluated = [], [], []
+    real_product, real_evaluate = sigma._aux_product, Hyperplane.evaluate
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inversions.append(mod)
+        return pow(base, exp, mod)
+
+    def counting_product(*args):
+        products.append(args[0])
+        return real_product(*args)
+
+    def counting_evaluate(hp, *args):
+        evaluated.append(hp)
+        return real_evaluate(hp, *args)
+
+    monkeypatch.setattr(sigma, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(sigma, "_aux_product", counting_product)
+    monkeypatch.setattr(Hyperplane, "evaluate", counting_evaluate)
+    sig = sign(params, sk, pk, rl, b"warm", rng)
+    assert sig.retry == 0 and len(sig.nonzero_proofs) == m
+    assert inversions == [params.q]
+    assert len(products) == 2 * r + m
+    assert evaluated == list(sigma._collapse_all(params, rl, 0))
+    assert verify(params, pk, rl, b"warm", sig).accepted
 
 
 def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
