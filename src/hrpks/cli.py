@@ -164,10 +164,11 @@ def cmd_revoke_group(args):
 def cmd_rl_coalesce(args):
     params = _load(args.params, "params")
     root = _load(args.tree, "tree")
-    # a family folds into its parent's entry, so every node must fit r,
-    # as for `revoke group`
+    # a family folds into its parent's entry, so every node must fit r and
+    # stack independent hyperplanes, as for `revoke group`
     for node in hierarchy.walk(root):
         hierarchy._require_fits(params, node)
+        hierarchy._require_independent(params, node)
     rl = _load(args.rl, "rl", params)
     before = rl.version
     rl = revocation.coalesce(rl, root)

@@ -25,31 +25,38 @@ nothing per column, from the non-adjacent form (NAF) of n, which needs
 no table and has about one nonzero digit in three. No row depends on
 the chain, so the rows are summed column by column up front in affine
 form, by a pairwise tree whose every level is one batch across all
-columns with one inversion: the comb rows first (four levels for eight
-bases and a key), then those d sums and the NAF rows, padded at the top
-to the longest. A call then costs one doubling and at most one mixed
-addition per column, and one inversion to return the result to affine
-form. A table is built with the same kernel: one batch normalisation of
-the teeth, then one level per tooth, each with one inversion but the
-first, which only copies tooth 0 into the table.
+columns with one inversion: the comb rows first (five levels for eight
+bases on two tables and a key), then those column sums and the NAF rows,
+padded at the top to the longest. A call then costs one doubling and at
+most one mixed addition per column, and one inversion to return the
+result to affine form. A table is built with the same kernel: one batch
+normalisation of the teeth, then one level per tooth, each with one
+inversion but the first, which only copies tooth 0 into the table.
 
 `msm(..., fixed=k, fixed_bits=nbits)` marks the first k points as
 long-lived bases, with t = COMB_TEETH teeth and d = ceil(nbits / t)
 columns; their scalars outside [0, 2^(d*t)) become NAF rows like every
 other term. Their table is kept in a small LRU keyed by the content
-(curve, bases, nbits), so freshly loaded copies of the same parameters
-share it. A system keeps two such tables over its r generators:
-`SystemParams.key_point` reads the one sized to q, d = ceil(bitlen(q) /
-t) columns, for key coordinates (join's member point, the key check),
-and `SystemParams.gens_msm` the one sized to responses, d =
-ceil(mask_bits / t) columns, for sign, verify and certificate checks.
-With `keyed_bits=l_c`, each other point is a key: its scalar in [1,
-2^(d*t')) runs on a comb of that point alone, in the same d columns with
-t' = ceil(l_c / d) teeth, kept in a second LRU of KEY_CACHE_SIZE tables
-keyed by (curve, point, d, t'), so a key loaded afresh still hits.
-`gens_msm` runs every key's -c * pk as c * (-pk) there, a member's in a
-verify and the GM's in a certificate check alike, so that chain is d
-columns long too, not l_c + 1; a scalar the key's table cannot take, 0
+(curve, bases, nbits and the start bit), so freshly loaded copies of the
+same parameters share it. `fixed_bits` may also be increasing bounds
+that cut each scalar into slices, one table per slice: a slice starts
+where the one before it ends, its table's teeth start at that bit, and
+the rows of all slices are padded at the top onto one chain as long as
+the widest table. A system keeps two tables over its r generators. Bits
+0 .. S - 1, S = t * ceil(bitlen(q) / t), are on the one sized to q, d_q
+= ceil(bitlen(q) / t) columns: `SystemParams.key_point` reads it alone,
+for key coordinates (join's member point, the key check). Bits S and up,
+to mask_bits, are on the second, d_hi = ceil((mask_bits - S) / t)
+columns, and `SystemParams.gens_msm` reads both, for sign, verify and
+certificate checks, on a chain of max(d_q, d_hi) columns rather than
+ceil(mask_bits / t): 17 instead of 27 at bitlen(q) = 89 and mask_bits =
+241. With `keyed_bits=l_c`, each other point is a key: its scalar in [1,
+2^(D*t')) runs on a comb of that point alone, in the chain's D columns
+with t' = ceil(l_c / D) teeth, kept in a second LRU of KEY_CACHE_SIZE
+tables keyed by (curve, point, D, t'), so a key loaded afresh still
+hits. `gens_msm` runs every key's -c * pk as c * (-pk) there, a member's
+in a verify and the GM's in a certificate check alike, so that chain is
+D columns long too, not l_c + 1; a scalar the key's table cannot take, 0
 among them, is a NAF row.
 
 None of this is constant-time; the package is a research artifact for
@@ -60,7 +67,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 from . import modmath
 from .curve_q import CurveQ, RationalPoint, discriminant_coeffs
@@ -197,7 +204,7 @@ def scalar_mul_fp(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
 
 
 def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
-        *, fixed: int = 0, fixed_bits: int = 0,
+        *, fixed: int = 0, fixed_bits: Union[int, Sequence[int]] = 0,
         keyed_bits: int = 0) -> ModPoint:
     """Sum of scalars[i] * points[i] on one Jacobian doubling chain.
 
@@ -207,49 +214,70 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
     doubling and at most one mixed addition per column. One inversion
     converts the result back to an affine `ModPoint`.
 
-    The first `fixed` points are long-lived bases: their scalars in
-    [0, 2^(d*t)) run on the cached comb table of those bases, t =
-    COMB_TEETH teeth and one row of d = ceil(fixed_bits / t) entries per
-    base. With `keyed_bits`, every other point is a key, such as the one
-    a verify checks: its scalar in [1, 2^(d*t')) runs on a cached comb of
-    that point alone, with the same d columns and t' = ceil(keyed_bits /
-    d) teeth, so the chain stays d columns long. Summing the comb rows
-    costs one inversion per level, ceil(log2 k) for k combed rows, and
-    merging those sums with the other rows ceil(log2(m + 1)) more for m
-    other terms. Building a missing table of t teeth costs t more: one to
+    The first `fixed` points are long-lived bases, on cached comb tables
+    of t = COMB_TEETH teeth. `fixed_bits` is an int b, for one table of d
+    = ceil(b / t) columns, or increasing bounds (b_1, b_2, ...) that cut
+    the scalars into slices: the first slice is the table for b_1 from
+    bit 0, and each next slice starts at the bit s where the one before
+    ends, with ceil((b_k - s) / t) columns. A scalar in [0, 2^top), top
+    the end of the last slice, gives each table the row of its slice's
+    digit, padded at the top to the widest table's D columns; any other
+    is a NAF row. With `keyed_bits`, every other point is a key, such as
+    the one a verify checks: its scalar in [1, 2^(D*t')) runs on a cached
+    comb of that point alone, in D columns with t' = ceil(keyed_bits / D)
+    teeth, so the chain stays D columns long. Summing the comb rows costs
+    one inversion per level, ceil(log2 k) for k combed rows, and merging
+    those sums with the other rows ceil(log2(m + 1)) more for m other
+    terms. Building a missing table of t teeth costs t more: one to
     normalise the teeth and one per tooth after the first. The result is
     the same for every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
                          f"{len(points)} points")
-    if not 0 <= fixed <= len(points) or (fixed and fixed_bits < 1):
+    bounds = (fixed_bits,) if isinstance(fixed_bits, int) else fixed_bits
+    if not 0 <= fixed <= len(points) or (fixed and bounds[0] < 1):
         raise ValueError("need 0 <= fixed <= len(points) and fixed_bits >= 1")
-    if not 0 <= keyed_bits <= (fixed_bits if fixed else 0):
-        # the key combs take their d columns from the fixed bases' table,
-        # and t' = ceil(keyed_bits / d) stays at most COMB_TEETH
-        raise ValueError("need 0 <= keyed_bits <= fixed_bits, with fixed "
-                         "bases")
     if not fixed:
+        if keyed_bits:
+            raise ValueError("need keyed_bits = 0 without fixed bases")
         for P in points:
             _require_on_curve(curve, P)
         return _straus(curve, zip(scalars, points))
-    d = -(-fixed_bits // COMB_TEETH)
-    key_teeth = -(-keyed_bits // d)
+    # (nbits, start) of each slice's table; the first is looked up without
+    # its start, as key coordinates' one-slice table is, so both are one
+    # cache entry
+    slices, start = [(bounds[0],)], 0
+    for bound in bounds[1:]:
+        start += COMB_TEETH * -(-slices[-1][0] // COMB_TEETH)
+        if bound <= start:
+            raise ValueError("fixed_bits bounds must grow past each slice")
+        slices.append((bound - start, start))
+    width = max(-(-nbits // COMB_TEETH) for nbits, *_ in slices)
+    if not 0 <= keyed_bits <= min(bounds[-1], COMB_TEETH * width):
+        # the key combs take their D columns from the fixed bases' tables,
+        # and t' = ceil(keyed_bits / D) stays at most COMB_TEETH
+        raise ValueError("need 0 <= keyed_bits <= fixed_bits, with fixed "
+                         "bases")
+    key_teeth = -(-keyed_bits // width)
     combed, terms = [], []
     for n, P in zip(scalars[fixed:], points[fixed:]):
-        if 0 < n < 1 << d * key_teeth:
-            key = _key_table(curve, P, d, key_teeth)
-            combed.append([key.rows[0][i] for i in key.columns(n)])
+        if 0 < n < 1 << width * key_teeth:
+            combed.append(_key_table(curve, P, width, key_teeth).row(0, n))
         else:
             _require_on_curve(curve, P)
             terms.append((n, P))
-    comb = _comb_table(curve, tuple(points[:fixed]), fixed_bits)
-    for n, P, row in zip(scalars, points, comb.rows):
-        if not 0 <= n < comb.top:
+    bases = tuple(points[:fixed])
+    tables = [_comb_table(curve, bases, *args) for args in slices]
+    top = 1 << tables[-1].stop
+    for i, (n, P) in enumerate(zip(scalars, bases)):
+        if not 0 <= n < top:
             terms.append((n, P))
-        elif n:
-            combed.append([row[i] for i in comb.columns(n)])
+            continue
+        for table in tables:
+            m = n >> table.start & table.mask
+            if m:
+                combed.append([None] * (width - table.d) + table.row(i, m))
     return _straus(curve, terms, combed)
 
 
@@ -265,7 +293,8 @@ _JAC_INF = (1, 1, 0)
 
 # Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
 # doublings and column sums per call), and how many tables the LRU holds:
-# two per system, one sized to q and one to mask_bits, so four systems.
+# two per system, the one sized to q and the one above it up to
+# mask_bits, so four systems.
 # On the shape of a verify at r = 8 (eight generators and a key row,
 # 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM, best of three
 # runs on a noisy host), t = 8, 9 and 10 took 1.04, 0.90 and 0.87 ms per
@@ -277,11 +306,13 @@ COMB_TEETH = 9
 COMB_CACHE_SIZE = 8
 # How many key combs `msm` keeps for `keyed_bits` terms, the least
 # recently used dropped first. A verifier that cycles through more
-# distinct keys than this never hits. By tracemalloc (128 keys verified
-# once each through `gens_msm`), an entry holds about 1.7 KB at toy17
-# (t' = 3), 3.2 KB at r = 8 mod 2^127 - 1 with q = 2^89 - 1 (t' = 4) and
-# 2.9 KB at r = 8 mod a 32-bit p with q = 2^127 - 1 (t' = 4); at t = 8
-# the same count read 1.2, 2.0 and 2.9 KB.
+# distinct keys than this never hits. By tracemalloc (128 keys made
+# beforehand, each verified once through `gens_msm`), an entry holds
+# about 1.1 KB at toy17 (D = 11 columns, t' = 3 teeth, 7 entries), 9.5 KB
+# at r = 8 mod 2^127 - 1 with q = 2^89 - 1 (D = 17, t' = 6, 63 entries)
+# and 7.9 KB at r = 8 mod a 32-bit p with q = 2^127 - 1 (D = 21, t' = 6);
+# with the chain at ceil(mask_bits / t) columns the last two held 15
+# entries and read 2.2 and 1.8 KB the same way.
 KEY_CACHE_SIZE = 128
 
 
@@ -434,22 +465,26 @@ def _progression(curve: CurveFp, start: ModPoint, step: ModPoint,
 
 
 class _Comb:
-    """Comb tables of a tuple of bases with t teeth of d bits each, for
-    scalars below `top` = 2^(d*t): rows[i][m] is the affine sum of the
-    teeth 2^(d*k) * bases[i] over the set bits k of m, or None for
-    infinity. The teeth are Jacobian doublings with one batch inversion to
-    normalise them; the subset sums then take t one-level `_sum_rows`
-    calls of two rows, one inversion each but the first: level k adds
-    tooth k to entries 0 .. 2^k - 1 of every row."""
+    """Comb tables of a tuple of bases with t teeth of d bits each, from
+    bit `start` up to `stop` = start + d*t: rows[i][m] is the affine sum
+    of the teeth 2^(start + d*k) * bases[i] over the set bits k of m, or
+    None for infinity. The teeth are Jacobian doublings, `start` of them
+    before the first, with one batch inversion to normalise them; the
+    subset sums then take t one-level `_sum_rows` calls of two rows, one
+    inversion each but the first: level k adds tooth k to entries 0 ..
+    2^k - 1 of every row."""
 
     def __init__(self, curve: CurveFp, bases: Tuple[ModPoint, ...], d: int,
-                 t: int):
-        self.d, self.top = d, 1 << d * t
+                 t: int, start: int = 0):
+        self.d, self.start, self.stop = d, start, start + d * t
+        self.mask = (1 << d * t) - 1
         self.digits = f"0{d * t}b"
         self.index = _comb_index(t)
         teeth = []
         for P in bases:
             tooth = _JAC_INF if P.is_infinity else (P.x, P.y, 1)
+            for _ in range(start):
+                tooth = _jac_double(curve, tooth)
             teeth.append(tooth)
             for _ in range(t - 1):
                 for _ in range(d):
@@ -466,11 +501,13 @@ class _Comb:
                 row += itertools.islice(sums, len(row))
         self.rows = rows
 
-    def columns(self, n: int):
-        """Row index per comb column of 0 <= n < top, top column first:
-        column j gathers bit d*k + j of n into bit k."""
-        bits, d, index = format(n, self.digits), self.d, self.index
-        return [index[bits[k::d]] for k in range(d)]
+    def row(self, i: int, m: int):
+        """The entries of bases[i]'s row for m = bits start .. stop - 1 of
+        a scalar, 0 <= m < 2^(d*t), one per comb column, top column
+        first: column j gathers bit d*k + j of m into bit k."""
+        bits = format(m, self.digits)
+        d, index, row = self.d, self.index, self.rows[i]
+        return [row[index[bits[k::d]]] for k in range(d)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -481,14 +518,15 @@ def _comb_index(t: int):
 
 
 @functools.lru_cache(maxsize=COMB_CACHE_SIZE)
-def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...],
-                nbits: int) -> _Comb:
-    """The comb of (curve, bases, nbits), COMB_TEETH teeth, cached by
-    content; the bases are checked on the curve on a miss, and a failed
-    check caches nothing."""
+def _comb_table(curve: CurveFp, bases: Tuple[ModPoint, ...], nbits: int,
+                start: int = 0) -> _Comb:
+    """The comb of (curve, bases) over nbits bits from bit `start`,
+    COMB_TEETH teeth of ceil(nbits / COMB_TEETH) bits, cached by content;
+    the bases are checked on the curve on a miss, and a failed check
+    caches nothing."""
     for P in bases:
         _require_on_curve(curve, P)
-    return _Comb(curve, bases, -(-nbits // COMB_TEETH), COMB_TEETH)
+    return _Comb(curve, bases, -(-nbits // COMB_TEETH), COMB_TEETH, start)
 
 
 @functools.lru_cache(maxsize=KEY_CACHE_SIZE)
@@ -518,11 +556,11 @@ def _straus(curve: CurveFp, terms, combed=()) -> ModPoint:
     """Sum of n * P over (n, P) terms; points are already known on the
     curve. Simultaneous double-and-add over rows of affine entries, top
     column first: each list in `combed` holds one base's comb table
-    entries, d columns, and each term is a `_naf_row`. `_sum_rows` sums
-    the comb rows per column first, so their levels do not walk the
-    padding, then sums those d sums and the NAF rows, all padded at the
-    top to the longest; the chain makes one Jacobian doubling and at most
-    one mixed addition per column."""
+    entries for one slice, all lists d columns long, and each term is a
+    `_naf_row`. `_sum_rows` sums the comb rows per column first, so their
+    levels do not walk the NAF rows' padding, then sums those d sums and
+    the NAF rows, all padded at the top to the longest; the chain makes
+    one Jacobian doubling and at most one mixed addition per column."""
     rows = [_naf_row(curve, n, P) for n, P in terms
             if n and not P.is_infinity]
     if combed:

@@ -254,25 +254,30 @@ class SystemParams:
     def key_point(self, x: Sequence[int]) -> ModPoint:
         """sum x[i] * gens[i] for key coordinates x, as `join` certifies
         and `require_key_pair` checks: on the cached comb of the
-        generators sized to q, d = ceil(bitlen(q) / COMB_TEETH) columns.
-        A coordinate outside [0, 2^(d * COMB_TEETH)), such as a
-        hand-edited key's, is a NAF row; the sum is the same."""
+        generators sized to q, d_q = ceil(bitlen(q) / COMB_TEETH) columns
+        from bit 0, the low one of `gens_msm`'s two. A coordinate outside
+        [0, 2^(d_q * COMB_TEETH)), such as a hand-edited key's, is a NAF
+        row; the sum is the same."""
         return msm(self.curve, x, self.gens, fixed=self.r,
                    fixed_bits=self.q.bit_length())
 
     def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
         """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`,
-        on the cached comb of the generators sized to responses, d =
-        ceil(mask_bits / COMB_TEETH) columns, for scalars in [0,
-        2^mask_bits): sign's R, verify's R - c * pk and a certificate
-        check's. Each extra term, a member verify's -c * pk or a
-        certificate check's -c * GM, runs as (-n) * (-P) on a cached comb
-        of -P alone in the table's d columns (`msm`'s `keyed_bits` =
-        l_c), which takes every nonzero challenge, or else as a NAF row.
-        The sum is the same."""
+        for scalars in [0, 2^mask_bits): sign's R, verify's R - c * pk and
+        a certificate check's. Each scalar is cut at S = COMB_TEETH * d_q,
+        the top of `key_point`'s comb: its bits below S run on that comb,
+        and the rest on the cached comb of the generators from bit S, d_hi
+        = ceil((mask_bits - S) / COMB_TEETH) columns, so the chain is
+        max(d_q, d_hi) columns long, not ceil(mask_bits / COMB_TEETH).
+        Each extra term, a member verify's -c * pk or a certificate
+        check's -c * GM, runs as (-n) * (-P) on a cached comb of -P alone
+        in the chain's columns (`msm`'s `keyed_bits` = l_c), which takes
+        every nonzero challenge, or else as a NAF row. The sum is the
+        same."""
         return msm(self.curve, [*scalars, *(-n for n, _ in extra)],
                    self.gens + tuple(neg_fp(self.curve, P) for _, P in extra),
-                   fixed=self.r, fixed_bits=self.mask_bits,
+                   fixed=self.r,
+                   fixed_bits=(self.q.bit_length(), self.mask_bits),
                    keyed_bits=self.l_c)
 
 

@@ -487,6 +487,70 @@ def test_coalesce_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path,
     assert [g.path for g in serial.load_artifact(other).groups] == ["/a"]
 
 
+def test_coalesce_on_a_tree_with_dependent_hyperplanes_exits_2(tmp_path,
+                                                                 capsys):
+    # mestre8 with /a/b/c0 and /a/b/c1 revoked, then /a/b's hyperplane
+    # hand-edited to twice /a's: /a/b's space is then all of /a's, so
+    # folding the family into an /a/b entry would revoke the sibling /a/x
+    # too; coalesce refuses, leaves the list as it was, and /a/x's member
+    # still signs
+    params, gm_key = tmp_path / "gm.params", tmp_path / "gm.key"
+    code, _, err = run(capsys, "setup", "--curve", "mestre8", "--p", "10007",
+                       "--q", "1009", "--seed", "1", "--params-out",
+                       str(params), "--gm-key-out", str(gm_key))
+    assert code == 0, err
+    tree = tmp_path / "org.tree"
+    for seed, path in enumerate(["/a", "/a/b", "/a/b/c0", "/a/b/c1", "/a/x"],
+                                start=2):
+        parent, name = path.rsplit("/", 1)
+        code, _, err = run(capsys, "dept", "add", "--params", str(params),
+                           "--tree", str(tree), "--parent", parent or "/",
+                           "--name", name, "--seed", str(seed))
+        assert code == 0, err
+    key, pub = tmp_path / "dave.key", tmp_path / "dave.pub"
+    code, _, err = run(capsys, "member", "join", "--params", str(params),
+                       "--tree", str(tree), "--gm-key", str(gm_key),
+                       "--dept", "/a/x", "--id", "dave", "--key-out",
+                       str(key), "--pub-out", str(pub), "--seed", "9")
+    assert code == 0, err
+    rl = _write_empty_rl(tmp_path, params)
+    for dept in ("/a/b/c0", "/a/b/c1"):
+        code, _, err = run(capsys, "revoke", "group", "--params", str(params),
+                           "--rl", str(rl), "--tree", str(tree),
+                           "--dept", dept)
+        assert code == 0, err
+    q = serial.load_artifact(params).q
+    doc = json.loads(tree.read_text())
+    a = doc["root"]["children"][0]
+    b = a["children"][0]
+    assert (a["name"], b["name"]) == ("a", "b")
+    b["hyperplane"] = [str(2 * int(v) % q) for v in a["hyperplane"]]
+    bad_tree = tmp_path / "bad.tree"
+    bad_tree.write_text(json.dumps(doc))
+    before = rl.read_bytes()
+    other = tmp_path / "other.rl"
+    for out in ([], ["--out", str(other)]):
+        code, _, err = run(capsys, "rl", "coalesce", "--params", str(params),
+                           "--rl", str(rl), "--tree", str(bad_tree), *out)
+        assert code == 2, err
+        assert "/a/b stacks 2 hyperplanes of rank 1" in err
+        assert "Traceback" not in err
+    assert rl.read_bytes() == before
+    assert not other.exists()
+    msg = tmp_path / "msg.txt"
+    msg.write_bytes(b"quarterly audit\n")
+    code, _, err = run(capsys, "sign", "--params", str(params), "--key",
+                       str(key), "--rl", str(rl), "--msg-file", str(msg),
+                       "--out", str(tmp_path / "dave.sig"), "--seed", "10")
+    assert code == 0, err
+    # the unedited tree folds the same family into /a/b
+    code, out, err = run(capsys, "rl", "coalesce", "--params", str(params),
+                         "--rl", str(rl), "--tree", str(tree),
+                         "--out", str(other))
+    assert code == 0 and "coalesced" in out, err
+    assert [g.path for g in serial.load_artifact(other).groups] == ["/a/b"]
+
+
 def test_corrupt_artifact_exit_code(tmp_path, capsys):
     d = tmp_path
     params, gm_key, tree, members, rl, msg = _full_world(capsys, d)

@@ -9,6 +9,8 @@ from hrpks.curve_fp import (CurveFp, ModPoint, add_fp, hasse_interval, msm,
 from hrpks.curve_q import RationalPoint, catalog, scalar_mul_q
 from hrpks.errors import InvariantError
 
+from conftest import make_mestre8_params, make_toy_params
+
 TOY_P = 3123456773
 
 # reductions of n*P1 mod p, n = 1..7
@@ -677,15 +679,67 @@ def test_comb_rejects_bad_bases_and_arguments():
     with pytest.raises(ValueError, match="not on the curve"):
         msm(c, [1, 1], [g1, off], fixed=1, fixed_bits=8)
     assert curve_fp._comb_table.cache_info().currsize == 0
-    for fixed, nbits in ((3, 8), (-1, 8), (1, 0)):
+    # a slice bound must lie past the end of the slice before it: 8 bits
+    # take one 9-bit column
+    for fixed, nbits in ((3, 8), (-1, 8), (1, 0), (1, (0, 20)), (1, (8, 9))):
         with pytest.raises(ValueError, match="fixed"):
             msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits)
-    # a key's comb takes its d columns from the fixed bases' table, and
-    # no more teeth than they have
-    for fixed, keyed in ((0, 8), (1, 9), (1, -1)):
+    # a key's comb takes its d columns from the fixed bases' widest table,
+    # and no more teeth than they have
+    for fixed, nbits, keyed in ((0, 8, 8), (1, 8, 9), (1, 8, -1),
+                                (1, (9, 18), 10)):
         with pytest.raises(ValueError, match="keyed_bits"):
-            msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=8,
+            msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits,
                 keyed_bits=keyed)
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
+def test_gens_msm_splits_responses_at_the_top_of_the_q_comb(make,
+                                                           monkeypatch):
+    # gens_msm cuts each scalar at S = t * d_q, d_q = ceil(bitlen(q) / t),
+    # the top of the comb key_point reads: bits below S run on that comb,
+    # the rest on the comb from bit S up to mask_bits, d_hi columns, on one
+    # chain of max(d_q, d_hi) columns. At the slice edges, past them (a NAF
+    # row each) and with or without a key term it sums to the affine
+    # reference
+    from hrpks import curve_fp
+
+    params, _gm = make()
+    t, r = curve_fp.COMB_TEETH, params.r
+    d_q = -(-params.q.bit_length() // t)
+    split, top = t * d_q, 1 << params.mask_bits
+    d_hi = -(-(params.mask_bits - split) // t)
+    assert d_hi >= 1
+    gens, key = list(params.gens), params.gm_pub.point
+    rng = random.Random(61)
+    edges = [0, (1 << split) - 1, 1 << split, top - 1]
+    cases = [[e] * r for e in edges]
+    cases += [[edges[(i + k) % 4] for i in range(r)] for k in range(4)]
+    cases += [[top] + [rng.randrange(top) for _ in range(r - 1)],
+              [-(1 << split) - 3] + [rng.randrange(top) for _ in range(r - 1)],
+              [rng.randrange(top) for _ in range(r)]]
+    for s in cases:
+        assert params.gens_msm(s) == _reference_msm(params.curve, s, gens), s
+        for c in (0, 1, (1 << params.l_c) - 1):
+            assert params.gens_msm(s, ((-c, key),)) == \
+                _reference_msm(params.curve, [*s, -c], gens + [key]), (s, c)
+    # a warm call with both slices of every response nonzero and a key
+    # term is exactly one doubling per column of the longer slice
+    s = [(1 << split) + rng.randrange(top >> 1) for _ in range(r)]
+    params.gens_msm(s, ((-1, key),))
+    doublings = []
+    real = curve_fp._jac_double
+
+    def counting(*args):
+        doublings.append(1)
+        return real(*args)
+    monkeypatch.setattr(curve_fp, "_jac_double", counting)
+    for extra in ((), ((-1, key),), ((1 - (1 << params.l_c), key),)):
+        doublings.clear()
+        assert params.gens_msm(s, extra) == \
+            _reference_msm(params.curve, [*s, *(n for n, _ in extra)],
+                           gens + [P for _, P in extra])
+        assert len(doublings) == max(d_q, d_hi), extra
 
 
 # -- batched affine additions -----------------------------------------------

@@ -440,54 +440,66 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "msm", counting)
     join(params, gm, fin, "second", rng)
     # the member's point on the comb over G_1..G_r sized to q, and the
-    # certificate's commitment on the one sized to responses; the GM key
-    # check was cached by the first join
-    r = params.r
-    assert calls == [(r, params.q.bit_length()), (r, params.mask_bits)]
+    # certificate's commitment on that comb and the one from its top up to
+    # mask_bits; the GM key check was cached by the first join
+    r, q_bits = params.r, params.q.bit_length()
+    assert calls == [(r, q_bits), (r, (q_bits, params.mask_bits))]
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
 def test_two_comb_tables_per_system(make):
     # a system keeps two tables over G_1..G_r: the key check and join's
-    # member point read the one sized to q, sign, verify and a cold
-    # certificate check the one sized to responses; none builds a third
+    # member point read the one sized to q, bits 0 .. S - 1 with S = t *
+    # ceil(bitlen(q) / t); sign, verify and a cold certificate check read
+    # it too, for the low bits of each response, and the one from bit S up
+    # to mask_bits for the rest; none builds a third, and none a table of
+    # ceil(mask_bits / t) columns
     params, gm = make()
     rng = random.Random(37)
     dept = add_department(params, new_root(), rng)
     sk, pk = join(params, gm, dept, "alice", rng)
     tables = curve_fp._comb_table
 
-    def cached(nbits):
-        # (misses so far, columns, rows) of the table for nbits, which
-        # must already be built: the lookup is a hit
+    def cached(*args):
+        # (misses so far, first bit, columns, rows) of the table for args,
+        # which must already be built: the lookup is a hit
         misses = tables.cache_info().misses
-        table = tables(params.curve, params.gens, nbits)
+        table = tables(params.curve, params.gens, *args)
         assert tables.cache_info().misses == misses
-        return misses, table.d, len(table.rows)
+        return misses, table.start, table.d, len(table.rows)
 
     tables.cache_clear()
     hierarchy._KEY_MATCHES.clear()
-    d_q = -(-params.q.bit_length() // curve_fp.COMB_TEETH)
-    d_mask = -(-params.mask_bits // curve_fp.COMB_TEETH)
+    t, q_bits = curve_fp.COMB_TEETH, params.q.bit_length()
+    d_q = -(-q_bits // t)
+    split = t * d_q
+    d_hi = -(-(params.mask_bits - split) // t)
+    d_mask = -(-params.mask_bits // t)
+    assert d_hi >= 1 and max(d_q, d_hi) < d_mask
     hierarchy.require_key_pair(params, sk, pk)
-    assert cached(params.q.bit_length()) == (1, d_q, params.r)
+    assert cached(q_bits) == (1, 0, d_q, params.r)
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
-    assert cached(params.mask_bits) == (2, d_mask, params.r)
+    assert cached(q_bits) == (2, 0, d_q, params.r)
+    assert cached(params.mask_bits - split, split) == \
+        (2, split, d_hi, params.r)
     assert verify(params, pk, empty_rl(), b"m", sig).accepted
-    # a cold certificate check runs -c * GM on a key comb of -GM alone,
-    # the one key table it builds
+    # a cold certificate check runs -c * GM on a key comb of -GM alone in
+    # the chain's max(d_q, d_hi) columns, the one key table it builds
     hierarchy._CERT_VERDICTS.clear()
     curve_fp._key_table.cache_clear()
     assert verify_cert(params, pk) is True
     keys = curve_fp._key_table.cache_info()
     assert (keys.misses, keys.currsize) == (1, 1)
     minus_gm = neg_fp(params.curve, params.gm_pub.point)
-    curve_fp._key_table(params.curve, minus_gm, d_mask,
-                        -(-params.l_c // d_mask))
+    d = max(d_q, d_hi)
+    curve_fp._key_table(params.curve, minus_gm, d, -(-params.l_c // d))
     assert curve_fp._key_table.cache_info().misses == 1  # -GM's: a hit
     join(params, gm, dept, "bob", rng)
     info = tables.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
+    # the table of ceil(mask_bits / t) columns from bit 0 was never built
+    assert tables(params.curve, params.gens, params.mask_bits).d == d_mask
+    assert tables.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("make, d", [(make_toy_params, 4),

@@ -1251,40 +1251,58 @@ def test_sign_past_three_sets_inverts_once_and_reads_the_collapse(
 def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     # every inversion mod p is a pow(v, -1, p) in curve_fp; one per level
     # of summing rows, and one for the affine result. At r = 8 a warm sign
-    # sums 8 comb rows in 3 levels, and a warm verify sums those and the
-    # key's comb row in 4; a key's first verify also builds its table, a
-    # normalisation and t - 1 levels of subset sums for t = 4 teeth
-    params, gm = quiet_setup("mestre8", MERSENNE_127, MERSENNE_89,
-                             random.Random(173))
-    assert params.r == 8 and params.p.bit_length() == 127
-    d = -(-params.mask_bits // curve_fp.COMB_TEETH)
-    assert (d, -(-params.l_c // d)) == (27, 4)
-    rng = random.Random(179)
-    sk, pk = join(params, gm, add_department(params, new_root(), rng),
-                  "alice", rng)
-    inversions = []
+    # sums 8 rows of the comb sized to q and 8 of the one above it in 4
+    # levels, and a warm verify sums those and the key's comb row in 5; a
+    # key's first verify also builds its table, a normalisation and t - 1
+    # levels of subset sums for t = 6 teeth in the chain's d columns. Each
+    # warm call's chain is d = max(d_q, d_hi) doublings, on the shapes of
+    # `members` (where ceil(mask_bits / 9) = 27) and `dept-revoked` (36)
+    inversions, doublings = [], []
+    real_double = curve_fp._jac_double
 
     def counting_pow(base, exp, mod=None):
         if exp == -1:
             inversions.append(mod)
         return pow(base, exp, mod)
-    monkeypatch.setattr(curve_fp, "pow", counting_pow, raising=False)
-    # join built the system's table and recorded the key match: sign is warm
-    sig = sign(params, sk, pk, empty_rl(), b"m", rng)
-    assert inversions == [params.p] * 4
-    assert hierarchy.verify_cert(params, pk)  # verify reads a kept verdict
-    curve_fp._key_table.cache_clear()
-    for expected in (4 + 5, 5):  # the key's first verify, then a warm one
-        inversions.clear()
-        assert verify(params, pk, empty_rl(), b"m", sig).accepted
-        assert inversions == [params.p] * expected
+
+    def counting_double(*args):
+        doublings.append(1)
+        return real_double(*args)
+    for p, q, d_q, d in ((MERSENNE_127, MERSENNE_89, 10, 17),
+                         (TOY_P, MERSENNE_127, 15, 21)):
+        params, gm = quiet_setup("mestre8", p, q, random.Random(173))
+        assert params.r == 8 and params.p == p
+        t = curve_fp.COMB_TEETH
+        assert -(-params.q.bit_length() // t) == d_q
+        assert max(d_q, -(-(params.mask_bits - t * d_q) // t)) == d
+        assert -(-params.l_c // d) == 6
+        rng = random.Random(179)
+        sk, pk = join(params, gm, add_department(params, new_root(), rng),
+                      "alice", rng)
+        monkeypatch.setattr(curve_fp, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(curve_fp, "_jac_double", counting_double)
+        # join built the system's tables and recorded the key match: sign
+        # is warm
+        inversions.clear(), doublings.clear()
+        sig = sign(params, sk, pk, empty_rl(), b"m", rng)
+        assert inversions == [params.p] * 5 and len(doublings) == d
+        assert hierarchy.verify_cert(params, pk)  # reads a kept verdict
+        curve_fp._key_table.cache_clear()
+        for expected in (6 + 6, 6):  # the key's first verify, then warm
+            inversions.clear(), doublings.clear()
+            assert verify(params, pk, empty_rl(), b"m", sig).accepted
+            assert inversions == [params.p] * expected
+        assert len(doublings) == d
+        monkeypatch.undo()
 
 
 def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     # a cold check runs -c * GM as c * (-GM) on a key comb of -GM in the
-    # system comb's columns, so its chain is ceil(mask_bits / t) columns,
-    # not the l_c + 1 digits of c's NAF; a warm check is a lookup that
-    # loads and hashes nothing
+    # columns of the system's two combs, so its chain is max(d_q, d_hi)
+    # columns: d_q = ceil(bitlen(q) / t) for the comb sized to q, d_hi =
+    # ceil((mask_bits - t * d_q) / t) for the one above it; not the l_c + 1
+    # digits of c's NAF, nor ceil(mask_bits / t); a warm check is a lookup
+    # that loads and hashes nothing
     params, gm, rng, _root, fin, _hr, _eng = _toy_world(seed=161)
     _sk, pk = join(params, gm, fin, "alice", rng)
     bob_sk, bob = join(params, gm, fin, "bob", rng)
@@ -1315,8 +1333,11 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     monkeypatch.setattr(sigma, "hash_to_challenge", counting_hash)
     monkeypatch.setattr(serial, "deserialize_artifact", counting_load)
     assert hierarchy.verify_cert(params, pk) is True
-    d = -(-params.mask_bits // curve_fp.COMB_TEETH)
-    assert d == 15 and params.l_c + 1 == 32
+    t = curve_fp.COMB_TEETH
+    d_q = -(-params.q.bit_length() // t)
+    d = max(d_q, -(-(params.mask_bits - t * d_q) // t))
+    assert (d_q, d) == (4, 11) and params.l_c + 1 == 32
+    assert -(-params.mask_bits // t) == 15
     assert len(doublings) == d
     # the comb over G_1..G_r and one key term, the GM's
     r = params.r
