@@ -1,6 +1,7 @@
 """Arithmetic in E(F_p): reduction of rational curves and points mod p,
-the long-Weierstrass group law, multi-scalar multiplication, and exact
-point-order computation via baby-step giant-step over the Hasse interval.
+the long-Weierstrass group law, multi-scalar multiplication, exact
+point-order computation via baby-step giant-step over the Hasse interval,
+and #E(F_p) where one such search proves it.
 
 Points cross every API boundary as affine `ModPoint`s. The affine
 long-Weierstrass law lives in one place, `_sum_rows`: it adds lists of
@@ -42,21 +43,31 @@ same parameters share it. `fixed_bits` may also be increasing bounds
 that cut each scalar into slices, one table per slice: a slice starts
 where the one before it ends, its table's teeth start at that bit, and
 the rows of all slices are padded at the top onto one chain as long as
-the widest table. A system keeps two tables over its r generators. Bits
-0 .. S - 1, S = t * ceil(bitlen(q) / t), are on the one sized to q, d_q
-= ceil(bitlen(q) / t) columns: `SystemParams.key_point` reads it alone,
-for key coordinates (join's member point, the key check). Bits S and up,
-to mask_bits, are on the second, d_hi = ceil((mask_bits - S) / t)
-columns, and `SystemParams.gens_msm` reads both, for sign, verify and
-certificate checks, on a chain of max(d_q, d_hi) columns rather than
-ceil(mask_bits / t): 17 instead of 27 at bitlen(q) = 89 and mask_bits =
-241. With `keyed_bits=l_c`, each other point is a key: its scalar in [1,
-2^(D*t')) runs on a comb of that point alone, in the chain's D columns
-with t' = ceil(l_c / D) teeth, kept in a second LRU of KEY_CACHE_SIZE
-tables keyed by (curve, point, D, t'), so a key loaded afresh still
-hits. `gens_msm` runs every key's -c * pk as c * (-pk) there, a member's
-in a verify and the GM's in a certificate check alike, so that chain is
-D columns long too, not l_c + 1; a scalar the key's table cannot take, 0
+the widest table. With `keyed_bits`, each other point is a key: its
+scalar in [1, 2^(D*t')) runs on a comb of that point alone, in the
+chain's D columns with t' = `key_teeth` teeth, kept in a second LRU of
+KEY_CACHE_SIZE tables keyed by (curve, point, D, t'), so a key loaded
+afresh still hits.
+
+Where #E is known (`group_order`, for p up to 2^48), a system keeps one
+table over its r generators: `SystemParams.key_point` and `gens_msm`
+reduce every scalar mod #E, which is exact because #E annihilates every
+point, and read one table sized to b = min(bitlen(q), bitlen(#E)), ceil(b
+/ t) columns (4 at a 32-bit p). Elsewhere it keeps two. Bits 0 .. S - 1,
+S = t * ceil(bitlen(q) / t), are on the one sized to q, d_q =
+ceil(bitlen(q) / t) columns: `key_point` reads it alone, for key
+coordinates (join's member point, the key check). Bits S and up, to
+mask_bits (or to bitlen(#E), where #E is past S), are on the second, d_hi
+= ceil((mask_bits - S) / t) columns, and `gens_msm` reads both, for sign,
+verify and certificate checks, on a chain of D = max(d_q, d_hi) columns
+rather than ceil(mask_bits / t): 17 instead of 27 at bitlen(q) = 89 and
+mask_bits = 241. A key's comb has t' = ceil(l_c / D) teeth either way,
+so it keeps its 2^t' - 1 entries, and where #E is known the chain is
+max(ceil(b / t), ceil(min(l_c, bitlen(#E)) / t')) columns: 11 at toy17,
+and 6 at a 32-bit p with q = 2^127 - 1, where D is 21. `gens_msm` runs
+every key's -c * pk as c * (-pk) there, a member's in a verify and the
+GM's in a certificate check alike, so the key adds no columns, where a
+NAF row of c would take l_c + 1; a scalar the key's table cannot take, 0
 among them, is a NAF row.
 
 None of this is constant-time; the package is a research artifact for
@@ -205,7 +216,7 @@ def scalar_mul_fp(curve: CurveFp, n: int, P: ModPoint) -> ModPoint:
 
 def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
         *, fixed: int = 0, fixed_bits: Union[int, Sequence[int]] = 0,
-        keyed_bits: int = 0) -> ModPoint:
+        keyed_bits: int = 0, key_teeth: int = 0) -> ModPoint:
     """Sum of scalars[i] * points[i] on one Jacobian doubling chain.
 
     Each term n * P is a row of P, -P or nothing per chain column, from
@@ -222,15 +233,16 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
     ends, with ceil((b_k - s) / t) columns. A scalar in [0, 2^top), top
     the end of the last slice, gives each table the row of its slice's
     digit, padded at the top to the widest table's D columns; any other
-    is a NAF row. With `keyed_bits`, every other point is a key, such as
-    the one a verify checks: its scalar in [1, 2^(D*t')) runs on a cached
-    comb of that point alone, in D columns with t' = ceil(keyed_bits / D)
-    teeth, so the chain stays D columns long. Summing the comb rows costs
-    one inversion per level, ceil(log2 k) for k combed rows, and merging
-    those sums with the other rows ceil(log2(m + 1)) more for m other
-    terms. Building a missing table of t teeth costs t more: one to
-    normalise the teeth and one per tooth after the first. The result is
-    the same for every input either way.
+    is a NAF row. With `keyed_bits` and t' = `key_teeth`, every other
+    point is a key, such as the one a verify checks. The chain then has
+    max(D, ceil(keyed_bits / t')) columns, every table's rows padded at
+    the top to it, and a key's scalar in [1, 2^(columns * t')) runs on a
+    cached comb of that point alone in those columns, of t' teeth.
+    Summing the comb rows costs one inversion per level, ceil(log2 k)
+    for k combed rows, and merging those sums with the other rows
+    ceil(log2(m + 1)) more for m other terms. Building a missing table of
+    t teeth costs t more: one to normalise the teeth and one per tooth
+    after the first. The result is the same for every input either way.
     """
     if len(scalars) != len(points):
         raise ValueError(f"length mismatch: {len(scalars)} scalars, "
@@ -254,12 +266,12 @@ def msm(curve: CurveFp, scalars: Sequence[int], points: Sequence[ModPoint],
             raise ValueError("fixed_bits bounds must grow past each slice")
         slices.append((bound - start, start))
     width = max(-(-nbits // COMB_TEETH) for nbits, *_ in slices)
-    if not 0 <= keyed_bits <= min(bounds[-1], COMB_TEETH * width):
-        # the key combs take their D columns from the fixed bases' tables,
-        # and t' = ceil(keyed_bits / D) stays at most COMB_TEETH
+    if not (0 <= keyed_bits <= bounds[-1]
+            and (not keyed_bits or 1 <= key_teeth <= COMB_TEETH)):
         raise ValueError("need 0 <= keyed_bits <= fixed_bits, with fixed "
-                         "bases")
-    key_teeth = -(-keyed_bits // width)
+                         "bases, and 1 to COMB_TEETH key_teeth")
+    if keyed_bits:
+        width = max(width, -(-keyed_bits // key_teeth))
     combed, terms = [], []
     for n, P in zip(scalars[fixed:], points[fixed:]):
         if 0 < n < 1 << width * key_teeth:
@@ -293,8 +305,9 @@ _JAC_INF = (1, 1, 0)
 
 # Comb teeth per base (tables of 2^t - 1 entries, d = ceil(nbits / t)
 # doublings and column sums per call), and how many tables the LRU holds:
-# two per system, the one sized to q and the one above it up to
-# mask_bits, so four systems.
+# one per system where #E is known, else two, the one sized to q and the
+# one above it up to mask_bits, so four to eight systems. `group_order`
+# keeps as many orders.
 # On the shape of a verify at r = 8 (eight generators and a key row,
 # 241-bit scalars mod 2^127 - 1; CPython 3.11, 2-vCPU VM, best of three
 # runs on a noisy host), t = 8, 9 and 10 took 1.04, 0.90 and 0.87 ms per
@@ -310,9 +323,10 @@ COMB_CACHE_SIZE = 8
 # beforehand, each verified once through `gens_msm`), an entry holds
 # about 1.1 KB at toy17 (D = 11 columns, t' = 3 teeth, 7 entries), 9.5 KB
 # at r = 8 mod 2^127 - 1 with q = 2^89 - 1 (D = 17, t' = 6, 63 entries)
-# and 7.9 KB at r = 8 mod a 32-bit p with q = 2^127 - 1 (D = 21, t' = 6);
-# with the chain at ceil(mask_bits / t) columns the last two held 15
-# entries and read 2.2 and 1.8 KB the same way.
+# and 7.9 KB at r = 8 mod a 32-bit p with q = 2^127 - 1 (D = 21, t' = 6),
+# 7.8 KB there with D = 6 once scalars are reduced mod #E; with the chain
+# at ceil(mask_bits / t) columns the last two held 15 entries and read 2.2
+# and 1.8 KB the same way.
 KEY_CACHE_SIZE = 128
 
 
@@ -633,3 +647,28 @@ def point_order(curve: CurveFp, P: ModPoint) -> int:
         while m % prime == 0 and _straus(curve, [(m // prime, P)]).is_infinity:
             m //= prime
     return m
+
+
+# `group_order` searches only up to this p. `point_order` on mestre8's G_1,
+# at the largest prime below 2^32, 2^40, 2^48 and 2^56 that reduces well,
+# took 2.6, 6.9, 29 and 128 ms (best of five, CPython 3.11, shared 2-vCPU
+# host), about p^(1/4) growth. Every fresh process that joins, signs or
+# verifies pays it once; at ORDER_P_GUARD = 2^64 it would be about half a
+# second.
+GROUP_ORDER_P_BOUND = 1 << 48
+
+
+@functools.lru_cache(maxsize=COMB_CACHE_SIZE)
+def group_order(curve: CurveFp, base: ModPoint) -> Optional[int]:
+    """#E(F_p) where one point-order search proves it, else None. For p up
+    to GROUP_ORDER_P_BOUND, #E is a multiple of o = ord(base) in the Hasse
+    interval [lo, hi], and the only one when o > hi - lo. Cached by
+    content, like the comb tables, so freshly loaded copies of the same
+    parameters search once; a base off the curve raises and caches
+    nothing."""
+    if curve.p > GROUP_ORDER_P_BOUND:
+        return None
+    lo, hi = hasse_interval(curve.p)
+    o = point_order(curve, base)
+    # o <= #E <= hi, so a floor lo <= 0 (p <= 3) never passes
+    return -(-lo // o) * o if o > hi - lo else None

@@ -15,7 +15,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import curve_fp, curve_q, modmath
 from .curve_fp import (CurveFp, ModPoint, msm, neg_fp, reduce_curve,
@@ -186,6 +186,16 @@ def _key_parts(pk: PublicKey) -> list:
     return [pk.point, pk.member_id.encode(), pk.dept.encode()]
 
 
+class MsmShape(NamedTuple):
+    """How `SystemParams.key_point` and `gens_msm` run on the generators
+    (`SystemParams._shape`)."""
+    order: Optional[int]  # #E, where `curve_fp.group_order` proves it
+    key_bits: int  # key_point's fixed_bits
+    response_bits: Union[int, Tuple[int, int]]  # gens_msm's fixed_bits
+    keyed_bits: int
+    key_teeth: int
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Public parameters. CurveFp checks that p is prime; `setup` and the
@@ -251,34 +261,68 @@ class SystemParams:
     def mask_bits(self) -> int:
         return self.q.bit_length() + self.l_c + self.l_s
 
+    @cached_property
+    def _shape(self) -> MsmShape:
+        """Without #E, key coordinates run on a comb
+        of the generators sized to q, d_q = ceil(bitlen(q) / t) columns
+        from bit 0 to S = t * d_q, and responses on it and on the comb
+        from bit S up to mask_bits, d_hi = ceil((mask_bits - S) / t)
+        columns, on a chain of D = max(d_q, d_hi); a key's comb has t' =
+        ceil(l_c / D) teeth. With #E, scalars reduced mod #E have at most
+        b = bitlen(#E) bits: every bound stops at b, so one comb serves
+        both unless b is past S, and the chain is max(ceil(b / t),
+        ceil(min(l_c, b) / t')) columns for the same t', so no key comb
+        grows. #E is looked up by content (`curve_fp.group_order`), so
+        params loaded afresh search for it no more."""
+        t, q_bits = curve_fp.COMB_TEETH, self.q.bit_length()
+        d_q = -(-q_bits // t)
+        key_teeth = -(-self.l_c // max(d_q,
+                                       -(-(self.mask_bits - t * d_q) // t)))
+        n = curve_fp.group_order(self.curve, self.gens[0])
+        if n is None:
+            return MsmShape(None, q_bits, (q_bits, self.mask_bits),
+                            self.l_c, key_teeth)
+        b = n.bit_length()
+        low = min(q_bits, b)
+        return MsmShape(n, low, low if b <= t * d_q else (q_bits, b),
+                        min(self.l_c, b), key_teeth)
+
     def key_point(self, x: Sequence[int]) -> ModPoint:
         """sum x[i] * gens[i] for key coordinates x, as `join` certifies
-        and `require_key_pair` checks: on the cached comb of the
-        generators sized to q, d_q = ceil(bitlen(q) / COMB_TEETH) columns
-        from bit 0, the low one of `gens_msm`'s two. A coordinate outside
-        [0, 2^(d_q * COMB_TEETH)), such as a hand-edited key's, is a NAF
-        row; the sum is the same."""
+        and `require_key_pair` checks, on the cached comb of the
+        generators that `gens_msm` reads from bit 0, sized to bitlen(q),
+        or to bitlen(#E) where #E is known and smaller (`_shape`). Where
+        #E is known, the coordinates are reduced mod #E first, which
+        changes no sum. A coordinate the comb cannot take, such as a
+        hand-edited key's, is a NAF row; the sum is the same."""
+        shape = self._shape
+        if shape.order is not None:
+            x = [v % shape.order for v in x]
         return msm(self.curve, x, self.gens, fixed=self.r,
-                   fixed_bits=self.q.bit_length())
+                   fixed_bits=shape.key_bits)
 
     def gens_msm(self, scalars: Sequence[int], extra=()) -> ModPoint:
         """sum scalars[i] * gens[i] plus n * P for each (n, P) in `extra`,
         for scalars in [0, 2^mask_bits): sign's R, verify's R - c * pk and
-        a certificate check's. Each scalar is cut at S = COMB_TEETH * d_q,
-        the top of `key_point`'s comb: its bits below S run on that comb,
-        and the rest on the cached comb of the generators from bit S, d_hi
-        = ceil((mask_bits - S) / COMB_TEETH) columns, so the chain is
-        max(d_q, d_hi) columns long, not ceil(mask_bits / COMB_TEETH).
-        Each extra term, a member verify's -c * pk or a certificate
-        check's -c * GM, runs as (-n) * (-P) on a cached comb of -P alone
-        in the chain's columns (`msm`'s `keyed_bits` = l_c), which takes
-        every nonzero challenge, or else as a NAF row. The sum is the
-        same."""
-        return msm(self.curve, [*scalars, *(-n for n, _ in extra)],
+        a certificate check's. Where #E is known, every scalar, c
+        included, is reduced mod #E first: #E annihilates every point, so
+        the sum is the same, and `_reject_reason` has already
+        range-checked the raw responses and c. The scalars run on the
+        comb `key_point` reads, up to its top S = COMB_TEETH * d_q, and
+        any bits from S up, to mask_bits or to bitlen(#E), on the comb of
+        the generators from bit S (`_shape`). Each extra term, a member
+        verify's -c * pk or a certificate check's -c * GM, runs as (-n) *
+        (-P) on a cached comb of -P alone in the chain's columns (`msm`'s
+        `keyed_bits` and `key_teeth`), which takes every challenge that
+        is nonzero mod #E, or else as a NAF row. The sum is the same."""
+        shape = self._shape
+        scalars = [*scalars, *(-n for n, _ in extra)]
+        if shape.order is not None:
+            scalars = [v % shape.order for v in scalars]
+        return msm(self.curve, scalars,
                    self.gens + tuple(neg_fp(self.curve, P) for _, P in extra),
-                   fixed=self.r,
-                   fixed_bits=(self.q.bit_length(), self.mask_bits),
-                   keyed_bits=self.l_c)
+                   fixed=self.r, fixed_bits=shape.response_bits,
+                   keyed_bits=shape.keyed_bits, key_teeth=shape.key_teeth)
 
 
 # SecretKey -> (curve, gens, point) it was last found to represent, by
@@ -366,13 +410,16 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     # Each generator order must exceed 2^mask_bits: a member who adds an
     # order n to key coordinate i keeps the certified point, lies off every
     # revoked plane whose a_i n is nonzero mod q, and keeps the responses
-    # below 2^mask_bits once c * n does. No order is computed here (each
-    # is a point-order search); the Hasse floor, the least #E can be,
-    # stands in, and a generator whose order is a proper divisor of #E
-    # passes it. The rule is necessary, not sufficient: any short relation
-    # sum L_i G_i = O shifts a key the same way, short relations always
-    # exist (about p^(1/r) in sup norm), and no check here can tell how
-    # hard they are to find, so a quiet setup is no soundness claim.
+    # below 2^mask_bits once c * n does. Setup computes no order: the
+    # first MSM on these params finds #E from G_1's order where it can
+    # (`curve_fp.group_order`, p up to 2^48), which leaves the other
+    # generators' orders unknown, and each would be a point-order search
+    # of its own. The Hasse floor, the least #E can be, stands in, and a
+    # generator whose order is a proper divisor of #E passes it. The
+    # rule is necessary, not sufficient: any short relation sum L_i G_i =
+    # O shifts a key the same way, short relations always exist (about
+    # p^(1/r) in sup norm), and no check here can tell how hard they are
+    # to find, so a quiet setup is no soundness claim.
     hasse_lo, _ = curve_fp.hasse_interval(p)
     if hasse_lo <= 1 << params.mask_bits:
         warnings.warn(

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from hrpks.curve_fp import (CurveFp, ModPoint, add_fp, hasse_interval, msm,
-                            neg_fp, on_curve_fp, point_order, reduce_curve,
-                            reduce_point, scalar_mul_fp)
+from hrpks.curve_fp import (CurveFp, ModPoint, add_fp, group_order,
+                            hasse_interval, msm, neg_fp, on_curve_fp,
+                            point_order, reduce_curve, reduce_point,
+                            scalar_mul_fp)
 from hrpks.curve_q import RationalPoint, catalog, scalar_mul_q
 from hrpks.errors import InvariantError
 
-from conftest import make_mestre8_params, make_toy_params
+from conftest import (MERSENNE_89, MERSENNE_127, make_mestre8_params,
+                      make_toy_params, quiet_setup)
 
 TOY_P = 3123456773
 
@@ -284,16 +286,18 @@ def test_point_order_small_primes_divide_group_size():
 
 
 def _group_size_by_qr_count(curve: CurveFp) -> int:
-    """O(p) counting oracle for short-form curves: 1 + sum over x of
-    (#square roots of x^3 + a4 x + a6)."""
-    assert curve.a1 == curve.a2 == curve.a3 == 0
+    """O(p) counting oracle for odd p: y^2 + b y = f(x), b = a1 x + a3,
+    has as many solutions y as b^2 + 4 f(x) has square roots, so #E = 1 +
+    sum over x of that count."""
     p = curve.p
     count = 1
     for x in range(p):
-        rhs = (x * x * x + curve.a4 * x + curve.a6) % p
-        if rhs == 0:
+        b = curve.a1 * x + curve.a3
+        f = x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6
+        disc = (b * b + 4 * f) % p
+        if disc == 0:
             count += 1
-        elif pow(rhs, (p - 1) // 2, p) == 1:
+        elif pow(disc, (p - 1) // 2, p) == 1:
             count += 2
     return count
 
@@ -396,8 +400,6 @@ def test_long_form_law_mod_p():
 
 
 # -- equivalence with the affine reference ----------------------------------
-
-MERSENNE_127 = (1 << 127) - 1
 
 
 def _reference_msm(curve, scalars, points):
@@ -684,62 +686,93 @@ def test_comb_rejects_bad_bases_and_arguments():
     for fixed, nbits in ((3, 8), (-1, 8), (1, 0), (1, (0, 20)), (1, (8, 9))):
         with pytest.raises(ValueError, match="fixed"):
             msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits)
-    # a key's comb takes its d columns from the fixed bases' widest table,
-    # and no more teeth than they have
-    for fixed, nbits, keyed in ((0, 8, 8), (1, 8, 9), (1, 8, -1),
-                                (1, (9, 18), 10)):
+    # a key's comb needs fixed bases, keyed_bits within their bits, and 1
+    # to COMB_TEETH teeth
+    for fixed, nbits, keyed, teeth in ((0, 8, 8, 1), (1, 8, 9, 1),
+                                       (1, 8, -1, 1), (1, (9, 18), 10, 0),
+                                       (1, (9, 18), 10, 10)):
         with pytest.raises(ValueError, match="keyed_bits"):
             msm(c, [1, 1], [g1, g2], fixed=fixed, fixed_bits=nbits,
-                keyed_bits=keyed)
+                keyed_bits=keyed, key_teeth=teeth)
+
+
+# gens_msm's fixed_bits, the columns of each comb over the generators it
+# reads and its chain's columns, where #E is known: at the conftest
+# parameters, and at q = 257 on the same curve and p
+GENS_MSM_SHAPES = {
+    # bitlen(#E) = 32 = bitlen(q): one comb of 4 columns; the chain keeps
+    # 11 = ceil(31 / 3) for the key comb's 3 teeth. At q = 257, S = 9 and
+    # the comb from bit 9 up to bit 32 has 3 columns
+    "make_toy_params": ((32, (4,), 11), ((9, 32), (1, 3), 8)),
+    # #E = 10088 has 14 bits, below S = 18: the q comb alone; at q = 257
+    # the comb from bit 9 up to bit 14 has one column
+    "make_mestre8_params": ((10, (2,), 3), ((9, 14), (1, 1), 4)),
+}
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
 def test_gens_msm_splits_responses_at_the_top_of_the_q_comb(make,
                                                            monkeypatch):
-    # gens_msm cuts each scalar at S = t * d_q, d_q = ceil(bitlen(q) / t),
-    # the top of the comb key_point reads: bits below S run on that comb,
-    # the rest on the comb from bit S up to mask_bits, d_hi columns, on one
-    # chain of max(d_q, d_hi) columns. At the slice edges, past them (a NAF
-    # row each) and with or without a key term it sums to the affine
-    # reference
+    # gens_msm reduces each scalar mod #E and cuts it at S = t * d_q, d_q =
+    # ceil(bitlen(q) / t), the top of the comb key_point reads: bits below
+    # S run on that comb, the rest on the comb from bit S up to bitlen(#E)
+    # (up to mask_bits where #E is unknown, as at members' p), on one chain
+    # also as long as a key comb needs. At the conftest parameters #E has
+    # no bit past S, so the q comb is the only one; with q = 257 on the
+    # same curve it has. At the slice edges, past them (a NAF row each
+    # without the reduction) and with or without a key term it sums to the
+    # affine reference
     from hrpks import curve_fp
 
-    params, _gm = make()
-    t, r = curve_fp.COMB_TEETH, params.r
-    d_q = -(-params.q.bit_length() // t)
-    split, top = t * d_q, 1 << params.mask_bits
-    d_hi = -(-(params.mask_bits - split) // t)
-    assert d_hi >= 1
-    gens, key = list(params.gens), params.gm_pub.point
-    rng = random.Random(61)
-    edges = [0, (1 << split) - 1, 1 << split, top - 1]
-    cases = [[e] * r for e in edges]
-    cases += [[edges[(i + k) % 4] for i in range(r)] for k in range(4)]
-    cases += [[top] + [rng.randrange(top) for _ in range(r - 1)],
-              [-(1 << split) - 3] + [rng.randrange(top) for _ in range(r - 1)],
-              [rng.randrange(top) for _ in range(r)]]
-    for s in cases:
-        assert params.gens_msm(s) == _reference_msm(params.curve, s, gens), s
-        for c in (0, 1, (1 << params.l_c) - 1):
-            assert params.gens_msm(s, ((-c, key),)) == \
-                _reference_msm(params.curve, [*s, -c], gens + [key]), (s, c)
-    # a warm call with both slices of every response nonzero and a key
-    # term is exactly one doubling per column of the longer slice
-    s = [(1 << split) + rng.randrange(top >> 1) for _ in range(r)]
-    params.gens_msm(s, ((-1, key),))
-    doublings = []
-    real = curve_fp._jac_double
+    base, _gm = make()
+    split_params, _gm = quiet_setup(base.curve_id, base.p, 257,
+                                    random.Random(59), l_s=base.l_s)
+    t = curve_fp.COMB_TEETH
+    for params, (bits, columns, d) in zip((base, split_params),
+                                          GENS_MSM_SHAPES[make.__name__]):
+        r, n = params.r, group_order(params.curve, params.gens[0])
+        split = t * -(-params.q.bit_length() // t)
+        top = 1 << params.mask_bits
+        assert (n.bit_length() > split) == (len(columns) == 2)
+        assert params._shape.response_bits == bits
+        slices = [(bits,)] if isinstance(bits, int) else \
+            [(bits[0],), (bits[1] - split, split)]
+        assert tuple(curve_fp._comb_table(params.curve, params.gens, *args).d
+                     for args in slices) == columns
+        gens, key = list(params.gens), params.gm_pub.point
+        rng = random.Random(61)
+        edges = [0, (1 << split) - 1, 1 << split, n - 1, n, top - 1]
+        cases = [[e] * r for e in edges]
+        cases += [[edges[(i + k) % 6] for i in range(r)] for k in range(6)]
+        cases += [[top] + [rng.randrange(top) for _ in range(r - 1)],
+                  [-(1 << split) - 3]
+                  + [rng.randrange(top) for _ in range(r - 1)],
+                  [rng.randrange(top) for _ in range(r)]]
+        for s in cases:
+            assert params.gens_msm(s) == \
+                _reference_msm(params.curve, s, gens), s
+            for c in (0, 1, (1 << params.l_c) - 1):
+                assert params.gens_msm(s, ((-c, key),)) == \
+                    _reference_msm(params.curve, [*s, -c], gens + [key]), \
+                    (s, c)
+        # a warm call with every slice of every reduced response nonzero,
+        # with or without a key term, is one doubling per chain column
+        s = [n - 1 - rng.randrange(n >> 2) for _ in range(r)]
+        params.gens_msm(s, ((-1, key),))
+        doublings = []
+        real = curve_fp._jac_double
 
-    def counting(*args):
-        doublings.append(1)
-        return real(*args)
-    monkeypatch.setattr(curve_fp, "_jac_double", counting)
-    for extra in ((), ((-1, key),), ((1 - (1 << params.l_c), key),)):
-        doublings.clear()
-        assert params.gens_msm(s, extra) == \
-            _reference_msm(params.curve, [*s, *(n for n, _ in extra)],
-                           gens + [P for _, P in extra])
-        assert len(doublings) == max(d_q, d_hi), extra
+        def counting(*args):
+            doublings.append(1)
+            return real(*args)
+        monkeypatch.setattr(curve_fp, "_jac_double", counting)
+        for extra in ((), ((-1, key),), ((1 - (1 << params.l_c), key),)):
+            doublings.clear()
+            assert params.gens_msm(s, extra) == \
+                _reference_msm(params.curve, [*s, *(m for m, _ in extra)],
+                               gens + [P for _, P in extra])
+            assert len(doublings) == d, extra
+        monkeypatch.undo()
 
 
 # -- batched affine additions -----------------------------------------------
@@ -957,3 +990,159 @@ def test_sum_rows_one_inversion_per_level(monkeypatch):
     calls.clear()
     assert scalar_mul_fp(c, ch, pk) == want
     assert len(calls) == 1
+
+
+# -- #E(F_p) where a point-order search proves it ---------------------------
+
+
+def make_dept_revoked_shape():
+    """mestre8 at the 32-bit toy p with q = 2^127 - 1, r = 8: the shape of
+    the `dept-revoked` benchmark, mask_bits = 317."""
+    return quiet_setup("mestre8", TOY_P, MERSENNE_127, random.Random(173))
+
+
+def make_members_shape():
+    """mestre8 mod 2^127 - 1 with q = 2^89 - 1: the shape of the `members`
+    benchmark, past the bound where #E is searched for."""
+    return quiet_setup("mestre8", MERSENNE_127, MERSENNE_89,
+                       random.Random(173))
+
+
+def test_group_order_is_p_plus_one_on_supersingular_toy17():
+    # y^2 = x^3 + 17 has j = 0, so its reduction at p = 2 mod 3 is
+    # supersingular with #E = p + 1, an oracle independent of BSGS; the
+    # search finds it from either generator, and a fresh copy of the same
+    # curve and point is a cache hit
+    c, g1, g2 = gens_mod()
+    assert TOY_P % 3 == 2
+    group_order.cache_clear()
+    assert group_order(c, g1) == group_order(c, g2) == TOY_P + 1
+    twin = reduce_curve(catalog("toy17"), TOY_P)
+    assert group_order(twin, ModPoint(g1.x, g1.y)) == TOY_P + 1
+    assert group_order.cache_info()[:2] == (1, 2)  # (hits, misses)
+
+
+@pytest.mark.parametrize("p", [10007, TOY_P])
+def test_group_order_annihilates_generators_and_random_points(p):
+    c = reduce_curve(catalog("mestre8"), p)
+    gens = [reduce_point(c, g) for g in catalog("mestre8").generators]
+    n = group_order(c, gens[0])
+    lo, hi = hasse_interval(p)
+    assert lo <= n <= hi
+    if p == 10007:
+        assert n == _group_size_by_qr_count(c) == 10088
+    for pt in gens + _random_points(c, 12, random.Random(p)):
+        assert scalar_mul_fp(c, n, pt).is_infinity
+        assert n % point_order(c, pt) == 0
+
+
+def test_group_order_is_none_where_no_search_proves_it(monkeypatch):
+    from hrpks import curve_fp
+
+    # at 10007 mestre8's G_2 has order 104, at most hi - lo = 402, so it has
+    # several multiples in the Hasse interval; G_1's 10088 has one
+    c = reduce_curve(catalog("mestre8"), 10007)
+    g1, g2 = (reduce_point(c, g) for g in catalog("mestre8").generators[:2])
+    lo, hi = hasse_interval(10007)
+    assert point_order(c, g2) == 104 <= hi - lo
+    assert group_order(c, g2) is None and group_order(c, g1) == 10088
+    # p <= 5: the interval is wider than the group, whatever the point
+    for tiny in _tiny_curves():
+        assert tiny.p <= 5
+        for pt in _enumerate_group(tiny):
+            assert group_order(tiny, pt) is None
+    # a base off the curve raises and caches nothing
+    c17, g, _g2 = gens_mod()
+    group_order.cache_clear()
+    with pytest.raises(ValueError, match="not on the curve"):
+        group_order(c17, ModPoint(g.x, (g.y + 1) % TOY_P))
+    assert group_order.cache_info().currsize == 0
+    # the rule at its edge, on a stubbed search (at -G_1, a base no other
+    # test caches): an order equal to the interval's width proves nothing,
+    # and one past it gives its one multiple in [lo, hi]
+    for o, want in ((hi - lo, None), (hi - lo + 1, -(-lo // (hi - lo + 1))
+                                      * (hi - lo + 1))):
+        monkeypatch.setattr(curve_fp, "point_order", lambda *args: o)
+        group_order.cache_clear()
+        assert group_order(c, neg_fp(c, g1)) == want
+        assert want is None or lo <= want <= hi
+    monkeypatch.undo()
+    group_order.cache_clear()
+
+    # above GROUP_ORDER_P_BOUND = 2^48 no search runs: members' p, and
+    # TOY_P once the bound sits just below it
+    def no_search(*args):
+        raise AssertionError("point_order ran")
+    monkeypatch.setattr(curve_fp, "point_order", no_search)
+    assert curve_fp.GROUP_ORDER_P_BOUND == 1 << 48
+    big = reduce_curve(catalog("toy17"), MERSENNE_127)
+    assert group_order(big, reduce_point(big, catalog("toy17")
+                                         .generators[0])) is None
+    monkeypatch.setattr(curve_fp, "GROUP_ORDER_P_BOUND", TOY_P - 1)
+    assert group_order(c17, g) is None
+    monkeypatch.undo()
+    monkeypatch.setattr(curve_fp, "GROUP_ORDER_P_BOUND", TOY_P)
+    group_order.cache_clear()
+    assert group_order(c17, g) == TOY_P + 1
+    group_order.cache_clear()
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params,
+                                  make_dept_revoked_shape])
+def test_gens_msm_and_key_point_reduce_mod_the_group_order(make):
+    # #E annihilates every point, so scalars reduced mod #E give the
+    # affine reference's sums of the raw ones: at 0, #E - 1, #E, k * #E and
+    # 2^mask_bits - 1, and with a key term whose c is 0 mod #E, which adds
+    # no row and builds no key comb
+    from hrpks import curve_fp
+
+    params, _gm = make()
+    n = group_order(params.curve, params.gens[0])
+    assert n is not None and params._shape.order == n
+    gens, key, r = list(params.gens), params.gm_pub.point, params.r
+    top = 1 << params.mask_bits
+    rng = random.Random(73)
+    edges = [0, n - 1, n, 5 * n, (top - 1) // n * n, top - 1]
+    cases = [[e] * r for e in edges]
+    cases += [[edges[(i + k) % 6] for i in range(r)] for k in range(2)]
+    cases += [[rng.randrange(top) for _ in range(r)]]
+    for s in cases:
+        want = _reference_msm(params.curve, s, gens)
+        assert params.gens_msm(s) == params.key_point(s) == want, s
+    curve_fp._key_table.cache_clear()
+    for c in (n, 3 * n):
+        assert params.gens_msm(s, ((-c, key),)) == want
+    assert curve_fp._key_table.cache_info().currsize == 0
+    for c in (1, n - 1, n + 1, (1 << params.l_c) - 1):
+        assert params.gens_msm(s, ((-c, key),)) == \
+            _reference_msm(params.curve, [*s, -c], gens + [key]), c
+
+
+@pytest.mark.parametrize("make, columns, teeth", [
+    (make_toy_params, 11, 3),
+    (make_dept_revoked_shape, 6, 6),
+    (make_members_shape, 17, 6),
+])
+def test_key_combs_keep_their_teeth(make, columns, teeth):
+    # a key's comb keeps t' = ceil(l_c / D) teeth for the chain of D
+    # columns it would have without #E: 2^t' - 1 entries, 7 at toy17 and
+    # 63 at r = 8, on a chain as long as the key's reduced challenges need
+    # (11 columns at toy17, 6 on the dept-revoked shape and, with no #E,
+    # 17 on the members shape)
+    from hrpks import curve_fp, hierarchy, revocation, sigma
+
+    params, gm = make()
+    rng = random.Random(79)
+    dept = hierarchy.add_department(params, hierarchy.new_root(), rng)
+    sk, pk = hierarchy.join(params, gm, dept, "alice", rng)
+    sig = sigma.sign(params, sk, pk, revocation.empty_rl(), b"m", rng)
+    assert hierarchy.verify_cert(params, pk)  # -GM's comb, before the count
+    keys = curve_fp._key_table
+    keys.cache_clear()
+    assert sigma.verify(params, pk, revocation.empty_rl(), b"m", sig) \
+        .accepted
+    assert params._shape.key_teeth == teeth
+    table = keys(params.curve, neg_fp(params.curve, pk.point), columns,
+                 teeth)
+    assert keys.cache_info().misses == 1  # the verify built it
+    assert (table.d, len(table.rows[0]) - 1) == (columns, 2 ** teeth - 1)

@@ -439,21 +439,21 @@ def test_join_checks_the_gm_key_once(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(hierarchy, "msm", counting)
     join(params, gm, fin, "second", rng)
-    # the member's point on the comb over G_1..G_r sized to q, and the
-    # certificate's commitment on that comb and the one from its top up to
-    # mask_bits; the GM key check was cached by the first join
-    r, q_bits = params.r, params.q.bit_length()
-    assert calls == [(r, q_bits), (r, (q_bits, params.mask_bits))]
+    # the member's point and the certificate's commitment, both on the one
+    # comb over G_1..G_r sized to bitlen(#E) = bitlen(q) = 32; the GM key
+    # check was cached by the first join
+    r, n = params.r, curve_fp.group_order(params.curve, params.gens[0])
+    assert n.bit_length() == params.q.bit_length() == 32
+    assert calls == [(r, 32), (r, 32)]
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
-def test_two_comb_tables_per_system(make):
-    # a system keeps two tables over G_1..G_r: the key check and join's
-    # member point read the one sized to q, bits 0 .. S - 1 with S = t *
-    # ceil(bitlen(q) / t); sign, verify and a cold certificate check read
-    # it too, for the low bits of each response, and the one from bit S up
-    # to mask_bits for the rest; none builds a third, and none a table of
-    # ceil(mask_bits / t) columns
+def test_comb_tables_per_system(make):
+    # where #E is known, a system keeps one table over G_1..G_r, sized to
+    # b = min(bitlen(q), bitlen(#E)), ceil(b / t) columns from bit 0: the
+    # key check and join's member point read it, and so do sign, verify
+    # and a cold certificate check, for their scalars reduced mod #E; none
+    # builds a second, and none a table of ceil(mask_bits / t) columns
     params, gm = make()
     rng = random.Random(37)
     dept = add_department(params, new_root(), rng)
@@ -471,34 +471,41 @@ def test_two_comb_tables_per_system(make):
     tables.cache_clear()
     hierarchy._KEY_MATCHES.clear()
     t, q_bits = curve_fp.COMB_TEETH, params.q.bit_length()
-    d_q = -(-q_bits // t)
-    split = t * d_q
-    d_hi = -(-(params.mask_bits - split) // t)
-    d_mask = -(-params.mask_bits // t)
-    assert d_hi >= 1 and max(d_q, d_hi) < d_mask
+    n = curve_fp.group_order(params.curve, params.gens[0])
+    bits = min(q_bits, n.bit_length())
+    d = -(-bits // t)
+    # toy17: 32 bits, 4 columns; mestre8 at 10007 with q = 1009: 10 bits
+    # (#E = 10088 has 14, below the comb's top at 18), 2 columns
+    assert (bits, d) == {2: (32, 4), 8: (10, 2)}[params.r]
     hierarchy.require_key_pair(params, sk, pk)
-    assert cached(q_bits) == (1, 0, d_q, params.r)
+    assert cached(bits) == (1, 0, d, params.r)
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
-    assert cached(q_bits) == (2, 0, d_q, params.r)
-    assert cached(params.mask_bits - split, split) == \
-        (2, split, d_hi, params.r)
+    assert cached(bits) == (1, 0, d, params.r)
     assert verify(params, pk, empty_rl(), b"m", sig).accepted
     # a cold certificate check runs -c * GM on a key comb of -GM alone in
-    # the chain's max(d_q, d_hi) columns, the one key table it builds
+    # the chain's columns, with the teeth it would have without #E: D =
+    # max(d_q, d_hi) for d_hi = ceil((mask_bits - t * d_q) / t) gives t' =
+    # ceil(l_c / D), and the chain is max(d, ceil(min(l_c, bitlen(#E)) /
+    # t')) columns, the one key table it builds
     hierarchy._CERT_VERDICTS.clear()
     curve_fp._key_table.cache_clear()
     assert verify_cert(params, pk) is True
     keys = curve_fp._key_table.cache_info()
     assert (keys.misses, keys.currsize) == (1, 1)
     minus_gm = neg_fp(params.curve, params.gm_pub.point)
-    d = max(d_q, d_hi)
-    curve_fp._key_table(params.curve, minus_gm, d, -(-params.l_c // d))
+    d_q = -(-q_bits // t)
+    teeth = -(-params.l_c // max(d_q, -(-(params.mask_bits - t * d_q) // t)))
+    columns = max(d, -(-min(params.l_c, n.bit_length()) // teeth))
+    assert (columns, teeth) == {2: (11, 3), 8: (3, 3)}[params.r]
+    curve_fp._key_table(params.curve, minus_gm, columns, teeth)
     assert curve_fp._key_table.cache_info().misses == 1  # -GM's: a hit
     join(params, gm, dept, "bob", rng)
     info = tables.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    # the table of ceil(mask_bits / t) columns from bit 0 was never built
-    assert tables(params.curve, params.gens, params.mask_bits).d == d_mask
+    assert (info.misses, info.currsize) == (1, 1)
+    # neither the table of ceil(mask_bits / t) columns from bit 0 nor the
+    # one from the q comb's top up to mask_bits was ever built
+    tables(params.curve, params.gens, params.mask_bits)
+    tables(params.curve, params.gens, params.mask_bits - t * d_q, t * d_q)
     assert tables.cache_info().misses == 3
 
 
@@ -509,7 +516,8 @@ def test_key_point_makes_one_doubling_per_column_of_q(make, d, monkeypatch,
     # key coordinates run on the comb sized to q, so a warm key_point is a
     # chain of d = ceil(bitlen(q) / t) doublings, not ceil(mask_bits / t),
     # and sums to the Straus msm; a coordinate at 2^(d*t) or past it, or
-    # below 0, is a NAF row and gives the exact point too
+    # below 0, is reduced mod #E (a NAF row where #E is unknown) and gives
+    # the exact point too
     params, gm = make()
     q, r = params.q, params.r
     assert -(-q.bit_length() // curve_fp.COMB_TEETH) == d

@@ -1248,17 +1248,31 @@ def test_sign_past_three_sets_inverts_once_and_reads_the_collapse(
     assert verify(params, pk, rl, b"warm", sig).accepted
 
 
+# Per warm call on the r = 8 shapes of the benchmarks: (inversions mod p,
+# doublings, mixed additions, pair additions in `_sum_rows`) of a sign and
+# of a verify, and a key's first verify's inversions. `members` (no #E
+# past 2^48) cuts responses at S = 9 * d_q onto two combs of d_q = 10 and
+# d_hi = 17 columns; `dept-revoked` reduces them mod a 32-bit #E onto one
+# comb of 4 columns, on a chain of 6 for the key comb's 6 teeth, where
+# without #E it had the two-comb shape too, d_q = 15 and d_hi = 21, at
+# (5, 21, 21, 267) per sign, (6, 21, 21, 287) per verify and 6 + 6
+EXACT_CURVE_COUNTS = {
+    "members": ((5, 17, 17, 199), (6, 17, 17, 216), 6 + 6),
+    "dept-revoked": ((4, 6, 4, 28), (5, 6, 6, 31), 5 + 6),
+}
+
+
 def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     # every inversion mod p is a pow(v, -1, p) in curve_fp; one per level
     # of summing rows, and one for the affine result. At r = 8 a warm sign
-    # sums 8 rows of the comb sized to q and 8 of the one above it in 4
-    # levels, and a warm verify sums those and the key's comb row in 5; a
-    # key's first verify also builds its table, a normalisation and t - 1
-    # levels of subset sums for t = 6 teeth in the chain's d columns. Each
-    # warm call's chain is d = max(d_q, d_hi) doublings, on the shapes of
-    # `members` (where ceil(mask_bits / 9) = 27) and `dept-revoked` (36)
-    inversions, doublings = [], []
-    real_double = curve_fp._jac_double
+    # sums one row per comb and generator, and a warm verify those and the
+    # key's comb row; a key's first verify also builds its table, a
+    # normalisation and t - 1 levels of subset sums for t = 6 teeth in the
+    # chain's columns. Pair additions are counted as `_sum_rows` makes
+    # them, level by level, where both entries are finite
+    inversions, doublings, adds, pairs = [], [], [], []
+    real_double, real_add = curve_fp._jac_double, curve_fp._jac_add_affine
+    real_rows = curve_fp._sum_rows
 
     def counting_pow(base, exp, mod=None):
         if exp == -1:
@@ -1268,46 +1282,77 @@ def test_sign_and_verify_make_exact_curve_inversion_counts(monkeypatch):
     def counting_double(*args):
         doublings.append(1)
         return real_double(*args)
-    for p, q, d_q, d in ((MERSENNE_127, MERSENNE_89, 10, 17),
-                         (TOY_P, MERSENNE_127, 15, 21)):
+
+    def counting_add(*args):
+        adds.append(1)
+        return real_add(*args)
+
+    def counting_rows(curve, rows):
+        # the pairs of each level, on which entries are finite; a pair
+        # that sums to infinity would be counted finite, and none does here
+        finite = [[e is not None for e in row] for row in rows]
+        while len(finite) > 1:
+            for a, b in zip(finite[::2], finite[1::2]):
+                pairs.append(sum(map(bool.__and__, a, b)))
+                a[:] = map(bool.__or__, a, b)
+            finite = finite[::2]
+        return real_rows(curve, rows)
+
+    for shape, p, q, d_q, d in (("members", MERSENNE_127, MERSENNE_89, 10, 17),
+                                ("dept-revoked", TOY_P, MERSENNE_127, 15, 6)):
         params, gm = quiet_setup("mestre8", p, q, random.Random(173))
         assert params.r == 8 and params.p == p
         t = curve_fp.COMB_TEETH
         assert -(-params.q.bit_length() // t) == d_q
-        assert max(d_q, -(-(params.mask_bits - t * d_q) // t)) == d
-        assert -(-params.l_c // d) == 6
+        n = curve_fp.group_order(params.curve, params.gens[0])
+        assert (n and n.bit_length()) == {"members": None,
+                                          "dept-revoked": 32}[shape]
+        assert params._shape.key_teeth == 6  # the key comb's teeth
         rng = random.Random(179)
         sk, pk = join(params, gm, add_department(params, new_root(), rng),
                       "alice", rng)
         monkeypatch.setattr(curve_fp, "pow", counting_pow, raising=False)
         monkeypatch.setattr(curve_fp, "_jac_double", counting_double)
+        monkeypatch.setattr(curve_fp, "_jac_add_affine", counting_add)
+        monkeypatch.setattr(curve_fp, "_sum_rows", counting_rows)
+        want_sign, want_verify, cold = EXACT_CURVE_COUNTS[shape]
+
+        def counts():
+            return (len(inversions), len(doublings), len(adds), sum(pairs))
+
+        def clear():
+            for counted in (inversions, doublings, adds, pairs):
+                counted.clear()
         # join built the system's tables and recorded the key match: sign
         # is warm
-        inversions.clear(), doublings.clear()
+        clear()
         sig = sign(params, sk, pk, empty_rl(), b"m", rng)
-        assert inversions == [params.p] * 5 and len(doublings) == d
+        assert set(inversions) == {params.p}
+        assert counts() == want_sign and want_sign[1] == d
         assert hierarchy.verify_cert(params, pk)  # reads a kept verdict
         curve_fp._key_table.cache_clear()
-        for expected in (6 + 6, 6):  # the key's first verify, then warm
-            inversions.clear(), doublings.clear()
+        for expected in (cold, want_verify[0]):  # the key's first verify
+            clear()
             assert verify(params, pk, empty_rl(), b"m", sig).accepted
-            assert inversions == [params.p] * expected
-        assert len(doublings) == d
+            assert len(inversions) == expected
+        assert counts() == want_verify
         monkeypatch.undo()
 
 
 def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
-    # a cold check runs -c * GM as c * (-GM) on a key comb of -GM in the
-    # columns of the system's two combs, so its chain is max(d_q, d_hi)
-    # columns: d_q = ceil(bitlen(q) / t) for the comb sized to q, d_hi =
-    # ceil((mask_bits - t * d_q) / t) for the one above it; not the l_c + 1
-    # digits of c's NAF, nor ceil(mask_bits / t); a warm check is a lookup
-    # that loads and hashes nothing
+    # a cold check reduces its scalars mod #E = p + 1 onto the one comb of
+    # the generators, d = ceil(bitlen(#E) / t) columns, and runs -c * GM as
+    # c * (-GM) on a key comb of -GM with the t' teeth it would have
+    # without #E: t' = ceil(l_c / max(d_q, d_hi)) for d_q = ceil(bitlen(q)
+    # / t) and d_hi = ceil((mask_bits - t * d_q) / t). Its chain is
+    # max(d, ceil(l_c / t')) columns; not the l_c + 1 digits of c's NAF,
+    # nor ceil(mask_bits / t); a warm check is a lookup that loads and
+    # hashes nothing
     params, gm, rng, _root, fin, _hr, _eng = _toy_world(seed=161)
     _sk, pk = join(params, gm, fin, "alice", rng)
     bob_sk, bob = join(params, gm, fin, "bob", rng)
     hierarchy._CERT_VERDICTS.clear()
-    assert hierarchy.verify_cert(params, bob)  # both tables built
+    assert hierarchy.verify_cert(params, bob)  # the comb built
     doublings, msms, hashes, loads = [], [], [], []
     real_double, real_msm = curve_fp._jac_double, hierarchy.msm
     real_hash, real_load = sigma.hash_to_challenge, serial.deserialize_artifact
@@ -1333,12 +1378,14 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
     monkeypatch.setattr(sigma, "hash_to_challenge", counting_hash)
     monkeypatch.setattr(serial, "deserialize_artifact", counting_load)
     assert hierarchy.verify_cert(params, pk) is True
-    t = curve_fp.COMB_TEETH
+    t, n = curve_fp.COMB_TEETH, params._shape.order
     d_q = -(-params.q.bit_length() // t)
-    d = max(d_q, -(-(params.mask_bits - t * d_q) // t))
-    assert (d_q, d) == (4, 11) and params.l_c + 1 == 32
-    assert -(-params.mask_bits // t) == 15
-    assert len(doublings) == d
+    teeth = -(-params.l_c // max(d_q, -(-(params.mask_bits - t * d_q) // t)))
+    d = -(-n.bit_length() // t)
+    chain = max(d, -(-min(params.l_c, n.bit_length()) // teeth))
+    assert n == TOY_P + 1 and (d, teeth, chain) == (4, 3, 11)
+    assert params.l_c + 1 == 32 and -(-params.mask_bits // t) == 15
+    assert len(doublings) == chain
     # the comb over G_1..G_r and one key term, the GM's
     r = params.r
     assert msms == [(r, r + 1)] and len(hashes) == 1 and len(loads) == 1
@@ -1347,13 +1394,13 @@ def test_cert_check_makes_exact_chain_and_call_counts(monkeypatch):
         assert hierarchy.verify_cert(params, warm) is True
         assert doublings == msms == hashes == loads == []
     # a member's verify runs -c * pk as c * (-pk) on a comb of -pk alone
-    # in the same d columns: once that table is built, its chain is d
-    # doublings too, not l_c + 1
+    # in the same columns: once that table is built, its chain is that
+    # many doublings too, not l_c + 1
     sig = sign(params, bob_sk, bob, empty_rl(), b"m", rng)
     assert verify(params, bob, empty_rl(), b"m", sig).accepted
     doublings.clear(), msms.clear()
     assert verify(params, bob, empty_rl(), b"m", sig).accepted
-    assert msms == [(r, r + 1)] and len(doublings) == d
+    assert msms == [(r, r + 1)] and len(doublings) == chain
 
 
 @pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
