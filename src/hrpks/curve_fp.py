@@ -49,7 +49,7 @@ chain's D columns with t' = `key_teeth` teeth, kept in a second LRU of
 KEY_CACHE_SIZE tables keyed by (curve, point, D, t'), so a key loaded
 afresh still hits.
 
-Where #E is known (`group_order`, for p up to 2^48), a system keeps one
+Where #E is known (`group_order`, for p up to 2^32), a system keeps one
 table over its r generators: `SystemParams.key_point` and `gens_msm`
 reduce every scalar mod #E, which is exact because #E annihilates every
 point, and read one table sized to b = min(bitlen(q), bitlen(#E)), ceil(b
@@ -653,9 +653,12 @@ def point_order(curve: CurveFp, P: ModPoint) -> int:
 # at the largest prime below 2^32, 2^40, 2^48 and 2^56 that reduces well,
 # took 2.6, 6.9, 29 and 128 ms (best of five, CPython 3.11, shared 2-vCPU
 # host), about p^(1/4) growth. Every fresh process that joins, signs or
-# verifies pays it once; at ORDER_P_GUARD = 2^64 it would be about half a
-# second.
-GROUP_ORDER_P_BOUND = 1 << 48
+# verifies pays it once, and saves a comb table's build in return: its
+# first sign took 13 and 7 ms less at the 32- and 40-bit primes but 12.5
+# ms more at the 48-bit one with r = 8 and q = 2^127 - 1, and 0.05 and 4.2
+# ms more at toy17's 32-bit toy p and a 40-bit p with r = 2 (fresh
+# processes, 16 alternating pairs each). Up to 2^32 no shape loses.
+GROUP_ORDER_P_BOUND = 1 << 32
 
 
 @functools.lru_cache(maxsize=COMB_CACHE_SIZE)

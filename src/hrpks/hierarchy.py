@@ -412,7 +412,7 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     # revoked plane whose a_i n is nonzero mod q, and keeps the responses
     # below 2^mask_bits once c * n does. Setup computes no order: the
     # first MSM on these params finds #E from G_1's order where it can
-    # (`curve_fp.group_order`, p up to 2^48), which leaves the other
+    # (`curve_fp.group_order`, p up to 2^32), which leaves the other
     # generators' orders unknown, and each would be a point-order search
     # of its own. The Hasse floor, the least #E can be, stands in, and a
     # generator whose order is a proper divisor of #E passes it. The

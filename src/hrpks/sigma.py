@@ -44,7 +44,7 @@ Responses on the curve side stay integers (never reduced) on the wire,
 and `verify` range-checks them as sent: the group order of E(F_p) is not
 assumed known, so a statistical-gap slack of l_s bits hides the secret
 instead of a modular reduction. Only the arithmetic reduces: where a
-point-order search proves #E (`curve_fp.group_order`, p up to 2^48),
+point-order search proves #E (`curve_fp.group_order`, p up to 2^32),
 `SystemParams.gens_msm` reduces each scalar mod #E, which the verifier
 derives itself from the public curve and G_1 and which annihilates every
 point, so every sum, byte and verdict is the same. The linkage

@@ -1,7 +1,9 @@
 import random
 import warnings
 
-from hrpks import hierarchy, toydata
+import pytest
+
+from hrpks import curve_fp, hierarchy, toydata
 from hrpks.hierarchy import Hyperplane
 
 TOY_P = 3123456773
@@ -13,6 +15,19 @@ MERSENNE_89 = (1 << 89) - 1
 FINANCIAL = Hyperplane(toydata.FINANCIAL_PLANE)
 HR = Hyperplane((752, 36, 139))
 ENGINEERING = Hyperplane((937, 58, 32))
+
+
+@pytest.fixture
+def no_group_order(monkeypatch):
+    """#E(F_p) unknown at every p, as above `curve_fp.GROUP_ORDER_P_BOUND`,
+    for params made while the fixture is in use: their `key_point` and
+    `gens_msm` run on unreduced scalars. The search's cache is emptied on
+    both sides, so no None it cached outlives the test."""
+    monkeypatch.setattr(curve_fp, "GROUP_ORDER_P_BOUND", 0)
+    curve_fp.group_order.cache_clear()
+    yield
+    monkeypatch.undo()
+    curve_fp.group_order.cache_clear()
 
 
 def quiet_setup(curve_id, p, q, rng, **kwargs):

@@ -1069,15 +1069,16 @@ def test_group_order_is_none_where_no_search_proves_it(monkeypatch):
     monkeypatch.undo()
     group_order.cache_clear()
 
-    # above GROUP_ORDER_P_BOUND = 2^48 no search runs: members' p, and
-    # TOY_P once the bound sits just below it
+    # above GROUP_ORDER_P_BOUND = 2^32 no search runs: members' p, the
+    # least prime past 2^32, and TOY_P once the bound sits just below it
     def no_search(*args):
         raise AssertionError("point_order ran")
     monkeypatch.setattr(curve_fp, "point_order", no_search)
-    assert curve_fp.GROUP_ORDER_P_BOUND == 1 << 48
-    big = reduce_curve(catalog("toy17"), MERSENNE_127)
-    assert group_order(big, reduce_point(big, catalog("toy17")
-                                         .generators[0])) is None
+    assert curve_fp.GROUP_ORDER_P_BOUND == 1 << 32
+    for p in (MERSENNE_127, (1 << 32) + 15):
+        big = reduce_curve(catalog("toy17"), p)
+        assert group_order(big, reduce_point(big, catalog("toy17")
+                                             .generators[0])) is None
     monkeypatch.setattr(curve_fp, "GROUP_ORDER_P_BOUND", TOY_P - 1)
     assert group_order(c17, g) is None
     monkeypatch.undo()
@@ -1146,3 +1147,58 @@ def test_key_combs_keep_their_teeth(make, columns, teeth):
                  teeth)
     assert keys.cache_info().misses == 1  # the verify built it
     assert (table.d, len(table.rows[0]) - 1) == (columns, 2 ** teeth - 1)
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params,
+                                  make_members_shape])
+def test_gens_msm_splits_unreduced_responses_at_the_top_of_the_q_comb(
+        make, no_group_order, monkeypatch):
+    # where #E is not known (at members' p, and at the others' with the
+    # search switched off) gens_msm takes the raw scalars and cuts them at
+    # S = t * d_q, d_q = ceil(bitlen(q) / t), the top of the comb key_point
+    # reads: bits below S run on that comb, the rest on the comb from bit
+    # S up to mask_bits, d_hi columns, on one chain of max(d_q, d_hi)
+    # columns. At the slice edges, past them (a NAF row each) and with or
+    # without a key term it sums to the affine reference
+    from hrpks import curve_fp
+
+    params, _gm = make()
+    t, r, q_bits = curve_fp.COMB_TEETH, params.r, params.q.bit_length()
+    d_q = -(-q_bits // t)
+    split, top = t * d_q, 1 << params.mask_bits
+    d_hi = -(-(params.mask_bits - split) // t)
+    assert d_hi >= 1 and params._shape.order is None
+    assert params._shape.response_bits == (q_bits, params.mask_bits)
+    assert curve_fp._comb_table(params.curve, params.gens, q_bits).d == d_q
+    assert curve_fp._comb_table(params.curve, params.gens,
+                                params.mask_bits - split, split).d == d_hi
+    gens, key = list(params.gens), params.gm_pub.point
+    rng = random.Random(61)
+    edges = [0, (1 << split) - 1, 1 << split, top - 1]
+    cases = [[e] * r for e in edges]
+    cases += [[edges[(i + k) % 4] for i in range(r)] for k in range(4)]
+    cases += [[top] + [rng.randrange(top) for _ in range(r - 1)],
+              [-(1 << split) - 3] + [rng.randrange(top) for _ in range(r - 1)],
+              [rng.randrange(top) for _ in range(r)]]
+    for s in cases:
+        assert params.gens_msm(s) == _reference_msm(params.curve, s, gens), s
+        for c in (0, 1, (1 << params.l_c) - 1):
+            assert params.gens_msm(s, ((-c, key),)) == \
+                _reference_msm(params.curve, [*s, -c], gens + [key]), (s, c)
+    # a warm call with both slices of every response nonzero and a key
+    # term is exactly one doubling per column of the longer slice
+    s = [(1 << split) + rng.randrange(top >> 1) for _ in range(r)]
+    params.gens_msm(s, ((-1, key),))
+    doublings = []
+    real = curve_fp._jac_double
+
+    def counting(*args):
+        doublings.append(1)
+        return real(*args)
+    monkeypatch.setattr(curve_fp, "_jac_double", counting)
+    for extra in ((), ((-1, key),), ((1 - (1 << params.l_c), key),)):
+        doublings.clear()
+        assert params.gens_msm(s, extra) == \
+            _reference_msm(params.curve, [*s, *(n for n, _ in extra)],
+                           gens + [P for _, P in extra])
+        assert len(doublings) == max(d_q, d_hi), extra

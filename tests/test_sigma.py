@@ -1251,7 +1251,7 @@ def test_sign_past_three_sets_inverts_once_and_reads_the_collapse(
 # Per warm call on the r = 8 shapes of the benchmarks: (inversions mod p,
 # doublings, mixed additions, pair additions in `_sum_rows`) of a sign and
 # of a verify, and a key's first verify's inversions. `members` (no #E
-# past 2^48) cuts responses at S = 9 * d_q onto two combs of d_q = 10 and
+# past 2^32) cuts responses at S = 9 * d_q onto two combs of d_q = 10 and
 # d_hi = 17 columns; `dept-revoked` reduces them mod a 32-bit #E onto one
 # comb of 4 columns, on a chain of 6 for the key comb's 6 teeth, where
 # without #E it had the two-comb shape too, d_q = 15 and d_hi = 21, at
@@ -1410,6 +1410,33 @@ def test_key_comb_matches_the_naf_path(make):
     # sums to what a NAF row of -c gives, and c = 0 adds no row and
     # builds no table
     params, gm = make()
+    assert params._shape.order is not None
+    _key_comb_matches_the_naf_path(params, gm)
+
+
+@pytest.mark.parametrize("make", [make_toy_params, make_mestre8_params])
+def test_key_comb_matches_the_naf_path_on_unreduced_scalars(make,
+                                                            no_group_order):
+    # the same where #E is not known: the raw c runs on a comb of -pk with
+    # t' = ceil(l_c / D) teeth in the chain's D = max(d_q, d_hi) columns
+    params, gm = make()
+    t = curve_fp.COMB_TEETH
+    d_q = -(-params.q.bit_length() // t)
+    chain = max(d_q, -(-(params.mask_bits - t * d_q) // t))
+    shape = params._shape
+    assert shape.order is None and shape.keyed_bits == params.l_c
+    assert shape.key_teeth == -(-params.l_c // chain)
+    _key_comb_matches_the_naf_path(params, gm)
+    # the comb a gens_msm builds for -GM is the one of those columns
+    cache = curve_fp._key_table
+    cache.cache_clear()
+    params.gens_msm([0] * params.r, ((-1, params.gm_pub.point),))
+    cache(params.curve, curve_fp.neg_fp(params.curve, params.gm_pub.point),
+          chain, shape.key_teeth)
+    assert cache.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def _key_comb_matches_the_naf_path(params, gm):
     rng = random.Random(167)
     _sk, pk = join(params, gm, add_department(params, new_root(), rng),
                    "alice", rng)
