@@ -8,37 +8,14 @@ relations with at least two nonzero coordinates and bounded entries.
 """
 
 import time
-from dataclasses import dataclass
-from typing import Tuple
 
 from . import curve_fp
 from .curve_fp import msm, point_order
 from .errors import InvariantError
 from .hierarchy import SystemParams
+from .serial import OrderReport, RelationReport
 
 SEARCH_GUARD = 10 ** 6  # probe steps, (2 * bound + 1) ** ceil(r / 2)
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    params_digest: str
-    method: str
-    bound: int
-    relations: Tuple[Tuple[int, ...], ...]   # sorted vectors, re-verified
-    trivial_flags: Tuple[bool, ...]          # parallel: single-coordinate?
-    orders: Tuple[int, ...]
-    q_over_min_order: float
-    wall_time: float
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    params_digest: str
-    orders: Tuple[int, ...]
-    hasse_lo: int
-    hasse_hi: int
-    q_over_min_order: float
-    wall_time: float
 
 
 def _is_trivial(vec) -> bool:

@@ -7,15 +7,22 @@ reproduction).
 
 All randomness flows through one generator: OS entropy by default,
 a deterministic stream under --seed (byte-identical outputs across runs).
+
+`main` may run many commands in one process: each command's argparse
+parser is built once (`build_parser` is cached by its command words) and
+`serial` validates a params text once, so only the first call pays for
+either. The lab commands import `assumption_lab` when they run, so no
+other command loads it.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
 import warnings
 
-from . import assumption_lab, curve_q, hierarchy, revocation, serial, sigma
+from . import curve_q, hierarchy, revocation, serial, sigma
 from . import toydata
 from .curve_fp import msm, reduce_curve, reduce_point, scalar_mul_fp
 from .curve_q import catalog, scalar_mul_q
@@ -184,6 +191,8 @@ def cmd_rl_coalesce(args):
 
 
 def cmd_lab_relations(args):
+    from . import assumption_lab
+
     params = _load(args.params, "params")
     report = assumption_lab.relation_search(params, args.bound)
     serial.save_artifact(args.out, "report", report)
@@ -195,6 +204,8 @@ def cmd_lab_relations(args):
 
 
 def cmd_lab_orders(args):
+    from . import assumption_lab
+
     params = _load(args.params, "params")
     report = assumption_lab.order_report(params)
     serial.save_artifact(args.out, "report", report)
@@ -310,9 +321,12 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=len(COMMANDS) + 1)
 def build_parser(words=()):
     """The parser for the command named by `words`; for words that name
-    none, a parser that lists every command and exits through argparse."""
+    none, a parser that lists every command and exits through argparse.
+    Cached by `words`: `parse_args` leaves a parser as it was, so one
+    parser serves every call of its command in the process."""
     if words in COMMANDS:
         func, help_line, arguments = COMMANDS[words]
         parser = argparse.ArgumentParser(prog="hrpks " + " ".join(words),
@@ -344,6 +358,8 @@ def build_parser(words=()):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # words that name no command become (), so build_parser's cache holds
+    # at most one parser per command and one for the rest
     words = next((w for w in (tuple(argv[:2]), tuple(argv[:1]))
                   if w in COMMANDS), ())
     args = build_parser(words).parse_args(argv[len(words):])

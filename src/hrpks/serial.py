@@ -19,18 +19,29 @@ invariant of the type it builds, or a point is off the supplied curve).
 Glue remains only where wire fields do not map one to one onto
 attributes: params (p and q feed `CurveFp` and `AuxGroup`), the tree
 (paths from nested names) and the relation report (zipped relations and
-trivial flags).
+trivial flags). The two report types are defined here beside their codec
+and re-exported by `assumption_lab`, so loading an artifact imports no lab
+code.
+
+Loading parses the JSON and dispatches on its parsed "kind". A params
+document then goes through one cache keyed by its exact text, bounded like
+the comb tables: the first load of a text runs every check, later loads of
+the same text in the process return that validated, frozen object, and a
+document that fails a check raises on every load. Other kinds are built
+afresh on every load: trees are mutable, lists change on every revocation
+and keypairs hold secrets.
 
 Kinds: params, keypair, cert, rl, signature, tree, report.
 File extensions by convention: .params .key .pub/.cert .rl .sig .tree .report
 """
 
+import functools
 import json
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from .assumption_lab import OrderReport, RelationReport
-from .curve_fp import INF, CurveFp, ModPoint, on_curve_fp
+from .curve_fp import COMB_CACHE_SIZE, INF, CurveFp, ModPoint, on_curve_fp
 from .errors import InvariantError, ParseError
 from .hierarchy import (AuxGroup, DeptNode, Hyperplane, PublicKey, SecretKey,
                         SystemParams, new_root)
@@ -257,6 +268,30 @@ _TREE = _record(lambda root: root,
                ("root", _Codec(_dump_root, _load_node), lambda root: root))
 
 
+@dataclass(frozen=True)
+class RelationReport:
+    """`assumption_lab.relation_search`'s result."""
+    params_digest: str
+    method: str
+    bound: int
+    relations: Tuple[Tuple[int, ...], ...]   # sorted vectors, re-verified
+    trivial_flags: Tuple[bool, ...]          # parallel: single-coordinate?
+    orders: Tuple[int, ...]
+    q_over_min_order: float
+    wall_time: float
+
+
+@dataclass(frozen=True)
+class OrderReport:
+    """`assumption_lab.order_report`'s result."""
+    params_digest: str
+    orders: Tuple[int, ...]
+    hasse_lo: int
+    hasse_hi: int
+    q_over_min_order: float
+    wall_time: float
+
+
 def _relation_report(relations, **fields) -> RelationReport:
     return RelationReport(relations=tuple(x for x, _ in relations),
                           trivial_flags=tuple(t for _, t in relations),
@@ -318,14 +353,9 @@ def serialize_artifact(kind: str, value) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
-    """Parse a canonical document back into its value.
-
-    Raises ParseError for text that is not a well-formed document of its
-    kind, and InvariantError for values that break an invariant, including,
-    when `curve` is supplied, any point the document carries that fails the
-    curve equation. Nothing else escapes.
-    """
+def _parse(text: str):
+    """(kind, the rest of the document) for artifact text, after its kind
+    and format version are checked."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -337,6 +367,10 @@ def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
         raise ParseError(f"unsupported format version {version!r:.40}")
     if type(kind) is not str or kind not in _ARTIFACTS:
         raise ParseError(f"unknown artifact kind {kind!r:.40}")
+    return kind, doc
+
+
+def _load(kind: str, doc, curve: Optional[CurveFp]):
     codec, points, what = _ARTIFACTS[kind]
     try:
         value = codec.load(doc)
@@ -348,6 +382,32 @@ def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
                 raise InvariantError(
                     f"{what} point {pt} fails the curve equation")
     return value
+
+
+@functools.lru_cache(maxsize=COMB_CACHE_SIZE)
+def _load_params(text: str) -> SystemParams:
+    """The params document `text`, loaded with every check on a miss and
+    cached by its exact text, as the comb tables and `group_order` are by
+    the same content: a process that loads one params file per command
+    proves p and q prime and builds the object once. A failed load raises
+    and caches nothing. The object is frozen, and what it computes lazily
+    (`digest`, its msm shape) depends only on its content."""
+    return _load(*_parse(text), None)
+
+
+def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
+    """Parse a canonical document back into its value.
+
+    Raises ParseError for text that is not a well-formed document of its
+    kind, and InvariantError for values that break an invariant, including,
+    when `curve` is supplied, any point the document carries that fails the
+    curve equation. Nothing else escapes. Params, which carry no point a
+    `curve` checks, come from `_load_params`, chosen by the parsed kind.
+    """
+    kind, doc = _parse(text)
+    if kind == "params":
+        return _load_params(text)
+    return _load(kind, doc, curve)
 
 
 def load_artifact(path, curve: Optional[CurveFp] = None):

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from hrpks import curve_fp, hierarchy, toydata
+from hrpks import curve_fp, hierarchy, serial, toydata
 from hrpks.hierarchy import Hyperplane
 
 TOY_P = 3123456773
@@ -21,13 +21,17 @@ ENGINEERING = Hyperplane((937, 58, 32))
 def no_group_order(monkeypatch):
     """#E(F_p) unknown at every p, as above `curve_fp.GROUP_ORDER_P_BOUND`,
     for params made while the fixture is in use: their `key_point` and
-    `gens_msm` run on unreduced scalars. The search's cache is emptied on
-    both sides, so no None it cached outlives the test."""
+    `gens_msm` run on unreduced scalars. The search's cache and the params
+    cache are emptied on both sides, so neither a None the search cached
+    nor a loaded params object whose msm shape was fixed without #E
+    outlives the test."""
     monkeypatch.setattr(curve_fp, "GROUP_ORDER_P_BOUND", 0)
     curve_fp.group_order.cache_clear()
+    serial._load_params.cache_clear()
     yield
     monkeypatch.undo()
     curve_fp.group_order.cache_clear()
+    serial._load_params.cache_clear()
 
 
 def quiet_setup(curve_id, p, q, rng, **kwargs):

@@ -804,7 +804,10 @@ def test_usage_paths_exit_through_argparse(capsys):
     assert "--parent PARENT" in out
 
 
-def test_one_parser_per_call(tmp_path, capsys, monkeypatch):
+def test_one_parser_per_command(tmp_path, capsys, monkeypatch):
+    # parsers are cached by command words: a command's second call builds
+    # none, another command builds its own, and words that name no command
+    # share the one general parser, so they cannot grow the cache
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -813,7 +816,19 @@ def test_one_parser_per_call(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    code = main(["verify", "--params", str(tmp_path / "missing.params"),
-                 "--pub", "x", "--rl", "y", "--msg-file", "z", "--sig", "w"])
-    assert code == 2
+    build_parser.cache_clear()
+    missing = str(tmp_path / "missing.params")
+    for _ in range(2):
+        code = main(["verify", "--params", missing, "--pub", "x", "--rl", "y",
+                     "--msg-file", "z", "--sig", "w"])
+        assert code == 2
     assert built == ["hrpks verify"]
+    code = main(["revoke", "member", "--params", missing, "--rl", "y",
+                 "--pub", "x"])
+    assert code == 2
+    assert built == ["hrpks verify", "hrpks revoke member"]
+    for argv in (["bogus"], ["dept", "bogus"], ["--", "sign"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["hrpks verify", "hrpks revoke member", "hrpks"]
+    assert build_parser.cache_info().currsize == 3

@@ -295,6 +295,7 @@ def test_params_load_checks_each_prime_once(monkeypatch):
         return real(n)
     monkeypatch.setattr(modmath, "is_probable_prime", counting)
     monkeypatch.setattr(serial, "is_probable_prime", counting)
+    serial._load_params.cache_clear()
     back = serial.deserialize_artifact(
         serial.serialize_artifact("params", params))
     assert back == params
@@ -307,6 +308,69 @@ def test_params_load_checks_each_prime_once(monkeypatch):
         serial.deserialize_artifact(json.dumps(doc))
 
 
+def _one_byte_edit(text, old, new):
+    assert text.count(old) == 1 and len(old) == len(new)
+    edited = text.replace(old, new)
+    assert sum(a != b for a, b in zip(text, edited)) == 1
+    return edited
+
+
+def test_params_text_loads_once_and_any_edit_loads_afresh(monkeypatch):
+    # the same text twice gives the one object and proves no prime again;
+    # a one-byte edit is another text, loaded and checked in full, and a
+    # text that fails a check raises on every load and is never cached
+    from hrpks import modmath
+
+    params, _gm = make_mestre8_params()
+    text = serial.serialize_artifact("params", params)
+    tested = []
+    real = modmath.is_probable_prime
+
+    def counting(n):
+        tested.append(n)
+        return real(n)
+    monkeypatch.setattr(modmath, "is_probable_prime", counting)
+    monkeypatch.setattr(serial, "is_probable_prime", counting)
+    serial._load_params.cache_clear()
+    first = serial.deserialize_artifact(text)
+    assert first == params and first is not params
+    assert sorted(tested) == sorted([params.p, params.q])
+    tested.clear()
+    assert serial.deserialize_artifact(text) is first
+    assert tested == []
+
+    other = serial.deserialize_artifact(_one_byte_edit(
+        text, f'"l_s":"{params.l_s}"', f'"l_s":"{params.l_s - 1}"'))
+    assert other.l_s == params.l_s - 1 and other is not first
+    assert sorted(tested) == sorted([params.p, params.q])
+
+    # 1009 -> 1008: CurveFp proves p prime, then q fails
+    assert params.q == 1009
+    composite = _one_byte_edit(text, '"q":"1009"', '"q":"1008"')
+    for attempt in range(1, 3):
+        tested.clear()
+        with pytest.raises(InvariantError, match="q is not prime"):
+            serial.deserialize_artifact(composite)
+        assert tested == [params.p, 1008], attempt
+    info = serial._load_params.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
+
+
+def test_duplicated_kind_dispatches_on_the_parsed_value():
+    # JSON keeps the last of duplicated keys: a cert document that opens
+    # with "kind":"params" is a cert, and its point is checked against the
+    # curve, not skipped as if the text were params
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    doc = json.loads(serial.serialize_artifact("cert", pk))
+    doc["point"][0] = str((int(doc["point"][0]) + 1) % params.p)
+    text = '{"kind":"params",' + json.dumps(doc)[1:]
+    assert json.loads(text)["kind"] == "cert"
+    serial._load_params.cache_clear()
+    with pytest.raises(InvariantError, match="fails the curve equation"):
+        serial.deserialize_artifact(text, curve=params.curve)
+    assert serial._load_params.cache_info().misses == 0
+
+
 def test_params_under_an_id_outside_the_catalog_load_back_equal():
     # a reduced curve is its p and coefficients alone: params saved under
     # a curve id the catalog does not know load back equal to the
@@ -315,6 +379,7 @@ def test_params_under_an_id_outside_the_catalog_load_back_equal():
     toy, _gm = make_toy_params()
     params = dataclasses.replace(toy, curve_id="toy17-copy")
     scalars = list(range(1, params.r + 1))
+    serial._load_params.cache_clear()
     curve_fp._comb_table.cache_clear()
     curve_fp.group_order.cache_clear()
     want = params.gens_msm(scalars)
