@@ -10,9 +10,9 @@ a deterministic stream under --seed (byte-identical outputs across runs).
 
 `main` may run many commands in one process: each command's argparse
 parser is built once (`build_parser` is cached by its command words) and
-`serial` validates a params text once, so only the first call pays for
-either. The lab commands import `assumption_lab` when they run, so no
-other command loads it.
+`serial` loads a params, list or certificate text once, so only the
+first call pays for either. The lab commands import `assumption_lab`
+when they run, so no other command loads it.
 """
 
 import argparse
@@ -59,7 +59,8 @@ def _load(path, kind, params=None):
     value = serial.load_artifact(path,
                                  curve=params and params.curve)
     cls, what = _EXPECTED[kind]
-    if not isinstance(value, cls):
+    # exact types: a report, a NamedTuple, is a tuple but not a keypair
+    if type(value) is not cls:
         raise ParseError(f"{path} does not hold {what}")
     return value
 

@@ -109,6 +109,13 @@ class ModPoint:
 INF = ModPoint.infinity()
 
 
+# The largest p, in bits, a curve may have: above the grid's 255 bits.
+# The size rule runs before p is proved prime: `modmath.is_probable_prime`
+# took about 15 s on the 4423-bit Mersenne prime 2^4423 - 1 (CPython 3.11,
+# 2-vCPU VM).
+MAX_P_BITS = 521
+
+
 @dataclass(frozen=True)
 class CurveFp:
     p: int
@@ -119,6 +126,9 @@ class CurveFp:
     a6: int
 
     def __post_init__(self):
+        if self.p.bit_length() > MAX_P_BITS:
+            raise ValueError(f"p has {self.p.bit_length()} bits; at most "
+                             f"{MAX_P_BITS} are supported")
         _require_prime(self.p)
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, getattr(self, name) % self.p)

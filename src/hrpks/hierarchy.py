@@ -196,6 +196,14 @@ class MsmShape(NamedTuple):
     key_teeth: int
 
 
+def _require_q_size(q: int, error=InvariantError):
+    """q < 2^(MAX_CHALLENGE_BITS + 1), since collapse gammas are hashed to
+    bitlen(q) - 1 bits. `setup` and the params loader check it before
+    they prove q prime, which takes seconds at thousands of bits."""
+    if q.bit_length() - 1 > MAX_CHALLENGE_BITS:
+        raise error(f"q must be below 2^{MAX_CHALLENGE_BITS + 1}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Public parameters. CurveFp checks that p is prime; `setup` and the
@@ -229,9 +237,7 @@ class SystemParams:
         # l_c < bitlen(q); comparing bit lengths shifts no untrusted count
         if not 8 <= self.l_c < self.q.bit_length():
             raise InvariantError("need 8 <= l_c and 2^l_c < q")
-        if self.q.bit_length() - 1 > MAX_CHALLENGE_BITS:
-            # collapse gammas are hashed to bitlen(q) - 1 bits
-            raise InvariantError(f"q must be below 2^{MAX_CHALLENGE_BITS + 1}")
+        _require_q_size(self.q)
         if not 1 <= self.l_s <= MAX_STAT_GAP_BITS:
             # sign and verify build 2^mask_bits bounds and comb tables
             raise InvariantError(f"need 1 <= l_s <= {MAX_STAT_GAP_BITS}")
@@ -382,6 +388,7 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     curve = curve_q.catalog(curve_id)
     if not curve.generators:
         raise ValueError(f"curve {curve_id!r} lists no generators")
+    _require_q_size(q, ValueError)
     try:
         reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
     except InvariantError as e:

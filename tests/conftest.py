@@ -21,17 +21,17 @@ ENGINEERING = Hyperplane((937, 58, 32))
 def no_group_order(monkeypatch):
     """#E(F_p) unknown at every p, as above `curve_fp.GROUP_ORDER_P_BOUND`,
     for params made while the fixture is in use: their `key_point` and
-    `gens_msm` run on unreduced scalars. The search's cache and the params
+    `gens_msm` run on unreduced scalars. The search's cache and the load
     cache are emptied on both sides, so neither a None the search cached
     nor a loaded params object whose msm shape was fixed without #E
     outlives the test."""
     monkeypatch.setattr(curve_fp, "GROUP_ORDER_P_BOUND", 0)
     curve_fp.group_order.cache_clear()
-    serial._load_params.cache_clear()
+    serial._LOADED.clear()
     yield
     monkeypatch.undo()
     curve_fp.group_order.cache_clear()
-    serial._load_params.cache_clear()
+    serial._LOADED.clear()
 
 
 def quiet_setup(curve_id, p, q, rng, **kwargs):

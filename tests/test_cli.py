@@ -573,6 +573,14 @@ def test_corrupt_artifact_exit_code(tmp_path, capsys):
                        "--msg-file", str(msg), "--sig", str(sig))
     assert code == 2 and "does not hold a public key" in err
 
+    # and a report, a tuple of another type, where the keypair belongs
+    report = d / "orders.report"
+    run(capsys, "lab", "orders", "--params", str(params), "--out", str(report))
+    code, _, err = run(capsys, "sign", "--params", str(params),
+                       "--key", str(report), "--rl", str(rl),
+                       "--msg-file", str(msg), "--out", str(sig))
+    assert code == 2 and "does not hold a keypair" in err
+
 
 def test_sign_maps_retry_exhausted_to_exit_4(tmp_path, capsys,
                                             monkeypatch):

@@ -93,7 +93,7 @@ def test_warm_and_cold_params_are_indistinguishable():
 
     warm, _ = make_toy_params(seed=3)
     text = serial.serialize_artifact("params", warm)
-    serial._load_params.cache_clear()  # no earlier load computed a digest
+    serial._LOADED.clear()  # no earlier load computed a digest
     cold = serial.deserialize_artifact(text)
     warm.digest()
     assert warm == cold and hash(warm) == hash(cold)

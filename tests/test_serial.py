@@ -1,16 +1,18 @@
+import collections
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
 from hrpks import assumption_lab, curve_fp, serial
-from hrpks.curve_fp import ModPoint
+from hrpks.curve_fp import ModPoint, on_curve_fp
 from hrpks.errors import InvariantError, ParseError
 from hrpks.hierarchy import (Hyperplane, PublicKey, add_department, join,
                              new_root)
 from hrpks.revocation import (ConstraintSet, RevocationList, RevokedMember,
-                              empty_rl, revoke_group, revoke_member)
+                              empty_rl, revoke_group, revoke_member, rl_hash)
 from hrpks.sigma import sign
 
 from conftest import FINANCIAL, make_mestre8_params, make_toy_params
@@ -295,7 +297,7 @@ def test_params_load_checks_each_prime_once(monkeypatch):
         return real(n)
     monkeypatch.setattr(modmath, "is_probable_prime", counting)
     monkeypatch.setattr(serial, "is_probable_prime", counting)
-    serial._load_params.cache_clear()
+    serial._LOADED.clear()
     back = serial.deserialize_artifact(
         serial.serialize_artifact("params", params))
     assert back == params
@@ -331,7 +333,8 @@ def test_params_text_loads_once_and_any_edit_loads_afresh(monkeypatch):
         return real(n)
     monkeypatch.setattr(modmath, "is_probable_prime", counting)
     monkeypatch.setattr(serial, "is_probable_prime", counting)
-    serial._load_params.cache_clear()
+    monkeypatch.setattr(serial, "_LOAD_COUNTS", collections.Counter())
+    serial._LOADED.clear()
     first = serial.deserialize_artifact(text)
     assert first == params and first is not params
     assert sorted(tested) == sorted([params.p, params.q])
@@ -352,8 +355,8 @@ def test_params_text_loads_once_and_any_edit_loads_afresh(monkeypatch):
         with pytest.raises(InvariantError, match="q is not prime"):
             serial.deserialize_artifact(composite)
         assert tested == [params.p, 1008], attempt
-    info = serial._load_params.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
+    assert serial._LOAD_COUNTS == {("params", True): 1, ("params", False): 4}
+    assert len(serial._LOADED) == 2
 
 
 def test_duplicated_kind_dispatches_on_the_parsed_value():
@@ -365,10 +368,12 @@ def test_duplicated_kind_dispatches_on_the_parsed_value():
     doc["point"][0] = str((int(doc["point"][0]) + 1) % params.p)
     text = '{"kind":"params",' + json.dumps(doc)[1:]
     assert json.loads(text)["kind"] == "cert"
-    serial._load_params.cache_clear()
+    serial._LOADED.clear()
+    counts = serial._LOAD_COUNTS.copy()
     with pytest.raises(InvariantError, match="fails the curve equation"):
         serial.deserialize_artifact(text, curve=params.curve)
-    assert serial._load_params.cache_info().misses == 0
+    assert serial._LOAD_COUNTS - counts == {("cert", False): 1}
+    assert not serial._LOADED
 
 
 def test_params_under_an_id_outside_the_catalog_load_back_equal():
@@ -379,7 +384,7 @@ def test_params_under_an_id_outside_the_catalog_load_back_equal():
     toy, _gm = make_toy_params()
     params = dataclasses.replace(toy, curve_id="toy17-copy")
     scalars = list(range(1, params.r + 1))
-    serial._load_params.cache_clear()
+    serial._LOADED.clear()
     curve_fp._comb_table.cache_clear()
     curve_fp.group_order.cache_clear()
     want = params.gens_msm(scalars)
@@ -389,3 +394,129 @@ def test_params_under_an_id_outside_the_catalog_load_back_equal():
     assert back.gens_msm(scalars) == want
     assert curve_fp._comb_table.cache_info().misses == 1
     assert curve_fp.group_order.cache_info().misses == 1
+
+
+def test_a_list_text_loads_once_and_is_hashed_once(monkeypatch):
+    # the second load of a list text gives the object the first built, so
+    # its digest is serialized and hashed once
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    text = serial.serialize_artifact(
+        "rl", revoke_group(revoke_member(empty_rl(), pk), hr))
+    serial._LOADED.clear()
+    first = serial.deserialize_artifact(text, curve=params.curve)
+    dumped = []
+    real = serial.serialize_artifact
+    monkeypatch.setattr(serial, "serialize_artifact",
+                        lambda kind, value: dumped.append(kind)
+                        or real(kind, value))
+    second = serial.deserialize_artifact(text, curve=params.curve)
+    assert second is first
+    want = hashlib.sha256(text.encode("utf-8")).digest()
+    assert rl_hash(first) == rl_hash(second) == want
+    assert dumped == ["rl"]
+
+
+def test_a_list_loaded_without_a_curve_is_checked_when_given_one():
+    # the curve is part of the key: a list whose point is off the curve
+    # loads without one, and raises on every load with one
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    doc = json.loads(serial.serialize_artifact(
+        "rl", revoke_member(empty_rl(), pk)))
+    x, y = (int(v) for v in doc["members"][0]["point"])
+    assert not on_curve_fp(params.curve, ModPoint(x + 1, y))
+    doc["members"][0]["point"][0] = str(x + 1)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    serial._LOADED.clear()
+    unchecked = serial.deserialize_artifact(text)
+    assert serial.deserialize_artifact(text) is unchecked
+    for _attempt in range(2):
+        with pytest.raises(InvariantError, match="fails the curve equation"):
+            serial.deserialize_artifact(text, curve=params.curve)
+    assert list(serial._LOADED) == [(text, None)]
+
+
+def test_a_failing_list_text_raises_on_every_load():
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    doc = json.loads(serial.serialize_artifact(
+        "rl", revoke_member(empty_rl(), pk)))
+    doc["members"] *= 2
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    serial._LOADED.clear()
+    for _attempt in range(2):
+        with pytest.raises(InvariantError, match="duplicate member point"):
+            serial.deserialize_artifact(text, curve=params.curve)
+    assert not serial._LOADED
+
+
+def test_keypair_tree_and_signature_loads_give_fresh_objects():
+    # keypairs hold secrets and trees are mutable, so neither is kept;
+    # signatures seldom repeat, so they are not kept either
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    sig = sign(params, gm, params.gm_pub, empty_rl(), b"m", rng)
+    serial._LOADED.clear()
+    for kind, value in (("keypair", (sk, pk)), ("tree", root),
+                        ("signature", sig)):
+        text = serial.serialize_artifact(kind, value)
+        first, second = (serial.deserialize_artifact(text, curve=params.curve)
+                         for _ in range(2))
+        assert first is not second, kind
+        assert serial.serialize_artifact(kind, second) == text
+    assert not serial._LOADED
+
+
+def test_the_load_cache_evicts_the_least_recently_used_first():
+    size = curve_fp.COMB_CACHE_SIZE
+    texts = [serial.serialize_artifact("rl", RevocationList(version=v))
+             for v in range(size + 1)]
+    serial._LOADED.clear()
+    loaded = [serial.deserialize_artifact(text) for text in texts[:size]]
+    assert serial.deserialize_artifact(texts[0]) is loaded[0]
+    serial.deserialize_artifact(texts[size])  # drops texts[1]
+    assert len(serial._LOADED) == size
+    assert serial.deserialize_artifact(texts[0]) is loaded[0]
+    again = serial.deserialize_artifact(texts[1])
+    assert again == loaded[1] and again is not loaded[1]
+
+
+def test_params_sizes_are_refused_before_any_prime_is_proved(
+        tmp_path, monkeypatch, capsys):
+    # a 2990-byte toy17 document with p = q = 2^4423 - 1 once took 33 s
+    # to refuse, both proved prime before any size rule; the q rule
+    # refuses it, and the p rule a copy with only p that large, with no
+    # primality test, in the library and through `hrpks verify`
+    from hrpks import cli, modmath
+
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    tested = []
+    monkeypatch.setattr(modmath, "is_probable_prime", tested.append)
+    monkeypatch.setattr(serial, "is_probable_prime", tested.append)
+    doc = json.loads(serial.serialize_artifact("params", params))
+    mersenne = str((1 << 4423) - 1)
+
+    def text(**fields):
+        return json.dumps({**doc, **fields}, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    hostile = text(p=mersenne, q=mersenne)
+    assert len(hostile) == 2990
+    serial._LOADED.clear()
+    for bad, rule in ((hostile, r"q must be below 2\^257"),
+                      (text(p=mersenne), "p has 4423 bits")):
+        for _attempt in range(2):
+            with pytest.raises(InvariantError, match=rule):
+                serial.deserialize_artifact(bad)
+
+    files = {"params": tmp_path / "hostile.params"}
+    files["params"].write_text(hostile)
+    for kind, value in (("pub", ("cert", pk)), ("rl", ("rl", empty_rl())),
+                        ("sig", ("signature", sign(params, sk, pk, empty_rl(),
+                                                   b"m", rng)))):
+        files[kind] = tmp_path / kind
+        serial.save_artifact(files[kind], *value)
+    files["msg-file"] = tmp_path / "msg"
+    files["msg-file"].write_bytes(b"m")
+    code = cli.main(["verify", *(arg for name, path in files.items()
+                                 for arg in (f"--{name}", str(path)))])
+    err = capsys.readouterr().err
+    assert code == 4 and "q must be below 2^257" in err, err
+    assert tested == []
+    assert not serial._LOADED
