@@ -54,10 +54,10 @@ _EXPECTED = {
 
 
 def _load(path, kind, params=None):
-    """The artifact of the given kind at `path`; points are checked against
-    the curve of `params` when given."""
-    value = serial.load_artifact(path,
-                                 curve=params and params.curve)
+    """The artifact of the given kind at `path`; points, and a tree's
+    nodes, are checked against `params` when given."""
+    value = serial.load_artifact(path, curve=params and params.curve,
+                                 params=params)
     cls, what = _EXPECTED[kind]
     # exact types: a report, a NamedTuple, is a tuple but not a keypair
     if type(value) is not cls:
@@ -83,7 +83,7 @@ def cmd_setup(args):
 def cmd_dept_add(args):
     params = _load(args.params, "params")
     try:
-        root = _load(args.tree, "tree")
+        root = _load(args.tree, "tree", params)
     except FileNotFoundError:
         root = new_root()
     parent = find_dept(root, args.parent)
@@ -96,7 +96,7 @@ def cmd_dept_add(args):
 
 def cmd_member_join(args):
     params = _load(args.params, "params")
-    root = _load(args.tree, "tree")
+    root = _load(args.tree, "tree", params)
     dept = find_dept(root, args.dept)
     gm_sk, _gm_pub = _load(args.gm_key, "keypair", params)
     rng = _rng(args.seed)
@@ -153,14 +153,8 @@ def cmd_revoke_member(args):
 
 def cmd_revoke_group(args):
     params = _load(args.params, "params")
-    root = _load(args.tree, "tree")
+    root = _load(args.tree, "tree", params)
     dept = find_dept(root, args.dept)
-    # the list does not know r: a hyperplane of another width would make
-    # every later sign against it fail, and a department deeper than r - 1
-    # is refused as in `member join`; so is one whose hyperplanes are
-    # dependent, which would revoke its siblings' members too
-    hierarchy._require_fits(params, dept)
-    hierarchy._require_independent(params, dept)
     rl = _load(args.rl, "rl", params)
     rl = revocation.revoke_group(rl, dept)
     out = args.out or args.rl
@@ -171,12 +165,7 @@ def cmd_revoke_group(args):
 
 def cmd_rl_coalesce(args):
     params = _load(args.params, "params")
-    root = _load(args.tree, "tree")
-    # a family folds into its parent's entry, so every node must fit r and
-    # stack independent hyperplanes, as for `revoke group`
-    for node in hierarchy.walk(root):
-        hierarchy._require_fits(params, node)
-        hierarchy._require_independent(params, node)
+    root = _load(args.tree, "tree", params)
     rl = _load(args.rl, "rl", params)
     before = rl.version
     rl = revocation.coalesce(rl, root)

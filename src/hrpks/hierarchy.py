@@ -2,9 +2,12 @@
 affine constraints, member key generation, and GM certification of public
 keys.
 
-Department at level k <= r-1 carries k linearly independent hyperplanes
-(its own plus every ancestor's); member secret keys are sampled uniformly
-from the department's solution space mod q.
+Department at level k <= r-1 carries k hyperplanes, each r + 1 wide, whose
+linear parts are independent mod q (its own plus every ancestor's);
+`DeptNode.attach`, which makes every department node, checks all three
+against the system params, so `join`, `revocation.revoke_group` and
+`revocation.coalesce` trust the tree. Member secret keys are sampled
+uniformly from the department's solution space mod q.
 """
 
 import collections
@@ -47,6 +50,10 @@ class AuxGroup:
     def __post_init__(self):
         if (self.rho - 1) % self.q != 0:
             raise InvariantError("q does not divide rho - 1")
+        # `setup` never looks past k = AUX_K_LIMIT; a longer rho would go to
+        # Miller-Rabin at whatever size the file gives
+        if (self.rho - 1) // self.q > AUX_K_LIMIT:
+            raise InvariantError(f"rho = k*q + 1 needs k <= {AUX_K_LIMIT}")
         for name, el in (("g", self.g), ("h", self.h)):
             if not 1 < el < self.rho:
                 raise InvariantError(f"aux generator {name} out of range")
@@ -98,13 +105,19 @@ class Hyperplane:
         return (self.a0 + sum(a * v for a, v in zip(self.linear, x))) % q
 
 
+class _DependentHyperplane(ValueError):
+    """A hyperplane whose linear part a department's rows already span mod
+    q (`DeptNode.attach`)."""
+
+
 @dataclass
 class DeptNode:
     """Node of the department tree. The root has level 0 and no constraints;
-    a level-k node carries k constraints (its own last)."""
+    a level-k node carries k constraints (its own last), which only
+    `attach` sets."""
 
     path: str
-    constraints: Tuple[Hyperplane, ...] = ()
+    constraints: Tuple[Hyperplane, ...] = field(default=(), init=False)
     # name -> child in attach order: `attach` is the only writer, and finds
     # a taken name without scanning the siblings
     _children: Dict[str, "DeptNode"] = field(default_factory=dict, init=False)
@@ -120,21 +133,39 @@ class DeptNode:
     def child(self, name: str) -> Optional["DeptNode"]:
         return self._children.get(name)
 
-    def attach(self, name: str, hyperplane: Hyperplane) -> "DeptNode":
+    def attach(self, name: str, hyperplane: Hyperplane,
+               params: "SystemParams") -> "DeptNode":
         """Append and return the child `name`, with `hyperplane` stacked on
-        this node's constraints: the one place a child department is made,
-        by `add_department` and the tree loader alike. The name must be
-        nonempty, slash-free and not taken here, so `find_dept` reaches
-        every node."""
+        this node's constraints: the one place a department node is made
+        and checked, by `add_department` and the tree loader alike. The
+        name must be nonempty, slash-free and not taken here, so
+        `find_dept` reaches every node. Against `params`, the hyperplane
+        must be r + 1 wide and the child at most r - 1 deep, or its
+        members' keys have no free coordinate left and all come out the
+        same. The stack's linear parts must have rank mod q equal to the
+        child's level, or the child's space is its parent's (or empty), and
+        revoking it revokes its siblings' members too; that refusal is a
+        _DependentHyperplane, the others plain ValueErrors."""
         if not name or "/" in name:
             raise ValueError(f"department name {name!r} is empty or holds "
                              "a slash")
         if name in self._children:
             raise ValueError(f"duplicate child names: {name!r} already "
                              f"exists under {self.path or '/'}")
-        node = self._children[name] = DeptNode(
-            path=f"{self.path}/{name}",
-            constraints=self.constraints + (hyperplane,))
+        path, level, r = f"{self.path}/{name}", self.level + 1, params.r
+        if len(hyperplane.coeffs) != r + 1:
+            raise ValueError(f"department {path} has a hyperplane that is "
+                             f"not r + 1 = {r + 1} wide")
+        if level > r - 1:
+            raise ValueError(f"department {path} is at level {level}, "
+                             f"deeper than r - 1 = {r - 1}, the depth limit")
+        constraints = self.constraints + (hyperplane,)
+        rank = modmath.rank_mod([hp.linear for hp in constraints], params.q)
+        if rank < level:
+            raise _DependentHyperplane(f"department {path} stacks {level} "
+                                       f"hyperplanes of rank {rank} mod q")
+        node = self._children[name] = DeptNode(path)
+        node.constraints = constraints
         return node
 
 
@@ -196,12 +227,12 @@ class MsmShape(NamedTuple):
     key_teeth: int
 
 
-def _require_q_size(q: int, error=InvariantError):
+def _require_q_size(q: int):
     """q < 2^(MAX_CHALLENGE_BITS + 1), since collapse gammas are hashed to
     bitlen(q) - 1 bits. `setup` and the params loader check it before
     they prove q prime, which takes seconds at thousands of bits."""
     if q.bit_length() - 1 > MAX_CHALLENGE_BITS:
-        raise error(f"q must be below 2^{MAX_CHALLENGE_BITS + 1}")
+        raise InvariantError(f"q must be below 2^{MAX_CHALLENGE_BITS + 1}")
 
 
 @dataclass(frozen=True)
@@ -388,11 +419,12 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     curve = curve_q.catalog(curve_id)
     if not curve.generators:
         raise ValueError(f"curve {curve_id!r} lists no generators")
-    _require_q_size(q, ValueError)
     try:
+        _require_q_size(q)
         reduced = reduce_curve(curve, p)  # CurveFp checks that p is prime
     except InvariantError as e:
-        # bad reduction at the caller's p: a usage error, as below
+        # a q too wide or bad reduction at the caller's p: usage errors, as
+        # below
         raise ValueError(str(e)) from e
     if not modmath.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
@@ -442,58 +474,26 @@ def setup(curve_id: str, p: int, q: int, rng, l_c: Optional[int] = None,
     return params, SecretKey(x=gm_x, member_id="gm", dept="")
 
 
-def _require_fits(params: SystemParams, node: DeptNode):
-    """A tree is loaded without params, so a hand-edited one can stack
-    hyperplanes of any width, and any number of them: every one must be
-    r + 1 wide, and the node at most r - 1 deep, or its members' keys
-    have no free coordinate left and all come out the same."""
-    if any(len(hp.coeffs) != params.r + 1 for hp in node.constraints):
-        raise ValueError(f"department {node.path or '/'} has a hyperplane "
-                         f"that is not r + 1 = {params.r + 1} wide")
-    if node.level > params.r - 1:
-        raise ValueError(f"department {node.path} is at level {node.level}, "
-                         f"deeper than r - 1 = {params.r - 1}")
-
-
-def _require_independent(params: SystemParams, node: DeptNode):
-    """A hand-edited tree can stack a hyperplane whose linear part its
-    ancestors' already span mod q. The node's space is then its parent's
-    (or empty), so revoking it revokes its siblings' members too, and
-    `add_department` would sample children under it forever."""
-    rank = modmath.rank_mod([hp.linear for hp in node.constraints], params.q)
-    if rank < node.level:
-        raise ValueError(f"department {node.path} stacks {node.level} "
-                         f"hyperplanes of rank {rank} mod q")
-
-
 def add_department(params: SystemParams, parent: DeptNode, rng,
                    name: Optional[str] = None) -> DeptNode:
     """Attach a child department one level below `parent`, named `name` or
     else the first free d<k>.
 
-    Samples a fresh hyperplane until its linear part is independent of the
-    parent's stacked constraint rows mod q, so the child's solution space
-    has dimension exactly r - level >= 1. A chosen hyperplane goes in
-    through `parent.attach` instead.
+    Samples a fresh hyperplane until `parent.attach` takes it, which it
+    does once its linear part is independent of the parent's stacked
+    constraint rows mod q, so the child's solution space has dimension
+    exactly r - level >= 1. A chosen hyperplane goes in through
+    `parent.attach` instead.
     """
-    q, r = params.q, params.r
-    _require_fits(params, parent)
-    if parent.level >= r - 1:
-        raise ValueError(
-            f"depth limit: level-{parent.level} department cannot have "
-            f"children when r = {r} (max level is r - 1)")
     if name is None:
         name = next(f"d{k}" for k in itertools.count()
                     if parent.child(f"d{k}") is None)
-    parent_rows = [hp.linear for hp in parent.constraints]
     while True:
-        coeffs = tuple(rng.randrange(q) for _ in range(r + 1))
-        # a zero linear part adds no rank either
-        if modmath.rank_mod(parent_rows + [coeffs[1:]], q) \
-                == len(parent_rows) + 1:
-            return parent.attach(name, Hyperplane(coeffs))
-        # no draw can succeed under dependent parent rows
-        _require_independent(params, parent)
+        coeffs = tuple(rng.randrange(params.q) for _ in range(params.r + 1))
+        try:
+            return parent.attach(name, Hyperplane(coeffs), params)
+        except (InvariantError, _DependentHyperplane):
+            pass  # a zero linear part, or one the parent's rows span
 
 
 def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
@@ -505,15 +505,11 @@ def join(params: SystemParams, gm_sk: SecretKey, dept: DeptNode,
     """
     if dept.level < 1:
         raise ValueError("members join departments, not the root")
-    _require_fits(params, dept)
     q = params.q
-    try:
-        x = tuple(modmath.solve_affine_mod(
-            [hp.linear for hp in dept.constraints],
-            [-hp.a0 for hp in dept.constraints], q,
-            fill=lambda _j: rng.randrange(q)))
-    except ValueError as e:  # dependent or inconsistent hyperplanes
-        raise ValueError(f"department {dept.path}: {e}") from None
+    x = tuple(modmath.solve_affine_mod(
+        [hp.linear for hp in dept.constraints],
+        [-hp.a0 for hp in dept.constraints], q,
+        fill=lambda _j: rng.randrange(q)))
     for hp in dept.constraints:
         if hp.evaluate(x, q) != 0:
             raise InvariantError("solved key misses a constraint; "

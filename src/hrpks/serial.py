@@ -18,10 +18,11 @@ the expected shape) or InvariantError (a well-shaped value breaks an
 invariant of the type it builds, or a point is off the supplied curve).
 Glue remains only where wire fields do not map one to one onto
 attributes: params (p and q feed `CurveFp` and `AuxGroup`), the tree
-(paths from nested names) and the relation report (zipped relations and
-trivial flags). The two report types are defined here beside their codec
-and re-exported by `assumption_lab`, so loading an artifact imports no lab
-code.
+(paths from nested names, each node made and checked by `DeptNode.attach`
+against the params the caller passes; no tree loads without them) and
+the relation report (zipped relations and trivial flags). The two report
+types are defined here beside their codec and re-exported by
+`assumption_lab`, so loading an artifact imports no lab code.
 
 Loading looks the text up in one cache first, keyed by the exact text and
 the `curve` argument, which decides what a load checks. A miss parses the
@@ -249,7 +250,8 @@ _ROOT_FIELDS = frozenset(("name", "children"))
 _NODE_FIELDS = _ROOT_FIELDS | {"hyperplane"}
 
 
-def _load_node(doc, parent: Optional[DeptNode] = None) -> DeptNode:
+def _load_node(doc, params: SystemParams,
+               parent: Optional[DeptNode] = None) -> DeptNode:
     fields = _ROOT_FIELDS if parent is None else _NODE_FIELDS
     if type(doc) is not dict or doc.keys() != fields:
         raise _shape_error(f"a tree node with fields {sorted(fields)}", doc)
@@ -261,19 +263,26 @@ def _load_node(doc, parent: Optional[DeptNode] = None) -> DeptNode:
     else:
         hyperplane = _HYPERPLANE.load(doc["hyperplane"])
         try:
-            node = parent.attach(name, hyperplane)
+            node = parent.attach(name, hyperplane, params)
         except ValueError as e:
             raise InvariantError(str(e)) from e
     children = doc["children"]
     if type(children) is not list:
         raise _shape_error("a list of child nodes", children)
     for child in children:
-        _load_node(child, node)
+        _load_node(child, params, node)
     return node
 
 
-_TREE = _record(lambda root: root,
-               ("root", _Codec(_dump_root, _load_node), lambda root: root))
+def _load_tree(doc, params: Optional[SystemParams]) -> DeptNode:
+    if type(doc) is not dict or doc.keys() != {"root"}:
+        raise _shape_error("an object with fields ['root']", doc)
+    if params is None:
+        raise InvariantError("a tree is loaded only against system params")
+    return _load_node(doc["root"], params)
+
+
+_TREE = _Codec(lambda root: {"root": _dump_root(root)}, _load_tree)
 
 
 class RelationReport(NamedTuple):
@@ -376,10 +385,12 @@ def _parse(text: str):
     return kind, doc
 
 
-def _load(kind: str, doc, curve: Optional[CurveFp]):
+def _load(kind: str, doc, curve: Optional[CurveFp],
+          params: Optional[SystemParams]):
     codec, points, what = _ARTIFACTS[kind]
     try:
-        value = codec.load(doc)
+        # a tree's nodes are made, and checked, against the params
+        value = codec.load(doc, params) if kind == "tree" else codec.load(doc)
     except RecursionError:
         raise ParseError(f"{kind} document nests too deeply") from None
     if curve is not None and points is not None:
@@ -399,23 +410,25 @@ _LOADED = collections.OrderedDict()
 _LOAD_COUNTS = collections.Counter()
 
 
-def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
+def deserialize_artifact(text: str, curve: Optional[CurveFp] = None,
+                         params: Optional[SystemParams] = None):
     """Parse a canonical document back into its value.
 
     Raises ParseError for text that is not a well-formed document of its
     kind, and InvariantError for values that break an invariant, including,
     when `curve` is supplied, any point the document carries that fails the
-    curve equation. Nothing else escapes. A params, list or certificate
-    text loaded before in the process with an equal `curve` gives the
-    value that load built, found before the text is parsed; a load that
-    raises keeps nothing.
+    curve equation. A tree is built node by node through `DeptNode.attach`
+    against `params`, and is refused without them. Nothing else escapes.
+    A params, list or certificate text loaded before in the process with
+    an equal `curve` gives the value that load built, found before the
+    text is parsed; a load that raises keeps nothing.
     """
     key = (text, curve)
     entry = _LOADED.pop(key, None)
     if entry is None:
         kind, doc = _parse(text)
         _LOAD_COUNTS[kind, False] += 1
-        value = _load(kind, doc, curve)
+        value = _load(kind, doc, curve, params)
         if kind not in _CACHED_KINDS:
             return value
         entry = (kind, value)
@@ -427,13 +440,14 @@ def deserialize_artifact(text: str, curve: Optional[CurveFp] = None):
     return entry[1]
 
 
-def load_artifact(path, curve: Optional[CurveFp] = None):
+def load_artifact(path, curve: Optional[CurveFp] = None,
+                  params: Optional[SystemParams] = None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
             raise ParseError(f"{path} is not UTF-8 text: {e}") from None
-    return deserialize_artifact(text, curve=curve)
+    return deserialize_artifact(text, curve=curve, params=params)
 
 
 def save_artifact(path, kind: str, value) -> None:

@@ -145,9 +145,9 @@ def test_criterion_5_end_to_end_scheme():
         params, gm = make_toy_params(seed=4001)
         rng = random.Random(4002)
         root = new_root()
-        fin = root.attach("financial", FINANCIAL)
-        hr = root.attach("hr", HR)
-        eng = root.attach("engineering", ENGINEERING)
+        fin = root.attach("financial", FINANCIAL, params)
+        hr = root.attach("hr", HR, params)
+        eng = root.attach("engineering", ENGINEERING, params)
         alice = join(params, gm, fin, "alice", rng)
         bob = join(params, gm, fin, "bob", rng)
         carol = join(params, gm, hr, "carol", rng)
@@ -197,9 +197,9 @@ def test_criterion_6_forgery_resistance():
         params, gm = make_toy_params(seed=4005)
         rng = random.Random(4006)
         root = new_root()
-        fin = root.attach("financial", FINANCIAL)
-        hr = root.attach("hr", HR)
-        eng = root.attach("engineering", ENGINEERING)
+        fin = root.attach("financial", FINANCIAL, params)
+        hr = root.attach("hr", HR, params)
+        eng = root.attach("engineering", ENGINEERING, params)
         sk, pk = join(params, gm, fin, "alice", rng)
         rl = revoke_group(revoke_group(empty_rl(), hr), eng)
         msg = b"forgery target"

@@ -292,44 +292,6 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
-def _join_hand_edited_b(capsys, d, hyperplane):
-    """On toy17 (r = 2), add /a, hand-edit /a/b with `hyperplane` into the
-    tree, and join member x there: (exit code, stderr)."""
-    params, gm_key = _setup(capsys, d)
-    tree = d / "org.tree"
-    code, _, _ = run(capsys, "dept", "add", "--params", str(params),
-                     "--tree", str(tree), "--parent", "/", "--name", "a",
-                     "--seed", "2")
-    assert code == 0
-    doc = json.loads(tree.read_text())
-    doc["root"]["children"][0]["children"].append(
-        {"children": [], "hyperplane": hyperplane, "name": "b"})
-    tree.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "member", "join", "--params", str(params),
-                       "--tree", str(tree), "--gm-key", str(gm_key),
-                       "--dept", "/a/b", "--id", "x",
-                       "--key-out", str(d / "x.key"),
-                       "--pub-out", str(d / "x.pub"), "--seed", "3")
-    return code, err
-
-
-def test_join_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path, capsys):
-    # /a/b stacks a 2-wide hyperplane on /a's 3-wide one
-    code, err = _join_hand_edited_b(capsys, tmp_path, ["1", "2"])
-    assert code == 2 and "not r + 1 = 3 wide" in err
-    assert "Traceback" not in err
-
-
-def test_join_into_a_department_deeper_than_r_minus_1_exits_2(tmp_path,
-                                                             capsys):
-    # /a/b holds two independent planes, so every member joined there
-    # would get their one common point
-    code, err = _join_hand_edited_b(capsys, tmp_path, ["5", "7", "11"])
-    assert code == 2 and "deeper than r - 1 = 1" in err
-    assert not (tmp_path / "x.key").exists()
-    assert not (tmp_path / "x.pub").exists()
-
-
 def test_dept_add_without_a_name_takes_the_first_free_d_k(tmp_path, capsys):
     params, _ = _setup(capsys, tmp_path)
     paths = []
@@ -342,49 +304,82 @@ def test_dept_add_without_a_name_takes_the_first_free_d_k(tmp_path, capsys):
     assert paths == ["/d1", "/d0", "/d2"]
 
 
-def test_revoke_group_of_a_narrow_department_exits_2(tmp_path, capsys):
-    # the same hand-edited /a/b: listing it would make every later sign
-    # against the list exit 2 with "dimension mismatch", so revoke refuses
-    # it and leaves the list as it was
-    params, gm_key = _setup(capsys, tmp_path)
+@pytest.fixture(scope="module")
+def m8_dir(tmp_path_factory):
+    """mestre8 (r = 8) at p = 10007, q = 1009, with /a and /a/x added and
+    an empty list."""
+    d = tmp_path_factory.mktemp("m8")
+    params, tree = str(d / "gm.params"), str(d / "org.tree")
+    assert main(["setup", "--curve", "mestre8", "--p", "10007", "--q", "1009",
+                 "--seed", "1", "--params-out", params,
+                 "--gm-key-out", str(d / "gm.key")]) == 0
+    for seed, (parent, name) in enumerate([("/", "a"), ("/a", "x")], 2):
+        assert main(["dept", "add", "--params", params, "--tree", tree,
+                     "--parent", parent, "--name", name,
+                     "--seed", str(seed)]) == 0
+    _write_empty_rl(d, params)
+    return d
+
+
+def _add_defect(doc, defect, q):
+    """Hand-edit a defective node below /a into a tree document; return
+    what the refusal names: the node's path and the rule it breaks."""
+    a = doc["root"]["children"][0]
+    if defect == "width":
+        a["children"].append({"children": [], "name": "b",
+                              "hyperplane": ["1", "2"]})
+        return "/a/b has a hyperplane that is not r + 1 = 9 wide"
+    if defect == "dependent":  # twice /a's plane: all of /a's space
+        a["children"].append({"children": [], "name": "b", "hyperplane": [
+            str(2 * int(v) % q) for v in a["hyperplane"]]})
+        return "/a/b stacks 2 hyperplanes of rank 1 mod q"
+    node = a  # unit planes on coordinates 1 .. 7, down to level 8
+    for i in range(1, 8):
+        node["children"].append({"children": [], "name": "u", "hyperplane": [
+            "1"] + [str(int(j == i)) for j in range(8)]})
+        node = node["children"][-1]
+    return "/a/u/u/u/u/u/u/u is at level 8, deeper than r - 1 = 7"
+
+
+@pytest.mark.parametrize("command", [
+    ["dept", "add", "--parent", "/a", "--seed", "3"],
+    ["member", "join", "--gm-key", "gm.key", "--dept", "/a/x", "--id", "eve",
+     "--key-out", "eve.key", "--pub-out", "eve.pub", "--seed", "4"],
+    ["revoke", "group", "--rl", "list.rl", "--dept", "/a/x"],
+    ["rl", "coalesce", "--rl", "list.rl"],
+], ids=["dept-add", "member-join", "revoke-group", "rl-coalesce"])
+@pytest.mark.parametrize("defect", ["width", "depth", "dependent"])
+def test_every_tree_command_refuses_a_defective_tree(
+        m8_dir, tmp_path, capsys, monkeypatch, command, defect):
+    # the loader checks every node against the params, so each command that
+    # reads a tree refuses one with a hyperplane not r + 1 wide, a node
+    # deeper than r - 1 or a plane its parent's span, before it writes: a
+    # file that breaks an invariant, exit 4, naming the node; the tree, the
+    # list and the key files stay as they were or unwritten
+    for path in m8_dir.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
     tree = tmp_path / "org.tree"
-    code, _, _ = run(capsys, "dept", "add", "--params", str(params),
-                     "--tree", str(tree), "--parent", "/", "--name", "a",
-                     "--seed", "2")
-    assert code == 0
-    key, pub = tmp_path / "alice.key", tmp_path / "alice.pub"
-    code, _, err = run(capsys, "member", "join", "--params", str(params),
-                       "--tree", str(tree), "--gm-key", str(gm_key),
-                       "--dept", "/a", "--id", "alice", "--key-out", str(key),
-                       "--pub-out", str(pub), "--seed", "3")
-    assert code == 0, err
     doc = json.loads(tree.read_text())
-    doc["root"]["children"][0]["children"].append(
-        {"children": [], "hyperplane": ["1", "2"], "name": "b"})
+    refusal = _add_defect(doc, defect,
+                          serial.load_artifact(tmp_path / "gm.params").q)
     tree.write_text(json.dumps(doc))
-    rl = _write_empty_rl(tmp_path, params)
-    before = rl.read_bytes()
-    for out in ([], ["--out", str(tmp_path / "other.rl")]):
-        code, _, err = run(capsys, "revoke", "group", "--params", str(params),
-                           "--rl", str(rl), "--tree", str(tree),
-                           "--dept", "/a/b", *out)
-        assert code == 2 and "not r + 1 = 3 wide" in err
-        assert "Traceback" not in err
-    assert rl.read_bytes() == before
-    assert not (tmp_path / "other.rl").exists()
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(b"still signs")
-    code, _, err = run(capsys, "sign", "--params", str(params), "--key",
-                       str(key), "--rl", str(rl), "--msg-file", str(msg),
-                       "--out", str(tmp_path / "msg.sig"), "--seed", "4")
-    assert code == 0, err
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *command[:2], "--params", "gm.params",
+                       "--tree", "org.tree", *command[2:])
+    assert code == 4 and f"invariant violation: department {refusal}" \
+        in err, err
+    assert "Traceback" not in err
+    assert {path.name: path.read_bytes()
+            for path in tmp_path.iterdir()} == before
 
 
 def test_dependent_department_is_refused_and_its_sibling_signs(tmp_path,
                                                                capsys):
     # mestre8 (r = 8): /a/b hand-edited with twice /a's hyperplane has /a's
     # whole space, so listing it would revoke /a/x's member too; join, dept
-    # add and revoke group refuse it, and the member signs on
+    # add and revoke group refuse the tree as they load it, exit 4, and the
+    # member signs on
     params, gm_key = tmp_path / "gm.params", tmp_path / "gm.key"
     code, _, err = run(capsys, "setup", "--curve", "mestre8", *TOY[2:],
                        "--seed", "1", "--params-out", str(params),
@@ -413,12 +408,12 @@ def test_dependent_department_is_refused_and_its_sibling_signs(tmp_path,
                        "--dept", "/a/b", "--id", "eve",
                        "--key-out", str(tmp_path / "eve.key"),
                        "--pub-out", str(tmp_path / "eve.pub"), "--seed", "5")
-    assert code == 2 and "rank 1 of 2 rows" in err
+    assert code == 4 and "/a/b stacks 2 hyperplanes of rank 1" in err
     assert not (tmp_path / "eve.key").exists()
     code, _, err = run(capsys, "dept", "add", "--params", str(params),
                        "--tree", str(tree), "--parent", "/a/b",
                        "--seed", "6")
-    assert code == 2 and "/a/b stacks 2 hyperplanes of rank 1" in err
+    assert code == 4 and "/a/b stacks 2 hyperplanes of rank 1" in err
     rl = _write_empty_rl(tmp_path, params)
     before = rl.read_bytes()
     other = tmp_path / "other.rl"
@@ -426,7 +421,7 @@ def test_dependent_department_is_refused_and_its_sibling_signs(tmp_path,
         code, _, err = run(capsys, "revoke", "group", "--params", str(params),
                            "--rl", str(rl), "--tree", str(tree),
                            "--dept", "/a/b", *out)
-        assert code == 2 and "/a/b stacks 2 hyperplanes of rank 1" in err
+        assert code == 4 and "/a/b stacks 2 hyperplanes of rank 1" in err
         assert "Traceback" not in err
     assert rl.read_bytes() == before
     assert not other.exists()
@@ -442,58 +437,13 @@ def test_dependent_department_is_refused_and_its_sibling_signs(tmp_path,
     assert code == 0 and out.strip() == "Accept", err
 
 
-def test_coalesce_on_a_tree_with_a_narrow_hyperplane_exits_2(tmp_path,
-                                                              capsys):
-    # mestre8 (r = 8) with /a/x and /a/y revoked, then /a's hyperplane
-    # hand-edited to 2 wide: folding the family would list that plane and
-    # make every later sign exit 2, so coalesce refuses and leaves the list
-    # as it was
-    params, gm_key = tmp_path / "gm.params", tmp_path / "gm.key"
-    code, _, err = run(capsys, "setup", "--curve", "mestre8", *TOY[2:],
-                       "--seed", "1", "--params-out", str(params),
-                       "--gm-key-out", str(gm_key))
-    assert code == 0, err
-    tree = tmp_path / "org.tree"
-    for seed, path in enumerate(["/a", "/a/x", "/a/y", "/b"], start=2):
-        parent, name = path.rsplit("/", 1)
-        code, _, err = run(capsys, "dept", "add", "--params", str(params),
-                           "--tree", str(tree), "--parent", parent or "/",
-                           "--name", name, "--seed", str(seed))
-        assert code == 0, err
-    rl = _write_empty_rl(tmp_path, params)
-    for dept in ("/a/x", "/a/y"):
-        code, _, err = run(capsys, "revoke", "group", "--params", str(params),
-                           "--rl", str(rl), "--tree", str(tree),
-                           "--dept", dept)
-        assert code == 0, err
-    doc = json.loads(tree.read_text())
-    doc["root"]["children"][0]["hyperplane"] = ["1", "2"]
-    bad_tree = tmp_path / "bad.tree"
-    bad_tree.write_text(json.dumps(doc))
-    before = rl.read_bytes()
-    other = tmp_path / "other.rl"
-    for out in ([], ["--out", str(other)]):
-        code, _, err = run(capsys, "rl", "coalesce", "--params", str(params),
-                           "--rl", str(rl), "--tree", str(bad_tree), *out)
-        assert code == 2 and "/a has a hyperplane" in err
-        assert "not r + 1 = 9 wide" in err and "Traceback" not in err
-    assert rl.read_bytes() == before
-    assert not other.exists()
-    # the unedited tree folds the same family
-    code, out, err = run(capsys, "rl", "coalesce", "--params", str(params),
-                         "--rl", str(rl), "--tree", str(tree),
-                         "--out", str(other))
-    assert code == 0 and "coalesced" in out, err
-    assert [g.path for g in serial.load_artifact(other).groups] == ["/a"]
-
-
-def test_coalesce_on_a_tree_with_dependent_hyperplanes_exits_2(tmp_path,
+def test_coalesce_on_a_tree_with_dependent_hyperplanes_exits_4(tmp_path,
                                                                  capsys):
     # mestre8 with /a/b/c0 and /a/b/c1 revoked, then /a/b's hyperplane
     # hand-edited to twice /a's: /a/b's space is then all of /a's, so
     # folding the family into an /a/b entry would revoke the sibling /a/x
-    # too; coalesce refuses, leaves the list as it was, and /a/x's member
-    # still signs
+    # too; coalesce refuses the tree as it loads it, exit 4, leaves the
+    # list as it was, and /a/x's member still signs
     params, gm_key = tmp_path / "gm.params", tmp_path / "gm.key"
     code, _, err = run(capsys, "setup", "--curve", "mestre8", "--p", "10007",
                        "--q", "1009", "--seed", "1", "--params-out",
@@ -532,7 +482,7 @@ def test_coalesce_on_a_tree_with_dependent_hyperplanes_exits_2(tmp_path,
     for out in ([], ["--out", str(other)]):
         code, _, err = run(capsys, "rl", "coalesce", "--params", str(params),
                            "--rl", str(rl), "--tree", str(bad_tree), *out)
-        assert code == 2, err
+        assert code == 4, err
         assert "/a/b stacks 2 hyperplanes of rank 1" in err
         assert "Traceback" not in err
     assert rl.read_bytes() == before

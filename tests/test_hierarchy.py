@@ -102,11 +102,11 @@ def test_warm_and_cold_params_are_indistinguishable():
     assert cold.digest() == warm.digest()
 
 
-def _toy_tree():
+def _toy_tree(params):
     root = new_root()
-    fin = root.attach("financial", FINANCIAL)
-    hr = root.attach("hr", HR)
-    eng = root.attach("engineering", ENGINEERING)
+    fin = root.attach("financial", FINANCIAL, params)
+    hr = root.attach("hr", HR, params)
+    eng = root.attach("engineering", ENGINEERING, params)
     return root, fin, hr, eng
 
 
@@ -120,15 +120,14 @@ def test_add_department_depth_limit_r2():
         add_department(params, child, rng)
 
 
-def test_join_refuses_a_department_deeper_than_r_minus_1():
-    # `attach` knows no r, so a tree can stack r = 2 planes on toy17; each
+def test_attach_refuses_a_department_deeper_than_r_minus_1():
+    # on toy17 (r = 2) a second level would stack r planes, and each
     # member's key would be their one common point
-    params, gm = make_toy_params()
-    rng = random.Random(5)
-    deep = new_root().attach("a", FINANCIAL).attach("b",
-                                                     Hyperplane((5, 7, 11)))
+    params, _gm = make_toy_params()
+    fin = new_root().attach("financial", FINANCIAL, params)
     with pytest.raises(ValueError, match="deeper than r - 1 = 1"):
-        join(params, gm, deep, "x", rng)
+        fin.attach("b", Hyperplane((5, 7, 11)), params)
+    assert fin.children == ()
 
 
 def test_add_department_names_a_child_the_first_free_d_k():
@@ -168,7 +167,7 @@ def test_add_department_and_the_loader_refuse_the_same_names(name):
     siblings = doc["root"]["children"]
     siblings.append(dict(siblings[0], name=name))
     with pytest.raises(InvariantError) as loaded:
-        serial.deserialize_artifact(json.dumps(doc))
+        serial.deserialize_artifact(json.dumps(doc), params=params)
     assert str(loaded.value) == str(refused.value)
 
 
@@ -190,6 +189,29 @@ def test_add_department_level2_independent():
         rows = [hp.linear for hp in l2.constraints]
         assert _independent_pair(rows, params.q)  # oracle
         assert modmath.rank_mod(rows, params.q) == 2
+
+
+class _ScriptedRng:
+    """randrange that returns the scripted values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randrange(self, _stop):
+        return self.values.pop(0)
+
+
+def test_add_department_redraws_zero_and_dependent_planes():
+    # one draw of r + 1 coefficients per attempt: a zero linear part and
+    # one /a's plane spans are drawn again, and the third draw is attached
+    params, _gm = make_mestre8_params()
+    r, q = params.r, params.q
+    a = new_root().attach("a", Hyperplane((1,) * (r + 1)), params)
+    unit = (5, 1) + (0,) * (r - 1)
+    rng = _ScriptedRng([7] + [0] * r + [3] + [2] * r + list(unit))
+    child = add_department(params, a, rng, name="b")
+    assert child.constraints[-1].coeffs == unit and not rng.values
+    assert modmath.rank_mod([hp.linear for hp in child.constraints], q) == 2
 
 
 def test_add_department_depth_limit_mestre8():
@@ -258,64 +280,63 @@ def test_join_rejects_root():
 
 
 def test_hyperplanes_not_r_plus_1_wide_are_value_errors():
-    # a hand-edited tree can stack hyperplanes of any width; a narrow one
-    # made add_department sample forever and join raise IndexError, and a
-    # wide one let add_department attach a child
-    params, gm = make_mestre8_params()
-    rng = random.Random(14)
-    a = add_department(params, new_root(), rng, name="a")
+    # a narrow plane once made add_department sample forever and join raise
+    # IndexError, and a wide one let add_department attach a child; attach
+    # refuses both, at the top and below, and attaches nothing
+    params, _gm = make_mestre8_params()
+    root = new_root()
+    a = add_department(params, root, random.Random(14), name="a")
     for coeffs in ((1, 2), tuple(range(1, 9)), tuple(range(1, 11))):
-        hp = Hyperplane(coeffs)
-        top = hierarchy.DeptNode(path="/x", constraints=(hp,))
-        below = hierarchy.DeptNode(path="/a/x",
-                                   constraints=a.constraints + (hp,))
-        with pytest.raises(ValueError, match="not r \\+ 1 = 9 wide"):
-            add_department(params, top, rng)
-        for dept in (top, below):
-            with pytest.raises(ValueError, match="not r \\+ 1 = 9 wide"):
-                join(params, gm, dept, "m", rng)
+        for parent in (root, a):
+            with pytest.raises(ValueError, match="/x has a hyperplane that "
+                                                 "is not r \\+ 1 = 9 wide"):
+                parent.attach("x", Hyperplane(coeffs), params)
+    assert [node.path for node in hierarchy.walk(root)] == ["", "/a"]
 
 
-def _dependent_child():
-    """mestre8 with /a and /a/x sampled, and /a/b attached by hand with
-    twice /a's hyperplane: /a/b's space is /a's, /a/x's included."""
+def test_attach_refuses_dependent_hyperplanes():
+    # mestre8 with /a and /a/x sampled: an /a/b with twice /a's plane would
+    # have all of /a's space, /a/x's member's key included, so listing it
+    # would revoke that sibling's member too. attach refuses it, called
+    # directly or by the loader, so no library call can list it; a linear
+    # part that is nonzero but zero mod q adds no rank either
     params, gm = make_mestre8_params()
     rng = random.Random(15)
-    a = add_department(params, new_root(), rng, name="a")
+    root = new_root()
+    a = add_department(params, root, rng, name="a")
     x = add_department(params, a, rng, name="x")
     twice = Hyperplane(tuple(2 * v % params.q
                              for v in a.constraints[0].coeffs))
-    return params, gm, rng, a, x, a.attach("b", twice)
-
-
-def test_join_and_add_department_refuse_dependent_hyperplanes():
-    # a member joined into /a/b would be a member of all of /a, and a child
-    # of /a/b could never be sampled independent of its planes
-    params, gm, rng, a, x, b = _dependent_child()
-    with pytest.raises(ValueError, match="department /a/b: dependent linear "
-                                         "system mod q: rank 1 of 2 rows"):
-        join(params, gm, b, "eve", rng)
     with pytest.raises(ValueError, match="/a/b stacks 2 hyperplanes of rank "
                                          "1 mod q"):
-        add_department(params, b, rng)
-    with pytest.raises(ValueError, match="/a/b stacks 2"):
-        hierarchy._require_independent(params, b)
-    # the sampled departments pass, and /a/x's member is on /a/b's planes,
-    # so listing /a/b would revoke them: `hrpks revoke group` refuses it
-    for node in (new_root(), a, x):
-        hierarchy._require_independent(params, node)
+        a.attach("b", twice, params)
+    with pytest.raises(ValueError, match="/b stacks 1 hyperplanes of rank 0"):
+        root.attach("b", Hyperplane((1,) + (params.q,) * params.r), params)
+    doc = json.loads(serial.serialize_artifact("tree", root))
+    doc["root"]["children"][0]["children"].append(
+        {"children": [], "name": "b", "hyperplane": [str(v)
+                                                     for v in twice.coeffs]})
+    with pytest.raises(InvariantError, match="/a/b stacks 2 hyperplanes of "
+                                             "rank 1 mod q"):
+        serial.deserialize_artifact(json.dumps(doc), params=params)
+    assert a.children == (x,)
     sk, pk = join(params, gm, x, "sib", rng)
-    assert all(hp.evaluate(sk.x, params.q) == 0 for hp in b.constraints)
-    with pytest.raises(SignerRevoked, match="'/a/b'"):
-        sign(params, sk, pk, revoke_group(empty_rl(), b), b"m", rng)
-    assert verify(params, pk, empty_rl(), b"m",
-                  sign(params, sk, pk, empty_rl(), b"m", rng)).accepted
+    assert twice.evaluate(sk.x, params.q) == 0
+    # what the library can list spares the member: a sampled sibling, and
+    # the family coalesce cannot fold while /a/x stays unlisted
+    y = add_department(params, a, rng, name="y")
+    rl = coalesce(revoke_group(empty_rl(), y), root)
+    assert [g.path for g in rl.groups] == ["/a/y"]
+    assert verify(params, pk, rl, b"m", sign(params, sk, pk, rl, b"m",
+                                             rng)).accepted
+    with pytest.raises(SignerRevoked, match="'/a'"):
+        sign(params, sk, pk, revoke_group(rl, a), b"m", rng)
 
 
 def test_sibling_departments_disjoint_constraints():
     params, gm = make_toy_params()
     rng = random.Random(17)
-    root, fin, hr, _eng = _toy_tree()
+    root, fin, hr, _eng = _toy_tree(params)
     sk_f, _ = join(params, gm, fin, "f", rng)
     sk_h, _ = join(params, gm, hr, "h", rng)
     # each key fails the sibling's plane (fixed seed; failure probability
@@ -327,7 +348,7 @@ def test_sibling_departments_disjoint_constraints():
 def test_certificates():
     params, gm = make_toy_params()
     rng = random.Random(19)
-    root, fin, _hr, _eng = _toy_tree()
+    root, fin, _hr, _eng = _toy_tree(params)
     sk, pk = join(params, gm, fin, "alice", rng)
     assert pk.cert is not None
     assert verify_cert(params, pk)
@@ -358,7 +379,7 @@ def test_cert_rejected_under_other_params():
     params_b, _gm_b = make_toy_params(seed=24)
     rng = random.Random(25)
     root = new_root()
-    fin = root.attach("financial", FINANCIAL)
+    fin = root.attach("financial", FINANCIAL, params_a)
     _sk, pk = join(params_a, gm_a, fin, "alice", rng)
     assert verify_cert(params_a, pk)
     # same structure, different GM key -> challenge domain separates
@@ -430,7 +451,7 @@ def test_join_checks_the_gm_key_once(monkeypatch):
     params, gm = make_toy_params()
     rng = random.Random(29)
     root = hierarchy.new_root()
-    fin = root.attach("financial", FINANCIAL)
+    fin = root.attach("financial", FINANCIAL, params)
     join(params, gm, fin, "first", rng)
     calls = []
     real = hierarchy.msm
@@ -563,7 +584,7 @@ def test_key_point_makes_one_doubling_per_column_of_q(make, d, monkeypatch,
 def test_cert_verdict_cache_answers_as_an_uncached_check():
     params, gm = make_toy_params()
     rng = random.Random(31)
-    root, fin, _hr, _eng = _toy_tree()
+    root, fin, _hr, _eng = _toy_tree(params)
     _sk, pk = join(params, gm, fin, "alice", rng)
     hierarchy._CERT_VERDICTS.clear()
     assert verify_cert(params, pk) is True  # kept under params' digest

@@ -37,7 +37,7 @@ def test_revoked_member_verifications_reject():
     params, gm = make_toy_params()
     rng = random.Random(61)
     root = new_root()
-    fin = root.attach("financial", FINANCIAL)
+    fin = root.attach("financial", FINANCIAL, params)
     sk, pk = join(params, gm, fin, "emp1", rng)
     sig = sign(params, sk, pk, empty_rl(), b"m", rng)
     assert verify(params, pk, empty_rl(), b"m", sig).accepted
@@ -68,7 +68,7 @@ def test_group_revocation_blocks_and_spares():
     params, gm = make_toy_params()
     rng = random.Random(65)
     root = new_root()
-    fin = root.attach("financial", FINANCIAL)
+    fin = root.attach("financial", FINANCIAL, params)
     hr = add_department(params, root, rng, name="hr")
     sk_f, pk_f = join(params, gm, fin, "f", rng)
     sk_h, pk_h = join(params, gm, hr, "h", rng)
@@ -158,15 +158,19 @@ def test_coalesce_noop_when_family_incomplete():
     assert out.version == rl.version
 
 
+def _unit_plane(params, a0, i):
+    """a0 + x_i = 0: planes on distinct coordinates are independent."""
+    return Hyperplane((a0,) + tuple(int(j == i) for j in range(params.r)))
+
+
 def test_coalesce_cascades_two_levels():
-    # the fixpoint over a hand-built tree of width-5 hyperplanes (r = 4),
-    # without params: coalesce reads only the tree and the list
+    # the fixpoint over a hand-built tree of unit planes on mestre8 (r = 8)
+    params, _gm = make_mestre8_params()
     root = new_root()
-    h = lambda *c: Hyperplane(tuple(c))
-    a = root.attach("a", h(1, 1, 0, 0, 0))
-    a1 = a.attach("1", h(2, 0, 1, 0, 0))
-    a2 = a.attach("2", h(3, 0, 0, 1, 0))
-    a11 = a1.attach("x", h(4, 0, 0, 0, 1))
+    a = root.attach("a", _unit_plane(params, 1, 0), params)
+    a1 = a.attach("1", _unit_plane(params, 2, 1), params)
+    a2 = a.attach("2", _unit_plane(params, 3, 2), params)
+    a11 = a1.attach("x", _unit_plane(params, 4, 3), params)
 
     rl = empty_rl()
     for node in (a11, a2):
@@ -307,10 +311,10 @@ def _member_pk(point, member_id):
     return PublicKey(point=point, member_id=member_id, dept="/d")
 
 
-def _random_tree(rng):
-    """A tree of up to three levels with shuffled names, built without
-    params: coalesce and revoke_group read only paths, levels and
-    constraints."""
+def _random_tree(params, rng):
+    """A tree of up to three levels with shuffled names, a unit plane on
+    coordinate k - 1 at each level k: coalesce and revoke_group read only
+    paths, levels and constraints."""
     root = new_root()
     nodes = []
     frontier = [root]
@@ -318,7 +322,8 @@ def _random_tree(rng):
         nxt = []
         for parent in frontier:
             for name in rng.sample("pqrstuvw", rng.randrange(1, 4)):
-                nxt.append(parent.attach(name, Hyperplane((level, 1, 0, 0))))
+                nxt.append(parent.attach(
+                    name, _unit_plane(params, level, level - 1), params))
         nodes += nxt
         frontier = rng.sample(nxt, min(len(nxt), 2))
     return root, nodes
@@ -329,8 +334,9 @@ def test_mutations_match_the_canonicalizing_constructor():
     points = [ModPoint.infinity(), ModPoint(0, 0)] + [
         ModPoint(rng.randrange(6), rng.randrange(6)) for _ in range(30)]
     ids = ["x", "y", "", "m0", "m00"]
+    params, _gm = make_mestre8_params()
     for _ in range(30):
-        root, nodes = _random_tree(rng)
+        root, nodes = _random_tree(params, rng)
         start = rng.sample(sorted(set(points), key=repr), rng.randrange(6))
         rl = RevocationList(
             members=[RevokedMember(pt, rng.choice(ids)) for pt in start],

@@ -15,7 +15,8 @@ from hrpks.revocation import (ConstraintSet, RevocationList, RevokedMember,
                               empty_rl, revoke_group, revoke_member, rl_hash)
 from hrpks.sigma import sign
 
-from conftest import FINANCIAL, make_mestre8_params, make_toy_params
+from conftest import (FINANCIAL, make_mestre8_params, make_small_params,
+                      make_toy_params)
 
 # pinned once from the first implementation run; canonical form must not
 # drift, since revocation-list hashes and certificates sign these bytes
@@ -30,7 +31,7 @@ def _world(seed=81):
     params, gm = make_toy_params()
     rng = random.Random(seed)
     root = new_root()
-    fin = root.attach("financial", FINANCIAL)
+    fin = root.attach("financial", FINANCIAL, params)
     hr = add_department(params, root, rng, name="hr")
     sk, pk = join(params, gm, fin, "alice", rng)
     return params, gm, rng, root, fin, hr, sk, pk
@@ -52,7 +53,8 @@ def test_round_trips_all_kinds(tmp_path):
     ]
     for kind, value in artifacts:
         text = serial.serialize_artifact(kind, value)
-        again = serial.deserialize_artifact(text, curve=params.curve)
+        again = serial.deserialize_artifact(text, curve=params.curve,
+                                            params=params)
         if kind == "tree":
             # nodes are mutable; compare structure via re-serialization
             assert serial.serialize_artifact(kind, again) == text
@@ -62,7 +64,8 @@ def test_round_trips_all_kinds(tmp_path):
         # file helpers
         path = tmp_path / f"artifact.{kind}"
         serial.save_artifact(path, kind, value)
-        loaded = serial.load_artifact(path, curve=params.curve)
+        loaded = serial.load_artifact(path, curve=params.curve,
+                                      params=params)
         assert serial.serialize_artifact(kind, loaded) == text
 
 
@@ -235,8 +238,7 @@ def test_tree_round_trip_preserves_structure():
     b = add_department(params, root, rng, name="b")
     a1 = add_department(params, a, rng, name="one")
     text = serial.serialize_artifact("tree", root)
-    back = serial.deserialize_artifact(text)
-    node = back
+    back = serial.deserialize_artifact(text, params=params)
     from hrpks.hierarchy import find_dept
     got_a1 = find_dept(back, "/a/one")
     assert got_a1.level == 2
@@ -256,32 +258,83 @@ def _order_q_element(modulus, q):
 def test_composite_aux_modulus_rejected_on_load():
     from hrpks import modmath
 
-    params, _gm = make_toy_params()
-    q = params.q
     # rho = rho1 * rho2 with both factors 1 mod q, so q | rho - 1, and g, h
-    # of order q modulo each factor glued by CRT: every other aux check holds
-    factors = [k * q + 1 for k in range(2, 200, 2)
-               if modmath.is_probable_prime(k * q + 1)][:2]
-    rho1, rho2 = factors
-    rho = rho1 * rho2
+    # of order q modulo each factor glued by CRT: every other aux check
+    # holds. At q = 257, rho - 1 is under 10^6 q and Miller-Rabin refuses
+    # it; at toy17's 32-bit q it is some q times that, and so is every
+    # composite rho with (q + 1)^2 < rho, and the bound on k refuses it
+    for (params, _gm), rule in ((make_small_params(), "rho is not prime"),
+                                (make_toy_params(), r"needs k <= 1000000")):
+        q = params.q
+        factors = [k * q + 1 for k in range(2, 200, 2)
+                   if modmath.is_probable_prime(k * q + 1)][:2]
+        rho1, rho2 = factors
+        rho = rho1 * rho2
 
-    def crt(a1, a2):
-        return (a1 + rho1 * ((a2 - a1) * pow(rho1, -1, rho2) % rho2)) % rho
+        def crt(a1, a2):
+            return (a1 + rho1 * ((a2 - a1) * pow(rho1, -1, rho2) % rho2)) \
+                % rho
 
-    g = crt(_order_q_element(rho1, q), _order_q_element(rho2, q))
-    h = pow(g, 12345, rho)
-    assert (rho - 1) % q == 0 and (q + 1) ** 2 < rho
-    for el in (g, h):
-        assert 1 < el < rho and pow(el, q, rho) == 1
-    doc = json.loads(serial.serialize_artifact("params", params))
-    doc["aux"] = {"rho": str(rho), "g": str(g), "h": str(h)}
-    with pytest.raises(InvariantError, match="rho is not prime"):
-        serial.deserialize_artifact(json.dumps(doc))
+        g = crt(_order_q_element(rho1, q), _order_q_element(rho2, q))
+        h = pow(g, 12345, rho)
+        assert (rho - 1) % q == 0 and (q + 1) ** 2 < rho
+        for el in (g, h):
+            assert 1 < el < rho and pow(el, q, rho) == 1
+        doc = json.loads(serial.serialize_artifact("params", params))
+        doc["aux"] = {"rho": str(rho), "g": str(g), "h": str(h)}
+        with pytest.raises(InvariantError, match=rule):
+            serial.deserialize_artifact(json.dumps(doc))
     # the parameters `setup` makes load, their rho proven by Pocklington's
     # criterion without a Miller-Rabin test
     assert (q + 1) ** 2 > params.aux.rho
     text = serial.serialize_artifact("params", params)
     assert serial.deserialize_artifact(text) == params
+
+
+def test_a_rho_past_k_limit_is_refused_before_it_is_proved_prime(
+        tmp_path, monkeypatch, capsys):
+    # a toy17 document of about 4.3 KB with rho = 2^4423 - 1, prime, and q
+    # = 761838257287, a factor of 2^67 - 1 and so of rho - 1, once took
+    # 16 s to load, and loaded: every sign and verify then ran in a 4423-bit
+    # group. k = (rho - 1)/q is bounded as `setup` bounds it, before a
+    # pow or a primality test on rho, in the library and through
+    # `hrpks verify`
+    from hrpks import cli, modmath
+
+    params, gm, rng, root, fin, hr, sk, pk = _world()
+    rho, q = (1 << 4423) - 1, 761838257287
+    g = pow(3, (rho - 1) // q, rho)
+    doc = json.loads(serial.serialize_artifact("params", params))
+    doc.update(q=str(q), aux={"rho": str(rho), "g": str(g),
+                              "h": str(pow(g, 5, rho))})
+    hostile = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    tested = []
+    real = modmath.is_probable_prime
+
+    def counting(n):
+        tested.append(n.bit_length())
+        return real(n)
+    monkeypatch.setattr(modmath, "is_probable_prime", counting)
+    monkeypatch.setattr(serial, "is_probable_prime", counting)
+    serial._LOADED.clear()
+    with pytest.raises(InvariantError, match="rho = k\\*q \\+ 1 needs k <= "
+                                             "1000000"):
+        serial.deserialize_artifact(hostile)
+    assert tested == [32, 40]  # p, then q
+
+    files = {"params": tmp_path / "hostile.params"}
+    files["params"].write_text(hostile)
+    for kind, value in (("pub", ("cert", pk)), ("rl", ("rl", empty_rl())),
+                        ("sig", ("signature", sign(params, sk, pk, empty_rl(),
+                                                   b"m", rng)))):
+        files[kind] = tmp_path / kind
+        serial.save_artifact(files[kind], *value)
+    files["msg-file"] = tmp_path / "msg"
+    files["msg-file"].write_bytes(b"m")
+    code = cli.main(["verify", *(arg for name, path in files.items()
+                                 for arg in (f"--{name}", str(path)))])
+    err = capsys.readouterr().err
+    assert code == 4 and "needs k <= 1000000" in err, err
 
 
 def test_params_load_checks_each_prime_once(monkeypatch):
@@ -457,8 +510,8 @@ def test_keypair_tree_and_signature_loads_give_fresh_objects():
     for kind, value in (("keypair", (sk, pk)), ("tree", root),
                         ("signature", sig)):
         text = serial.serialize_artifact(kind, value)
-        first, second = (serial.deserialize_artifact(text, curve=params.curve)
-                         for _ in range(2))
+        first, second = (serial.deserialize_artifact(
+            text, curve=params.curve, params=params) for _ in range(2))
         assert first is not second, kind
         assert serial.serialize_artifact(kind, second) == text
     assert not serial._LOADED

@@ -22,9 +22,9 @@ def _toy_world(seed=101):
     params, gm = make_toy_params()
     rng = random.Random(seed)
     root = new_root()
-    fin = root.attach("financial", FINANCIAL)
-    hr = root.attach("hr", HR)
-    eng = root.attach("engineering", ENGINEERING)
+    fin = root.attach("financial", FINANCIAL, params)
+    hr = root.attach("hr", HR, params)
+    eng = root.attach("engineering", ENGINEERING, params)
     return params, gm, rng, root, fin, hr, eng
 
 
@@ -1012,7 +1012,7 @@ def test_generator_order_shift_is_rejected(monkeypatch):
         params, gm = hierarchy.setup("toy17", TOY_P, TOY_P,
                                      random.Random(12345))
     rng = random.Random(71)
-    fin = new_root().attach("financial", FINANCIAL)
+    fin = new_root().attach("financial", FINANCIAL, params)
     sk, pk = join(params, gm, fin, "mallory", rng)
     if not hierarchy.verify_cert(params, pk):
         pytest.fail("the member's certificate does not verify")

@@ -106,9 +106,9 @@ def _byte_mutants(text, rng):
         yield what, out.decode("utf-8", "surrogateescape")
 
 
-def _load(text, curve):
+def _load(text, curve, params):
     try:
-        return serial.deserialize_artifact(text, curve=curve)
+        return serial.deserialize_artifact(text, curve=curve, params=params)
     except (ParseError, InvariantError):
         return None
 
@@ -138,7 +138,7 @@ def _run_mutants(world, mutants, kind):
         what = f"{kind} {what}"
         try:
             for curve in (None, params.curve):
-                value = _load(text, curve)
+                value = _load(text, curve, params)
                 if value is not None:
                     loaded += 1
                     _check_verifiers(world, kind, value, what)
@@ -290,7 +290,57 @@ def test_leak_tree_child_name_with_slash_or_empty(world):
         doc = _doc("tree", root)
         doc["root"]["children"][0]["name"] = name
         with pytest.raises(InvariantError, match="slash"):
-            serial.deserialize_artifact(json.dumps(doc))
+            serial.deserialize_artifact(json.dumps(doc), params=world[0])
+
+
+def _tree_mutants(world):
+    """(what, tree text, the refusal it must meet) for hyperplanes of the
+    wrong width, a department deeper than r - 1 and one whose plane its
+    parent's spans mod q, each at /a/one (level 2) or a new node."""
+    params, root = world[0], dict(world[4])["tree"]
+    r, q = params.r, params.q
+    doc = _doc("tree", root)
+    a = doc["root"]["children"][0]
+    one = a["children"][0]
+    assert (a["name"], one["name"]) == ("a", "one")
+    for width in (2, r, r + 2):
+        one["hyperplane"] = [str(v + 1) for v in range(width)]
+        yield f"{width} wide", json.dumps(doc), "/a/one has a hyperplane"
+    one["hyperplane"] = [str(2 * int(v) % q) for v in a["hyperplane"]]
+    yield "dependent", json.dumps(doc), "/a/one stacks 2 hyperplanes of rank 1"
+    doc = _doc("tree", root)
+    node = doc["root"]
+    for level in range(1, r):  # unit planes on coordinates 1 .. r - 1
+        node["children"].append({"children": [], "name": "u", "hyperplane": [
+            str(level)] + [str(int(i == level)) for i in range(r)]})
+        node = node["children"][-1]
+    yield f"{r - 1} deep", json.dumps(doc), None
+    node["children"].append({"children": [], "name": "u", "hyperplane": [
+        "1", "1"] + ["0"] * (r - 1)})  # coordinate 0: only the depth is wrong
+    yield f"{r} deep", json.dumps(doc), f"deeper than r - 1 = {r - 1}"
+
+
+def test_tree_width_depth_and_dependence_are_invariant_errors(world):
+    # each refusal is attach's, raised as InvariantError by the loader and
+    # nothing else, with or without a curve; no tree loads without params
+    params = world[0]
+    for what, text, rule in _tree_mutants(world):
+        for curve in (None, params.curve):
+            if rule is None:
+                assert serial.deserialize_artifact(text, curve=curve,
+                                                   params=params), what
+                continue
+            try:
+                serial.deserialize_artifact(text, curve=curve, params=params)
+            except InvariantError as e:
+                assert rule in str(e), (what, e)
+            except Exception as e:
+                pytest.fail(f"{what}: {type(e).__name__}: {e}")
+            else:
+                pytest.fail(f"{what}: loaded")
+        with pytest.raises(InvariantError, match="only against system "
+                                                 "params"):
+            serial.deserialize_artifact(text)
 
 
 def test_leak_deeply_nested_json():
@@ -414,7 +464,7 @@ def test_duplicates_are_invariant_errors(world):
     siblings = doc["root"]["children"]
     siblings.append(dict(siblings[1], children=[]))
     with pytest.raises(InvariantError, match="duplicate child names"):
-        serial.deserialize_artifact(json.dumps(doc))
+        serial.deserialize_artifact(json.dumps(doc), params=params)
 
 
 def test_unknown_and_missing_fields_rejected(world):
